@@ -19,7 +19,7 @@ import numpy as np
 
 from . import jackson as jk
 from . import modelfile, oracle, qbd1d, qbd2d
-from .errors import ParseError, QbdTailError, SchemaError
+from .errors import ParseError, QbdTailError, SchemaError, ZeroDirection
 from .levelset import boundary_rows
 
 EXIT_OK = 0
@@ -46,10 +46,10 @@ def _emit(out, key, value):
 
 def _parse_direction(text: str):
     try:
-        c1, c2 = (float(p) for p in text.split(","))
-    except ValueError as exc:
-        raise SchemaError(f"bad direction {text!r}; expected c1,c2") from exc
-    return c1, c2
+        c = qbd2d.checked_direction([float(p) for p in text.split(",")])
+    except (ValueError, ZeroDirection) as exc:
+        raise SchemaError(f"bad direction {text!r}; expected c1,c2: {exc}") from exc
+    return float(c[0]), float(c[1])
 
 
 def _load(path) -> modelfile.ModelFile:

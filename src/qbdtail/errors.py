@@ -26,6 +26,18 @@ class NonPositiveScale(QbdTailError):
     """Diagonal scaling vector has a non-positive entry."""
 
 
+class NonFiniteEntry(QbdTailError):
+    """Matrix has an infinite or NaN entry."""
+
+
+class NegativeEntry(QbdTailError):
+    """Matrix has a negative entry where the operation forbids one."""
+
+
+class IllConditioned(QbdTailError):
+    """A linear solve failed its sign or residual verification."""
+
+
 # qbd1d
 class BoundaryNotInvertible(QbdTailError):
     """spectral radius of B0 is >= 1, so the boundary cannot be censored."""
@@ -65,7 +77,7 @@ class Unstable(QbdTailError):
 
 
 class ZeroDirection(QbdTailError):
-    """Direction vector must be nonnegative and nonzero."""
+    """Direction vector must be finite, nonnegative and nonzero."""
 
 
 class ThetaNotOnCurve(QbdTailError):

@@ -11,6 +11,7 @@ Both must agree; the decay report carries their maximum discrepancy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,7 +58,7 @@ class MapSpec:
 
     def rate(self) -> float:
         """Stationary arrival rate <nu, U 1>."""
-        _, nu = matcore.metzler_eigen((self.t + self.u).T)
+        nu = matcore.dominant((self.t + self.u).T).right
         return float(nu @ (self.u @ np.ones(self.order)))
 
 
@@ -98,12 +99,13 @@ class PhSpec:
     def order(self) -> int:
         return self.s.shape[0]
 
-    @property
+    # computed once: every departure-cumulant evaluation reads them
+    @cached_property
     def exit(self) -> np.ndarray:
         """-S 1, the absorption rate column."""
         return -self.s @ np.ones(self.order)
 
-    @property
+    @cached_property
     def d_mat(self) -> np.ndarray:
         """Service-completion rate matrix D = (-S 1) beta."""
         return np.outer(self.exit, self.beta)
@@ -289,13 +291,13 @@ class CumulantSet:
     def gamma_a(self, i: int, theta_i: float) -> float:
         """Arrival cumulant: dominant eigenvalue of T_i + e^theta U_i."""
         a = self.spec.arrivals[i - 1]
-        return matcore.metzler_value(a.t + np.exp(theta_i) * a.u)
+        return matcore.dominant(a.t + np.exp(theta_i) * a.u).value
 
     def gamma_d(self, i: int, theta) -> float:
         """Busy-server departure cumulant: dominant eigenvalue of
         S_i + t_i(theta) D_i."""
         s = self.spec.services[i - 1]
-        return matcore.metzler_value(s.s + self.t_factor(i, theta) * s.d_mat)
+        return matcore.dominant(s.s + self.t_factor(i, theta) * s.d_mat).value
 
     def gamma_plus(self, theta) -> float:
         return (self.gamma_a(1, theta[0]) + self.gamma_a(2, theta[1])
@@ -326,7 +328,9 @@ def _lt_inverse(weights: np.ndarray, gen: np.ndarray, y: float,
                 lo: float = -40.0) -> float:
     """Inverse of the increasing map x -> mgf(x) on (lo, theta0), where
     -theta0 is the dominant eigenvalue of the generator."""
-    theta0 = -matcore.metzler_value(gen)
+    # PH and MAP subgenerators may be reducible (Erlang stages), so no
+    # Perron certificate here
+    theta0 = -float(np.max(np.linalg.eigvals(gen).real))
     hi = theta0 - 1e-12
     flo = _lt_value(weights, gen, lo) - y
     fhi = _lt_value(weights, gen, hi) - y
@@ -421,6 +425,7 @@ def decay_report(spec: JacksonSpec, directions, scan: int = 192,
     two-dimensional analysis.  A discrepancy beyond ``tol`` raises
     PathDisagreement, signalling a defect.
     """
+    directions = [qbd2d.checked_direction(c) for c in directions]
     traffic = traffic_check(spec)
     if not traffic.stable:
         raise Unstable(f"utilizations {traffic.rho} not both below one")
@@ -433,8 +438,7 @@ def decay_report(spec: JacksonSpec, directions, scan: int = 192,
     reports = []
     worst = max(abs(tau_a.tau[0] - tau_b.tau[0]),
                 abs(tau_a.tau[1] - tau_b.tau[1]))
-    for direction in directions:
-        c = np.asarray(direction, dtype=float)
+    for c in directions:
         s = float(c.sum())
         chat = c / s
         rate_a = directional_rate(tau_a.tau, curve_a.directional_sup(chat), chat) / s
@@ -481,8 +485,8 @@ def assumption3_certificate(spec: JacksonSpec, theta,
     if abs(cs.gamma_plus(theta)) > 1e-8:
         raise ThetaNotOnCurve("gamma_plus(theta) != 0")
     (a1, a2), (s1, s2) = spec.arrivals, spec.services
-    _, h1a = matcore.metzler_eigen(a1.t + np.exp(theta[0]) * a1.u)
-    _, h2a = matcore.metzler_eigen(a2.t + np.exp(theta[1]) * a2.u)
+    h1a = matcore.dominant(a1.t + np.exp(theta[0]) * a1.u).right
+    h2a = matcore.dominant(a2.t + np.exp(theta[1]) * a2.u).right
 
     def h_service(i):
         ph = spec.services[i - 1]

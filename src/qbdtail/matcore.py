@@ -1,42 +1,54 @@
 """Dense nonnegative-matrix kernel.
 
-Perron eigenpairs via power iteration, Kronecker algebra, Neumann-type
-inverses and diagonal similarity twists.  Everything here is a pure function
-of its inputs and safe for concurrent use; matrices are plain 2-d numpy
-arrays at desk scale (dimension up to a few hundred).
+Certified dominant eigenpairs (closed form at order <= 2, dense ``eig``
+above, each checked by a Collatz-Wielandt bracket), Kronecker algebra,
+Neumann-type inverses and diagonal similarity twists.  Everything here is
+a pure function of its inputs and safe for concurrent use; matrices are
+plain 2-d numpy arrays at desk scale (dimension up to a few hundred).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
+    IllConditioned,
+    NegativeEntry,
     NoConvergence,
+    NonFiniteEntry,
     NonPositiveScale,
     NotIrreducible,
     ShapeMismatch,
     SpectralRadiusNotBelowOne,
 )
 
+#: Collatz-Wielandt bracket width allowed, relative to value + shift, where
+#: the shift 1 + max(0, -min diag) makes T + shift I nonnegative with a
+#: diagonal of at least 1.
 PF_TOL = 1e-13
-PF_MAX_ITER = 10**6
+
+_ONE = np.ones(1)
+_ONE.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class PerronResult:
-    """Perron eigenvalue with positive right and left eigenvectors.
+class Dominant(NamedTuple):
+    """Dominant eigenvalue with its certificate.
 
-    ``right`` and ``left`` are normalised to sum 1; ``residual`` is
-    ``max|T right - value right|``.
+    ``right`` is strictly positive with sum 1 (at order 1 a shared read-only
+    array, so treat it as read-only).  ``lo`` and ``hi`` are the
+    Collatz-Wielandt bounds min_i (T right)_i / right_i and
+    max_i (T right)_i / right_i; for a Metzler matrix they enclose the
+    Perron root (Horn & Johnson, Matrix Analysis, 8.1), and ``value`` is
+    their midpoint.
     """
 
     value: float
     right: np.ndarray
-    left: np.ndarray
-    iterations: int
-    residual: float
+    lo: float
+    hi: float
 
 
 def as_matrix(x) -> np.ndarray:
@@ -45,7 +57,7 @@ def as_matrix(x) -> np.ndarray:
     if a.ndim != 2:
         raise ShapeMismatch(f"expected a 2-d array, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+        raise NonFiniteEntry("matrix entries must be finite")
     return a
 
 
@@ -54,14 +66,15 @@ def _check_square_nonneg(t: np.ndarray) -> np.ndarray:
     if t.shape[0] != t.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got {t.shape}")
     if np.any(t < 0):
-        raise ValueError("matrix must be entrywise nonnegative")
+        raise NegativeEntry("matrix must be entrywise nonnegative")
     return t
 
 
 def is_irreducible(t: np.ndarray) -> bool:
     """Reachability closure on the sparsity pattern of a square matrix.
 
-    A 1x1 matrix counts as irreducible (a single state).
+    A 1x1 matrix counts as irreducible (a single state).  The pattern of a
+    matrix MGF does not depend on theta, so callers check it once per spec.
     """
     t = as_matrix(t)
     n = t.shape[0]
@@ -74,73 +87,63 @@ def is_irreducible(t: np.ndarray) -> bool:
     return bool(reach.all())
 
 
-def _power_iteration(t: np.ndarray, tol: float, max_iter: int):
-    """Collatz-Wielandt power iteration on (T + I).
+def dominant(t) -> Dominant:
+    """Perron root (largest real part) and positive right vector of a
+    nonnegative or Metzler matrix, certified by a Collatz-Wielandt bracket.
 
-    Returns (eigenvalue of T, positive vector, iterations).  (T + I) is
-    primitive whenever T is irreducible, so the iteration converges; the
-    eigenvalue of T is recovered by subtracting 1.  The certified bounds
-    (min and max of the component ratios) are checked every few steps to
-    keep the per-iteration cost down.
+    Order 1 is the entry, order 2 a closed form in scalar arithmetic, higher
+    orders a dense ``eig``.  Left vectors are ``dominant(t.T).right``.
+    Raises ``NotIrreducible`` when the vector has an entry <= 0 and
+    ``NoConvergence`` when the bracket is wider than ``PF_TOL`` allows.
     """
+    t = np.asarray(t, dtype=float)
+    if t.shape == (1, 1):
+        value = t.item()
+        if not math.isfinite(value):
+            raise NonFiniteEntry("matrix entries must be finite")
+        return Dominant(value, _ONE, value, value)
     n = t.shape[0]
-    if n == 1:
-        return float(t[0, 0]), np.ones(1), 0
-    ts = t + np.eye(n)
-    v = np.full(n, 1.0 / n)
-    it = 0
-    while it < max_iter:
-        for _ in range(3):
-            w = ts @ v
-            v = w / w.sum()
-            it += 1
-        w = ts @ v
-        ratio = w / v
-        lo = float(ratio.min())
-        hi = float(ratio.max())
-        v = w / w.sum()
-        it += 1
-        if hi - lo <= tol * max(hi, 1.0):
-            return 0.5 * (lo + hi) - 1.0, v, it
-    raise NoConvergence(f"power iteration did not reach tol={tol} "
-                        f"in {max_iter} iterations")
-
-
-def pf_eigen(t, tol: float = PF_TOL, max_iter: int = PF_MAX_ITER) -> PerronResult:
-    """Perron eigenvalue and positive right/left eigenvectors of an
-    irreducible nonnegative matrix.
-
-    Deterministic: the start vector is uniform.  Raises ``NotIrreducible``
-    when the sparsity pattern is not strongly connected.
-    """
-    t = _check_square_nonneg(t)
-    if not is_irreducible(t):
-        raise NotIrreducible("matrix pattern is not strongly connected")
-    value, right, it_r = _power_iteration(t, tol, max_iter)
-    _, left, it_l = _power_iteration(t.T, tol, max_iter)
-    right = right / right.sum()
-    left = left / left.sum()
-    residual = float(np.max(np.abs(t @ right - value * right)))
-    return PerronResult(value=value, right=right, left=left,
-                        iterations=it_r + it_l, residual=residual)
-
-
-def pf_value(t, tol: float = PF_TOL, max_iter: int = PF_MAX_ITER) -> float:
-    """Perron eigenvalue only (no left vector, no irreducibility check).
-
-    Fast path for curve tracing where the caller has already verified the
-    pattern once; the pattern of a matrix MGF does not depend on theta.
-    """
-    t = np.asarray(t, dtype=float)
-    value, _, _ = _power_iteration(t, tol, max_iter)
-    return value
-
-
-def pf_right(t, tol: float = PF_TOL, max_iter: int = PF_MAX_ITER):
-    """Perron eigenvalue and right eigenvector (sum 1), no checks."""
-    t = np.asarray(t, dtype=float)
-    value, v, _ = _power_iteration(t, tol, max_iter)
-    return value, v / v.sum()
+    if t.shape != (n, n):
+        raise ShapeMismatch(f"expected a square matrix, got {t.shape}")
+    if n == 2:
+        (a, b), (c, d) = t.tolist()
+        if not math.isfinite(a + b + c + d):
+            raise NonFiniteEntry("matrix entries must be finite")
+        if b < 0 or c < 0:
+            raise NegativeEntry("off-diagonal entries must be nonnegative")
+        # s = sqrt(h^2 + bc) >= |h|; pick the eigenvector form that adds
+        # |h| to s, so neither entry cancels
+        h = 0.5 * (a - d)
+        s = math.sqrt(h * h + b * c)
+        x, y = (h + s, c) if h >= 0 else (b, s - h)
+        if not (x > 0 and y > 0):
+            raise NotIrreducible("Perron vector has a zero entry")
+        r0 = a + b * y / x
+        r1 = d + c * x / y
+        lo, hi = (r0, r1) if r0 <= r1 else (r1, r0)
+        right = np.array((x / (x + y), y / (x + y)))
+        shift = 1.0 + max(0.0, -a, -d)
+    else:
+        t = as_matrix(t)
+        neg = t < 0
+        if neg.any():
+            np.fill_diagonal(neg, False)
+            if neg.any():
+                raise NegativeEntry("off-diagonal entries must be nonnegative")
+        w, vecs = np.linalg.eig(t)
+        k = int(np.argmax(w.real))
+        right = vecs[:, k].real
+        right = right / right.sum()
+        if not np.all(right > 0):
+            raise NotIrreducible("Perron vector has an entry <= 0")
+        ratio = (t @ right) / right
+        lo, hi = float(ratio.min()), float(ratio.max())
+        shift = 1.0 + max(0.0, -float(np.diag(t).min()))
+    value = 0.5 * (lo + hi)
+    if not hi - lo <= PF_TOL * (value + shift):
+        raise NoConvergence(f"Collatz-Wielandt bracket [{lo!r}, {hi!r}] "
+                            f"is wider than {PF_TOL} relative")
+    return Dominant(value, right, lo, hi)
 
 
 def spectral_radius(t) -> float:
@@ -155,48 +158,6 @@ def spectral_radius(t) -> float:
     if t.shape[0] == 1:
         return abs(float(t[0, 0]))
     return float(np.max(np.abs(np.linalg.eigvals(t))))
-
-
-def metzler_eigen(t, tol: float = PF_TOL, max_iter: int = PF_MAX_ITER):
-    """Dominant (largest real) eigenvalue and positive right eigenvector of
-    an irreducible matrix with nonnegative off-diagonal entries.
-
-    Shift-and-subtract: powers run on T + cI with c = 1 + max|diag|, which
-    is nonnegative and has the same eigenvectors.
-    """
-    t = as_matrix(t)
-    n = t.shape[0]
-    if n == 1:
-        return float(t[0, 0]), np.ones(1)
-    off = t.copy()
-    np.fill_diagonal(off, 0.0)
-    if np.any(off < 0):
-        raise ValueError("off-diagonal entries must be nonnegative")
-    c = 1.0 + float(np.max(np.abs(np.diag(t))))
-    shifted = t + c * np.eye(n)
-    if not is_irreducible(shifted):
-        raise NotIrreducible("matrix pattern is not strongly connected")
-    value, v, _ = _power_iteration(shifted, tol, max_iter)
-    return value - c, v / v.sum()
-
-
-def metzler_value(t, tol: float = PF_TOL, max_iter: int = PF_MAX_ITER) -> float:
-    """Dominant (largest real part) eigenvalue of a Metzler-type matrix.
-
-    Power iteration on the shifted matrix when its pattern is strongly
-    connected; reducible (e.g. triangular subgenerator) patterns fall back
-    to a dense eigenvalue solve, where the power bounds cannot close.
-    """
-    t = np.asarray(t, dtype=float)
-    n = t.shape[0]
-    if n == 1:
-        return float(t[0, 0])
-    c = 1.0 + float(np.max(np.abs(np.diag(t))))
-    shifted = t + c * np.eye(n)
-    if not is_irreducible(shifted):
-        return float(np.max(np.linalg.eigvals(t).real))
-    value, _, _ = _power_iteration(shifted, tol, max_iter)
-    return value - c
 
 
 def kron_prod(a, b) -> np.ndarray:
@@ -229,10 +190,10 @@ def neumann_inverse(t, margin: float = 1e-10, clamp_tol: float = 1e-12) -> np.nd
     x = np.linalg.solve(np.eye(n) - t, np.eye(n))
     x[(x < 0) & (x > -clamp_tol)] = 0.0
     if np.any(x < 0):
-        raise ValueError("Neumann inverse came out negative beyond tolerance")
+        raise IllConditioned("Neumann inverse came out negative beyond tolerance")
     check = np.max(np.abs((np.eye(n) - t) @ x - np.eye(n)))
     if check > 1e-10:
-        raise ValueError(f"Neumann inverse verification failed: {check:.3e}")
+        raise IllConditioned(f"Neumann inverse verification failed: {check:.3e}")
     return x
 
 

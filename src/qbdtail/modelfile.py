@@ -21,7 +21,7 @@ import yaml
 
 from . import jackson as jk
 from . import qbd1d, qbd2d
-from .errors import ParseError, SchemaError
+from .errors import NotIrreducible, ParseError, SchemaError
 
 SCHEMA_VERSION = "1"
 KINDS = ("qbd1d", "qbd2d_discrete", "qbd2d_continuous", "jackson")
@@ -68,7 +68,7 @@ def _parse_qbd1d(model: dict) -> qbd1d.QbdBlocks:
     try:
         return qbd1d.QbdBlocks(**{k: _matrix(model[k], f"model.{k}")
                                   for k in ("b0", "b1", "bm1", "am1", "a0", "a1")})
-    except ValueError as exc:
+    except (ValueError, NotIrreducible) as exc:
         raise SchemaError(str(exc)) from exc
 
 

@@ -32,6 +32,7 @@ from .errors import (
     GammaPlusEmpty,
     NoConvergence,
     NoSuperharmonicVector,
+    NotIrreducible,
     NotPositiveRecurrent,
     NotStochastic,
     SpectralRadiusNotBelowOne,
@@ -67,9 +68,9 @@ class QbdBlocks:
             if np.any(getattr(self, name) < 0):
                 raise ValueError(f"{name} must be entrywise nonnegative")
         if not matcore.is_irreducible(self.am1 + self.a0 + self.a1):
-            raise ValueError("A_-1 + A_0 + A_1 must be irreducible")
+            raise NotIrreducible("A_-1 + A_0 + A_1 must be irreducible")
         if not matcore.is_irreducible(assemble_truncated(self, 4)):
-            raise ValueError("assembled matrix is not irreducible on its pattern")
+            raise NotIrreducible("assembled matrix is not irreducible on its pattern")
 
     @property
     def m0(self) -> int:
@@ -171,7 +172,7 @@ def c_mgf(k: QbdBlocks, theta: float) -> np.ndarray:
 
 def gamma_a(k: QbdBlocks, theta: float) -> float:
     """Perron eigenvalue of the interior matrix MGF at theta."""
-    return matcore.pf_value(a_mgf(k, theta))
+    return matcore.dominant(a_mgf(k, theta)).value
 
 
 def _golden_min(f, lo: float, hi: float, tol: float = 1e-12):
@@ -277,7 +278,7 @@ def g_minus(k: QbdBlocks, tol: float = 1e-13, max_iter: int = 10**7) -> GMinusRe
     if interval.empty:
         raise GammaPlusEmpty("gamma(theta) > 1 everywhere; G is undefined")
     theta1 = interval.lo
-    val, h = matcore.pf_right(a_mgf(k, theta1))
+    h = matcore.dominant(a_mgf(k, theta1)).right
     if interval.hi - interval.lo < 1e-9:
         warnings.warn("tangent tilting interval: twisted chain is null "
                       "recurrent, G iteration converges slowly", RuntimeWarning)
@@ -359,7 +360,7 @@ def _common_vector_feasible(a_mat: np.ndarray, c_mat: np.ndarray,
 def _curve_endpoint_member(k: QbdBlocks, can: CanonicalQbd, theta: float) -> bool:
     """Equality-form membership at a point with gamma(theta) = 1: the Perron
     vector of A_*(theta) must also satisfy the C condition."""
-    _, h = matcore.pf_right(a_mgf(k, theta))
+    h = matcore.dominant(a_mgf(k, theta)).right
     c = can.c0 + np.exp(theta) * can.a1
     return bool(np.all(c @ h <= h * (1.0 + LE_ONE_SLACK) + LE_ONE_SLACK))
 
@@ -448,7 +449,7 @@ def check_assumption1(k: QbdBlocks, theta: float, tol: float = 1e-8) -> Assumpti
     plus = gamma1d_plus(k)
     if not plus.contains(theta, slack=1e-9):
         raise ThetaOutsideGammaPlus(f"theta={theta} outside {plus}")
-    _, h = matcore.pf_right(a_mgf(k, theta))
+    h = matcore.dominant(a_mgf(k, theta)).right
     h = h / h.max()
     et = np.exp(theta)
 
@@ -492,8 +493,7 @@ def _check_stochastic(k: QbdBlocks, tol: float = 1e-9) -> None:
 
 def mean_drift(k: QbdBlocks) -> float:
     """Stationary mean level drift of the interior kernel."""
-    res = matcore.pf_eigen(k.am1 + k.a0 + k.a1)
-    nu = res.left
+    nu = matcore.dominant((k.am1 + k.a0 + k.a1).T).right
     return float(nu @ ((k.a1 - k.am1) @ np.ones(k.m)))
 
 
@@ -571,7 +571,7 @@ def _exists_decision(k: QbdBlocks, budget: int = 200_000) -> bool:
     except BoundaryNotInvertible:
         return False
     theta1 = iv.lo
-    _, h = matcore.pf_right(a_mgf(k, theta1))
+    h = matcore.dominant(a_mgf(k, theta1)).right
     tw_m1, tw_0, tw_1 = matcore.twist((k.am1, k.a0, k.a1), h, theta1, (-1, 0, 1))
     untwist = np.exp(theta1) * (h[:, np.newaxis] / h[np.newaxis, :])
     bound_scale = np.exp(theta1) * float(h.max() / h.min())

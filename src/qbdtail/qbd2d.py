@@ -239,7 +239,8 @@ def _censor_inverse(spec: Qbd2dSpec, w: np.ndarray) -> np.ndarray:
             return matcore.neumann_inverse(w)
         except SpectralRadiusNotBelowOne as exc:
             raise FaceNotInvertible(str(exc)) from exc
-    if matcore.metzler_value(w) >= -1e-12:
+    # face generators may be reducible, so no Perron certificate here
+    if float(np.max(np.linalg.eigvals(w).real)) >= -1e-12:
         raise FaceNotInvertible("face generator is not stable at this theta")
     inv = np.linalg.solve(-w, np.eye(w.shape[0]))
     return np.clip(inv, 0.0, None)
@@ -265,18 +266,13 @@ def c2_mgf(spec: Qbd2dSpec, i: int, theta) -> np.ndarray:
 
 def gamma2(spec: Qbd2dSpec, theta) -> float:
     """Dominant eigenvalue of the interior MGF at theta."""
-    m = a2_mgf(spec, theta)
-    if spec.time == "discrete":
-        return matcore.pf_value(m)
-    return matcore.metzler_value(m)
+    return matcore.dominant(a2_mgf(spec, theta)).value
 
 
 def gamma2_pair(spec: Qbd2dSpec, theta):
     """Dominant eigenvalue and positive right eigenvector."""
-    m = a2_mgf(spec, theta)
-    if spec.time == "discrete":
-        return matcore.pf_right(m)
-    return matcore.metzler_eigen(m)
+    dom = matcore.dominant(a2_mgf(spec, theta))
+    return dom.value, dom.right
 
 
 def gamma_level(spec: Qbd2dSpec) -> float:
@@ -364,10 +360,7 @@ def mean_drifts(spec: Qbd2dSpec) -> tuple:
     of the background chain."""
     fam = spec.families[("+", "+")]
     a = sum(fam.values())
-    if spec.time == "discrete":
-        nu = matcore.pf_eigen(a).left
-    else:
-        _, nu = matcore.metzler_eigen(a.T)
+    nu = matcore.dominant(a.T).right
     ones = np.ones(spec.dims[3])
     d1 = sum(i * (fam[(i, j)] @ ones) for (i, j) in fam)
     d2 = sum(j * (fam[(i, j)] @ ones) for (i, j) in fam)
@@ -544,6 +537,16 @@ def tau_report(spec: Qbd2dSpec, scan: int = 192) -> TauReport:
     return level_curve(spec, scan=scan).tau_report()
 
 
+def checked_direction(direction) -> np.ndarray:
+    """The direction as a float vector; ZeroDirection unless it is finite,
+    nonnegative and nonzero."""
+    c = np.asarray(direction, dtype=float)
+    if (c.shape != (2,) or not np.all(np.isfinite(c)) or np.any(c < 0)
+            or np.all(c == 0)):
+        raise ZeroDirection("direction must be finite, nonnegative and nonzero")
+    return c
+
+
 def _require_stable(spec: Qbd2dSpec) -> None:
     verdict = stability_check(spec)
     if verdict != "stable":
@@ -558,9 +561,7 @@ def decay_rate(spec: Qbd2dSpec, direction, scan: int = 192,
     the minimum of the box bound min_i tau_i/c_i and the curve bound over
     the southwest closure of the tilting region.
     """
-    c = np.asarray(direction, dtype=float)
-    if c.shape != (2,) or np.any(c < 0) or np.all(c == 0):
-        raise ZeroDirection("direction must be nonnegative and nonzero")
+    c = checked_direction(direction)
     if check_stability:
         _require_stable(spec)
     s = float(c.sum())
@@ -576,16 +577,14 @@ def decay_rate(spec: Qbd2dSpec, direction, scan: int = 192,
 def decay_rates(spec: Qbd2dSpec, directions, scan: int = 192,
                 check_stability: bool = True) -> list:
     """Decay reports for several directions, sharing one curve analysis."""
+    directions = [checked_direction(c) for c in directions]
     if check_stability:
         _require_stable(spec)
     curve = level_curve(spec, scan=scan)
     tau = curve.tau_report()
     sample = curve.to_gamma_curve()
     out = []
-    for direction in directions:
-        c = np.asarray(direction, dtype=float)
-        if c.shape != (2,) or np.any(c < 0) or np.all(c == 0):
-            raise ZeroDirection("direction must be nonnegative and nonzero")
+    for c in directions:
         s = float(c.sum())
         u_curve = curve.directional_sup(c / s)
         rate = directional_rate(tau.tau, u_curve, c / s) / s

@@ -108,7 +108,7 @@ def test_criterion_05_cp_kplus_truncation():
         target = 1.0 / qbd1d.cp_kplus(k)
         theta_star, _ = qbd1d.convex_min_scalar(
             lambda t: qbd1d.gamma_a(k, t), 0.0)
-        _, h = matcore.pf_right(qbd1d.a_mgf(k, theta_star))
+        h = matcore.dominant(qbd1d.a_mgf(k, theta_star)).right
         tm1, t0, t1 = matcore.twist((k.am1, k.a0, k.a1), h, theta_star,
                                     (-1, 0, 1))
         levels = 200
@@ -279,7 +279,7 @@ def test_criterion_08_dual_path_transforms():
             worst = max(worst, abs(eig - mgf))
     for arr in renewal_list:
         for th in grid:
-            pf_route = matcore.metzler_value(arr.t + np.exp(th) * arr.u)
+            pf_route = matcore.dominant(arr.t + np.exp(th) * arr.u).value
             mgf_route = jackson.renewal_arrival_cumulant(arr, th)
             worst = max(worst, abs(pf_route - mgf_route))
     ok = worst <= 1e-10
@@ -327,8 +327,8 @@ def test_criterion_10_invariance_suite():
         t = rng.uniform(0.05, 1.0, size=(n, n))
         d = rng.uniform(0.2, 5.0, size=n)
         tw = t * d[np.newaxis, :] / d[:, np.newaxis]
-        sim_gap = max(sim_gap, abs(matcore.pf_eigen(tw).value
-                                   - matcore.pf_eigen(t).value))
+        sim_gap = max(sim_gap, abs(matcore.dominant(tw).value
+                                   - matcore.dominant(t).value))
     ok = unif_gap <= 1e-8 and homog_gap <= 1e-12 and sim_gap <= 1e-10
     report(10, ok, f"uniformization gap {unif_gap:.2e}, homogeneity gap "
                    f"{homog_gap:.2e}, similarity gap {sim_gap:.2e}")

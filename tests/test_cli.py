@@ -1,5 +1,7 @@
 import io
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +64,10 @@ class TestModelFile:
         with pytest.raises(SchemaError):
             modelfile.parse_model(bad)
 
+    def test_schema_error_on_reducible_qbd1d(self):
+        with pytest.raises(SchemaError, match="irreducible"):
+            modelfile.parse_model(QBD1D_FILE.replace("b1: [[0.2]]", "b1: [[0.0]]"))
+
     def test_qbd1d_payload(self):
         mf = modelfile.parse_model(QBD1D_FILE)
         assert mf.kind == "qbd1d"
@@ -85,6 +91,30 @@ class TestValidateCommand:
 
     def test_main_exit_code_for_missing_file(self, capsys):
         assert cli.main(["validate", "/nonexistent/model.yaml"]) == 2
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qbdtail", "validate",
+             str(MODELS / "scalar_rrw.yaml")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "valid = true" in proc.stdout
+
+
+@pytest.mark.parametrize("direction", ["0,0", "-1,0", "nan,1", "inf,1"])
+@pytest.mark.parametrize("command", [["decay", "scalar_rrw.yaml"],
+                                     ["jackson", "tandem_jackson.yaml", "decay"]])
+def test_bad_direction_is_an_input_error(command, direction, capsys):
+    argv = [command[0], str(MODELS / command[1]), *command[2:],
+            f"--direction={direction}"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "model error: bad direction" in err
+    assert "Traceback" not in err
 
 
 class TestStabilityCommand:

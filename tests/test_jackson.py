@@ -7,6 +7,7 @@ from qbdtail.errors import (
     NotRenewalStructure,
     ThetaNotOnCurve,
     Unstable,
+    ZeroDirection,
 )
 
 from conftest import mmpp2_map, product_form_jackson, tandem_jackson
@@ -114,7 +115,7 @@ class TestBuildBlocks:
         rng = np.random.default_rng(2)
         for _ in range(10):
             theta = rng.uniform(-0.8, 0.8, size=2)
-            direct = matcore.metzler_value(qbd2d.a2_mgf(blocks, theta))
+            direct = matcore.dominant(qbd2d.a2_mgf(blocks, theta)).value
             assert direct == pytest.approx(cs.gamma_plus(theta), abs=1e-10)
 
 
@@ -165,14 +166,14 @@ class TestRenewalCumulant:
     def test_erlang_interarrivals_dual_path(self):
         arr = erlang2_renewal_map(2.4)
         for th in np.linspace(-0.6, 0.9, 12):
-            pf_route = matcore.metzler_value(arr.t + np.exp(th) * arr.u)
+            pf_route = matcore.dominant(arr.t + np.exp(th) * arr.u).value
             mgf_route = jackson.renewal_arrival_cumulant(arr, th)
             assert mgf_route == pytest.approx(pf_route, abs=1e-10)
 
     def test_hyperexponential_dual_path(self):
         arr = hyperexp_renewal_map(0.4, 1.0, 3.0)
         for th in np.linspace(-0.6, 0.9, 12):
-            pf_route = matcore.metzler_value(arr.t + np.exp(th) * arr.u)
+            pf_route = matcore.dominant(arr.t + np.exp(th) * arr.u).value
             mgf_route = jackson.renewal_arrival_cumulant(arr, th)
             assert mgf_route == pytest.approx(pf_route, abs=1e-10)
 
@@ -212,6 +213,12 @@ class TestDecayReport:
         with pytest.raises(Unstable):
             jackson.decay_report(spec, [(1.0, 0.0)])
 
+    @pytest.mark.parametrize("direction", [(0.0, 0.0), (-1.0, 0.0),
+                                           (np.nan, 1.0), (np.inf, 1.0)])
+    def test_bad_direction_raises(self, direction):
+        with pytest.raises(ZeroDirection):
+            jackson.decay_report(tandem_jackson(), [(1.0, 0.0), direction])
+
 
 class TestRoutingEquivalence:
     def test_remark_flags_match_routing_inequality(self, mapph_spec):
@@ -232,7 +239,7 @@ class TestRoutingEquivalence:
 class TestServiceTransform:
     def test_mgf_increasing_up_to_dominant_eigenvalue(self):
         ph = jackson.erlang_ph(2, 3.0)
-        theta0 = -matcore.metzler_value(ph.s)
+        theta0 = -float(np.max(np.linalg.eigvals(ph.s).real))
         xs = np.linspace(-5.0, theta0 - 1e-3, 40)
         vals = [jackson.service_mgf(ph, x) for x in xs]
         assert all(b > a for a, b in zip(vals, vals[1:]))

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from qbdtail import matcore
+from qbdtail import matcore, qbd1d
 from qbdtail.errors import (
+    IllConditioned,
+    NegativeEntry,
+    NonFiniteEntry,
     NonPositiveScale,
     NotIrreducible,
+    QbdTailError,
     ShapeMismatch,
     SpectralRadiusNotBelowOne,
 )
@@ -28,43 +32,63 @@ def char_poly_largest_root(t):
     return float(np.max(real))
 
 
+def random_metzler(rng, n, generator=False):
+    """Nonnegative off-diagonal part with a negative diagonal; generator rows
+    sum to zero, so the dominant eigenvalue is 0."""
+    t = rng.uniform(0.0, 1.0, size=(n, n))
+    np.fill_diagonal(t, 0.0)
+    extra = 0.0 if generator else rng.uniform(0.0, 3.0, size=n)
+    np.fill_diagonal(t, -t.sum(axis=1) - extra)
+    return t
+
+
+def assert_certified(t, res):
+    """lo <= value <= hi, a strictly positive right vector of sum 1, and
+    T right = value right up to the bracket."""
+    assert res.lo <= res.value <= res.hi
+    assert np.all(res.right > 0)
+    assert res.right.sum() == pytest.approx(1.0, abs=1e-14)
+    scale = 1.0 + np.max(np.abs(t))
+    assert np.max(np.abs(t @ res.right - res.value * res.right)) <= 1e-12 * scale
+
+
 class TestPfEigen:
     def test_stochastic_fixed_point(self):
         t = np.array([[0.2, 0.5, 0.3], [0.4, 0.1, 0.5], [0.3, 0.3, 0.4]])
-        res = matcore.pf_eigen(t)
+        res = matcore.dominant(t)
         assert res.value == pytest.approx(1.0, abs=1e-12)
         # right vector proportional to the ones vector
         assert np.allclose(res.right, np.full(3, 1.0 / 3.0), atol=1e-10)
 
     def test_two_by_two_antidiagonal(self):
         a, b = 0.7, 0.2
-        res = matcore.pf_eigen(np.array([[0.0, a], [b, 0.0]]))
+        res = matcore.dominant(np.array([[0.0, a], [b, 0.0]]))
         assert res.value == pytest.approx(np.sqrt(a * b), abs=1e-12)
 
     def test_matches_characteristic_polynomial_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             t = rng.uniform(0.01, 1.0, size=(3, 3))
-            res = matcore.pf_eigen(t)
+            res = matcore.dominant(t)
             assert res.value == pytest.approx(char_poly_largest_root(t), abs=1e-10)
 
     def test_residual_and_normalisation(self):
         rng = np.random.default_rng(3)
         t = rng.uniform(0.1, 1.0, size=(4, 4))
-        res = matcore.pf_eigen(t)
-        assert res.residual <= 1e-10
-        assert res.right.sum() == pytest.approx(1.0)
-        assert res.left.sum() == pytest.approx(1.0)
-        assert np.all(res.right > 0) and np.all(res.left > 0)
+        assert_certified(t, matcore.dominant(t))
+        assert_certified(t.T, matcore.dominant(t.T))
 
     def test_transpose_swaps_vectors(self):
+        # the left vector of T is the right vector of T^T, and u^T v pairs
+        # them: u^T T v = value u^T v from either side
         rng = np.random.default_rng(11)
         t = rng.uniform(0.05, 1.0, size=(4, 4))
-        a = matcore.pf_eigen(t)
-        b = matcore.pf_eigen(t.T)
+        a = matcore.dominant(t)
+        b = matcore.dominant(t.T)
         assert a.value == pytest.approx(b.value, abs=1e-11)
-        assert np.allclose(a.right, b.left, atol=1e-9)
-        assert np.allclose(a.left, b.right, atol=1e-9)
+        assert np.allclose(b.right @ t, a.value * b.right, atol=1e-12)
+        assert float(b.right @ t @ a.right) == pytest.approx(
+            a.value * float(b.right @ a.right), abs=1e-12)
 
     def test_diagonal_similarity_invariance(self):
         rng = np.random.default_rng(5)
@@ -72,23 +96,102 @@ class TestPfEigen:
             t = rng.uniform(0.05, 1.0, size=(3, 3))
             d = rng.uniform(0.2, 5.0, size=3)
             sim = t * d[np.newaxis, :] / d[:, np.newaxis]
-            assert matcore.pf_eigen(sim).value == pytest.approx(
-                matcore.pf_eigen(t).value, abs=1e-10)
+            assert matcore.dominant(sim).value == pytest.approx(
+                matcore.dominant(t).value, abs=1e-10)
 
     def test_not_irreducible(self):
-        t = np.array([[0.5, 0.5], [0.0, 1.0]])
+        # the pattern check runs once per spec ...
+        a = np.array([[0.5, 0.5], [0.0, 1.0]])
         with pytest.raises(NotIrreducible):
-            matcore.pf_eigen(t)
+            qbd1d.QbdBlocks(b0=[[0.5]], b1=[[0.5, 0.0]], bm1=[[0.5], [0.5]],
+                            am1=0.2 * a, a0=0.3 * a, a1=0.5 * a)
+        # ... and the kernel refuses a Perron vector with a zero entry
+        for t in ([[1.0, 0.5], [0.0, 0.5]], [[0.5, 0.0], [0.5, 0.5]],
+                  [[1.0, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]):
+            with pytest.raises(NotIrreducible):
+                matcore.dominant(np.array(t))
 
     def test_periodic_matrix_converges(self):
-        # plain power iteration would oscillate on this 2-cycle
+        # plain power iteration would oscillate on these cycles
         t = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert matcore.pf_eigen(t).value == pytest.approx(1.0, abs=1e-12)
+        assert matcore.dominant(t).value == pytest.approx(1.0, abs=1e-12)
+        cycle = np.roll(np.eye(3), 1, axis=1)
+        assert matcore.dominant(cycle).value == pytest.approx(1.0, abs=1e-12)
 
     def test_one_by_one(self):
-        res = matcore.pf_eigen(np.array([[0.0]]))
+        res = matcore.dominant(np.array([[0.0]]))
         assert res.value == 0.0
         assert res.right[0] == 1.0
+        assert (res.lo, res.hi) == (0.0, 0.0)
+
+    def test_matches_eigvals_property(self):
+        rng = np.random.default_rng(20261018)
+        cases = []
+        for n in range(1, 9):
+            for _ in range(25):
+                cases.append(rng.uniform(0.0, 1.0, size=(n, n)))
+                cases.append(random_metzler(rng, n))
+                cases.append(random_metzler(rng, n, generator=True))
+        # 2x2 with b*c near 0 on either side of the diagonal split
+        for b, c in ((1e-14, 0.5), (0.5, 1e-14), (1e-300, 1e-9), (3e-8, 2e-9)):
+            for a, d in ((0.3, 0.7), (0.7, 0.3), (-2.0, -2.0 + 1e-9)):
+                cases.append(np.array([[a, b], [c, d]]))
+        # generator rows with one tiny rate: eigenvalue 0 next to -1e-12
+        for eps in (1e-6, 1e-9, 1e-12):
+            cases.append(np.array([[-eps, eps], [2.0, -2.0]]))
+        for t in cases:
+            res = matcore.dominant(t)
+            ref = float(np.max(np.linalg.eigvals(t).real))
+            scale = max(abs(ref), 1.0 + np.max(np.abs(np.diag(t))))
+            assert abs(res.value - ref) <= 1e-12 * scale
+            assert_certified(t, res)
+
+    def test_two_by_two_closed_form_cancellation(self):
+        # nearly reducible: the vector form (b, s - h) would cancel to a zero
+        # entry here, the form (h + s, c) keeps both entries exact
+        res = matcore.dominant(np.array([[1.0, 1e-20], [1.0, 0.6]]))
+        assert res.right[1] / res.right[0] == pytest.approx(1.0 / 0.4, rel=1e-15)
+        res = matcore.dominant(np.array([[0.6, 1.0], [1e-20, 1.0]]))
+        assert res.right[0] / res.right[1] == pytest.approx(1.0 / 0.4, rel=1e-15)
+
+
+class TestTypedErrors:
+    def test_as_matrix_non_finite(self):
+        with pytest.raises(NonFiniteEntry):
+            matcore.as_matrix([[1.0, np.nan]])
+
+    def test_dominant_non_finite(self):
+        for n in (1, 2, 3):
+            t = np.ones((n, n))
+            t[0, -1] = np.inf
+            with pytest.raises(NonFiniteEntry):
+                matcore.dominant(t)
+
+    def test_nonnegative_check(self):
+        with pytest.raises(NegativeEntry):
+            matcore.neumann_inverse(np.array([[0.1, -0.1], [0.0, 0.2]]))
+
+    def test_off_diagonal_sign_check(self):
+        for t in ([[-1.0, -0.5], [1.0, -1.0]],
+                  [[-1.0, 0.5, 0.0], [0.2, -1.0, -0.1], [0.3, 0.0, -1.0]]):
+            with pytest.raises(NegativeEntry):
+                matcore.dominant(np.array(t))
+
+    def test_neumann_negative_result(self, monkeypatch):
+        monkeypatch.setattr(matcore.np.linalg, "solve",
+                            lambda a, b: -np.ones_like(b))
+        with pytest.raises(IllConditioned, match="negative"):
+            matcore.neumann_inverse(np.array([[0.2, 0.1], [0.1, 0.2]]))
+
+    def test_neumann_verification(self, monkeypatch):
+        monkeypatch.setattr(matcore.np.linalg, "solve",
+                            lambda a, b: 2.0 * np.ones_like(b))
+        with pytest.raises(IllConditioned, match="verification"):
+            matcore.neumann_inverse(np.array([[0.2, 0.1], [0.1, 0.2]]))
+
+    def test_errors_are_library_errors(self):
+        for cls in (NonFiniteEntry, NegativeEntry, IllConditioned):
+            assert issubclass(cls, QbdTailError)
 
 
 class TestKron:
@@ -106,7 +209,7 @@ class TestKron:
     def test_spectral_additivity(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         b = np.array([[0.0, 2.0], [2.0, 0.0]])
-        res = matcore.pf_eigen(matcore.kron_sum(a, b))
+        res = matcore.dominant(matcore.kron_sum(a, b))
         assert res.value == pytest.approx(3.0, abs=1e-11)
 
     def test_spectral_additivity_random(self):
@@ -114,8 +217,8 @@ class TestKron:
         for _ in range(10):
             a = rng.uniform(0.05, 1.0, size=(2, 2))
             b = rng.uniform(0.05, 1.0, size=(3, 3))
-            ra, rb = matcore.pf_eigen(a), matcore.pf_eigen(b)
-            rs = matcore.pf_eigen(matcore.kron_sum(a, b))
+            ra, rb = matcore.dominant(a), matcore.dominant(b)
+            rs = matcore.dominant(matcore.kron_sum(a, b))
             assert rs.value == pytest.approx(ra.value + rb.value, abs=1e-10)
             # eigenvector of the sum is the Kronecker product of the factors
             hv = np.kron(ra.right, rb.right)
@@ -181,7 +284,7 @@ class TestTwist:
         for theta in (-0.7, 0.0, 0.9):
             mgf = (np.exp(-theta) * blocks[0] + blocks[1]
                    + np.exp(theta) * blocks[2])
-            res = matcore.pf_eigen(mgf)
+            res = matcore.dominant(mgf)
             tw = matcore.twist(blocks, res.right, theta, (-1, 0, 1))
             rows = sum(tw) @ np.ones(3)
             assert np.allclose(rows, res.value, atol=1e-9)
@@ -193,18 +296,25 @@ class TestTwist:
 
 class TestMetzler:
     def test_generator_has_zero_eigenvalue(self):
-        q = np.array([[-1.0, 1.0], [2.0, -2.0]])
-        val, vec = matcore.metzler_eigen(q)
-        assert val == pytest.approx(0.0, abs=1e-12)
-        assert np.all(vec > 0)
+        for q in (np.array([[-1.0, 1.0], [2.0, -2.0]]),
+                  random_metzler(np.random.default_rng(1), 5, generator=True)):
+            res = matcore.dominant(q)
+            assert res.value == pytest.approx(0.0, abs=1e-12)
+            assert np.allclose(res.right, 1.0 / len(q), atol=1e-12)
+            assert np.all(res.right > 0)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(4)
-        a = rng.uniform(0.0, 1.0, size=(3, 3))
-        np.fill_diagonal(a, rng.uniform(-3.0, -1.0, size=3))
-        val, _ = matcore.metzler_eigen(a)
-        ref = np.max(np.linalg.eigvals(a).real)
-        assert val == pytest.approx(float(ref), abs=1e-10)
+        for n in (2, 3):
+            a = rng.uniform(0.0, 1.0, size=(n, n))
+            np.fill_diagonal(a, rng.uniform(-3.0, -1.0, size=n))
+            res = matcore.dominant(a)
+            ref = np.max(np.linalg.eigvals(a).real)
+            assert res.value == pytest.approx(float(ref), abs=1e-10)
+            for c in (0.5, 7.0):
+                shifted = matcore.dominant(a + c * np.eye(n))
+                assert shifted.value == pytest.approx(res.value + c, abs=1e-12)
+                assert np.allclose(shifted.right, res.right, atol=1e-12)
 
 
 def test_spectral_radius_reducible():

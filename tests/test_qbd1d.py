@@ -173,7 +173,7 @@ class TestCpKplus:
         theta_star, _ = qbd1d.convex_min_scalar(
             lambda t: qbd1d.gamma_a(k, t), 0.0)
         from qbdtail import matcore
-        _, h = matcore.pf_right(qbd1d.a_mgf(k, theta_star))
+        h = matcore.dominant(qbd1d.a_mgf(k, theta_star)).right
         tm1, t0, t1 = matcore.twist((k.am1, k.a0, k.a1), h, theta_star,
                                     (-1, 0, 1))
         levels = 200
@@ -219,7 +219,7 @@ class TestGMinus:
         k = appendix_counterexample()
         res = qbd1d.g_minus(k)
         # untwist at theta1 gives the stochastic first-passage matrix
-        _, h = matcore.pf_right(qbd1d.a_mgf(k, res.theta1))
+        h = matcore.dominant(qbd1d.a_mgf(k, res.theta1)).right
         ghat = np.exp(-res.theta1) * (res.g * h[np.newaxis, :] / h[:, np.newaxis])
         assert np.allclose(ghat @ np.ones(2), 1.0, atol=1e-8)
 
