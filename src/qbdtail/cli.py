@@ -20,7 +20,7 @@ import numpy as np
 from . import jackson as jk
 from . import modelfile, oracle, qbd1d, qbd2d
 from .errors import ParseError, QbdTailError, SchemaError, ZeroDirection
-from .levelset import boundary_rows
+from .levelset import boundary_rows, checked_direction
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -46,10 +46,36 @@ def _emit(out, key, value):
 
 def _parse_direction(text: str):
     try:
-        c = qbd2d.checked_direction([float(p) for p in text.split(",")])
+        c = checked_direction([float(p) for p in text.split(",")])
     except (ValueError, ZeroDirection) as exc:
         raise SchemaError(f"bad direction {text!r}; expected c1,c2: {exc}") from exc
     return float(c[0]), float(c[1])
+
+
+def _directions(args) -> list:
+    return ([_parse_direction(d) for d in args.direction]
+            or [(1.0, 0.0), (0.0, 1.0)])
+
+
+def _print_decay(out, rep) -> None:
+    """One decay report: a ``levelset.Decay``, or a ``jackson.JacksonDecay``
+    whose generic path is printed beside the analytic one."""
+    dual = isinstance(rep, jk.JacksonDecay)
+    dec = rep.analytic if dual else rep
+    _emit(out, "category", dec.tau_report.category)
+    _emit(out, "tau1", dec.tau_report.tau[0])
+    _emit(out, "tau2", dec.tau_report.tau[1])
+    if dual:
+        _emit(out, "tau1_generic", rep.generic.tau_report.tau[0])
+        _emit(out, "tau2_generic", rep.generic.tau_report.tau[1])
+        _emit(out, "max_path_discrepancy", rep.max_discrepancy)
+    for k, (c, rate) in enumerate(zip(dec.directions, dec.rates)):
+        line = f"direction {_fmt(c[0])},{_fmt(c[1])}: rate = {_fmt(rate)}"
+        if dual:
+            generic = rep.generic.rates[k]
+            line += (f" generic = {_fmt(generic)}"
+                     f" discrepancy = {_fmt(abs(rate - generic))}")
+        out.write(line + "\n")
 
 
 def _load(path) -> modelfile.ModelFile:
@@ -117,8 +143,7 @@ def cmd_stability(args, out) -> int:
 
 def cmd_decay(args, out) -> int:
     mf = _load(args.file)
-    directions = [_parse_direction(d) for d in args.direction] or [(1.0, 0.0),
-                                                                   (0.0, 1.0)]
+    directions = _directions(args)
     if mf.kind == "qbd1d":
         k = mf.payload
         iv = qbd1d.gamma1d_plus(k)
@@ -133,23 +158,9 @@ def cmd_decay(args, out) -> int:
         return EXIT_OK
     if mf.kind == "jackson":
         rep = jk.decay_report(mf.payload, directions, scan=args.scan)
-        _emit(out, "category", rep.category)
-        _emit(out, "tau1", rep.tau[0])
-        _emit(out, "tau2", rep.tau[1])
-        _emit(out, "max_path_discrepancy", rep.max_discrepancy)
-        for r in rep.reports:
-            out.write(f"direction {_fmt(r.direction[0])},{_fmt(r.direction[1])}: "
-                      f"rate = {_fmt(r.rate)} generic = {_fmt(r.rate_generic)}\n")
-        return EXIT_OK
-    spec = mf.payload
-    reports = qbd2d.decay_rates(spec, directions, scan=args.scan)
-    tau = reports[0].tau_report
-    _emit(out, "category", tau.category)
-    _emit(out, "tau1", tau.tau[0])
-    _emit(out, "tau2", tau.tau[1])
-    for r in reports:
-        out.write(f"direction {_fmt(r.direction[0])},{_fmt(r.direction[1])}: "
-                  f"rate = {_fmt(r.rate)}\n")
+    else:
+        rep = qbd2d.decay_rates(mf.payload, directions, scan=args.scan)
+    _print_decay(out, rep)
     return EXIT_OK
 
 
@@ -189,19 +200,8 @@ def cmd_jackson(args, out) -> int:
         _emit(out, "stable", tr.stable)
         return EXIT_OK
     if args.subcommand == "decay":
-        directions = ([_parse_direction(d) for d in args.direction]
-                      or [(1.0, 0.0), (0.0, 1.0)])
-        rep = jk.decay_report(spec, directions, scan=args.scan)
-        _emit(out, "category", rep.category)
-        _emit(out, "tau1", rep.tau[0])
-        _emit(out, "tau2", rep.tau[1])
-        _emit(out, "tau1_generic", rep.tau_generic[0])
-        _emit(out, "tau2_generic", rep.tau_generic[1])
-        _emit(out, "max_path_discrepancy", rep.max_discrepancy)
-        for r in rep.reports:
-            out.write(f"direction {_fmt(r.direction[0])},{_fmt(r.direction[1])}: "
-                      f"rate = {_fmt(r.rate)} generic = {_fmt(r.rate_generic)}"
-                      f" discrepancy = {_fmt(r.discrepancy)}\n")
+        _print_decay(out, jk.decay_report(spec, _directions(args),
+                                          scan=args.scan))
         return EXIT_OK
     if args.subcommand == "certificate":
         curve = jk.analytic_curve(spec, scan=max(32, args.points))
@@ -228,7 +228,7 @@ def cmd_verify(args, out) -> int:
     if mf.kind == "jackson":
         rep = jk.decay_report(mf.payload, [(1.0, 0.0), (0.0, 1.0)],
                               scan=args.scan)
-        tau = rep.tau
+        tau = rep.analytic.tau_report.tau
     else:
         tau = qbd2d.tau_report(spec2d, scan=args.scan).tau
     table = oracle.truncate_and_solve(spec2d, (args.extent, args.extent),

@@ -63,6 +63,10 @@ class NoSuperharmonicVector(QbdTailError):
     """No positive right subinvariant vector exists."""
 
 
+class NoSignChange(QbdTailError):
+    """Bisection bracket does not straddle a root."""
+
+
 # qbd2d
 class EmptyGammaPlus(QbdTailError):
     """The two-dimensional tilting region has empty interior."""
@@ -88,6 +92,10 @@ class QiNotPositiveRecurrent(QbdTailError):
     """An induced one-dimensional chain is not positive recurrent."""
 
 
+class InconsistentCategory(QbdTailError):
+    """Both feasibility extremes dominate each other: a numerical defect."""
+
+
 # jackson
 class InvalidSpec(QbdTailError):
     """Model primitives violate a structural invariant."""
@@ -99,6 +107,10 @@ class NotRenewalStructure(QbdTailError):
 
 class PathDisagreement(QbdTailError):
     """Analytic and generic pipelines disagree beyond tolerance."""
+
+
+class OutsideTransformRange(QbdTailError):
+    """Transform inverse asked for a value outside the map's range."""
 
 
 # oracle

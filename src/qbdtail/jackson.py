@@ -19,13 +19,12 @@ from . import matcore, qbd2d
 from .errors import (
     InvalidSpec,
     NotRenewalStructure,
+    OutsideTransformRange,
     PathDisagreement,
     ThetaNotOnCurve,
     Unstable,
 )
-from .levelset import GammaCurve, LevelCurve, TauReport, directional_rate
-
-FEAS_SLACK = 1e-10
+from .levelset import Decay, LevelCurve, checked_direction, decay
 
 
 @dataclass(frozen=True)
@@ -335,7 +334,7 @@ def _lt_inverse(weights: np.ndarray, gen: np.ndarray, y: float,
     flo = _lt_value(weights, gen, lo) - y
     fhi = _lt_value(weights, gen, hi) - y
     if flo > 0 or fhi < 0:
-        raise ValueError(f"target {y} outside the invertible range")
+        raise OutsideTransformRange(f"target {y} outside the invertible range")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if _lt_value(weights, gen, mid) - y <= 0:
@@ -390,30 +389,18 @@ def analytic_curve(spec: JacksonSpec, scan: int = 192) -> LevelCurve:
     def flags(theta):
         out = []
         for i in (1, 2):
-            out.append(bool(cs.gamma_face(i, theta) <= FEAS_SLACK))
+            out.append(bool(cs.gamma_face(i, theta) <= qbd2d.FEAS_SLACK))
         return tuple(out)
 
     return LevelCurve(cs.gamma_plus, flags, scan_size=scan)
 
 
 @dataclass(frozen=True)
-class DirectionReport:
-    direction: tuple
-    rate: float              # analytic path value
-    rate_generic: float
-    discrepancy: float
-
-
-@dataclass(frozen=True)
 class JacksonDecay:
     traffic: TrafficReport
-    tau: tuple               # analytic tau vector
-    tau_generic: tuple
-    category: str
-    reports: list            # DirectionReport per requested direction
-    max_discrepancy: float
-    tau_report: TauReport
-    boundary_sample: GammaCurve
+    analytic: Decay          # path A, the cumulant level curve
+    generic: Decay           # path B, the Kronecker blocks
+    max_discrepancy: float   # over tau and every rate
 
 
 def decay_report(spec: JacksonSpec, directions, scan: int = 192,
@@ -425,37 +412,20 @@ def decay_report(spec: JacksonSpec, directions, scan: int = 192,
     two-dimensional analysis.  A discrepancy beyond ``tol`` raises
     PathDisagreement, signalling a defect.
     """
-    directions = [qbd2d.checked_direction(c) for c in directions]
+    directions = [checked_direction(c) for c in directions]
     traffic = traffic_check(spec)
     if not traffic.stable:
         raise Unstable(f"utilizations {traffic.rho} not both below one")
-    curve_a = analytic_curve(spec, scan=scan)
-    tau_a = curve_a.tau_report()
-    blocks = build_blocks(spec)
-    curve_b = qbd2d.level_curve(blocks, scan=scan)
-    tau_b = curve_b.tau_report()
-
-    reports = []
-    worst = max(abs(tau_a.tau[0] - tau_b.tau[0]),
-                abs(tau_a.tau[1] - tau_b.tau[1]))
-    for c in directions:
-        s = float(c.sum())
-        chat = c / s
-        rate_a = directional_rate(tau_a.tau, curve_a.directional_sup(chat), chat) / s
-        rate_b = directional_rate(tau_b.tau, curve_b.directional_sup(chat), chat) / s
-        disc = abs(rate_a - rate_b)
-        worst = max(worst, disc)
-        reports.append(DirectionReport(direction=(float(c[0]), float(c[1])),
-                                       rate=float(rate_a),
-                                       rate_generic=float(rate_b),
-                                       discrepancy=float(disc)))
+    analytic = decay(analytic_curve(spec, scan=scan), directions)
+    generic = decay(qbd2d.level_curve(build_blocks(spec), scan=scan), directions)
+    worst = max(abs(a - b) for a, b in
+                zip(analytic.tau_report.tau + analytic.rates,
+                    generic.tau_report.tau + generic.rates))
     if worst > tol:
         raise PathDisagreement(
             f"analytic and generic pipelines disagree by {worst:.3e}")
-    return JacksonDecay(traffic=traffic, tau=tau_a.tau, tau_generic=tau_b.tau,
-                        category=tau_a.category, reports=reports,
-                        max_discrepancy=float(worst), tau_report=tau_a,
-                        boundary_sample=curve_a.to_gamma_curve())
+    return JacksonDecay(traffic=traffic, analytic=analytic, generic=generic,
+                        max_discrepancy=float(worst))
 
 
 # -- certificate for the boundary compatibility condition ------------------------

@@ -7,8 +7,9 @@ come from extreme points of the curve and from feasibility flags attached to
 curve points (one flag per coordinate, from the boundary-face conditions).
 
 The curve is parametrized by the angle around an interior center; radial
-root finding, pole location, flag-transition bisection and the tau/category
-logic all live here, independent of how ``gap`` and the flags are computed.
+root finding, pole location, flag-transition bisection, the tau/category
+logic and the directional decay rates all live here, independent of how
+``gap`` and the flags are computed.
 """
 
 from __future__ import annotations
@@ -17,30 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGammaPlus
-from .qbd1d import bisect_root, convex_min_scalar
+from .errors import EmptyGammaPlus, InconsistentCategory, ZeroDirection
+from .qbd1d import _golden_min, bisect_root, convex_min_scalar
 
 CATEGORY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    theta1: float
-    theta2: float
-    feasible_c1: bool
-    feasible_c2: bool
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.array([self.theta1, self.theta2])
-
-
-@dataclass(frozen=True)
-class GammaCurve:
-    """Sampled closed level curve with per-point feasibility flags."""
-
-    points: list
-    closed: bool
 
 
 @dataclass(frozen=True)
@@ -112,7 +93,7 @@ class LevelCurve:
         span = 2.0 * np.pi / n
         lo = self.scan_phi[k] - span
         hi = self.scan_phi[k] + span
-        phi, _ = _golden_max(lambda f: float(d @ self.point_at(f)), lo, hi,
+        phi, _ = _golden_min(lambda f: -float(d @ self.point_at(f)), lo, hi,
                              tol=1e-9)
         return self.point_at(phi)
 
@@ -224,7 +205,7 @@ class LevelCurve:
             category = "II_2"
             tau = (float(p1[0]), float(self.xi_bar(2, p1[0])))
         else:
-            raise ValueError(
+            raise InconsistentCategory(
                 "inconsistent category geometry: both feasibility extremes "
                 "dominate; indicates a numerical defect")
         return TauReport(tau=tau,
@@ -243,10 +224,10 @@ class LevelCurve:
             k = int(np.argmax([ratio(p) for p in self.scan_points]))
             n = len(self.scan_phi)
             span = 2.0 * np.pi / n
-            phi, val = _golden_max(lambda f: ratio(self.point_at(f)),
+            phi, val = _golden_min(lambda f: -ratio(self.point_at(f)),
                                    self.scan_phi[k] - span,
                                    self.scan_phi[k] + span, tol=1e-10)
-            return max(val, 0.0)
+            return max(-val, 0.0)
         # coordinate direction: sup of theta_i over curve points with the
         # other coordinate positive
         i = 1 if c[0] > 0 else 2
@@ -262,39 +243,41 @@ class LevelCurve:
             return 0.0
         return max(max(cands) / scale, 0.0)
 
-    # -- export ---------------------------------------------------------------
 
-    def to_gamma_curve(self) -> GammaCurve:
-        pts = [CurvePoint(theta1=float(p[0]), theta2=float(p[1]),
-                          feasible_c1=bool(fl[0]), feasible_c2=bool(fl[1]))
-               for p, fl in zip(self.scan_points, self.scan_flags)]
-        return GammaCurve(points=pts, closed=True)
-
-
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-10):
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def checked_direction(direction) -> np.ndarray:
+    """The direction as a float vector; ZeroDirection unless it is finite,
+    nonnegative and nonzero."""
+    c = np.asarray(direction, dtype=float)
+    if (c.shape != (2,) or not np.all(np.isfinite(c)) or np.any(c < 0)
+            or np.all(c == 0)):
+        raise ZeroDirection("direction must be finite, nonnegative and nonzero")
+    return c
 
 
-def directional_rate(tau: tuple, curve_sup: float, c) -> float:
-    """min of the box bound tau_i/c_i and the curve bound."""
-    c = np.asarray(c, dtype=float)
-    box = min(tau[i] / c[i] for i in range(2) if c[i] > 0)
-    return float(min(box, curve_sup))
+@dataclass(frozen=True)
+class Decay:
+    tau_report: TauReport
+    directions: tuple     # (c1, c2) per requested direction
+    rates: tuple          # decay rate per direction
+
+
+def decay(curve: LevelCurve, directions) -> Decay:
+    """Exponential decay rates of P(<L, c> > x) for checked directions c.
+
+    Each rate is sup{u >= 0 : u c in the convergence domain}: the minimum of
+    the box bound min_i tau_i/c_i and the curve bound over the southwest
+    closure of the tilting region, taken for c scaled to sum one.
+    """
+    tau = curve.tau_report()
+    rates = []
+    for c in directions:
+        s = float(c.sum())
+        chat = c / s
+        box = min(tau.tau[i] / chat[i] for i in range(2) if chat[i] > 0)
+        rates.append(float(min(box, curve.directional_sup(chat))) / s)
+    return Decay(tau_report=tau,
+                 directions=tuple((float(c[0]), float(c[1])) for c in directions),
+                 rates=tuple(rates))
 
 
 @dataclass(frozen=True)

@@ -26,15 +26,11 @@ from .errors import NotIrreducible, ParseError, SchemaError
 SCHEMA_VERSION = "1"
 KINDS = ("qbd1d", "qbd2d_discrete", "qbd2d_continuous", "jackson")
 
-_OPTION_KEYS = {"tolerance", "samples", "seed", "extent", "steps",
-                "directions", "level", "phase"}
-
 
 @dataclass(frozen=True)
 class ModelFile:
     schema_version: str
     kind: str
-    options: dict
     payload: object      # QbdBlocks | Qbd2dSpec | JacksonSpec
 
 
@@ -52,13 +48,17 @@ def _matrix(node, where: str) -> np.ndarray:
     return a
 
 
-def _expect_keys(node: dict, required, where: str, optional=()):
+def _scalar(node, where: str) -> float:
+    return float(_matrix([[node]], where)[0, 0])
+
+
+def _expect_keys(node: dict, required, where: str):
     if not isinstance(node, dict):
         raise SchemaError(f"{where}: expected a mapping")
     missing = [k for k in required if k not in node]
     if missing:
         raise SchemaError(f"{where}: missing keys {missing}")
-    unknown = [k for k in node if k not in set(required) | set(optional)]
+    unknown = [k for k in node if k not in required]
     if unknown:
         raise SchemaError(f"{where}: unknown keys {unknown}")
 
@@ -121,21 +121,22 @@ def _parse_jackson(model: dict) -> jk.JacksonSpec:
         raise SchemaError("model.arrivals: expected a list of two MAPs")
     if not (isinstance(srv_node, list) and len(srv_node) == 2):
         raise SchemaError("model.services: expected a list of two PH laws")
-    arrivals = []
-    for idx, node in enumerate(arr_node):
-        _expect_keys(node, ("t", "u"), f"model.arrivals[{idx}]")
-        arrivals.append(jk.MapSpec(t=_matrix(node["t"], "t"),
-                                   u=_matrix(node["u"], "u")))
-    services = []
-    for idx, node in enumerate(srv_node):
-        _expect_keys(node, ("beta", "s"), f"model.services[{idx}]")
-        beta = np.asarray(node["beta"], dtype=float).ravel()
-        services.append(jk.PhSpec(beta=beta, s=_matrix(node["s"], "s")))
-    _expect_keys(model["routing"], ("r12", "r21"), "model.routing")
     try:
+        arrivals = []
+        for idx, node in enumerate(arr_node):
+            _expect_keys(node, ("t", "u"), f"model.arrivals[{idx}]")
+            arrivals.append(jk.MapSpec(t=_matrix(node["t"], "t"),
+                                       u=_matrix(node["u"], "u")))
+        services = []
+        for idx, node in enumerate(srv_node):
+            _expect_keys(node, ("beta", "s"), f"model.services[{idx}]")
+            beta = _matrix(node["beta"], "beta").ravel()
+            services.append(jk.PhSpec(beta=beta, s=_matrix(node["s"], "s")))
+        routing = model["routing"]
+        _expect_keys(routing, ("r12", "r21"), "model.routing")
         return jk.JacksonSpec(arrivals=tuple(arrivals), services=tuple(services),
-                              r12=float(model["routing"]["r12"]),
-                              r21=float(model["routing"]["r21"]))
+                              r12=_scalar(routing["r12"], "model.routing.r12"),
+                              r21=_scalar(routing["r21"], "model.routing.r21"))
     except jk.InvalidSpec as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -147,20 +148,13 @@ def parse_model(text: str) -> ModelFile:
         raise ParseError(f"YAML error: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("model file must be a YAML mapping")
-    _expect_keys(doc, ("schema_version", "kind", "model"), "file",
-                 optional=("options",))
+    _expect_keys(doc, ("schema_version", "kind", "model"), "file")
     version = str(doc["schema_version"])
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {version!r}")
     kind = str(doc["kind"])
     if kind not in KINDS:
         raise SchemaError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    options = doc.get("options") or {}
-    if not isinstance(options, dict):
-        raise SchemaError("options: expected a mapping")
-    unknown = [k for k in options if k not in _OPTION_KEYS]
-    if unknown:
-        raise SchemaError(f"options: unknown keys {unknown}")
     if kind == "qbd1d":
         payload = _parse_qbd1d(doc["model"])
     elif kind == "jackson":
@@ -169,8 +163,7 @@ def parse_model(text: str) -> ModelFile:
         payload = _parse_qbd2d(doc["model"],
                                "discrete" if kind.endswith("discrete")
                                else "continuous")
-    return ModelFile(schema_version=version, kind=kind, options=options,
-                     payload=payload)
+    return ModelFile(schema_version=version, kind=kind, payload=payload)
 
 
 def load_model(path) -> ModelFile:
@@ -215,11 +208,8 @@ def model_to_dict(mf: ModelFile) -> dict:
             if blocks:
                 fams["".join(reg)] = blocks
         model = {"dims": [int(d) for d in p.dims], "families": fams}
-    out = {"schema_version": mf.schema_version, "kind": mf.kind}
-    if mf.options:
-        out["options"] = dict(sorted(mf.options.items()))
-    out["model"] = model
-    return out
+    return {"schema_version": mf.schema_version, "kind": mf.kind,
+            "model": model}
 
 
 def dump_model(mf: ModelFile) -> str:

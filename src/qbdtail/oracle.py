@@ -195,12 +195,6 @@ def _transition_tables(spec: qbd2d.Qbd2dSpec):
     return tables
 
 
-def _region_index(l1: int, l2: int) -> int:
-    s1 = 0 if l1 == 0 else (1 if l1 == 1 else 2)
-    s2 = 0 if l2 == 0 else (1 if l2 == 1 else 2)
-    return s1 * 3 + s2
-
-
 _REGION_ORDER = [("0", "0"), ("0", "1"), ("0", "+"),
                  ("1", "0"), ("1", "1"), ("1", "+"),
                  ("+", "0"), ("+", "1"), ("+", "+")]

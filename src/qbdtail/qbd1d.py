@@ -31,6 +31,7 @@ from .errors import (
     BoundaryNotInvertible,
     GammaPlusEmpty,
     NoConvergence,
+    NoSignChange,
     NoSuperharmonicVector,
     NotIrreducible,
     NotPositiveRecurrent,
@@ -226,7 +227,7 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     if fhi == 0.0:
         return hi
     if flo * fhi > 0:
-        raise ValueError("bisection bracket does not straddle a root")
+        raise NoSignChange("bisection bracket does not straddle a root")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
@@ -309,6 +310,7 @@ def g_minus(k: QbdBlocks, tol: float = 1e-13, max_iter: int = 10**7) -> GMinusRe
 
 
 def _is_stochastic(k: QbdBlocks, tol: float = 1e-12) -> bool:
+    """Every row sum of the assembled matrix lies within tol of one."""
     rows = np.concatenate([
         k.b0 @ np.ones(k.m0) + k.b1 @ np.ones(k.m),
         k.bm1 @ np.ones(k.m0) + (k.a0 + k.a1) @ np.ones(k.m),
@@ -482,15 +484,6 @@ def check_assumption1(k: QbdBlocks, theta: float, tol: float = 1e-8) -> Assumpti
                              h0=None, residual=float(best))
 
 
-def _check_stochastic(k: QbdBlocks, tol: float = 1e-9) -> None:
-    rows = [k.b0 @ np.ones(k.m0) + k.b1 @ np.ones(k.m),
-            k.bm1 @ np.ones(k.m0) + (k.a0 + k.a1) @ np.ones(k.m),
-            (k.am1 + k.a0 + k.a1) @ np.ones(k.m)]
-    for r in rows:
-        if np.max(np.abs(r - 1.0)) > tol:
-            raise NotStochastic("assembled matrix is not row stochastic")
-
-
 def mean_drift(k: QbdBlocks) -> float:
     """Stationary mean level drift of the interior kernel."""
     nu = matcore.dominant((k.am1 + k.a0 + k.a1).T).right
@@ -500,7 +493,8 @@ def mean_drift(k: QbdBlocks) -> float:
 def rate_matrix(k: QbdBlocks, tol: float = 1e-13, max_iter: int = 10**7) -> np.ndarray:
     """Minimal nonnegative solution of R = R^2 A_-1 + R A_0 + A_1 for a
     stochastic, positive recurrent chain."""
-    _check_stochastic(k)
+    if not _is_stochastic(k, tol=1e-9):
+        raise NotStochastic("assembled matrix is not row stochastic")
     if mean_drift(k) >= 0:
         raise NotPositiveRecurrent("interior mean drift is >= 0")
     m = k.m

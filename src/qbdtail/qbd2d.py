@@ -4,8 +4,8 @@ A skip-free reflecting random walk on the lattice quadrant whose transitions
 are modulated by a finite background chain, with different kernels on the
 interior, the two axes, the origin and the five transition regions next to
 them.  This module validates such specifications, decides stability,
-traces the convex boundary curve of the tilting region, computes the tau
-vector with its category, and evaluates directional decay rates.  Both
+traces the convex boundary curve of the tilting region and reads the tau
+vector, its category and directional decay rates off it.  Both
 discrete- and continuous-time specifications are supported; continuous ones
 can also be uniformized into equivalent discrete ones.
 """
@@ -25,9 +25,8 @@ from .errors import (
     SpectralRadiusNotBelowOne,
     ThetaNotOnCurve,
     Unstable,
-    ZeroDirection,
 )
-from .levelset import GammaCurve, CurvePoint, LevelCurve, TauReport, directional_rate
+from .levelset import Decay, LevelCurve, TauReport, checked_direction, decay
 
 H = (-1, 0, 1)
 HP = (0, 1)
@@ -459,77 +458,7 @@ def stability_check(spec: Qbd2dSpec, tol: float = 1e-9) -> str:
         return "unstable"
 
 
-# -- curve tracing, tau, decay rates ------------------------------------------
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    direction: tuple
-    rate: float
-    tau_report: TauReport
-    boundary_sample: GammaCurve
-
-
-def trace_gamma_curve(spec: Qbd2dSpec, samples: int = 512) -> GammaCurve:
-    """Boundary curve on a theta_1 grid with lower/upper theta_2 branches.
-
-    Points run along the lower branch left to right, then the upper branch
-    right to left, so the sequence is a closed loop.  Grid columns where a
-    feasibility flag switches are refined by bisection.
-    """
-    curve = level_curve(spec, scan=min(128, max(32, samples // 4)))
-    flags = curve.flags
-    west = curve.extreme((-1.0, 0.0))
-    east = curve.pole(1)
-    t1_lo, t1_hi = float(west[0]), float(east[0])
-    ncols = max(2, samples // 2)
-    inner = np.linspace(t1_lo, t1_hi, ncols + 2)[1:-1]
-
-    def point(t1, t2):
-        fc1, fc2 = flags(np.array([t1, t2]))
-        return CurvePoint(theta1=float(t1), theta2=float(t2),
-                          feasible_c1=fc1, feasible_c2=fc2)
-
-    lower, upper = [], []
-    columns = []
-    for t1 in inner:
-        sec = curve.section(2, t1)
-        if sec is None:
-            continue
-        columns.append((t1, sec))
-        lower.append(point(t1, sec[0]))
-        upper.append(point(t1, sec[1]))
-
-    # refine flag transitions along each branch to 1e-10 in theta_1
-    def refine(branch, which):
-        extra = []
-        for a, b in zip(branch, branch[1:]):
-            for attr in ("feasible_c1", "feasible_c2"):
-                if getattr(a, attr) != getattr(b, attr):
-                    lo, hi = a.theta1, b.theta1
-                    ref = getattr(a, attr)
-                    while hi - lo > 1e-10:
-                        mid = 0.5 * (lo + hi)
-                        sec = curve.section(2, mid)
-                        if sec is None:
-                            break
-                        t2 = sec[0] if which == "lower" else sec[1]
-                        if getattr(point(mid, t2), attr) == ref:
-                            lo = mid
-                        else:
-                            hi = mid
-                    sec = curve.section(2, 0.5 * (lo + hi))
-                    if sec is not None:
-                        t2 = sec[0] if which == "lower" else sec[1]
-                        extra.append(point(0.5 * (lo + hi), t2))
-        merged = sorted(branch + extra, key=lambda p: p.theta1)
-        return merged
-
-    lower = refine(lower, "lower")
-    upper = refine(upper, "upper")
-    pts = ([point(t1_lo, float(west[1]))] + lower
-           + [point(t1_hi, float(east[1]))] + upper[::-1])
-    return GammaCurve(points=pts, closed=True)
+# -- tau and decay rates -------------------------------------------------------
 
 
 def tau_report(spec: Qbd2dSpec, scan: int = 192) -> TauReport:
@@ -537,61 +466,16 @@ def tau_report(spec: Qbd2dSpec, scan: int = 192) -> TauReport:
     return level_curve(spec, scan=scan).tau_report()
 
 
-def checked_direction(direction) -> np.ndarray:
-    """The direction as a float vector; ZeroDirection unless it is finite,
-    nonnegative and nonzero."""
-    c = np.asarray(direction, dtype=float)
-    if (c.shape != (2,) or not np.all(np.isfinite(c)) or np.any(c < 0)
-            or np.all(c == 0)):
-        raise ZeroDirection("direction must be finite, nonnegative and nonzero")
-    return c
-
-
-def _require_stable(spec: Qbd2dSpec) -> None:
-    verdict = stability_check(spec)
-    if verdict != "stable":
-        raise Unstable(f"stability check returned {verdict!r}")
-
-
-def decay_rate(spec: Qbd2dSpec, direction, scan: int = 192,
-               check_stability: bool = True) -> DecayReport:
-    """Exponential decay rate of P(<L, c> > x) for a direction c >= 0.
-
-    The rate is sup{u >= 0 : u c in the convergence domain}, evaluated as
-    the minimum of the box bound min_i tau_i/c_i and the curve bound over
-    the southwest closure of the tilting region.
-    """
-    c = checked_direction(direction)
-    if check_stability:
-        _require_stable(spec)
-    s = float(c.sum())
-    chat = c / s
-    curve = level_curve(spec, scan=scan)
-    tau = curve.tau_report()
-    u_curve = curve.directional_sup(chat)
-    rate = directional_rate(tau.tau, u_curve, chat) / s
-    return DecayReport(direction=(float(c[0]), float(c[1])), rate=float(rate),
-                       tau_report=tau, boundary_sample=curve.to_gamma_curve())
-
-
 def decay_rates(spec: Qbd2dSpec, directions, scan: int = 192,
-                check_stability: bool = True) -> list:
-    """Decay reports for several directions, sharing one curve analysis."""
+                check_stability: bool = True) -> Decay:
+    """Directional decay rates (see ``levelset.decay``) from one curve
+    analysis; directions and stability are checked before any curve work."""
     directions = [checked_direction(c) for c in directions]
     if check_stability:
-        _require_stable(spec)
-    curve = level_curve(spec, scan=scan)
-    tau = curve.tau_report()
-    sample = curve.to_gamma_curve()
-    out = []
-    for c in directions:
-        s = float(c.sum())
-        u_curve = curve.directional_sup(c / s)
-        rate = directional_rate(tau.tau, u_curve, c / s) / s
-        out.append(DecayReport(direction=(float(c[0]), float(c[1])),
-                               rate=float(rate), tau_report=tau,
-                               boundary_sample=sample))
-    return out
+        verdict = stability_check(spec)
+        if verdict != "stable":
+            raise Unstable(f"stability check returned {verdict!r}")
+    return decay(level_curve(spec, scan=scan), directions)
 
 
 # -- boundary compatibility checker -------------------------------------------
@@ -605,12 +489,6 @@ class Assumption2Result:
     c1: float
     h0: np.ndarray | None
     residual: float
-
-
-def _fit_proportional(v: np.ndarray, ref: np.ndarray):
-    c = float(v @ ref) / float(ref @ ref)
-    resid = float(np.max(np.abs(v - c * ref))) / max(1.0, float(np.max(np.abs(v))))
-    return c, resid
 
 
 def check_assumption2(spec: Qbd2dSpec, theta, i: int,
@@ -645,7 +523,7 @@ def check_assumption2(spec: Qbd2dSpec, theta, i: int,
     solve_resid = float(np.max(np.abs(down @ h0 - rhs))) / max(1.0, float(np.max(np.abs(rhs))))
     if solve_resid <= tol and np.all(h0 > 0):
         v = f0 @ h0 + eo * (f1 @ h)
-        c0, prop = _fit_proportional(v, h0)
+        c0, prop = qbd1d._fit_proportional(v, h0)
         resid = max(solve_resid, prop)
         if resid <= tol:
             return Assumption2Result(holds=True, branch="c1", c0=c0,
@@ -660,7 +538,7 @@ def check_assumption2(spec: Qbd2dSpec, theta, i: int,
         h0b = inv @ (eo * (f1 @ h))
         if np.all(h0b > 0):
             w = np.exp(-tother) * (down @ h0b) + (a_low + eo * a_up) @ h
-            c1, prop = _fit_proportional(w, h)
+            c1, prop = qbd1d._fit_proportional(w, h)
             if prop <= tol:
                 return Assumption2Result(holds=True, branch="c0",
                                          c0=1.0 if discrete else 0.0,

@@ -46,7 +46,7 @@ def test_criterion_02_product_form_reproduction():
     tr = jackson.traffic_check(spec)
     expect = tuple(-np.log(r) for r in tr.rho)
     rep = jackson.decay_report(spec, [(1.0, 0.0), (0.0, 1.0)], scan=128)
-    rate_err = max(abs(rep.reports[i].rate - expect[i]) for i in (0, 1))
+    rate_err = max(abs(rep.analytic.rates[i] - expect[i]) for i in (0, 1))
     path_err = rep.max_discrepancy
     blocks = jackson.build_blocks(spec)
     table = oracle.truncate_and_solve(blocks, (120, 120))
@@ -67,7 +67,8 @@ def test_criterion_03_tandem_identity():
     point = (np.log(2.0), np.log(3.0))
     ident = abs(cs.gamma_plus(point))
     rep = jackson.decay_report(spec, [(1.0, 0.0)], scan=128)
-    tau_err = max(abs(rep.tau[0] - point[0]), abs(rep.tau[1] - point[1]))
+    tau = rep.analytic.tau_report.tau
+    tau_err = max(abs(tau[0] - point[0]), abs(tau[1] - point[1]))
     ok = ident <= 1e-10 and tau_err <= 1e-6
     report(3, ok, f"identity {ident:.2e}, tau err {tau_err:.2e}")
 
@@ -80,7 +81,8 @@ def test_criterion_04_mapph_oracle_and_certificates():
     table = oracle.truncate_and_solve(blocks, (150, 150))
     est = oracle.estimate_decay(table, 1, level=0, phase=0,
                                 window=oracle.regression_window(150))
-    slope_rel = abs(-est.slope - rep.tau[0]) / rep.tau[0]
+    tau1 = rep.analytic.tau_report.tau[0]
+    slope_rel = abs(-est.slope - tau1) / tau1
     curve = jackson.analytic_curve(spec, scan=64)
     worst_resid = 0.0
     for phi in np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False):
@@ -316,9 +318,9 @@ def test_criterion_10_invariance_suite():
     unif_gap = max(abs(a[i] - b[i]) for a in taus for b in taus
                    for i in (0, 1))
     # directional homogeneity
-    reps = qbd2d.decay_rates(blocks, [(0.7, 0.4), (1.4, 0.8)], scan=96,
-                             check_stability=False)
-    homog_gap = abs(reps[1].rate - reps[0].rate / 2.0)
+    dec = qbd2d.decay_rates(blocks, [(0.7, 0.4), (1.4, 0.8)], scan=96,
+                            check_stability=False)
+    homog_gap = abs(dec.rates[1] - dec.rates[0] / 2.0)
     # diagonal similarity invariance of the Perron eigenvalue
     rng = np.random.default_rng(31)
     sim_gap = 0.0

@@ -68,6 +68,13 @@ class TestModelFile:
         with pytest.raises(SchemaError, match="irreducible"):
             modelfile.parse_model(QBD1D_FILE.replace("b1: [[0.2]]", "b1: [[0.0]]"))
 
+    def test_options_block_is_rejected(self, tmp_path, capsys):
+        src = (MODELS / "tandem_jackson.yaml").read_text()
+        f = tmp_path / "with_options.yaml"
+        f.write_text(src.replace("model:", "options:\n  extent: 120\nmodel:", 1))
+        assert cli.main(["validate", str(f)]) == 2
+        assert "unknown keys ['options']" in capsys.readouterr().err
+
     def test_qbd1d_payload(self):
         mf = modelfile.parse_model(QBD1D_FILE)
         assert mf.kind == "qbd1d"
@@ -88,6 +95,22 @@ class TestValidateCommand:
         code, text = run_cli(["validate", str(bad)])
         assert code == 2
         assert "RowSumViolation" in text
+
+    @pytest.mark.parametrize("old,new", [
+        ("- beta: [1.0]", "- beta: [0.5]"),       # not a probability vector
+        ("u: [[1.0]]", "u: [[0.5]]"),             # (T + U) 1 != 0
+        ("- beta: [1.0]", "- beta: [one]"),
+        ("- beta: [1.0]", "- beta: [.nan]"),
+        ("r12: 1.0", "r12: fast"),
+    ])
+    def test_invalid_jackson_law_exits_two(self, tmp_path, capsys, old, new):
+        src = (MODELS / "tandem_jackson.yaml").read_text()
+        assert old in src
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(src.replace(old, new, 1))
+        assert cli.main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("model error:")
 
     def test_main_exit_code_for_missing_file(self, capsys):
         assert cli.main(["validate", "/nonexistent/model.yaml"]) == 2
@@ -152,6 +175,15 @@ class TestDecayCommand:
         _, a = run_cli(argv)
         _, b = run_cli(argv)
         assert a == b
+
+    def test_jackson_model_prints_the_jackson_decay_report(self):
+        f = str(MODELS / "tandem_jackson.yaml")
+        opts = ["--direction", "1,0", "--direction", "1,1", "--scan", "64"]
+        code_a, a = run_cli(["decay", f, *opts])
+        code_b, b = run_cli(["jackson", f, "decay", *opts])
+        assert code_a == code_b == 0
+        assert a == b
+        assert "tau1_generic" in a and "discrepancy = " in a
 
     def test_qbd1d_decay(self, tmp_path):
         f = tmp_path / "m.yaml"

@@ -5,6 +5,7 @@ from qbdtail import jackson, matcore, qbd2d
 from qbdtail.errors import (
     InvalidSpec,
     NotRenewalStructure,
+    OutsideTransformRange,
     ThetaNotOnCurve,
     Unstable,
     ZeroDirection,
@@ -182,14 +183,20 @@ class TestRenewalCumulant:
         with pytest.raises(NotRenewalStructure):
             jackson.renewal_arrival_cumulant(arr, 0.3)
 
+    def test_target_outside_transform_range_is_a_typed_error(self):
+        # e^{-100} lies below the interarrival transform's value at the
+        # lower end of the inversion interval
+        with pytest.raises(OutsideTransformRange):
+            jackson.renewal_arrival_cumulant(jackson.poisson_map(1.0), 100.0)
+
 
 class TestDecayReport:
     def test_product_form_coordinate_rates(self):
         spec = product_form_jackson()
         tr = jackson.traffic_check(spec)
         rep = jackson.decay_report(spec, [(1.0, 0.0), (0.0, 1.0)], scan=128)
-        assert rep.reports[0].rate == pytest.approx(-np.log(tr.rho[0]), abs=1e-6)
-        assert rep.reports[1].rate == pytest.approx(-np.log(tr.rho[1]), abs=1e-6)
+        assert rep.analytic.rates[0] == pytest.approx(-np.log(tr.rho[0]), abs=1e-6)
+        assert rep.analytic.rates[1] == pytest.approx(-np.log(tr.rho[1]), abs=1e-6)
         assert rep.max_discrepancy <= 1e-6
 
     def test_tandem_identity(self):
@@ -197,8 +204,8 @@ class TestDecayReport:
         cs = jackson.cumulants(spec)
         assert abs(cs.gamma_plus((np.log(2.0), np.log(3.0)))) <= 1e-10
         rep = jackson.decay_report(spec, [(1.0, 0.0)], scan=128)
-        assert rep.tau[0] == pytest.approx(np.log(2.0), abs=1e-6)
-        assert rep.tau[1] == pytest.approx(np.log(3.0), abs=1e-6)
+        assert rep.analytic.tau_report.tau[0] == pytest.approx(np.log(2.0), abs=1e-6)
+        assert rep.analytic.tau_report.tau[1] == pytest.approx(np.log(3.0), abs=1e-6)
 
     def test_mapph_paths_agree(self, mapph_spec):
         rep = jackson.decay_report(mapph_spec, [(1.0, 0.0), (1.0, 1.0)],

@@ -8,6 +8,7 @@ from qbdtail.errors import (
     NoConvergence,
     BoundaryNotInvertible,
     GammaPlusEmpty,
+    NoSignChange,
     NoSuperharmonicVector,
     NotPositiveRecurrent,
     NotStochastic,
@@ -96,6 +97,12 @@ class TestMgfs:
         k = qbd1d.QbdBlocks(b0=[[0.5]], b1=[[0.3]], bm1=[[0.2]],
                             am1=[[0.2]], a0=[[0.1]], a1=[[0.3]])
         assert qbd1d.c_mgf(k, 0.0)[0, 0] == pytest.approx(0.22 + 0.3)
+
+
+class TestRootFinding:
+    def test_bracket_without_sign_change_is_a_typed_error(self):
+        with pytest.raises(NoSignChange):
+            qbd1d.bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 class TestGammaA:

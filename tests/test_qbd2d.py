@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from qbdtail import jackson, qbd2d
-from qbdtail.errors import ThetaNotOnCurve, Unstable, ZeroDirection
+from qbdtail.errors import (
+    InconsistentCategory,
+    QbdTailError,
+    ThetaNotOnCurve,
+    Unstable,
+    ZeroDirection,
+)
+from qbdtail.levelset import LevelCurve, boundary_rows
 
 from conftest import product_form_jackson, scalar_rrw, tandem_jackson
 
@@ -129,19 +136,21 @@ class TestGammaCurve:
     def test_scalar_curve_matches_quadratic_level_set(self):
         pxp, pxm, pyp, pym = 0.15, 0.25, 0.1, 0.2
         spec = scalar_rrw(pxp, pxm, pyp, pym)
-        curve = qbd2d.trace_gamma_curve(spec, samples=64)
-        assert curve.closed
-        for p in curve.points:
-            x, y = np.exp(p.theta1), np.exp(p.theta2)
-            val = pxp * x + pxm / x + pyp * y + pym / y + 0.3
-            assert val == pytest.approx(1.0, abs=1e-8)
+        rows = boundary_rows(qbd2d.level_curve(spec, scan=32), 64)
+        assert len(rows) >= 60
+        for r in rows:
+            for t2 in (r.theta2_lower, r.theta2_upper):
+                x, y = np.exp(r.theta1), np.exp(t2)
+                val = pxp * x + pxm / x + pyp * y + pym / y + 0.3
+                assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_symmetric_curve_symmetric(self):
         spec = symmetric_walk()
-        curve = qbd2d.trace_gamma_curve(spec, samples=64)
+        rows = boundary_rows(qbd2d.level_curve(spec, scan=32), 64)
         gap = qbd2d.curve_gap(spec)
-        for p in curve.points:
-            assert gap((p.theta2, p.theta1)) == pytest.approx(0.0, abs=1e-9)
+        for r in rows:
+            for t2 in (r.theta2_lower, r.theta2_upper):
+                assert gap((t2, r.theta1)) == pytest.approx(0.0, abs=1e-9)
 
     def test_origin_on_curve_with_interior(self):
         spec = symmetric_walk()
@@ -216,32 +225,45 @@ class TestTauReport:
                     assert tau.tau[1] >= p[1] - 1e-8
         assert seen  # at least one stable instance classified
 
+    def test_inconsistent_geometry_is_a_typed_error(self):
+        # unit circle; face 1 feasible only high up, face 2 only far right,
+        # so each feasibility extreme lies beyond the other's coordinate
+        curve = LevelCurve(lambda t: t[0] ** 2 + t[1] ** 2 - 1.0,
+                           lambda t: (t[1] >= 0.95, t[0] >= 0.95),
+                           scan_size=64)
+        with pytest.raises(InconsistentCategory) as info:
+            curve.tau_report()
+        assert isinstance(info.value, QbdTailError)
+
 
 class TestDecayRate:
     def test_coordinate_consistency(self):
         spec = scalar_rrw(0.15, 0.25, 0.1, 0.2)
-        rep = qbd2d.decay_rate(spec, (1.0, 0.0), scan=96)
-        assert rep.rate == pytest.approx(rep.tau_report.tau[0], abs=1e-10)
-        rep2 = qbd2d.decay_rate(spec, (0.0, 1.0), scan=96, check_stability=False)
-        assert rep2.rate == pytest.approx(rep2.tau_report.tau[1], abs=1e-10)
+        dec = qbd2d.decay_rates(spec, [(1.0, 0.0)], scan=96)
+        assert dec.rates[0] == pytest.approx(dec.tau_report.tau[0], abs=1e-10)
+        dec2 = qbd2d.decay_rates(spec, [(0.0, 1.0)], scan=96,
+                                 check_stability=False)
+        assert dec2.rates[0] == pytest.approx(dec2.tau_report.tau[1], abs=1e-10)
 
     def test_scaling_homogeneity(self):
         spec = scalar_rrw(0.15, 0.25, 0.1, 0.2)
-        reps = qbd2d.decay_rates(spec, [(1.0, 1.0), (2.0, 2.0), (0.6, 0.2),
-                                        (1.2, 0.4)], scan=96)
-        assert reps[1].rate == pytest.approx(reps[0].rate / 2.0, abs=1e-12)
-        assert reps[3].rate == pytest.approx(reps[2].rate / 2.0, abs=1e-12)
+        dec = qbd2d.decay_rates(spec, [(1.0, 1.0), (2.0, 2.0), (0.6, 0.2),
+                                       (1.2, 0.4)], scan=96)
+        assert dec.directions == ((1.0, 1.0), (2.0, 2.0), (0.6, 0.2), (1.2, 0.4))
+        assert dec.rates[1] == pytest.approx(dec.rates[0] / 2.0, abs=1e-12)
+        assert dec.rates[3] == pytest.approx(dec.rates[2] / 2.0, abs=1e-12)
 
     def test_unstable_raises(self):
         with pytest.raises(Unstable):
-            qbd2d.decay_rate(scalar_rrw(0.25, 0.15, 0.25, 0.15), (1.0, 0.0))
+            qbd2d.decay_rates(scalar_rrw(0.25, 0.15, 0.25, 0.15), [(1.0, 0.0)])
 
     def test_zero_direction_raises(self):
         spec = symmetric_walk()
         with pytest.raises(ZeroDirection):
-            qbd2d.decay_rate(spec, (0.0, 0.0), check_stability=False)
+            qbd2d.decay_rates(spec, [(0.0, 0.0)], check_stability=False)
         with pytest.raises(ZeroDirection):
-            qbd2d.decay_rate(spec, (-1.0, 1.0), check_stability=False)
+            qbd2d.decay_rates(spec, [(1.0, 0.0), (-1.0, 1.0)],
+                              check_stability=False)
 
 
 class TestAssumption2:
