@@ -44,6 +44,20 @@ def _emit(out, key, value):
     out.write(f"{key} = {_fmt(value)}\n")
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no less than ``low`` (else exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
 def _parse_direction(text: str):
     try:
         c = checked_direction([float(p) for p in text.split(",")])
@@ -285,12 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--direction", action="append", default=[],
                     metavar="C1,C2")
-    sp.add_argument("--scan", type=int, default=192)
+    sp.add_argument("--scan", type=_int_at_least(1), default=192)
     sp.set_defaults(func=cmd_decay)
 
     sp = sub.add_parser("boundary", help="boundary curve CSV")
     sp.add_argument("file")
-    sp.add_argument("--samples", type=int, default=512)
+    sp.add_argument("--samples", type=_int_at_least(1), default=512)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_boundary)
 
@@ -299,19 +313,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("subcommand", choices=("traffic", "decay", "certificate"))
     sp.add_argument("--direction", action="append", default=[],
                     metavar="C1,C2")
-    sp.add_argument("--scan", type=int, default=192)
-    sp.add_argument("--points", type=int, default=32)
+    sp.add_argument("--scan", type=_int_at_least(1), default=192)
+    sp.add_argument("--points", type=_int_at_least(1), default=32)
     sp.set_defaults(func=cmd_jackson)
 
     sp = sub.add_parser("verify", help="compare analytic rates with the "
                                        "truncated solver and simulator")
     sp.add_argument("file")
-    sp.add_argument("--extent", type=int, default=100)
+    sp.add_argument("--extent", type=_int_at_least(1), default=100)
     sp.add_argument("--seed", type=int, default=20240801)
-    sp.add_argument("--steps", type=int, default=0)
+    sp.add_argument("--steps", type=_int_at_least(0), default=0)
     sp.add_argument("--level", type=int, default=0)
     sp.add_argument("--phase", type=int, default=0)
-    sp.add_argument("--scan", type=int, default=192)
+    sp.add_argument("--scan", type=_int_at_least(1), default=192)
     sp.set_defaults(func=cmd_verify)
     return p
 

@@ -64,7 +64,7 @@ class NoSuperharmonicVector(QbdTailError):
 
 
 class NoSignChange(QbdTailError):
-    """Bisection bracket does not straddle a root."""
+    """Root-finding bracket does not straddle a root."""
 
 
 # qbd2d

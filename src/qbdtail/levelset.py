@@ -32,8 +32,13 @@ class TauReport:
     category: str         # "I", "II_1" or "II_2"
 
 
-def minimize_convex_2d(f, x0=(0.0, 0.0), rounds: int = 60, tol: float = 1e-11):
-    """Coordinate descent with golden-section line searches."""
+def minimize_convex_2d(f, x0=(0.0, 0.0), rounds: int = 60, tol: float = 1e-6):
+    """Coordinate descent with golden-section line searches.
+
+    The default ``tol`` is what a golden section can attain on a flat
+    minimum (about sqrt(eps) relative); a level curve needs only an
+    interior center, so asking for more only spends evaluations.
+    """
     x = np.array(x0, dtype=float)
     for _ in range(rounds):
         moved = 0.0

@@ -86,7 +86,7 @@ def _parse_qbd2d(model: dict, time: str) -> qbd2d.Qbd2dSpec:
     _expect_keys(model, ("dims", "families"), "model")
     dims = model["dims"]
     if (not isinstance(dims, (list, tuple)) or len(dims) != 4
-            or any(int(d) <= 0 for d in dims)):
+            or not all(type(d) is int and d > 0 for d in dims)):
         raise SchemaError("model.dims: expected four positive integers")
     fams_node = model["families"]
     if not isinstance(fams_node, dict):
@@ -109,7 +109,7 @@ def _parse_qbd2d(model: dict, time: str) -> qbd2d.Qbd2dSpec:
             fam[inc] = _matrix(mat, f"model.families.{key}.{inc_key}")
         fams[reg] = fam
     try:
-        return qbd2d.make_spec(fams, tuple(int(d) for d in dims), time)
+        return qbd2d.make_spec(fams, tuple(dims), time)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 

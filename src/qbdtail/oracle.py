@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import qbd2d
 from .errors import EmptyWindow, NoConvergence, ThetaOutsideDomain
@@ -43,6 +41,8 @@ def build_truncated(spec: qbd2d.Qbd2dSpec, extent):
     """Sparse row-stochastic operator of the chain truncated to the box
     [0, N1] x [0, N2]; probability of leaving the box is redirected to the
     source state itself (reflect_excess_to_self)."""
+    import scipy.sparse as sp  # lazy: scipy dominates CLI start-up
+
     if spec.time == "continuous":
         spec = qbd2d.uniformize(spec)
     n1, n2 = extent
@@ -131,6 +131,9 @@ def truncate_and_solve(spec: qbd2d.Qbd2dSpec, extent, tol: float = 1e-12,
     ``tol``.  The backward half-sweep matters for chains with rotational
     flow, where one-directional sweeps converge poorly.
     """
+    import scipy.sparse as sp  # lazy: scipy dominates CLI start-up
+    import scipy.sparse.linalg as spla
+
     p, offsets, sizes, disc = build_truncated(spec, extent)
     n = p.shape[0]
     m = p.T.tocsr()

@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import matcore
 from .errors import (
@@ -42,6 +41,7 @@ from .errors import (
 
 # single documented slack for all "<= 1" style tests
 LE_ONE_SLACK = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -220,26 +220,56 @@ def convex_min_scalar(f, x0: float = 0.0, step: float = 1.0, tol: float = 1e-12)
 
 
 def bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Sign-change bisection; f(lo) and f(hi) must straddle zero."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise NoSignChange("bisection bracket does not straddle a root")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi, fhi = mid, fm
+    """Brent-Dekker root of f; f(lo) and f(hi) must straddle zero.
+
+    Inverse-quadratic and secant steps, with a bisection step whenever they
+    stall (Brent 1973, *Algorithms for Minimization without Derivatives*,
+    ch. 4).  The returned point is an exact zero of f or an end of a
+    sign-change bracket no wider than ``max(tol, 4 eps |root|)``.
+    """
+    a, b = lo, hi
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if fa * fb > 0:
+        raise NoSignChange("root bracket does not straddle a root")
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(1000):
+        # keep the root between b (the best point) and c
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = max(0.5 * tol, 2.0 * _EPS * abs(b))
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0.0:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * xm * s, 1.0 - s          # secant
+            else:
+                q, r = fa / fc, fb / fc               # inverse quadratic
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
         else:
-            lo, flo = mid, fm
-        if hi - lo <= tol:
-            break
-    return 0.5 * (lo + hi)
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else (tol1 if xm > 0 else -tol1)
+        fb = f(b)
+    raise NoConvergence("root bracket did not shrink to the tolerance")
 
 
 def gamma1d_plus(k: QbdBlocks, tol: float = 1e-12) -> Interval:
@@ -343,6 +373,8 @@ def _common_vector_feasible(a_mat: np.ndarray, c_mat: np.ndarray,
     Maximizes the minimum entry of h under sum(h) = 1; feasible iff the
     optimum is strictly positive.
     """
+    from scipy.optimize import linprog  # lazy: scipy dominates CLI start-up
+
     m = a_mat.shape[0]
     # variables (h_1..h_m, t); maximize t
     a_ub = np.zeros((2 * m + m, m + 1))

@@ -13,6 +13,7 @@ can also be uniformized into equivalent discrete ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -109,6 +110,16 @@ class Qbd2dSpec:
     def block(self, s1: str, s2: str, i: int, j: int) -> np.ndarray:
         return self.families[(s1, s2)][(i, j)]
 
+    # computed once: every interior-MGF evaluation reads it
+    @cached_property
+    def interior_stack(self) -> tuple:
+        """Interior increments as an (n, 2) array and their blocks as the
+        rows of an (n, m*m) array, in the same order."""
+        fam = self.families[("+", "+")]
+        incs = np.array(list(fam), dtype=float)
+        blocks = np.array([b.ravel() for b in fam.values()])
+        return incs, blocks
+
 
 def make_spec(families: dict, dims: tuple, time: str) -> Qbd2dSpec:
     """Assemble a spec: checks shapes, fills aliases and missing blocks.
@@ -192,13 +203,10 @@ def validate_spec(spec: Qbd2dSpec, tol: float = 1e-12) -> list:
 
 def a2_mgf(spec: Qbd2dSpec, theta) -> np.ndarray:
     """Interior matrix MGF: sum of e^{<theta, increment>} A_increment."""
-    t1, t2 = float(theta[0]), float(theta[1])
-    fam = spec.families[("+", "+")]
+    incs, blocks = spec.interior_stack
+    weights = np.exp(incs @ np.asarray(theta, dtype=float))
     m = spec.dims[3]
-    out = np.zeros((m, m))
-    for (i, j), b in fam.items():
-        out += np.exp(i * t1 + j * t2) * b
-    return out
+    return (weights @ blocks).reshape(m, m)
 
 
 def _face_sum(spec, reg, fixed, axis, theta_val):

@@ -75,6 +75,16 @@ class TestModelFile:
         assert cli.main(["validate", str(f)]) == 2
         assert "unknown keys ['options']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["x", "2.7", "true", "0"])
+    def test_bad_dims_entry_exits_two(self, tmp_path, capsys, entry):
+        src = (MODELS / "scalar_rrw.yaml").read_text()
+        bad = tmp_path / "bad_dims.yaml"
+        bad.write_text(src.replace("dims: [1, 1, 1, 1]",
+                                   f"dims: [1, {entry}, 1, 1]", 1))
+        assert cli.main(["validate", str(bad)]) == 2
+        assert "model.dims: expected four positive integers" in \
+            capsys.readouterr().err
+
     def test_qbd1d_payload(self):
         mf = modelfile.parse_model(QBD1D_FILE)
         assert mf.kind == "qbd1d"
@@ -126,6 +136,37 @@ class TestValidateCommand:
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "valid = true" in proc.stdout
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    (["boundary", "scalar_rrw.yaml", "--out", "unused.csv"], "--samples", "0"),
+    (["decay", "scalar_rrw.yaml"], "--scan", "0"),
+    (["jackson", "tandem_jackson.yaml", "certificate"], "--points", "-1"),
+    (["verify", "scalar_rrw.yaml"], "--extent", "-3"),
+    (["verify", "scalar_rrw.yaml"], "--steps", "-1"),
+    (["decay", "scalar_rrw.yaml"], "--scan", "many"),
+])
+def test_bad_size_is_an_input_error(command, flag, value, capsys):
+    argv = [command[0], str(MODELS / command[1]), *command[2:], flag, value]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected an integer >=" in err
+    assert "Traceback" not in err
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = ("import sys, qbdtail.cli; print(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("direction", ["0,0", "-1,0", "nan,1", "inf,1"])

@@ -104,6 +104,37 @@ class TestRootFinding:
         with pytest.raises(NoSignChange):
             qbd1d.bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
+    @pytest.mark.parametrize("f,lo,hi,root", [
+        (lambda x: 3.0 * x - 0.9, 0.0, 1.0, 0.3),
+        (lambda x: np.log1p(x) - 0.5, 0.0, 8.0, np.expm1(0.5)),
+        (lambda x: np.exp(x) - 2.0, 0.0, 4.0, np.log(2.0)),
+        (lambda x: x * x - 1.0, 0.0, 2.0, 1.0),
+        (lambda x: x ** 3 - 2.0, -1.0, 3.0, 2.0 ** (1.0 / 3.0)),
+        (lambda x: np.expm1(30.0 * (x - 0.2)), -1.0, 1.0, 0.2),
+        (lambda x: np.tanh(50.0 * (x - 0.7)), -1.0, 3.0, 0.7),
+        (lambda x: 1e6 * (x - 1e-3), 0.0, 1e3, 1e-3),
+    ], ids=["linear", "concave", "convex", "convex_ray", "cubic",
+            "steep_exp", "steep_tanh", "wide"])
+    def test_brent_finds_the_root_in_few_evaluations(self, f, lo, hi, root):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        x = qbd1d.bisect_root(counted, lo, hi, tol=1e-12)
+        assert abs(x - root) <= 1e-12
+        assert len(calls) <= 20
+        # decreasing functions too: the bracket may start on either sign
+        calls.clear()
+        x = qbd1d.bisect_root(lambda v: -counted(v), lo, hi, tol=1e-12)
+        assert abs(x - root) <= 1e-12
+        assert len(calls) <= 20
+
+    def test_exact_zero_at_either_end_is_returned(self):
+        assert qbd1d.bisect_root(lambda x: x, 0.0, 1.0) == 0.0
+        assert qbd1d.bisect_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+
 
 class TestGammaA:
     def test_stochastic_at_zero(self):

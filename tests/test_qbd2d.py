@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from qbdtail import jackson, qbd2d
+from qbdtail import jackson, levelset, modelfile, qbd2d
 from qbdtail.errors import (
     InconsistentCategory,
     QbdTailError,
@@ -12,6 +14,8 @@ from qbdtail.errors import (
 from qbdtail.levelset import LevelCurve, boundary_rows
 
 from conftest import product_form_jackson, scalar_rrw, tandem_jackson
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def symmetric_walk():
@@ -131,6 +135,22 @@ class TestMgfs:
             got = qbd2d.c2_mgf(blocks, 1, (t1, t2))[0, 0]
             assert got == pytest.approx(expect, abs=1e-12)
 
+    @pytest.mark.parametrize("which", ["mapph_jackson", "modulated_rrw"])
+    def test_stacked_interior_mgf_equals_blockwise_sum(self, which,
+                                                       mapph_spec):
+        spec = (jackson.build_blocks(mapph_spec) if which == "mapph_jackson"
+                else modelfile.load_model(MODELS / f"{which}.yaml").payload)
+        fam = spec.families[("+", "+")]
+        rng = np.random.default_rng(11)
+        for theta in rng.uniform(-1.5, 1.5, size=(20, 2)):
+            ref = np.zeros_like(fam[(0, 0)])
+            scale = np.zeros_like(ref)
+            for (i, j), b in fam.items():
+                ref += np.exp(i * theta[0] + j * theta[1]) * b
+                scale += np.exp(i * theta[0] + j * theta[1]) * np.abs(b)
+            got = qbd2d.a2_mgf(spec, theta)
+            assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+
 
 class TestGammaCurve:
     def test_scalar_curve_matches_quadratic_level_set(self):
@@ -158,6 +178,35 @@ class TestGammaCurve:
         assert gap((0.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
         lc = qbd2d.level_curve(spec, scan=32)
         assert lc.gmin < -1e-6
+
+    def test_curve_evaluation_counts(self, monkeypatch):
+        """Machine-independent work guard: gap evaluations spent on the
+        center and per curve point of a scan-192 curve."""
+        spec = modelfile.load_model(MODELS / "scalar_rrw.yaml").payload
+        calls = [0]
+        plain_gap, plain_min = qbd2d.curve_gap, levelset.minimize_convex_2d
+
+        def counted_gap(s):
+            gap = plain_gap(s)
+
+            def counted(theta):
+                calls[0] += 1
+                return gap(theta)
+            return counted
+
+        center_calls = []
+
+        def counted_min(f, *args, **kwargs):
+            out = plain_min(f, *args, **kwargs)
+            center_calls.append(calls[0])
+            return out
+
+        monkeypatch.setattr(qbd2d, "curve_gap", counted_gap)
+        monkeypatch.setattr(levelset, "minimize_convex_2d", counted_min)
+        curve = qbd2d.level_curve(spec, scan=192)
+        assert center_calls[0] <= 1000
+        per_point = (calls[0] - center_calls[0]) / len(curve.scan_phi)
+        assert per_point <= 15
 
     def test_convexity_midpoints(self, mapph_spec):
         blocks = jackson.build_blocks(mapph_spec)
