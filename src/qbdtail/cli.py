@@ -92,8 +92,21 @@ def _print_decay(out, rep) -> None:
         out.write(line + "\n")
 
 
+def _violation_line(v) -> str:
+    where = "".join(v.family) + ("" if v.increment is None else f" {v.increment}")
+    return f"{v.kind} at family {where}: {v.detail}"
+
+
 def _load(path) -> modelfile.ModelFile:
-    return modelfile.load_model(path)
+    """The model file; a qbd2d spec that ``validate`` rejects is an input
+    error here too."""
+    mf = modelfile.load_model(path)
+    if mf.kind in ("qbd2d_discrete", "qbd2d_continuous"):
+        violations = qbd2d.validate_spec(mf.payload, tol=_default_tol())
+        if violations:
+            raise SchemaError(f"{len(violations)} violation(s), first "
+                              f"{_violation_line(violations[0])}")
+    return mf
 
 
 def _spec_2d(mf: modelfile.ModelFile) -> qbd2d.Qbd2dSpec:
@@ -105,7 +118,7 @@ def _spec_2d(mf: modelfile.ModelFile) -> qbd2d.Qbd2dSpec:
 
 
 def cmd_validate(args, out) -> int:
-    mf = _load(args.file)
+    mf = modelfile.load_model(args.file)
     _emit(out, "kind", mf.kind)
     if mf.kind == "qbd1d":
         _emit(out, "violations", 0)
@@ -118,9 +131,7 @@ def cmd_validate(args, out) -> int:
     violations = qbd2d.validate_spec(spec, tol=_default_tol())
     _emit(out, "violations", len(violations))
     for v in violations:
-        where = "".join(v.family) + ("" if v.increment is None
-                                     else f" {v.increment}")
-        out.write(f"violation = {v.kind} at family {where}: {v.detail}\n")
+        out.write(f"violation = {_violation_line(v)}\n")
     _emit(out, "valid", not violations)
     return EXIT_OK if not violations else EXIT_INVALID
 

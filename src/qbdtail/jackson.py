@@ -474,11 +474,7 @@ def assumption3_certificate(spec: JacksonSpec, theta,
         ti = float(theta[i - 1])
         tother = float(theta[2 - i])
         eo = np.exp(tother)
-        f0 = qbd2d.face_mgf(blocks, i, 0, ti)
-        f1 = qbd2d.face_mgf(blocks, i, 1, ti)
-        down = qbd2d.face_down_mgf(blocks, i, ti)
-        a_low = qbd2d.interior_star_k(blocks, i, 0, ti)
-        a_up = qbd2d.interior_star_k(blocks, i, 1, ti)
+        down, f0, f1, a_low, a_up = qbd2d.face_mgfs(blocks, i, ti)
         if i == 1:
             a_scal = float(s2.beta @ h2d)
             h0 = a_scal * np.kron(np.kron(h1a, h2a), h1d)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGammaPlus, InconsistentCategory, ZeroDirection
-from .qbd1d import _golden_min, bisect_root, convex_min_scalar
+from .qbd1d import (_bisect_predicate, _golden_min, _sublevel_interval,
+                    bisect_root, convex_min_scalar)
 
 CATEGORY_TOL = 1e-9
 
@@ -90,16 +91,20 @@ class LevelCurve:
 
     # -- poles and sections ------------------------------------------------
 
+    def _scan_max(self, score, tol: float):
+        """(phi, score) at the maximum of score(point_at(phi)): the best
+        scan sample, refined by a golden section over its two cells."""
+        k = int(np.argmax([score(p) for p in self.scan_points]))
+        span = 2.0 * np.pi / len(self.scan_phi)
+        phi, val = _golden_min(lambda f: -score(self.point_at(f)),
+                               self.scan_phi[k] - span,
+                               self.scan_phi[k] + span, tol=tol)
+        return phi, -val
+
     def extreme(self, direction) -> np.ndarray:
         """The curve point maximizing <direction, theta>."""
         d = np.asarray(direction, dtype=float)
-        k = int(np.argmax([float(d @ p) for p in self.scan_points]))
-        n = len(self.scan_phi)
-        span = 2.0 * np.pi / n
-        lo = self.scan_phi[k] - span
-        hi = self.scan_phi[k] + span
-        phi, _ = _golden_min(lambda f: -float(d @ self.point_at(f)), lo, hi,
-                             tol=1e-9)
+        phi, _ = self._scan_max(lambda p: float(d @ p), tol=1e-9)
         return self.point_at(phi)
 
     def pole(self, i: int) -> np.ndarray:
@@ -120,18 +125,7 @@ class LevelCurve:
             y[other] = value
             return self.gap(y)
 
-        vmin, fmin = convex_min_scalar(line, self.center[ax], step=0.5)
-        if fmin > 0:
-            return None
-        lo_b = vmin - 1.0
-        while line(lo_b) <= 0:
-            lo_b = vmin - 2.0 * (vmin - lo_b)
-        hi_b = vmin + 1.0
-        while line(hi_b) <= 0:
-            hi_b = vmin + 2.0 * (hi_b - vmin)
-        lo = bisect_root(line, lo_b, vmin, tol=1e-12)
-        hi = bisect_root(line, vmin, hi_b, tol=1e-12)
-        return lo, hi
+        return _sublevel_interval(line, 0.0, self.center[ax], 0.5, 1e-12)
 
     def _point_on_section(self, i: int, ti: float, other: float) -> np.ndarray:
         y = np.empty(2)
@@ -147,21 +141,17 @@ class LevelCurve:
     def _flag_transitions(self, i: int, tol: float = 1e-10):
         """Refined curve points at the boundaries of the feasible arcs."""
         n = len(self.scan_phi)
+        flag = lambda phi: self._flag(self.point_at(phi), i)
         out = []
         for k in range(n):
             fa = self.scan_flags[k][i - 1]
             fb = self.scan_flags[(k + 1) % n][i - 1]
             if fa == fb:
                 continue
-            lo, hi = self.scan_phi[k], self.scan_phi[k] + 2.0 * np.pi / n
-            flo = fa
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                if self._flag(self.point_at(mid), i) == flo:
-                    lo = mid
-                else:
-                    hi = mid
-            out.append(self.point_at(lo if flo else hi))
+            lo, hi = _bisect_predicate(flag, self.scan_phi[k],
+                                       self.scan_phi[k] + 2.0 * np.pi / n,
+                                       fa, tol)
+            out.append(self.point_at(lo if fa else hi))
         return out
 
     def feasible_extreme(self, i: int) -> np.ndarray:
@@ -224,15 +214,9 @@ class LevelCurve:
         """sup{u >= 0 : some curve point dominates u*c componentwise}."""
         c = np.asarray(c, dtype=float)
         if np.all(c > 0):
-            def ratio(p):
-                return float(min(p[0] / c[0], p[1] / c[1]))
-            k = int(np.argmax([ratio(p) for p in self.scan_points]))
-            n = len(self.scan_phi)
-            span = 2.0 * np.pi / n
-            phi, val = _golden_min(lambda f: -ratio(self.point_at(f)),
-                                   self.scan_phi[k] - span,
-                                   self.scan_phi[k] + span, tol=1e-10)
-            return max(-val, 0.0)
+            _, val = self._scan_max(
+                lambda p: float(min(p[0] / c[0], p[1] / c[1])), tol=1e-10)
+            return max(val, 0.0)
         # coordinate direction: sup of theta_i over curve points with the
         # other coordinate positive
         i = 1 if c[0] > 0 else 2

@@ -2,7 +2,12 @@
 
 Canonical form, tilting intervals, superharmonic-vector existence (both the
 G-matrix and the common-vector characterizations), G/R matrices and
-recurrence classification.
+recurrence classification.  One twisted fixed-point iteration computes G
+(``_g_iteration``): ``g_minus`` runs it to convergence, and the one existence
+test ``superharmonic_exists_via_G`` decides during it.  The boundary
+compatibility condition is solved by ``boundary_compatibility``, which
+``qbd2d.check_assumption2`` shares.  The scalar tools (Brent roots, convex
+minima, sublevel intervals, predicate bisection) also serve ``levelset``.
 
 Block layout convention: the matrix acts on level-stacked row vectors
 (pi_0, pi_1, ...) with level 0 of dimension m0 and all higher levels of
@@ -21,7 +26,7 @@ construction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,13 +120,19 @@ class GMinusResult:
 
 
 @dataclass(frozen=True)
-class Assumption1Result:
+class CompatibilityResult:
+    """Outcome of ``boundary_compatibility`` (both check_assumption1 and
+    qbd2d.check_assumption2 return it)."""
+
     holds: bool
     branch: str          # "c1", "c0" or "none"
     c0: float
     c1: float
     h0: np.ndarray | None
     residual: float
+
+
+Assumption1Result = CompatibilityResult
 
 
 def assemble_truncated(k: QbdBlocks, levels: int) -> np.ndarray:
@@ -272,23 +283,39 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     raise NoConvergence("root bracket did not shrink to the tolerance")
 
 
-def gamma1d_plus(k: QbdBlocks, tol: float = 1e-12) -> Interval:
-    """Sublevel interval {theta : gamma(theta) <= 1} of the convex interior
-    eigenvalue curve; empty and degenerate results are valid."""
-    f = lambda th: gamma_a(k, th)
-    xmin, fmin = convex_min_scalar(f, 0.0, tol=tol)
-    if fmin > 1.0:
-        return EMPTY_INTERVAL
-    g = lambda th: f(th) - 1.0
+def _sublevel_interval(f, level: float, x0: float, step: float, tol: float):
+    """Ends (lo, hi) of {x : f(x) <= level} for a convex scalar f, or None
+    when the minimum lies above ``level``: convex minimum, a doubling
+    bracket on each side, then one Brent root per side."""
+    xmin, fmin = convex_min_scalar(f, x0, step=step, tol=tol)
+    if fmin > level:
+        return None
+    g = lambda x: f(x) - level
     lo_b = xmin - 1.0
     while g(lo_b) <= 0:
         lo_b = xmin - 2.0 * (xmin - lo_b)
     hi_b = xmin + 1.0
     while g(hi_b) <= 0:
         hi_b = xmin + 2.0 * (hi_b - xmin)
-    lo = bisect_root(g, lo_b, xmin, tol=tol) if g(xmin) < 0 else xmin
-    hi = bisect_root(g, xmin, hi_b, tol=tol) if g(xmin) < 0 else xmin
-    return Interval(lo=lo, hi=hi)
+    return bisect_root(g, lo_b, xmin, tol=tol), bisect_root(g, xmin, hi_b, tol=tol)
+
+
+def _bisect_predicate(pred, a: float, b: float, at_a: bool, tol: float):
+    """Shrink [a, b] to width ``tol`` keeping pred(a) == at_a != pred(b)."""
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if pred(mid) == at_a:
+            a = mid
+        else:
+            b = mid
+    return a, b
+
+
+def gamma1d_plus(k: QbdBlocks, tol: float = 1e-12) -> Interval:
+    """Sublevel interval {theta : gamma(theta) <= 1} of the convex interior
+    eigenvalue curve; empty and degenerate results are valid."""
+    ends = _sublevel_interval(lambda th: gamma_a(k, th), 1.0, 0.0, 1.0, tol)
+    return EMPTY_INTERVAL if ends is None else Interval(*ends)
 
 
 def cp_kplus(k: QbdBlocks, tol: float = 1e-12) -> float:
@@ -296,6 +323,29 @@ def cp_kplus(k: QbdBlocks, tol: float = 1e-12) -> float:
     the convex minimum of the interior eigenvalue curve."""
     _, fmin = convex_min_scalar(lambda th: gamma_a(k, th), 0.0, tol=tol)
     return 1.0 / fmin
+
+
+def _g_iteration(k: QbdBlocks, theta1: float):
+    """Fixed-point iteration for G- in twisted coordinates at theta1, the
+    left end of {gamma <= 1}, where the twisted chain is (sub)stochastic.
+
+    Returns ``(untwist, iterates)``: ``iterates`` yields (g_n, change_n) for
+    n = 1, 2, ..., the twisted iterates increasing entrywise from 0 and
+    their sup-norm change, and ``untwist * g_n`` is G_n in the original
+    coordinates.
+    """
+    h = matcore.dominant(a_mgf(k, theta1)).right
+    tw_m1, tw_0, tw_1 = matcore.twist((k.am1, k.a0, k.a1), h, theta1, (-1, 0, 1))
+
+    def iterates():
+        g = np.zeros((k.m, k.m))
+        while True:
+            g_next = tw_m1 + tw_0 @ g + tw_1 @ (g @ g)
+            diff = float(np.abs(g_next - g).max())
+            g = g_next
+            yield g, diff
+
+    return np.exp(theta1) * (h[:, np.newaxis] / h[np.newaxis, :]), iterates()
 
 
 def g_minus(k: QbdBlocks, tol: float = 1e-13, max_iter: int = 10**7) -> GMinusResult:
@@ -308,22 +358,16 @@ def g_minus(k: QbdBlocks, tol: float = 1e-13, max_iter: int = 10**7) -> GMinusRe
     interval = gamma1d_plus(k)
     if interval.empty:
         raise GammaPlusEmpty("gamma(theta) > 1 everywhere; G is undefined")
-    theta1 = interval.lo
-    h = matcore.dominant(a_mgf(k, theta1)).right
     if interval.hi - interval.lo < 1e-9:
         warnings.warn("tangent tilting interval: twisted chain is null "
                       "recurrent, G iteration converges slowly", RuntimeWarning)
-    tw_m1, tw_0, tw_1 = matcore.twist((k.am1, k.a0, k.a1), h, theta1, (-1, 0, 1))
-    m = k.m
-    g = np.zeros((m, m))
+    untwist, iterates = _g_iteration(k, interval.lo)
     check, diff_at_check = 1024, np.inf
-    for it in range(1, max_iter + 1):
-        g_next = tw_m1 + tw_0 @ g + tw_1 @ (g @ g)
-        diff = float(np.max(np.abs(g_next - g)))
-        g = g_next
+    for it, (g, diff) in enumerate(iterates, start=1):
         if diff <= tol:
-            untwisted = np.exp(theta1) * (g * h[:, np.newaxis] / h[np.newaxis, :])
-            return GMinusResult(g=untwisted, theta1=theta1, iterations=it)
+            return GMinusResult(g=untwist * g, theta1=interval.lo, iterations=it)
+        if it == max_iter:
+            break
         if it == check:
             # project the geometric tail; bail out early if the remaining
             # budget cannot reach tol (near-null-recurrent twisted chain)
@@ -348,22 +392,52 @@ def _is_stochastic(k: QbdBlocks, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(rows - 1.0)) <= tol)
 
 
-def superharmonic_exists_via_G(k: QbdBlocks, g_max_iter: int = 10**6) -> bool:
+def superharmonic_exists_via_G(k: QbdBlocks, g_max_iter: int = 200_000) -> bool:
     """Existence of a positive y with K y <= y, via the G-matrix test:
-    the tilting interval is nonempty and sp(C0 + A1 G-) <= 1."""
+    the tilting interval is nonempty and sp(C0 + A1 G-) <= 1.
+
+    Decided during the G iteration.  The iterates increase entrywise from
+    0, so sp(C0 + A1 G_n) > 1 + slack is a rigorous "no"; a geometric
+    remainder bound from the measured contraction rate certifies "yes"
+    early.  Raises NoConvergence when the twisted chain is too close to
+    null recurrent to decide within ``g_max_iter`` iterations.
+    """
     if _is_stochastic(k):
         # the ones vector is superharmonic; skips the (possibly null
         # recurrent, slowly converging) G iteration
         return True
-    if gamma1d_plus(k).empty:
+    iv = gamma1d_plus(k)
+    if iv.empty:
         return False
     try:
         can = canonical_form(k)
     except BoundaryNotInvertible:
         # sp(B0) >= 1 already contradicts existence
         return False
-    g = g_minus(k, max_iter=g_max_iter)
-    return matcore.spectral_radius(can.c0 + can.a1 @ g.g) <= 1.0 + LE_ONE_SLACK
+    untwist, iterates = _g_iteration(k, iv.lo)
+    bound_scale = float(untwist.max())
+    check = 256
+    diff_prev = it_prev = None
+    for it, (g, diff) in enumerate(iterates, start=1):
+        if diff <= 1e-13 or it >= check:
+            check = it + min(2 * check, 8192)
+            sp_lo = matcore.spectral_radius(can.c0 + can.a1 @ (untwist * g))
+            if sp_lo > 1.0 + LE_ONE_SLACK:
+                return False
+            if diff <= 1e-13:
+                return True
+            if diff_prev is not None and 0.0 < diff < diff_prev:
+                rate = (diff / diff_prev) ** (1.0 / (it - it_prev))
+                if rate < 1.0:
+                    bound = 4.0 * bound_scale * diff * rate / (1.0 - rate)
+                    sp_hi = matcore.spectral_radius(
+                        can.c0 + can.a1 @ (untwist * g + bound))
+                    if sp_hi <= 1.0 + LE_ONE_SLACK:
+                        return True
+            diff_prev, it_prev = diff, it
+        if it >= g_max_iter:
+            break
+    raise NoConvergence("existence undecidable within budget at this scale")
 
 
 def _common_vector_feasible(a_mat: np.ndarray, c_mat: np.ndarray,
@@ -433,29 +507,14 @@ def gamma1d_0plus(k: QbdBlocks, tol: float = 1e-10) -> Interval:
         return EMPTY_INTERVAL
     i_first = flags.index(True)
     i_last = len(flags) - 1 - flags[::-1].index(True)
-    # left endpoint
-    if i_first == 0:
-        lo = plus.lo
-    else:
-        a, b = grid[i_first - 1], grid[i_first]
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            if member(mid):
-                b = mid
-            else:
-                a = mid
+    lo, hi = plus.lo, plus.hi
+    if i_first > 0:
+        a, b = _bisect_predicate(member, grid[i_first - 1], grid[i_first],
+                                 False, tol)
         lo = 0.5 * (a + b)
-    # right endpoint
-    if i_last == len(grid) - 1:
-        hi = plus.hi
-    else:
-        a, b = grid[i_last], grid[i_last + 1]
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            if member(mid):
-                a = mid
-            else:
-                b = mid
+    if i_last < len(grid) - 1:
+        a, b = _bisect_predicate(member, grid[i_last], grid[i_last + 1],
+                                 True, tol)
         hi = 0.5 * (a + b)
     return Interval(lo=lo, hi=hi)
 
@@ -468,6 +527,47 @@ def _fit_proportional(v: np.ndarray, ref: np.ndarray):
     return c, resid
 
 
+def boundary_compatibility(down, f0, f1, a_low, a_up, h, theta: float,
+                           pinned: float, inverse, tol: float) -> CompatibilityResult:
+    """Boundary vector h0 > 0 and scalars (c0, c1), one of them pinned, with
+
+        F0 h0 + e^{theta} F1 h                   = c0 h0,
+        e^{-theta} D h0 + (A_low + e^{theta} A_up) h = c1 h,
+
+    where D is ``down``.  The c1-pinned branch solves the second display
+    for h0 by least squares, then fits c0; the c0-pinned branch takes
+    h0 = e^{theta} inverse() F1 h, then fits c1.  ``inverse`` returns
+    (I - F0)^{-1} (discrete time) or (-F0)^{-1} (continuous time), or None
+    when that does not exist.
+    """
+    eo = np.exp(theta)
+    # branch with c1 pinned: solve the lower display for h0
+    rhs = eo * ((pinned * h) - (a_low @ h) - eo * (a_up @ h))
+    h0, *_ = np.linalg.lstsq(down, rhs, rcond=None)
+    solve_resid = float(np.max(np.abs(down @ h0 - rhs))) / max(1.0, float(np.max(np.abs(rhs))))
+    if solve_resid <= tol and np.all(h0 > 0):
+        c0, prop = _fit_proportional(f0 @ h0 + eo * (f1 @ h), h0)
+        resid = max(solve_resid, prop)
+        if resid <= tol:
+            return CompatibilityResult(holds=True, branch="c1", c0=c0,
+                                       c1=pinned, h0=h0, residual=resid)
+
+    # branch with c0 pinned: h0 from the upper display
+    inv = inverse()
+    if inv is not None:
+        h0b = inv @ (eo * (f1 @ h))
+        if np.all(h0b > 0):
+            w = np.exp(-theta) * (down @ h0b) + (a_low + eo * a_up) @ h
+            c1, prop = _fit_proportional(w, h)
+            if prop <= tol:
+                return CompatibilityResult(holds=True, branch="c0", c0=pinned,
+                                           c1=c1, h0=h0b, residual=prop)
+
+    best = solve_resid if np.all(h0 > 0) else np.inf
+    return CompatibilityResult(holds=False, branch="none", c0=np.nan,
+                               c1=np.nan, h0=None, residual=float(best))
+
+
 def check_assumption1(k: QbdBlocks, theta: float, tol: float = 1e-8) -> Assumption1Result:
     """Numerical check of the boundary compatibility condition at theta:
     existence of a positive boundary vector h0 and scalars (c0, c1), one of
@@ -476,44 +576,22 @@ def check_assumption1(k: QbdBlocks, theta: float, tol: float = 1e-8) -> Assumpti
         B0 h0 + e^{theta} B1 h           = c0 h0,
         e^{-theta} B_-1 h0 + (A0 + e^{theta} A1) h = c1 h,
 
-    where h is the Perron vector of A_*(theta).  Tries the c1 = 1 branch
-    (solve the second display for h0, then fit c0), then the c0 = 1 branch
-    symmetrically.
+    where h is the Perron vector of A_*(theta) (``boundary_compatibility``
+    with D = B_-1, F0 = B0, F1 = B1, A_low = A0, A_up = A1).
     """
     plus = gamma1d_plus(k)
     if not plus.contains(theta, slack=1e-9):
         raise ThetaOutsideGammaPlus(f"theta={theta} outside {plus}")
     h = matcore.dominant(a_mgf(k, theta)).right
-    h = h / h.max()
-    et = np.exp(theta)
 
-    # branch c1 = 1: e^{-theta} B_-1 h0 = (I - A0 - e^{theta} A1) h
-    rhs = et * ((np.eye(k.m) - k.a0 - et * k.a1) @ h)
-    h0, *_ = np.linalg.lstsq(k.bm1, rhs, rcond=None)
-    solve_resid = float(np.max(np.abs(k.bm1 @ h0 - rhs))) / max(1.0, float(np.max(np.abs(rhs))))
-    if solve_resid <= tol and np.all(h0 > 0):
-        v = k.b0 @ h0 + et * (k.b1 @ h)
-        c0, prop_resid = _fit_proportional(v, h0)
-        resid = max(solve_resid, prop_resid)
-        if resid <= tol:
-            return Assumption1Result(holds=True, branch="c1", c0=c0, c1=1.0,
-                                     h0=h0, residual=resid)
+    def inverse():
+        try:
+            return matcore.neumann_inverse(k.b0)
+        except SpectralRadiusNotBelowOne:
+            return None
 
-    # branch c0 = 1: (I - B0) h0 = e^{theta} B1 h
-    try:
-        h0b = matcore.neumann_inverse(k.b0) @ (et * (k.b1 @ h))
-    except SpectralRadiusNotBelowOne:
-        h0b = None
-    if h0b is not None and np.all(h0b > 0):
-        w = np.exp(-theta) * (k.bm1 @ h0b) + (k.a0 + et * k.a1) @ h
-        c1, prop_resid = _fit_proportional(w, h)
-        if prop_resid <= tol:
-            return Assumption1Result(holds=True, branch="c0", c0=1.0, c1=c1,
-                                     h0=h0b, residual=prop_resid)
-
-    best = solve_resid if np.all(h0 > 0) else np.inf
-    return Assumption1Result(holds=False, branch="none", c0=np.nan, c1=np.nan,
-                             h0=None, residual=float(best))
+    return boundary_compatibility(k.bm1, k.b0, k.b1, k.a0, k.a1, h / h.max(),
+                                  theta, 1.0, inverse, tol)
 
 
 def mean_drift(k: QbdBlocks) -> float:
@@ -579,61 +657,10 @@ def qbd_stationary(k: QbdBlocks, max_level: int) -> list[np.ndarray]:
     return out
 
 
-def _exists_decision(k: QbdBlocks, budget: int = 200_000) -> bool:
-    """Superharmonic existence decided incrementally during the G iteration.
-
-    The iterates increase entrywise from 0, so sp(C0 + A1 G_n) > 1 + slack is
-    a rigorous "no".  A geometric remainder bound from the measured
-    contraction rate certifies "yes" early.  Raises NoConvergence when the
-    twisted chain is too close to null recurrent to decide in budget.
-    """
-    if _is_stochastic(k):
-        return True
-    iv = gamma1d_plus(k)
-    if iv.empty:
-        return False
-    try:
-        can = canonical_form(k)
-    except BoundaryNotInvertible:
-        return False
-    theta1 = iv.lo
-    h = matcore.dominant(a_mgf(k, theta1)).right
-    tw_m1, tw_0, tw_1 = matcore.twist((k.am1, k.a0, k.a1), h, theta1, (-1, 0, 1))
-    untwist = np.exp(theta1) * (h[:, np.newaxis] / h[np.newaxis, :])
-    bound_scale = np.exp(theta1) * float(h.max() / h.min())
-    m = k.m
-    g = np.zeros((m, m))
-    it, check = 0, 256
-    diff_prev = it_prev = None
-    while it < budget:
-        g_new = tw_m1 + tw_0 @ g + tw_1 @ (g @ g)
-        diff = float(np.abs(g_new - g).max())
-        g = g_new
-        it += 1
-        if diff <= 1e-13 or it >= check:
-            check = it + min(2 * check, 8192)
-            sp_lo = matcore.spectral_radius(can.c0 + can.a1 @ (untwist * g))
-            if sp_lo > 1.0 + LE_ONE_SLACK:
-                return False
-            if diff <= 1e-13:
-                return True
-            if diff_prev is not None and 0.0 < diff < diff_prev:
-                rate = (diff / diff_prev) ** (1.0 / (it - it_prev))
-                if rate < 1.0:
-                    bound = 4.0 * bound_scale * diff * rate / (1.0 - rate)
-                    sp_hi = matcore.spectral_radius(
-                        can.c0 + can.a1 @ (untwist * g + bound))
-                    if sp_hi <= 1.0 + LE_ONE_SLACK:
-                        return True
-            diff_prev, it_prev = diff, it
-    raise NoConvergence("existence undecidable within budget at this scale")
-
-
-def cp_k(k: QbdBlocks, steps: int = 40) -> float:
-    """Convergence parameter of the assembled matrix: sup{u : uK has a
-    superharmonic vector}, by bisection on the scale u."""
-    t_plus = cp_kplus(k)
-    if not superharmonic_exists_via_G(k):
+def _cp_bisect(k: QbdBlocks, exists: bool, t_plus: float, steps: int) -> float:
+    """Bisection on the scale u for sup{u : uK has a superharmonic vector},
+    given the existence answer at u = 1 and c_p(K_+)."""
+    if not exists:
         # c_p(K) < 1; bisect on (0, 1]
         lo, hi = 0.0, 1.0
     else:
@@ -643,7 +670,7 @@ def cp_k(k: QbdBlocks, steps: int = 40) -> float:
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         try:
-            ok = _exists_decision(scale(k, mid))
+            ok = superharmonic_exists_via_G(scale(k, mid))
         except NoConvergence:
             # near the critical scale the twisted chain is almost null
             # recurrent; classify conservatively, the error stays within
@@ -656,11 +683,17 @@ def cp_k(k: QbdBlocks, steps: int = 40) -> float:
     return 0.5 * (lo + hi)
 
 
+def cp_k(k: QbdBlocks, steps: int = 40) -> float:
+    """Convergence parameter of the assembled matrix: sup{u : uK has a
+    superharmonic vector}, by bisection on the scale u."""
+    return _cp_bisect(k, superharmonic_exists_via_G(k), cp_kplus(k), steps)
+
+
 def classify_recurrence(k: QbdBlocks, tol: float = 1e-9) -> str:
     """Coarse classification at the convergence parameter t = c_p(K):
     ``"t_positive"`` when t < c_p(K_+), else ``"t_null_or_transient"``."""
     if not superharmonic_exists_via_G(k):
         raise NoSuperharmonicVector("c_p(K) < 1")
-    t = cp_k(k)
     t_plus = cp_kplus(k)
+    t = _cp_bisect(k, True, t_plus, steps=40)
     return "t_positive" if t < t_plus - tol else "t_null_or_transient"

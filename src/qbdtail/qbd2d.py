@@ -19,7 +19,6 @@ import numpy as np
 
 from . import matcore, qbd1d
 from .errors import (
-    EmptyGammaPlus,
     FaceNotInvertible,
     QiNotPositiveRecurrent,
     NotPositiveRecurrent,
@@ -39,6 +38,9 @@ REGIONS = (("0", "0"), ("1", "0"), ("+", "0"), ("0", "1"), ("0", "+"),
 _REP = {"0": 0, "1": 1, "+": 2}
 
 FEAS_SLACK = 1e-10
+
+#: face i: (axis region where coordinate 3-i is 0, inner region where it is 1)
+_FACES = {1: (("+", "0"), ("+", "1")), 2: (("0", "+"), ("1", "+"))}
 
 
 def region_of(l1: int, l2: int) -> tuple:
@@ -224,19 +226,21 @@ def _face_sum(spec, reg, fixed, axis, theta_val):
 
 def face_mgf(spec: Qbd2dSpec, i: int, k: int, theta_i: float) -> np.ndarray:
     """Axis-face MGF A^{(face i)}_{*k}(theta_i) for k in {0, 1}."""
-    reg = ("+", "0") if i == 1 else ("0", "+")
-    return _face_sum(spec, reg, k, 0 if i == 1 else 1, theta_i)
+    return _face_sum(spec, _FACES[i][0], k, i - 1, theta_i)
 
 
-def face_down_mgf(spec: Qbd2dSpec, i: int, theta_i: float) -> np.ndarray:
-    """Down-crossing MGF A^{(inner face i)}_{*(-1)}(theta_i)."""
-    reg = ("+", "1") if i == 1 else ("1", "+")
-    return _face_sum(spec, reg, -1, 0 if i == 1 else 1, theta_i)
-
-
-def interior_star_k(spec: Qbd2dSpec, i: int, k: int, theta_i: float) -> np.ndarray:
-    """Interior MGF summed over coordinate i with the other increment at k."""
-    return _face_sum(spec, ("+", "+"), k, 0 if i == 1 else 1, theta_i)
+def face_mgfs(spec: Qbd2dSpec, i: int, theta_i: float) -> tuple:
+    """The five MGFs of face i at theta_i, each summed over coordinate i:
+    (D, F0, F1, A_low, A_up), with D the down-crossing MGF of the inner face
+    (other increment -1), F0, F1 the axis-face MGFs and A_low, A_up the
+    interior ones (other increment 0 and 1)."""
+    face, inner = _FACES[i]
+    axis = i - 1
+    return (_face_sum(spec, inner, -1, axis, theta_i),
+            _face_sum(spec, face, 0, axis, theta_i),
+            _face_sum(spec, face, 1, axis, theta_i),
+            _face_sum(spec, ("+", "+"), 0, axis, theta_i),
+            _face_sum(spec, ("+", "+"), 1, axis, theta_i))
 
 
 def _censor_inverse(spec: Qbd2dSpec, w: np.ndarray) -> np.ndarray:
@@ -260,14 +264,9 @@ def c2_mgf(spec: Qbd2dSpec, i: int, theta) -> np.ndarray:
     with F0, F1 the axis-face MGFs and D the down-crossing MGF; in continuous
     time (I - F0)^{-1} becomes (-F0)^{-1}.
     """
-    t1, t2 = float(theta[0]), float(theta[1])
-    ti, tother = (t1, t2) if i == 1 else (t2, t1)
-    f0 = face_mgf(spec, i, 0, ti)
-    f1 = face_mgf(spec, i, 1, ti)
-    down = face_down_mgf(spec, i, ti)
+    ti, tother = float(theta[i - 1]), float(theta[2 - i])
+    down, f0, f1, a_low, a_up = face_mgfs(spec, i, ti)
     inv = _censor_inverse(spec, f0)
-    a_low = interior_star_k(spec, i, 0, ti)
-    a_up = interior_star_k(spec, i, 1, ti)
     return a_low + np.exp(tother) * a_up + down @ inv @ f1
 
 
@@ -376,27 +375,9 @@ def mean_drifts(spec: Qbd2dSpec) -> tuple:
 
 def _transverse_qbd(spec: Qbd2dSpec, i: int) -> qbd1d.QbdBlocks:
     """The QBD in coordinate 3-i obtained by summing out coordinate i."""
-    if i == 1:
-        face, inner = ("+", "0"), ("+", "1")
-        axis = 0
-    else:
-        face, inner = ("0", "+"), ("1", "+")
-        axis = 1
-    ffam = spec.families[face]
-    infam = spec.families[inner]
-    itfam = spec.families[("+", "+")]
-
-    def collect(fam, level_inc, ax):
-        return sum(b for (inc), b in fam.items()
-                   if (inc[1] if ax == 0 else inc[0]) == level_inc)
-
-    b0 = collect(ffam, 0, axis)
-    b1 = collect(ffam, 1, axis)
-    bm1 = collect(infam, -1, axis)
-    am1 = collect(itfam, -1, axis)
-    a0 = collect(itfam, 0, axis)
-    a1 = collect(itfam, 1, axis)
-    return qbd1d.QbdBlocks(b0=b0, b1=b1, bm1=bm1, am1=am1, a0=a0, a1=a1)
+    down, f0, f1, a_low, a_up = face_mgfs(spec, i, 0.0)
+    am1 = _face_sum(spec, ("+", "+"), -1, i - 1, 0.0)
+    return qbd1d.QbdBlocks(b0=f0, b1=f1, bm1=down, am1=am1, a0=a_low, a1=a_up)
 
 
 def induced_drifts(spec: Qbd2dSpec) -> tuple:
@@ -418,14 +399,9 @@ def induced_drifts(spec: Qbd2dSpec) -> tuple:
                 f"transverse chain for coordinate {i} is not positive "
                 f"recurrent") from exc
         fam = spec.families
-        if i == 1:
-            face, inner = ("+", "0"), ("+", "1")
-            lvl = lambda inc: inc[0]
-            oth = lambda inc: inc[1]
-        else:
-            face, inner = ("0", "+"), ("1", "+")
-            lvl = lambda inc: inc[1]
-            oth = lambda inc: inc[0]
+        face, inner = _FACES[i]
+        lvl = lambda inc: inc[i - 1]
+        oth = lambda inc: inc[2 - i]
         dims_face = q.m0
         d_axis = np.zeros(dims_face)
         for inc, b in fam[face].items():
@@ -489,69 +465,29 @@ def decay_rates(spec: Qbd2dSpec, directions, scan: int = 192,
 # -- boundary compatibility checker -------------------------------------------
 
 
-@dataclass(frozen=True)
-class Assumption2Result:
-    holds: bool
-    branch: str
-    c0: float
-    c1: float
-    h0: np.ndarray | None
-    residual: float
+Assumption2Result = qbd1d.CompatibilityResult
 
 
 def check_assumption2(spec: Qbd2dSpec, theta, i: int,
                       tol: float = 1e-8) -> Assumption2Result:
     """Boundary compatibility condition for face i at a curve point.
 
-    Solves the lower balance display for the boundary vector, then tests
-    proportionality in the upper display; tries both normalization branches
-    (c1 pinned in discrete time, c1 = 0 in continuous time, then the c0
-    branch symmetrically).
+    ``qbd1d.boundary_compatibility`` on the face MGFs at theta_i, with the
+    Perron vector of the interior MGF; the pinned scalar is 1 in discrete
+    time and 0 in continuous time.
     """
     theta = np.asarray(theta, dtype=float)
     level = gamma_level(spec)
     if abs(gamma2(spec, theta) - level) > 1e-8:
         raise ThetaNotOnCurve(f"gamma(theta) != {level} at {theta}")
     _, h = gamma2_pair(spec, theta)
-    h = h / h.max()
-    ti = float(theta[i - 1])
-    tother = float(theta[2 - i])
-    eo = np.exp(tother)
-    f0 = face_mgf(spec, i, 0, ti)
-    f1 = face_mgf(spec, i, 1, ti)
-    down = face_down_mgf(spec, i, ti)
-    a_low = interior_star_k(spec, i, 0, ti)
-    a_up = interior_star_k(spec, i, 1, ti)
-    discrete = spec.time == "discrete"
-    pinned_c1 = 1.0 if discrete else 0.0
+    down, f0, f1, a_low, a_up = face_mgfs(spec, i, float(theta[i - 1]))
 
-    # branch with c1 pinned: solve the lower display for h0
-    rhs = eo * ((pinned_c1 * h) - (a_low @ h) - eo * (a_up @ h))
-    h0, *_ = np.linalg.lstsq(down, rhs, rcond=None)
-    solve_resid = float(np.max(np.abs(down @ h0 - rhs))) / max(1.0, float(np.max(np.abs(rhs))))
-    if solve_resid <= tol and np.all(h0 > 0):
-        v = f0 @ h0 + eo * (f1 @ h)
-        c0, prop = qbd1d._fit_proportional(v, h0)
-        resid = max(solve_resid, prop)
-        if resid <= tol:
-            return Assumption2Result(holds=True, branch="c1", c0=c0,
-                                     c1=pinned_c1, h0=h0, residual=resid)
+    def inverse():
+        try:
+            return _censor_inverse(spec, f0)
+        except FaceNotInvertible:
+            return None
 
-    # branch with c0 pinned: h0 from the upper display
-    try:
-        inv = _censor_inverse(spec, f0)
-    except FaceNotInvertible:
-        inv = None
-    if inv is not None:
-        h0b = inv @ (eo * (f1 @ h))
-        if np.all(h0b > 0):
-            w = np.exp(-tother) * (down @ h0b) + (a_low + eo * a_up) @ h
-            c1, prop = qbd1d._fit_proportional(w, h)
-            if prop <= tol:
-                return Assumption2Result(holds=True, branch="c0",
-                                         c0=1.0 if discrete else 0.0,
-                                         c1=c1, h0=h0b, residual=prop)
-
-    best = solve_resid if np.all(h0 > 0) else np.inf
-    return Assumption2Result(holds=False, branch="none", c0=np.nan,
-                             c1=np.nan, h0=None, residual=float(best))
+    return qbd1d.boundary_compatibility(down, f0, f1, a_low, a_up, h / h.max(),
+                                        float(theta[2 - i]), level, inverse, tol)

@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 
 from qbdtail import cli, modelfile
 from qbdtail.errors import ParseError, SchemaError
+
+from conftest import scalar_rrw
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -179,6 +182,113 @@ def test_bad_direction_is_an_input_error(command, direction, capsys):
     err = capsys.readouterr().err
     assert "model error: bad direction" in err
     assert "Traceback" not in err
+
+
+NEGATIVE_INTERIOR = ('"0,0":  [[0.26]]', '"0,0":  [[-0.26]]')
+
+
+@pytest.mark.parametrize("command", [
+    ["stability"], ["decay"], ["boundary", "--samples", "32", "--out", "x.csv"],
+    ["verify", "--extent", "30"]])
+def test_commands_reject_what_validate_rejects(command, tmp_path, capsys,
+                                               monkeypatch):
+    src = (MODELS / "scalar_rrw.yaml").read_text()
+    assert NEGATIVE_INTERIOR[0] in src
+    bad = tmp_path / "negative.yaml"
+    bad.write_text(src.replace(*NEGATIVE_INTERIOR, 1))
+    assert cli.main(["validate", str(bad)]) == 2
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([command[0], str(bad), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("model error:")
+    assert "NegativeEntryViolation" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "x.csv").exists()
+
+
+def _fuzz_files(tmp_path) -> dict:
+    """Named model files: the shipped ones and broken or unstable variants."""
+    rrw = (MODELS / "scalar_rrw.yaml").read_text()
+    tandem = (MODELS / "tandem_jackson.yaml").read_text()
+    unstable_rrw = modelfile.dump_model(modelfile.ModelFile(
+        "1", "qbd2d_discrete", scalar_rrw(0.25, 0.15, 0.22, 0.12)))
+    texts = {
+        "rrw": rrw,
+        "tandem": tandem,
+        "malformed_yaml": rrw.replace("families:", "families: [", 1),
+        "not_a_mapping": "- just\n- a list\n",
+        "truncated": rrw[: len(rrw) // 2],
+        "wrong_shape": rrw.replace('"1,0":  [[0.15]]', '"1,0":  [[0.15, 0.0]]', 1),
+        "negative_entry": rrw.replace(*NEGATIVE_INTERIOR, 1),
+        "negative_offdiag": rrw.replace('"1,0":  [[0.15]]', '"1,0":  [[-0.15]]', 1)
+                               .replace(*NEGATIVE_INTERIOR, 1),
+        "nan_entry": rrw.replace('"0,1":  [[0.12]]', '"0,1":  [[.nan]]', 1),
+        "unstable_rrw": unstable_rrw,
+        "unstable_tandem": tandem.replace("[[-1.0]]", "[[-5.0]]", 1)
+                                 .replace("u: [[1.0]]", "u: [[5.0]]", 1),
+        "bad_routing": tandem.replace("r12: 1.0", "r12: 1.5", 1),
+    }
+    rng = np.random.default_rng(2024)
+    tokens = ["-1", ".nan", "1e308", "x", "[[0.1, 0.2]]", "[]", "2", "0"]
+    numbers = list(re.finditer(r"-?\d+\.\d+", rrw))
+    for k in range(6):
+        hit = numbers[int(rng.integers(len(numbers)))]
+        texts[f"random_{k}"] = (rrw[:hit.start()]
+                                + tokens[int(rng.integers(len(tokens)))]
+                                + rrw[hit.end():])
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = tmp_path / f"{name}.yaml"
+        paths[name].write_text(text)
+    return paths
+
+
+_FUZZ_COMMANDS = [
+    ["validate"], ["stability"],
+    ["decay", "--scan", "32"],
+    ["decay", "--scan", "32", "--direction", "0,0"],
+    ["decay", "--scan", "32", "--direction", "-1,2"],
+    ["decay", "--scan", "32", "--direction", "nan,1"],
+    ["decay", "--scan", "32", "--direction", "1,2,3"],
+    ["decay", "--scan", "0"],
+    ["boundary", "--samples", "16", "--out", "out.csv"],
+    ["boundary", "--samples", "0", "--out", "out.csv"],
+    ["verify", "--extent", "12", "--scan", "16"],
+    ["verify", "--extent", "0"],
+    ["jackson", "decay", "--scan", "32"],
+    ["jackson", "decay", "--scan", "32", "--direction", "inf,1"],
+    ["jackson", "certificate", "--points", "4"],
+    ["jackson", "certificate", "--points", "-2"],
+    ["jackson", "traffic"],
+]
+
+
+def test_cli_fuzz_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch):
+    """Every command on every broken, unstable or valid file, with bad and
+    good options: exit 0, 2 or 3, no escaping exception, and no negative
+    or NaN rate in a report."""
+    monkeypatch.chdir(tmp_path)
+    files = _fuzz_files(tmp_path)
+    seen = set()
+    for name, path in files.items():
+        for command in _FUZZ_COMMANDS:
+            try:
+                code = cli.main([command[0], str(path), *command[1:]])
+            except SystemExit as exc:     # argparse usage error
+                code = exc.code
+            captured = capsys.readouterr()
+            label = f"{name}: {' '.join(command)}"
+            assert code in (0, 2, 3), label
+            assert "Traceback" not in captured.err, label
+            seen.add(code)
+            for line in captured.out.splitlines():
+                for key in ("rate = ", "tau1 = ", "tau2 = "):
+                    if key in line:
+                        value = float(line.split(key)[1].split()[0])
+                        assert np.isfinite(value) and value >= 0, label
+    assert seen == {0, 2, 3}
 
 
 class TestStabilityCommand:

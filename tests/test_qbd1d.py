@@ -282,6 +282,24 @@ class TestSuperharmonicExists:
         assert exists == (not zero_plus.empty)
 
 
+class TestIntervalHelpers:
+    def test_sublevel_interval_of_a_parabola(self):
+        lo, hi = qbd1d._sublevel_interval(lambda x: (x - 1.0) ** 2, 4.0,
+                                         0.0, 1.0, 1e-12)
+        assert lo == pytest.approx(-1.0, abs=1e-12)
+        assert hi == pytest.approx(3.0, abs=1e-12)
+        assert qbd1d._sublevel_interval(lambda x: x * x + 1.0, 0.5,
+                                       0.0, 1.0, 1e-12) is None
+
+    @pytest.mark.parametrize("at_a", [False, True])
+    def test_bisect_predicate_keeps_the_ends_apart(self, at_a):
+        pred = lambda x: (x < 0.3) == at_a
+        a, b = qbd1d._bisect_predicate(pred, 0.0, 1.0, at_a, 1e-10)
+        assert pred(a) == at_a and pred(b) != at_a
+        assert 0.0 < b - a <= 1e-10
+        assert a <= 0.3 <= b
+
+
 class TestGamma1d0Plus:
     def test_m1_equals_intersection(self):
         # for m = 1 the common-vector interval is exactly the intersection
@@ -435,6 +453,27 @@ class TestClassifyRecurrence:
         k = qbd1d.scale(mm1_blocks(0.2, 0.3), 1.6)
         with pytest.raises(NoSuperharmonicVector):
             qbd1d.classify_recurrence(k)
+
+    def test_unscaled_steps_run_once(self, monkeypatch):
+        # cp_kplus and the existence test at scale 1 are shared between the
+        # classification and its scale bisection, not recomputed
+        k = mm1_blocks(0.2, 0.3)
+        calls = {"cp_kplus": 0, "exists": 0}
+        cp_kplus = qbd1d.cp_kplus
+        exists = qbd1d.superharmonic_exists_via_G
+
+        def counted_cp_kplus(kk, *args, **kwargs):
+            calls["cp_kplus"] += kk is k
+            return cp_kplus(kk, *args, **kwargs)
+
+        def counted_exists(kk, *args, **kwargs):
+            calls["exists"] += kk is k
+            return exists(kk, *args, **kwargs)
+
+        monkeypatch.setattr(qbd1d, "cp_kplus", counted_cp_kplus)
+        monkeypatch.setattr(qbd1d, "superharmonic_exists_via_G", counted_exists)
+        assert qbd1d.classify_recurrence(k) == "t_positive"
+        assert calls == {"cp_kplus": 1, "exists": 1}
 
     def test_bisection_near_critical_scale(self):
         # transient stochastic chain: c_p(K) > 1; scaling past it kills

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbdtail import jackson, levelset, modelfile, qbd2d
+from qbdtail import jackson, levelset, modelfile, qbd1d, qbd2d
 from qbdtail.errors import (
     InconsistentCategory,
     QbdTailError,
@@ -336,6 +336,55 @@ class TestAssumption2:
         assert res.c1 == 0.0  # continuous-time pinned value
         cs = jackson.cumulants(mapph_spec)
         assert res.c0 == pytest.approx(cs.gamma_face(1, theta), abs=1e-8)
+
+    @pytest.mark.parametrize("i", [1, 2])
+    @pytest.mark.parametrize("instance", ["scalar", "counterexample",
+                                          "adversarial"])
+    def test_agrees_with_assumption1_on_an_embedded_qbd1d(self, instance, i):
+        # a 1-d QBD embedded as a 2-d spec whose coordinate i never moves:
+        # face i of the spec is the 1-d boundary, at every theta_i
+        rng = np.random.default_rng(41)
+        if instance == "scalar":
+            k = qbd1d.QbdBlocks(b0=[[0.5]], b1=[[0.25]], bm1=[[0.2]],
+                                am1=[[0.4]], a0=[[0.25]], a1=[[0.15]])
+        elif instance == "counterexample":   # the paper's appendix kernel
+            am1 = np.array([[0.3, 0.0], [0.5, 0.0]])
+            a0 = np.array([[0.0, 0.4], [0.0, 0.5]])
+            a1 = np.array([[0.2, 0.1], [0.0, 0.0]])
+            k = qbd1d.QbdBlocks(b0=a0 + am1, b1=a1, bm1=am1,
+                                am1=am1, a0=a0, a1=a1)
+        else:   # the boundary of TestAssumption1.test_adversarial_boundary_fails
+            am1, a0, a1 = (rng.uniform(0.05, 0.3, (2, 2)) for _ in range(3))
+            norm = 1.15 * max((am1 + a0 + a1) @ np.ones(2))
+            k = qbd1d.QbdBlocks(b0=rng.uniform(0.01, 0.2, (2, 2)),
+                                b1=rng.uniform(0.01, 0.4, (2, 2)),
+                                bm1=rng.uniform(0.01, 0.4, (2, 2)),
+                                am1=am1 / norm, a0=a0 / norm, a1=a1 / norm)
+        inc = (lambda j: (0, j)) if i == 1 else (lambda j: (j, 0))
+        face, inner = (("+", "0"), ("+", "1")) if i == 1 else (("0", "+"), ("1", "+"))
+        m0, m = k.m0, k.m
+        fams = {("+", "+"): {inc(-1): k.am1, inc(0): k.a0, inc(1): k.a1},
+                face: {inc(0): k.b0, inc(1): k.b1},
+                inner: {inc(-1): k.bm1}}
+        dims = (m0, m0, m, m) if i == 1 else (m0, m, m0, m)
+        spec = qbd2d.make_spec(fams, dims, "discrete")
+        iv = qbd1d.gamma1d_plus(k)
+        branches = set()
+        for t in (iv.lo, iv.hi):
+            one = qbd1d.check_assumption1(k, t)
+            for frozen in (-0.7, 0.0, 1.3):
+                theta = (frozen, t) if i == 1 else (t, frozen)
+                two = qbd2d.check_assumption2(spec, theta, i)
+                assert type(two) is type(one)
+                assert (two.holds, two.branch) == (one.holds, one.branch)
+                if one.holds:
+                    assert two.c0 == pytest.approx(one.c0, abs=1e-10)
+                    assert two.c1 == pytest.approx(one.c1, abs=1e-10)
+                    assert np.allclose(two.h0, one.h0, atol=1e-10)
+                assert two.residual == pytest.approx(one.residual, abs=1e-10)
+            branches.add(one.branch)
+        assert branches == {"scalar": {"c1"}, "counterexample": {"c0", "none"},
+                            "adversarial": {"none"}}[instance]
 
     def test_off_curve_raises(self):
         spec = symmetric_walk()
