@@ -19,7 +19,8 @@ import numpy as np
 
 from . import jackson as jk
 from . import modelfile, oracle, qbd1d, qbd2d
-from .errors import ParseError, QbdTailError, SchemaError, ZeroDirection
+from .errors import (ParseError, QbdTailError, SchemaError, Unstable,
+                     ZeroDirection)
 from .levelset import boundary_rows, checked_direction
 
 EXIT_OK = 0
@@ -250,11 +251,16 @@ def cmd_jackson(args, out) -> int:
 def cmd_verify(args, out) -> int:
     mf = _load(args.file)
     spec2d = _spec_2d(mf)
+    # the analytic taus, under the stability checks that ``decay`` applies
     if mf.kind == "jackson":
-        rep = jk.decay_report(mf.payload, [(1.0, 0.0), (0.0, 1.0)],
-                              scan=args.scan)
-        tau = rep.analytic.tau_report.tau
+        traffic = jk.traffic_check(mf.payload)
+        if not traffic.stable:
+            raise Unstable(f"utilizations {traffic.rho} not both below one")
+        tau = jk.analytic_curve(mf.payload, scan=args.scan).tau_report().tau
     else:
+        verdict = qbd2d.stability_check(spec2d)
+        if verdict != "stable":
+            raise Unstable(f"stability check returned {verdict!r}")
         tau = qbd2d.tau_report(spec2d, scan=args.scan).tau
     table = oracle.truncate_and_solve(spec2d, (args.extent, args.extent),
                                       tol=_default_tol())

@@ -10,18 +10,13 @@ plain least-squares fit on log tail probabilities.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qbd2d
-from .errors import EmptyWindow, NoConvergence, ThetaOutsideDomain
-
-try:
-    import numba
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
+from .errors import EmptyWindow, NoConvergence, NotStochastic, ThetaOutsideDomain
 
 
 def _state_layout(spec: qbd2d.Qbd2dSpec, extent):
@@ -193,7 +188,9 @@ def _transition_tables(spec: qbd2d.Qbd2dSpec):
                 di[r, col], dj[r, col], dk[r, col] = i, j, c
             cum[r, len(row):] = 2.0  # sentinel
             if abs(acc - 1.0) > 1e-9:
-                raise ValueError("simulation requires a stochastic spec")
+                raise NotStochastic(
+                    f"region {''.join(reg)} phase {r}: jump probabilities sum "
+                    f"to {acc:.12g}, not 1")
         tables[reg] = (cum, di, dj, dk)
     return tables
 
@@ -220,44 +217,7 @@ def _stacked_tables(spec):
     return cum, di, dj, dk
 
 
-def _step_chunk_py(cum, di, dj, dk, state, uniforms, counts, spill, rec1, rec2):
-    l1, l2, k = state
-    for u in uniforms:
-        s1 = 0 if l1 == 0 else (1 if l1 == 1 else 2)
-        s2 = 0 if l2 == 0 else (1 if l2 == 1 else 2)
-        reg = s1 * 3 + s2
-        row = cum[reg, k]
-        col = int(np.searchsorted(row, u))
-        l1 += di[reg, k, col]
-        l2 += dj[reg, k, col]
-        k = dk[reg, k, col]
-        if l1 <= rec1 and l2 <= rec2:
-            counts[l1, l2, k] += 1
-        else:
-            spill[0] += 1
-    return l1, l2, k
-
-
-if HAVE_NUMBA:
-    @numba.njit(cache=True)
-    def _step_chunk_jit(cum, di, dj, dk, l1, l2, k, uniforms, counts, spill,
-                        rec1, rec2):  # pragma: no cover - compiled
-        for idx in range(uniforms.size):
-            u = uniforms[idx]
-            s1 = 0 if l1 == 0 else (1 if l1 == 1 else 2)
-            s2 = 0 if l2 == 0 else (1 if l2 == 1 else 2)
-            reg = s1 * 3 + s2
-            col = 0
-            while cum[reg, k, col] < u:
-                col += 1
-            l1 += di[reg, k, col]
-            l2 += dj[reg, k, col]
-            k = dk[reg, k, col]
-            if l1 <= rec1 and l2 <= rec2:
-                counts[l1, l2, k] += 1
-            else:
-                spill[0] += 1
-        return l1, l2, k
+_BLOCK = 4096  # steps per uniform draw; larger blocks only add memory
 
 
 @dataclass(frozen=True)
@@ -283,35 +243,50 @@ class SimulationCounts:
 
 
 def simulate(spec: qbd2d.Qbd2dSpec, seed: int, steps: int,
-             record_extent=(255, 255), start=(0, 0, 0),
-             chunk: int = 1_000_000) -> SimulationCounts:
+             record_extent=(255, 255), start=(0, 0, 0)) -> SimulationCounts:
     """Exact simulation of the chain with the region-dependent kernels.
 
     Uniform variates come from a PCG64 generator seeded explicitly, so runs
     are reproducible; visits outside the recording box are tallied in
-    ``spill`` while the walk itself is unrestricted.
+    ``spill`` while the walk itself is unrestricted.  Each step takes the
+    first column whose cumulative probability is at least its uniform.  The
+    uniforms are drawn in blocks of ``_BLOCK``; the PCG64 stream does not
+    depend on the block size, so neither does the sample path.
     """
     if spec.time == "continuous":
         spec = qbd2d.uniformize(spec)
     cum, di, dj, dk = _stacked_tables(spec)
+    # per (region, phase): the cumulative row and each column's (d1, d2, k')
+    table = [[(row, list(zip(a, b, c))) for row, a, b, c in zip(*per_reg)]
+             for per_reg in zip(cum.tolist(), di.tolist(), dj.tolist(),
+                                dk.tolist())]
     rec1, rec2 = record_extent
-    counts = np.zeros((rec1 + 1, rec2 + 1, cum.shape[1]), dtype=np.int64)
-    spill = np.zeros(1, dtype=np.int64)
+    stride = rec2 + 1
+    m = cum.shape[1]
+    counts = np.zeros((rec1 + 1, rec2 + 1, m), dtype=np.int64)
+    flat = counts.reshape(-1)
+    spill = 0
     rng = np.random.Generator(np.random.PCG64(seed))
-    l1, l2, k = start
+    l1, l2, k = map(int, start)
     remaining = steps
-    stepper = _step_chunk_jit if HAVE_NUMBA else None
     while remaining > 0:
-        block = min(chunk, remaining)
-        uniforms = rng.random(block)
-        if stepper is not None:
-            l1, l2, k = stepper(cum, di, dj, dk, l1, l2, k, uniforms,
-                                counts, spill, rec1, rec2)
-        else:
-            l1, l2, k = _step_chunk_py(cum, di, dj, dk, (l1, l2, k), uniforms,
-                                       counts, spill, rec1, rec2)
+        block = min(_BLOCK, remaining)
+        visits = []
+        visit = visits.append
+        for u in rng.random(block).tolist():
+            row, move = table[(l1 if l1 < 2 else 2) * 3
+                              + (l2 if l2 < 2 else 2)][k]
+            d1, d2, k = move[bisect_left(row, u)]
+            l1 += d1
+            l2 += d2
+            if l1 <= rec1 and l2 <= rec2:
+                visit((l1 * stride + l2) * m + k)
+        spill += block - len(visits)
+        if visits:
+            tally = np.bincount(visits)
+            flat[:tally.size] += tally
         remaining -= block
-    return SimulationCounts(spec=spec, counts=counts, spill=int(spill[0]),
+    return SimulationCounts(spec=spec, counts=counts, spill=spill,
                             steps=steps, seed=seed)
 
 

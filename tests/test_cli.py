@@ -431,6 +431,28 @@ model:
         assert code == 0
         assert "simulated, seed 11" in text
 
+    def test_unstable_walk_exits_three(self, tmp_path, capsys):
+        f = tmp_path / "unstable.yaml"
+        f.write_text(modelfile.dump_model(modelfile.ModelFile(
+            "1", "qbd2d_discrete", scalar_rrw(0.25, 0.15, 0.22, 0.12))))
+        assert cli.main(["verify", str(f), "--extent", "40"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure:")
+        assert "unstable" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_jackson_reads_the_analytic_tau(self):
+        path = str(MODELS / "tandem_jackson.yaml")
+        _, decay = run_cli(["decay", path, "--scan", "32"])
+        code, text = run_cli(["verify", path, "--extent", "30",
+                              "--steps", "0", "--scan", "32"])
+        assert code == 0
+        for i in (1, 2):
+            tau = [l for l in decay.splitlines()
+                   if l.startswith(f"tau{i} = ")][0].split(" = ")[1]
+            assert f"coordinate {i}: analytic = {tau} " in text
+
 
 def test_env_tolerance_override(tmp_path, monkeypatch):
     src = (MODELS / "scalar_rrw.yaml").read_text()

@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from qbdtail import jackson, oracle, qbd2d
-from qbdtail.errors import EmptyWindow, ThetaOutsideDomain
+from qbdtail import jackson, modelfile, oracle, qbd2d
+from qbdtail.errors import EmptyWindow, NotStochastic, ThetaOutsideDomain
 
 from conftest import scalar_rrw, product_form_jackson
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def light_jackson():
@@ -111,6 +115,14 @@ class TestSimulate:
         for n in range(1, 51):
             assert sim.counts[n, 0, 0] == 1
 
+    def test_substochastic_spec_rejected(self):
+        spec = scalar_rrw(0.15, 0.12, 0.10, 0.14)
+        fams = {reg: dict(fam) for reg, fam in spec.families.items()}
+        fams[("+", "+")][(0, 0)] = 0.5 * fams[("+", "+")][(0, 0)]
+        leaky = qbd2d.make_spec(fams, spec.dims, "discrete")
+        with pytest.raises(NotStochastic, match="region \\+\\+ phase 0"):
+            oracle.simulate(leaky, seed=1, steps=10)
+
     def test_solver_simulator_agreement(self):
         blocks = jackson.build_blocks(light_jackson())
         table = oracle.truncate_and_solve(blocks, (48, 48))
@@ -118,6 +130,118 @@ class TestSimulate:
                               record_extent=(48, 48))
         tv = 0.5 * np.abs(sim.cell_mass() - table.cell_mass()).sum()
         assert tv <= 0.01
+
+
+def reference_simulate(spec, seed, steps, record_extent=(255, 255),
+                       start=(0, 0, 0)):
+    """The simulator's former stepper, kept as the same-path reference: all
+    uniforms in one draw and one ``np.searchsorted`` (side left) per step on
+    the numpy tables."""
+    if spec.time == "continuous":
+        spec = qbd2d.uniformize(spec)
+    cum, di, dj, dk = oracle._stacked_tables(spec)
+    rec1, rec2 = record_extent
+    counts = np.zeros((rec1 + 1, rec2 + 1, cum.shape[1]), dtype=np.int64)
+    spill = 0
+    l1, l2, k = start
+    for u in np.random.Generator(np.random.PCG64(seed)).random(steps):
+        s1 = 0 if l1 == 0 else (1 if l1 == 1 else 2)
+        s2 = 0 if l2 == 0 else (1 if l2 == 1 else 2)
+        reg = s1 * 3 + s2
+        col = int(np.searchsorted(cum[reg, k], u))
+        l1 += di[reg, k, col]
+        l2 += dj[reg, k, col]
+        k = dk[reg, k, col]
+        if l1 <= rec1 and l2 <= rec2:
+            counts[l1, l2, k] += 1
+        else:
+            spill += 1
+    return counts, spill
+
+
+def random_stochastic_spec(rng, order):
+    """A valid discrete spec of interior order ``order`` with random face
+    orders and sparse canonical blocks; aliased blocks are shared and each
+    region's own blocks carry the rest of its row mass."""
+    m = order
+    dims = (*(int(d) for d in rng.integers(1, m + 1, size=3)), m)
+    fams = {}
+    for reg in [("0", "0"), ("+", "0"), ("0", "+"), ("+", "+")]:
+        incs = qbd2d.allowed_increments(*reg)
+        blocks = {}
+        for inc in incs:
+            shape = qbd2d.block_shape(dims, *reg, *inc)
+            b = rng.random(shape) * (rng.random(shape) > 0.4)
+            if inc == (0, 0):
+                b += np.eye(shape[0])
+            blocks[inc] = b
+        total = sum(b.sum(axis=1) for b in blocks.values())
+        fams[reg] = {inc: b / total[:, None] for inc, b in blocks.items()}
+    for reg in [("1", "0"), ("0", "1"), ("1", "1"), ("+", "1"), ("1", "+")]:
+        aliased, own = {}, {}
+        for inc in qbd2d.allowed_increments(*reg):
+            target = qbd2d.alias_target(*reg, *inc)
+            if target is None:
+                own[inc] = rng.random(qbd2d.block_shape(dims, *reg, *inc))
+            else:
+                aliased[inc] = fams[target[0]][target[1]]
+        rest = 1.0 - sum(b.sum(axis=1) for b in aliased.values())
+        own_total = sum(b.sum(axis=1) for b in own.values())
+        fams[reg] = {**aliased, **{inc: b * (rest / own_total)[:, None]
+                                   for inc, b in own.items()}}
+    spec = qbd2d.make_spec(fams, dims, "discrete")
+    assert not qbd2d.validate_spec(spec)
+    return spec
+
+
+def _shipped_spec(name):
+    mf = modelfile.load_model(MODELS / f"{name}.yaml")
+    return jackson.build_blocks(mf.payload) if mf.kind == "jackson" else mf.payload
+
+
+class TestSimulateSamePath:
+    """``simulate`` follows the reference stepper's sample path exactly:
+    the same column rule and the same PCG64 stream, whatever the block
+    size."""
+
+    STEPS = 3 * oracle._BLOCK + 517   # several blocks and a partial one
+
+    def _assert_same_path(self, spec, **kw):
+        sim = oracle.simulate(spec, **kw)
+        counts, spill = reference_simulate(spec, **kw)
+        assert np.array_equal(sim.counts, counts)
+        assert sim.spill == spill
+        assert sim.counts.sum() + sim.spill == sim.steps
+        return sim
+
+    @pytest.mark.parametrize("name", ["scalar_rrw", "modulated_rrw",
+                                      "tandem_jackson", "mapph_jackson"])
+    def test_shipped_models(self, name):
+        self._assert_same_path(_shipped_spec(name), seed=7, steps=self.STEPS,
+                               record_extent=(40, 40))
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_random_stochastic_specs(self, order):
+        spec = random_stochastic_spec(np.random.default_rng(100 + order), order)
+        self._assert_same_path(spec, seed=order, steps=self.STEPS,
+                               record_extent=(24, 24))
+
+    def test_small_box_spills(self):
+        sim = self._assert_same_path(_shipped_spec("modulated_rrw"), seed=3,
+                                     steps=self.STEPS, record_extent=(3, 2))
+        assert 0 < sim.spill < sim.steps
+
+    def test_non_origin_start(self):
+        sim = self._assert_same_path(_shipped_spec("mapph_jackson"), seed=5,
+                                     steps=self.STEPS, record_extent=(30, 30),
+                                     start=(9, 4, 3))
+        assert sim.counts[:3, :3].sum() < sim.counts.sum()
+
+    @pytest.mark.parametrize("steps", [0, 1, oracle._BLOCK - 1, oracle._BLOCK,
+                                       oracle._BLOCK + 1, 2 * oracle._BLOCK])
+    def test_block_boundaries(self, steps):
+        self._assert_same_path(_shipped_spec("modulated_rrw"), seed=11,
+                               steps=steps, record_extent=(16, 16))
 
 
 class TestEstimateDecay:
