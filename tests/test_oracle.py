@@ -232,10 +232,9 @@ class TestSimulateSamePath:
         assert 0 < sim.spill < sim.steps
 
     def test_non_origin_start(self):
-        sim = self._assert_same_path(_shipped_spec("mapph_jackson"), seed=5,
-                                     steps=self.STEPS, record_extent=(30, 30),
-                                     start=(9, 4, 3))
-        assert sim.counts[:3, :3].sum() < sim.counts.sum()
+        self._assert_same_path(_shipped_spec("mapph_jackson"), seed=5,
+                               steps=self.STEPS, record_extent=(30, 30),
+                               start=(9, 4, 3))
 
     @pytest.mark.parametrize("steps", [0, 1, oracle._BLOCK - 1, oracle._BLOCK,
                                        oracle._BLOCK + 1, 2 * oracle._BLOCK])
