@@ -97,65 +97,54 @@ class StationaryTable:
         return self.pi[o:o + self.sizes[l1, l2]]
 
     def cell_mass(self) -> np.ndarray:
-        n1, n2 = self.extent
-        out = np.zeros((n1 + 1, n2 + 1))
-        for l1 in range(n1 + 1):
-            for l2 in range(n2 + 1):
-                out[l1, l2] = self.vector(l1, l2).sum()
-        return out
+        # every cell holds at least one phase, so the offsets are increasing
+        return np.add.reduceat(self.pi, self.offsets.ravel()).reshape(
+            self.sizes.shape)
 
     def tail_sequence(self, coordinate: int, level: int, phase: int):
         """P(L_i > n, L_{3-i} = level, J = phase) for n = 0..N_i - 1."""
-        n1, n2 = self.extent
-        n = n1 if coordinate == 1 else n2
-        probs = np.zeros(n + 1)
-        for v in range(n + 1):
-            l1, l2 = (v, level) if coordinate == 1 else (level, v)
-            vec = self.vector(l1, l2)
-            probs[v] = vec[phase] if phase < vec.size else 0.0
+        cells = np.s_[:, level] if coordinate == 1 else np.s_[level, :]
+        offs, sizes = self.offsets[cells], self.sizes[cells]
+        probs = np.where(phase < sizes,
+                         self.pi[offs + np.minimum(phase, sizes - 1)], 0.0)
         return np.cumsum(probs[::-1])[::-1][1:]  # entry n is P(L > n)
 
 
-def truncate_and_solve(spec: qbd2d.Qbd2dSpec, extent, tol: float = 1e-12,
-                       max_sweeps: int = 20000) -> StationaryTable:
+def truncate_and_solve(spec: qbd2d.Qbd2dSpec, extent,
+                       tol: float = 1e-12) -> StationaryTable:
     """Stationary distribution of the truncated chain.
 
-    Iterative power/Gauss-Seidel hybrid: a few smoothing power steps, then
-    symmetric Gauss-Seidel sweeps (a forward and a backward sparse
-    triangular solve each) until the l1 balance residual is at most
-    ``tol``.  The backward half-sweep matters for chains with rotational
-    flow, where one-directional sweeps converge poorly.
+    One sparse LU solve of the balance equations ``(I - P^T) x = 0`` with
+    the origin state pinned to ``x[0] = 1``, then normalization (Stewart
+    1994, *Introduction to the Numerical Solution of Markov Chains*, ch. 2).
+    When every state reaches the origin, the pinned matrix is a nonsingular
+    M-matrix: its LU factors keep M-matrix signs and both triangular solves
+    are subtraction-free, so a negative entry is a numerical failure while
+    exact zeros on transient states are legal.  An l1 balance residual
+    above ``tol``, a negative or non-finite entry, or a singular factor
+    raises ``NoConvergence``.  Memory grows with the LU fill.
     """
     import scipy.sparse as sp  # lazy: scipy dominates CLI start-up
     import scipy.sparse.linalg as spla
 
     p, offsets, sizes, disc = build_truncated(spec, extent)
     n = p.shape[0]
-    m = p.T.tocsr()
-    a = sp.eye(n, format="csr") - m
-    fwd = spla.splu(sp.tril(a, 0).tocsc(), permc_spec="NATURAL").solve
-    bwd = spla.splu(sp.triu(a, 0).tocsc(), permc_spec="NATURAL").solve
-    upper = sp.triu(a, 1).tocsr()
-    lower = sp.tril(a, -1).tocsr()
-    x = np.full(n, 1.0 / n)
-    for _ in range(20):
-        x = m @ x
-        x /= x.sum()
-    residual = np.inf
-    for sweep in range(1, max_sweeps + 1):
-        x = fwd(-(upper @ x))
-        x = bwd(-(lower @ x))
-        s = x.sum()
-        if s <= 0:
-            raise NoConvergence("Gauss-Seidel sweep lost positivity")
-        x /= s
-        if sweep % 8 == 0 or sweep < 8:
-            residual = float(np.abs(x - m @ x).sum())
-            if residual <= tol:
-                break
-    else:
-        raise NoConvergence(
-            f"solver residual {residual:.3e} after {max_sweeps} sweeps")
+    m = p.T.tocsc()
+    a = sp.eye(n, format="csc") - m
+    x = np.empty(n)
+    x[0] = 1.0
+    try:
+        lu = spla.splu(a[1:, 1:], permc_spec="MMD_AT_PLUS_A",
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise NoConvergence(f"pinned balance equations: {exc}") from None
+    x[1:] = lu.solve(-a[1:, 0].toarray().ravel())
+    if not np.all(np.isfinite(x)) or np.any(x < 0):
+        raise NoConvergence("sparse solve gave a negative or non-finite entry")
+    x /= x.sum()
+    residual = float(np.abs(x - m @ x).sum())
+    if residual > tol:
+        raise NoConvergence(f"solver residual {residual:.3e} above {tol:.3e}")
     return StationaryTable(spec=disc, extent=tuple(extent), offsets=offsets,
                            sizes=sizes, pi=x, residual=residual)
 
@@ -393,21 +382,17 @@ def _phi(table: StationaryTable, which: str, theta):
     """Truncated moment generating sums over the three unbounded regions."""
     n1, n2 = table.extent
     t1, t2 = theta
+    l1, l2 = np.arange(2, n1 + 1), np.arange(2, n2 + 1)
     if which == "++":
-        acc = np.zeros(table.spec.dims[3])
-        for l1 in range(2, n1 + 1):
-            for l2 in range(2, n2 + 1):
-                acc += np.exp(l1 * t1 + l2 * t2) * table.vector(l1, l2)
-        return acc
-    if which == "+1":
-        acc = np.zeros(table.spec.dims[3])
-        for l1 in range(2, n1 + 1):
-            acc += np.exp(l1 * t1) * table.vector(l1, 1)
-        return acc
-    acc = np.zeros(table.spec.dims[3])
-    for l2 in range(2, n2 + 1):
-        acc += np.exp(l2 * t2) * table.vector(1, l2)
-    return acc
+        cells, w = np.ix_(l1, l2), np.exp(l1[:, None] * t1 + l2[None, :] * t2)
+    elif which == "+1":
+        cells, w = (l1, 1), np.exp(l1 * t1)
+    else:
+        cells, w = (1, l2), np.exp(l2 * t2)
+    # each of these cells holds the dims[3] interior phases
+    vecs = table.pi[table.offsets[cells][..., None]
+                    + np.arange(table.spec.dims[3])]
+    return np.tensordot(w, vecs, axes=w.ndim)
 
 
 def stationary_identity_residual(table: StationaryTable, spec: qbd2d.Qbd2dSpec,

@@ -285,19 +285,23 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
 
 def _sublevel_interval(f, level: float, x0: float, step: float, tol: float):
     """Ends (lo, hi) of {x : f(x) <= level} for a convex scalar f, or None
-    when the minimum lies above ``level``: convex minimum, a doubling
+    when the minimum lies above ``level``: an inner point below ``level``
+    (``x0`` itself when f(x0) < level, else the convex minimum), a doubling
     bracket on each side, then one Brent root per side."""
-    xmin, fmin = convex_min_scalar(f, x0, step=step, tol=tol)
-    if fmin > level:
-        return None
+    if f(x0) < level:   # strict: at f(x0) == level, x0 may be both ends
+        inner = x0
+    else:
+        inner, fmin = convex_min_scalar(f, x0, step=step, tol=tol)
+        if fmin > level:
+            return None
     g = lambda x: f(x) - level
-    lo_b = xmin - 1.0
+    lo_b = inner - 1.0
     while g(lo_b) <= 0:
-        lo_b = xmin - 2.0 * (xmin - lo_b)
-    hi_b = xmin + 1.0
+        lo_b = inner - 2.0 * (inner - lo_b)
+    hi_b = inner + 1.0
     while g(hi_b) <= 0:
-        hi_b = xmin + 2.0 * (hi_b - xmin)
-    return bisect_root(g, lo_b, xmin, tol=tol), bisect_root(g, xmin, hi_b, tol=tol)
+        hi_b = inner + 2.0 * (hi_b - inner)
+    return bisect_root(g, lo_b, inner, tol=tol), bisect_root(g, inner, hi_b, tol=tol)
 
 
 def _bisect_predicate(pred, a: float, b: float, at_a: bool, tol: float):

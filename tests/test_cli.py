@@ -424,6 +424,16 @@ model:
                        if l.startswith("max_rel_gap_solver")][0].split(" = ")[1])
         assert worst <= 0.02
 
+    def test_tandem_solver_slopes_exact(self):
+        # the exact truncated solution carries no solver error into the
+        # tail, so on the tandem network its slopes match tau closely
+        code, text = run_cli(["verify", str(MODELS / "tandem_jackson.yaml"),
+                              "--extent", "80", "--steps", "0"])
+        assert code == 0
+        worst = float([l for l in text.splitlines()
+                       if l.startswith("max_rel_gap_solver")][0].split(" = ")[1])
+        assert worst <= 1e-8
+
     def test_simulation_rows_present(self, tmp_path):
         code, text = run_cli(["verify", str(MODELS / "scalar_rrw.yaml"),
                               "--extent", "60", "--seed", "11",

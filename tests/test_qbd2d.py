@@ -208,6 +208,28 @@ class TestGammaCurve:
         per_point = (calls[0] - center_calls[0]) / len(curve.scan_phi)
         assert per_point <= 15
 
+    def test_section_evaluation_counts(self):
+        """Machine-independent work guard: gap evaluations per section
+        inside the level region, on both axes (94 at most before sections
+        started from the center's coordinate)."""
+        spec = modelfile.load_model(MODELS / "scalar_rrw.yaml").payload
+        curve = qbd2d.level_curve(spec, scan=32)
+        calls = [0]
+        plain_gap = curve.gap
+
+        def counted(theta):
+            calls[0] += 1
+            return plain_gap(theta)
+
+        curve.gap = counted
+        for i in (1, 2):
+            lo = curve.extreme(-np.eye(2)[2 - i])[2 - i]
+            hi = curve.pole(3 - i)[2 - i]
+            for value in np.linspace(lo, hi, 34)[1:-1]:
+                before = calls[0]
+                assert curve.section(i, float(value)) is not None
+                assert calls[0] - before <= 40
+
     def test_convexity_midpoints(self, mapph_spec):
         blocks = jackson.build_blocks(mapph_spec)
         gap = qbd2d.curve_gap(blocks)
