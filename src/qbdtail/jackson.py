@@ -15,9 +15,10 @@ from functools import cached_property
 
 import numpy as np
 
-from . import matcore, qbd2d
+from . import matcore, qbd1d, qbd2d
 from .errors import (
     InvalidSpec,
+    NoSignChange,
     NotRenewalStructure,
     OutsideTransformRange,
     PathDisagreement,
@@ -323,25 +324,18 @@ def _lt_value(weights: np.ndarray, gen: np.ndarray, x: float) -> float:
     return float(weights @ np.linalg.solve(-x * np.eye(n) - gen, w))
 
 
-def _lt_inverse(weights: np.ndarray, gen: np.ndarray, y: float,
-                lo: float = -40.0) -> float:
-    """Inverse of the increasing map x -> mgf(x) on (lo, theta0), where
+def _lt_inverse(weights: np.ndarray, gen: np.ndarray, y: float) -> float:
+    """Inverse of the increasing map x -> mgf(x) on (-40, theta0), where
     -theta0 is the dominant eigenvalue of the generator."""
     # PH and MAP subgenerators may be reducible (Erlang stages), so no
     # Perron certificate here
     theta0 = -float(np.max(np.linalg.eigvals(gen).real))
-    hi = theta0 - 1e-12
-    flo = _lt_value(weights, gen, lo) - y
-    fhi = _lt_value(weights, gen, hi) - y
-    if flo > 0 or fhi < 0:
-        raise OutsideTransformRange(f"target {y} outside the invertible range")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _lt_value(weights, gen, mid) - y <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    try:
+        return qbd1d.bisect_root(lambda x: _lt_value(weights, gen, x) - y,
+                                 -40.0, theta0 - 1e-12)
+    except NoSignChange:
+        raise OutsideTransformRange(
+            f"target {y} outside the invertible range") from None
 
 
 def service_mgf(ph: PhSpec, x: float) -> float:
@@ -389,7 +383,7 @@ def analytic_curve(spec: JacksonSpec, scan: int = 192) -> LevelCurve:
     def flags(theta):
         out = []
         for i in (1, 2):
-            out.append(bool(cs.gamma_face(i, theta) <= qbd2d.FEAS_SLACK))
+            out.append(bool(cs.gamma_face(i, theta) <= qbd1d.LE_ONE_SLACK))
         return tuple(out)
 
     return LevelCurve(cs.gamma_plus, flags, scan_size=scan)

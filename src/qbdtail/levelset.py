@@ -116,16 +116,8 @@ class LevelCurve:
     def section(self, i: int, value: float):
         """Roots of gap along {theta_{3-i} = value}: (lo, hi) in theta_i,
         or None when the line misses the region."""
-        other = 2 - i  # index of the fixed coordinate (0-based)
-        ax = i - 1
-
-        def line(v):
-            y = np.empty(2)
-            y[ax] = v
-            y[other] = value
-            return self.gap(y)
-
-        return _sublevel_interval(line, 0.0, self.center[ax], 0.5, 1e-12)
+        line = lambda v: self.gap(self._point_on_section(i, v, value))
+        return _sublevel_interval(line, 0.0, self.center[i - 1], 0.5, 1e-12)
 
     def _point_on_section(self, i: int, ti: float, other: float) -> np.ndarray:
         y = np.empty(2)

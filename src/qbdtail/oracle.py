@@ -152,58 +152,32 @@ def truncate_and_solve(spec: qbd2d.Qbd2dSpec, extent,
 # -- simulation ----------------------------------------------------------------
 
 
-def _transition_tables(spec: qbd2d.Qbd2dSpec):
-    """Per-region flattened jump tables: cumulative probabilities and
-    (di, dj, phase') per source phase."""
-    tables = {}
+def _jump_table(spec: qbd2d.Qbd2dSpec):
+    """Jump table of the kernel, indexed by region ``3 * s1 + s2`` (the
+    coordinate classes of ``qbd2d._REP``) and source phase: the cumulative
+    probabilities of the row's nonzero entries, in block then row-major
+    order, and the (d1, d2, phase') move of each.  The last cumulative
+    entry is pinned to exactly 1, so every uniform in [0, 1) finds a real
+    column even when the row sums to just under 1."""
+    table = [None] * 9
     for reg in qbd2d.REGIONS:
         fam = spec.families[reg]
-        nr = fam[(0, 0)].shape[0]
-        entries = [[] for _ in range(nr)]
+        rows = [([], []) for _ in range(fam[(0, 0)].shape[0])]
         for (i, j), block in fam.items():
-            nz_r, nz_c = np.nonzero(block)
-            for r, c in zip(nz_r, nz_c):
-                entries[r].append((block[r, c], i, j, c))
-        width = max(len(e) for e in entries)
-        cum = np.zeros((nr, width))
-        di = np.zeros((nr, width), dtype=np.int64)
-        dj = np.zeros((nr, width), dtype=np.int64)
-        dk = np.zeros((nr, width), dtype=np.int64)
-        for r, row in enumerate(entries):
-            acc = 0.0
-            for col, (prob, i, j, c) in enumerate(row):
-                acc += prob
-                cum[r, col] = acc
-                di[r, col], dj[r, col], dk[r, col] = i, j, c
-            cum[r, len(row):] = 2.0  # sentinel
-            if abs(acc - 1.0) > 1e-9:
+            for r, c in zip(*np.nonzero(block)):
+                rows[r][0].append(block[r, c])
+                rows[r][1].append((i, j, int(c)))
+        for r, (probs, moves) in enumerate(rows):
+            cum = np.cumsum(probs).tolist()
+            total = cum[-1] if cum else 0.0
+            if abs(total - 1.0) > 1e-9:
                 raise NotStochastic(
                     f"region {''.join(reg)} phase {r}: jump probabilities sum "
-                    f"to {acc:.12g}, not 1")
-        tables[reg] = (cum, di, dj, dk)
-    return tables
-
-
-_REGION_ORDER = [("0", "0"), ("0", "1"), ("0", "+"),
-                 ("1", "0"), ("1", "1"), ("1", "+"),
-                 ("+", "0"), ("+", "1"), ("+", "+")]
-
-
-def _stacked_tables(spec):
-    tabs = _transition_tables(spec)
-    width = max(t[0].shape[1] for t in tabs.values())
-    nr = max(t[0].shape[0] for t in tabs.values())
-    cum = np.full((9, nr, width), 2.0)
-    di = np.zeros((9, nr, width), dtype=np.int64)
-    dj = np.zeros((9, nr, width), dtype=np.int64)
-    dk = np.zeros((9, nr, width), dtype=np.int64)
-    for idx, reg in enumerate(_REGION_ORDER):
-        c, a, b, d = tabs[reg]
-        cum[idx, :c.shape[0], :c.shape[1]] = c
-        di[idx, :c.shape[0], :c.shape[1]] = a
-        dj[idx, :c.shape[0], :c.shape[1]] = b
-        dk[idx, :c.shape[0], :c.shape[1]] = d
-    return cum, di, dj, dk
+                    f"to {total:.12g}, not 1")
+            cum[-1] = 1.0
+            rows[r] = (cum, moves)
+        table[qbd2d._REP[reg[0]] * 3 + qbd2d._REP[reg[1]]] = rows
+    return table
 
 
 _BLOCK = 4096  # steps per uniform draw; larger blocks only add memory
@@ -244,14 +218,10 @@ def simulate(spec: qbd2d.Qbd2dSpec, seed: int, steps: int,
     """
     if spec.time == "continuous":
         spec = qbd2d.uniformize(spec)
-    cum, di, dj, dk = _stacked_tables(spec)
-    # per (region, phase): the cumulative row and each column's (d1, d2, k')
-    table = [[(row, list(zip(a, b, c))) for row, a, b, c in zip(*per_reg)]
-             for per_reg in zip(cum.tolist(), di.tolist(), dj.tolist(),
-                                dk.tolist())]
+    table = _jump_table(spec)
     rec1, rec2 = record_extent
     stride = rec2 + 1
-    m = cum.shape[1]
+    m = max(spec.dims)
     counts = np.zeros((rec1 + 1, rec2 + 1, m), dtype=np.int64)
     flat = counts.reshape(-1)
     spill = 0

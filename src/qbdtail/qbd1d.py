@@ -132,9 +132,6 @@ class CompatibilityResult:
     residual: float
 
 
-Assumption1Result = CompatibilityResult
-
-
 def assemble_truncated(k: QbdBlocks, levels: int) -> np.ndarray:
     """Dense truncation of the assembled matrix to the first ``levels``
     levels (level 0 plus levels 1..levels-1)."""
@@ -317,9 +314,18 @@ def _bisect_predicate(pred, a: float, b: float, at_a: bool, tol: float):
 
 def gamma1d_plus(k: QbdBlocks, tol: float = 1e-12) -> Interval:
     """Sublevel interval {theta : gamma(theta) <= 1} of the convex interior
-    eigenvalue curve; empty and degenerate results are valid."""
+    eigenvalue curve; empty and degenerate results are valid.
+
+    A stochastic K has gamma(0) = 1 exactly, so 0 is the end on the side
+    the mean drift points away from (both ends at zero drift, where the
+    numerical tangent minimum may sit just above 1).
+    """
     ends = _sublevel_interval(lambda th: gamma_a(k, th), 1.0, 0.0, 1.0, tol)
-    return EMPTY_INTERVAL if ends is None else Interval(*ends)
+    if not _is_stochastic(k):
+        return EMPTY_INTERVAL if ends is None else Interval(*ends)
+    lo, hi = (0.0, 0.0) if ends is None else ends
+    drift = mean_drift(k)
+    return Interval(lo=0.0 if drift <= 0 else lo, hi=0.0 if drift >= 0 else hi)
 
 
 def cp_kplus(k: QbdBlocks, tol: float = 1e-12) -> float:
@@ -572,7 +578,8 @@ def boundary_compatibility(down, f0, f1, a_low, a_up, h, theta: float,
                                c1=np.nan, h0=None, residual=float(best))
 
 
-def check_assumption1(k: QbdBlocks, theta: float, tol: float = 1e-8) -> Assumption1Result:
+def check_assumption1(k: QbdBlocks, theta: float,
+                      tol: float = 1e-8) -> CompatibilityResult:
     """Numerical check of the boundary compatibility condition at theta:
     existence of a positive boundary vector h0 and scalars (c0, c1), one of
     them equal to 1, with
@@ -661,36 +668,34 @@ def qbd_stationary(k: QbdBlocks, max_level: int) -> list[np.ndarray]:
     return out
 
 
-def _cp_bisect(k: QbdBlocks, exists: bool, t_plus: float, steps: int) -> float:
+def _cp_bisect(k: QbdBlocks, exists: bool, t_plus: float) -> float:
     """Bisection on the scale u for sup{u : uK has a superharmonic vector},
     given the existence answer at u = 1 and c_p(K_+)."""
-    if not exists:
-        # c_p(K) < 1; bisect on (0, 1]
-        lo, hi = 0.0, 1.0
-    else:
-        lo, hi = 1.0, t_plus
-        if hi - lo < 1e-14:
-            return lo
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
+    # c_p(K) < 1 without existence at u = 1, else it lies in [1, c_p(K_+)]
+    lo, hi = (1.0, t_plus) if exists else (0.0, 1.0)
+    if hi - lo < 1e-14:
+        return lo
+
+    def ok(u: float) -> bool:
         try:
-            ok = superharmonic_exists_via_G(scale(k, mid))
+            return superharmonic_exists_via_G(scale(k, u))
         except NoConvergence:
             # near the critical scale the twisted chain is almost null
             # recurrent; classify conservatively, the error stays within
             # the undecidable band
-            ok = False
-        if ok:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            return False
+
+    # 40 halvings, but no narrower than a few ulps: a bracket of one ulp
+    # cannot shrink further
+    a, b = _bisect_predicate(ok, lo, hi, True,
+                             max((hi - lo) * 2.0**-40, 4.0 * _EPS * hi))
+    return 0.5 * (a + b)
 
 
-def cp_k(k: QbdBlocks, steps: int = 40) -> float:
+def cp_k(k: QbdBlocks) -> float:
     """Convergence parameter of the assembled matrix: sup{u : uK has a
     superharmonic vector}, by bisection on the scale u."""
-    return _cp_bisect(k, superharmonic_exists_via_G(k), cp_kplus(k), steps)
+    return _cp_bisect(k, superharmonic_exists_via_G(k), cp_kplus(k))
 
 
 def classify_recurrence(k: QbdBlocks, tol: float = 1e-9) -> str:
@@ -699,5 +704,5 @@ def classify_recurrence(k: QbdBlocks, tol: float = 1e-9) -> str:
     if not superharmonic_exists_via_G(k):
         raise NoSuperharmonicVector("c_p(K) < 1")
     t_plus = cp_kplus(k)
-    t = _cp_bisect(k, True, t_plus, steps=40)
+    t = _cp_bisect(k, True, t_plus)
     return "t_positive" if t < t_plus - tol else "t_null_or_transient"

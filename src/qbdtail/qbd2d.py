@@ -37,8 +37,6 @@ REGIONS = (("0", "0"), ("1", "0"), ("+", "0"), ("0", "1"), ("0", "+"),
 
 _REP = {"0": 0, "1": 1, "+": 2}
 
-FEAS_SLACK = 1e-10
-
 #: face i: (axis region where coordinate 3-i is 0, inner region where it is 1)
 _FACES = {1: (("+", "0"), ("+", "1")), 2: (("0", "+"), ("1", "+"))}
 
@@ -309,10 +307,10 @@ def feasibility_flags(spec: Qbd2dSpec):
                 continue
             v = c @ h
             if discrete:
-                out.append(bool(np.all(v <= h + FEAS_SLACK)))
+                out.append(bool(np.all(v <= h + qbd1d.LE_ONE_SLACK)))
             else:
                 scale = max(1.0, float(np.max(np.abs(c))))
-                out.append(bool(np.all(v <= FEAS_SLACK * scale)))
+                out.append(bool(np.all(v <= qbd1d.LE_ONE_SLACK * scale)))
         return tuple(out)
 
     return flags
@@ -398,24 +396,19 @@ def induced_drifts(spec: Qbd2dSpec) -> tuple:
             raise QiNotPositiveRecurrent(
                 f"transverse chain for coordinate {i} is not positive "
                 f"recurrent") from exc
-        fam = spec.families
         face, inner = _FACES[i]
-        lvl = lambda inc: inc[i - 1]
-        oth = lambda inc: inc[2 - i]
-        dims_face = q.m0
-        d_axis = np.zeros(dims_face)
-        for inc, b in fam[face].items():
-            d_axis += lvl(inc) * (b @ np.ones(b.shape[1]))
-        d_lvl1 = np.zeros(q.m)
-        for inc, b in fam[inner].items():
-            if oth(inc) == -1:
-                d_lvl1 += lvl(inc) * (b @ np.ones(b.shape[1]))
-        for inc, b in fam[("+", "+")].items():
-            if oth(inc) in (0, 1):
-                d_lvl1 += lvl(inc) * (b @ np.ones(b.shape[1]))
-        d_int = np.zeros(q.m)
-        for inc, b in fam[("+", "+")].items():
-            d_int += lvl(inc) * (b @ np.ones(b.shape[1]))
+
+        def drift(*parts):
+            # level increment times row sum, over the blocks of each
+            # (region, kept increments of the other coordinate) in order
+            return sum(inc[i - 1] * (b @ np.ones(b.shape[1]))
+                       for reg, keep in parts
+                       for inc, b in spec.families[reg].items()
+                       if inc[2 - i] in keep)
+
+        d_axis = drift((face, H))
+        d_lvl1 = drift((inner, (-1,)), (("+", "+"), HP))
+        d_int = drift((("+", "+"), H))
         tail = nu1 @ r @ matcore.neumann_inverse(r)
         out.append(float(nu0 @ d_axis + nu1 @ d_lvl1 + tail @ d_int))
     return tuple(out)
@@ -450,26 +443,21 @@ def tau_report(spec: Qbd2dSpec, scan: int = 192) -> TauReport:
     return level_curve(spec, scan=scan).tau_report()
 
 
-def decay_rates(spec: Qbd2dSpec, directions, scan: int = 192,
-                check_stability: bool = True) -> Decay:
+def decay_rates(spec: Qbd2dSpec, directions, scan: int = 192) -> Decay:
     """Directional decay rates (see ``levelset.decay``) from one curve
     analysis; directions and stability are checked before any curve work."""
     directions = [checked_direction(c) for c in directions]
-    if check_stability:
-        verdict = stability_check(spec)
-        if verdict != "stable":
-            raise Unstable(f"stability check returned {verdict!r}")
+    verdict = stability_check(spec)
+    if verdict != "stable":
+        raise Unstable(f"stability check returned {verdict!r}")
     return decay(level_curve(spec, scan=scan), directions)
 
 
 # -- boundary compatibility checker -------------------------------------------
 
 
-Assumption2Result = qbd1d.CompatibilityResult
-
-
 def check_assumption2(spec: Qbd2dSpec, theta, i: int,
-                      tol: float = 1e-8) -> Assumption2Result:
+                      tol: float = 1e-8) -> qbd1d.CompatibilityResult:
     """Boundary compatibility condition for face i at a curve point.
 
     ``qbd1d.boundary_compatibility`` on the face MGFs at theta_i, with the

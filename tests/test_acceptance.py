@@ -318,8 +318,7 @@ def test_criterion_10_invariance_suite():
     unif_gap = max(abs(a[i] - b[i]) for a in taus for b in taus
                    for i in (0, 1))
     # directional homogeneity
-    dec = qbd2d.decay_rates(blocks, [(0.7, 0.4), (1.4, 0.8)], scan=96,
-                            check_stability=False)
+    dec = qbd2d.decay_rates(blocks, [(0.7, 0.4), (1.4, 0.8)], scan=96)
     homog_gap = abs(dec.rates[1] - dec.rates[0] / 2.0)
     # diagonal similarity invariance of the Perron eigenvalue
     rng = np.random.default_rng(31)

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -229,22 +230,21 @@ def reference_simulate(spec, seed, steps, record_extent=(255, 255),
                        start=(0, 0, 0)):
     """The simulator's former stepper, kept as the same-path reference: all
     uniforms in one draw and one ``np.searchsorted`` (side left) per step on
-    the numpy tables."""
+    the jump table's lists."""
     if spec.time == "continuous":
         spec = qbd2d.uniformize(spec)
-    cum, di, dj, dk = oracle._stacked_tables(spec)
+    table = oracle._jump_table(spec)
     rec1, rec2 = record_extent
-    counts = np.zeros((rec1 + 1, rec2 + 1, cum.shape[1]), dtype=np.int64)
+    counts = np.zeros((rec1 + 1, rec2 + 1, max(spec.dims)), dtype=np.int64)
     spill = 0
     l1, l2, k = start
     for u in np.random.Generator(np.random.PCG64(seed)).random(steps):
         s1 = 0 if l1 == 0 else (1 if l1 == 1 else 2)
         s2 = 0 if l2 == 0 else (1 if l2 == 1 else 2)
-        reg = s1 * 3 + s2
-        col = int(np.searchsorted(cum[reg, k], u))
-        l1 += di[reg, k, col]
-        l2 += dj[reg, k, col]
-        k = dk[reg, k, col]
+        cum, moves = table[s1 * 3 + s2][k]
+        d1, d2, k = moves[int(np.searchsorted(cum, u))]
+        l1 += d1
+        l2 += d2
         if l1 <= rec1 and l2 <= rec2:
             counts[l1, l2, k] += 1
         else:
@@ -333,6 +333,93 @@ class TestSimulateSamePath:
     def test_block_boundaries(self, steps):
         self._assert_same_path(_shipped_spec("modulated_rrw"), seed=11,
                                steps=steps, record_extent=(16, 16))
+
+
+class TestJumpTable:
+    """The simulator's one jump table, read against the blocks it comes
+    from, and sample paths pinned by digests taken before the table was
+    rebuilt, so the same-path tests above do not only check the table
+    against itself."""
+
+    @staticmethod
+    def _assert_table_matches_blocks(spec):
+        if spec.time == "continuous":
+            spec = qbd2d.uniformize(spec)
+        table = oracle._jump_table(spec)
+        for reg in qbd2d.REGIONS:
+            rows = table[qbd2d._REP[reg[0]] * 3 + qbd2d._REP[reg[1]]]
+            fam = spec.families[reg]
+            assert len(rows) == fam[(0, 0)].shape[0]
+            for r, (cum, moves) in enumerate(rows):
+                probs, named = [], []
+                for inc, block in fam.items():
+                    for c in np.nonzero(block[r])[0]:
+                        probs.append(block[r, c])
+                        named.append((*inc, int(c)))
+                assert moves == named
+                assert np.allclose(np.diff(cum, prepend=0.0), probs,
+                                   rtol=0.0, atol=1e-15)
+                assert cum[-1] == 1.0
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_shipped_models(self, name):
+        self._assert_table_matches_blocks(_shipped_spec(name))
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_random_stochastic_specs(self, order):
+        self._assert_table_matches_blocks(
+            random_stochastic_spec(np.random.default_rng(100 + order), order))
+
+    @pytest.mark.parametrize("name, digest", [
+        ("scalar_rrw", "ee2f682cb10e17d2"),
+        ("mapph_jackson", "af1439f77f268d92"),
+    ])
+    def test_golden_sample_path(self, name, digest):
+        sim = oracle.simulate(_shipped_spec(name), seed=7, steps=100_000,
+                              record_extent=(40, 40))
+        got = hashlib.sha256(sim.counts.astype("<i8").tobytes()).hexdigest()
+        assert got[:16] == digest
+        assert sim.spill == 0
+
+
+class _TopUniforms:
+    """Generator stand-in whose every uniform is 1 - 1e-10."""
+
+    def __init__(self, bit_generator):
+        pass
+
+    def random(self, size):
+        return np.full(size, 1.0 - 1e-10)
+
+
+def _lowered(spec, reg, inc, row, col, by=5e-10):
+    fams = {r: {i: b.copy() for i, b in fam.items()}
+            for r, fam in spec.families.items()}
+    fams[reg][inc][row, col] -= by
+    return qbd2d.make_spec(fams, spec.dims, spec.time)
+
+
+class TestRowsJustUnderOne:
+    """A row within 1e-9 of 1 is accepted; a uniform above its sum must
+    still take the row's last real move."""
+
+    def test_widest_row_takes_last_move(self, monkeypatch):
+        spec = _lowered(scalar_rrw(0.15, 0.12, 0.10, 0.14),
+                        ("+", "+"), (0, 0), 0, 0)
+        monkeypatch.setattr(np.random, "Generator", _TopUniforms)
+        sim = oracle.simulate(spec, seed=1, steps=3, record_extent=(10, 10),
+                              start=(5, 5, 0))
+        # the last interior move is (+1, 0)
+        assert [sim.counts[l1, 5, 0] for l1 in (6, 7, 8)] == [1, 1, 1]
+
+    def test_narrow_row_takes_no_padding_column(self, monkeypatch):
+        spec = _lowered(_shipped_spec("modulated_rrw"),
+                        ("0", "0"), (0, 0), 1, 0)
+        monkeypatch.setattr(np.random, "Generator", _TopUniforms)
+        sim = oracle.simulate(spec, seed=1, steps=1, record_extent=(4, 4),
+                              start=(0, 0, 1))
+        # the origin phase-1 row's last move is (+1, 0) to phase 1
+        assert sim.counts[1, 0, 1] == 1
 
 
 class TestEstimateDecay:

@@ -31,6 +31,15 @@ def mm1_blocks(p, q):
     return scalar_blocks(q, 1.0 - p - q, p, b0=1.0 - p, b1=p, bm1=q)
 
 
+def modulated_stochastic():
+    """Two-phase stochastic QBD with a one-state boundary; each phase
+    drifts down by 0.1 per step."""
+    return qbd1d.QbdBlocks(
+        b0=[[0.6]], b1=[[0.2, 0.2]], bm1=[[0.4], [0.4]],
+        am1=[[0.3, 0.1], [0.2, 0.2]], a0=[[0.2, 0.1], [0.1, 0.2]],
+        a1=[[0.2, 0.1], [0.1, 0.2]])
+
+
 def appendix_counterexample(p=0.2, q=0.1, r=0.3, s=0.5):
     """Two-state interior kernel whose G matrix collapses the background to
     state one; boundary blocks are benign copies keeping K irreducible."""
@@ -187,6 +196,33 @@ class TestGamma1dPlus:
     def test_scaled_up_is_empty(self):
         k = scalar_blocks(0.5 * 1.6, 0.2 * 1.6, 0.1 * 1.6)
         assert qbd1d.gamma1d_plus(k).empty
+
+    def test_zero_drift_intervals_contain_zero(self):
+        # gamma(0) = 1 is the tangent minimum, which a golden section
+        # locates only to about 2e-8; both ends are still exactly 0
+        k = scalar_blocks(0.3, 0.4, 0.3, b0=0.7, b1=0.3, bm1=0.3)
+        for iv in (qbd1d.gamma1d_plus(k), qbd1d.gamma1d_0plus(k)):
+            assert (iv.empty, iv.lo, iv.hi) == (False, 0.0, 0.0)
+
+    @pytest.mark.parametrize("k, end", [
+        (mm1_blocks(0.2, 0.3), "lo"),
+        (scalar_blocks(0.3, 0.5, 0.2, b0=0.8, b1=0.2, bm1=0.3), "lo"),
+        (modulated_stochastic(), "lo"),
+        (mm1_blocks(0.3, 0.2), "hi"),
+    ])
+    def test_stochastic_end_is_exactly_zero(self, k, end):
+        assert qbd1d._is_stochastic(k)
+        iv = qbd1d.gamma1d_plus(k)
+        assert getattr(iv, end) == 0.0
+        assert iv.hi > iv.lo
+
+    def test_non_stochastic_ends_are_the_roots(self):
+        k = qbd1d.scale(mm1_blocks(0.2, 0.3), 1.0 - 1e-11)
+        iv = qbd1d.gamma1d_plus(k)
+        ends = qbd1d._sublevel_interval(lambda th: qbd1d.gamma_a(k, th),
+                                        1.0, 0.0, 1.0, 1e-12)
+        assert (iv.lo, iv.hi) == ends
+        assert iv.lo < 0.0
 
 
 class TestCpKplus:
@@ -474,6 +510,21 @@ class TestClassifyRecurrence:
         monkeypatch.setattr(qbd1d, "superharmonic_exists_via_G", counted_exists)
         assert qbd1d.classify_recurrence(k) == "t_positive"
         assert calls == {"cp_kplus": 1, "exists": 1}
+
+    def test_scale_bisection_ends_on_a_bracket_of_a_few_ulps(self, monkeypatch):
+        # c_p(K_+) within 2.4e-4 of 1: 40 halvings of [1, c_p(K_+)] would
+        # ask for a bracket narrower than one ulp, which never comes
+        crit = 1.0 + 3e-7
+        calls = []
+
+        def exists(kk):
+            calls.append(kk)
+            assert len(calls) <= 100, "scale bisection does not stop"
+            return kk.a0[0, 0] <= 0.5 * crit
+
+        monkeypatch.setattr(qbd1d, "superharmonic_exists_via_G", exists)
+        u = qbd1d._cp_bisect(mm1_blocks(0.2, 0.3), True, 1.0 + 1e-6)
+        assert u == pytest.approx(crit, rel=0.0, abs=1e-15)
 
     def test_bisection_near_critical_scale(self):
         # transient stochastic chain: c_p(K) > 1; scaling past it kills

@@ -312,8 +312,7 @@ class TestDecayRate:
         spec = scalar_rrw(0.15, 0.25, 0.1, 0.2)
         dec = qbd2d.decay_rates(spec, [(1.0, 0.0)], scan=96)
         assert dec.rates[0] == pytest.approx(dec.tau_report.tau[0], abs=1e-10)
-        dec2 = qbd2d.decay_rates(spec, [(0.0, 1.0)], scan=96,
-                                 check_stability=False)
+        dec2 = qbd2d.decay_rates(spec, [(0.0, 1.0)], scan=96)
         assert dec2.rates[0] == pytest.approx(dec2.tau_report.tau[1], abs=1e-10)
 
     def test_scaling_homogeneity(self):
@@ -331,10 +330,9 @@ class TestDecayRate:
     def test_zero_direction_raises(self):
         spec = symmetric_walk()
         with pytest.raises(ZeroDirection):
-            qbd2d.decay_rates(spec, [(0.0, 0.0)], check_stability=False)
+            qbd2d.decay_rates(spec, [(0.0, 0.0)])
         with pytest.raises(ZeroDirection):
-            qbd2d.decay_rates(spec, [(1.0, 0.0), (-1.0, 1.0)],
-                              check_stability=False)
+            qbd2d.decay_rates(spec, [(1.0, 0.0), (-1.0, 1.0)])
 
 
 class TestAssumption2:
