@@ -3,15 +3,19 @@
 Subcommands: ``validate``, ``stability``, ``decay``, ``boundary``,
 ``jackson`` and ``verify``.  All reports are deterministic plain-text
 records; the boundary command writes CSV.  Exit codes: 0 success, 2 invalid
-model, 3 numerical failure.
+model or input, 3 numerical failure.
 
-The environment variable ``QBDTAIL_TOL`` overrides the default numeric
-tolerance used by the validation row-sum check and the oracle solver.
+The environment variable ``QBDTAIL_TOL`` (default 1e-12) sets the tolerance
+of the validation row-sum check and the oracle solver.  It is read with the
+command line, and anything but a finite positive number exits 2.
+``verify --level`` may not exceed ``--extent``, and ``--phase`` must be
+below the phase count of the fitted cells: min(m1, m2) at level 0, m above.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -26,11 +30,6 @@ from .levelset import boundary_rows, checked_direction
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERIC = 3
-
-
-def _default_tol() -> float:
-    value = os.environ.get("QBDTAIL_TOL")
-    return float(value) if value else 1e-12
 
 
 def _fmt(x) -> str:
@@ -98,12 +97,12 @@ def _violation_line(v) -> str:
     return f"{v.kind} at family {where}: {v.detail}"
 
 
-def _load(path) -> modelfile.ModelFile:
+def _load(args) -> modelfile.ModelFile:
     """The model file; a qbd2d spec that ``validate`` rejects is an input
     error here too."""
-    mf = modelfile.load_model(path)
+    mf = modelfile.load_model(args.file)
     if mf.kind in ("qbd2d_discrete", "qbd2d_continuous"):
-        violations = qbd2d.validate_spec(mf.payload, tol=_default_tol())
+        violations = qbd2d.validate_spec(mf.payload, tol=args.tol)
         if violations:
             raise SchemaError(f"{len(violations)} violation(s), first "
                               f"{_violation_line(violations[0])}")
@@ -125,11 +124,7 @@ def cmd_validate(args, out) -> int:
         _emit(out, "violations", 0)
         _emit(out, "valid", True)
         return EXIT_OK
-    if mf.kind == "jackson":
-        spec = jk.build_blocks(mf.payload)
-    else:
-        spec = mf.payload
-    violations = qbd2d.validate_spec(spec, tol=_default_tol())
+    violations = qbd2d.validate_spec(_spec_2d(mf), tol=args.tol)
     _emit(out, "violations", len(violations))
     for v in violations:
         out.write(f"violation = {_violation_line(v)}\n")
@@ -138,7 +133,7 @@ def cmd_validate(args, out) -> int:
 
 
 def cmd_stability(args, out) -> int:
-    mf = _load(args.file)
+    mf = _load(args)
     if mf.kind == "qbd1d":
         k = mf.payload
         drift = qbd1d.mean_drift(k)
@@ -168,7 +163,7 @@ def cmd_stability(args, out) -> int:
 
 
 def cmd_decay(args, out) -> int:
-    mf = _load(args.file)
+    mf = _load(args)
     directions = _directions(args)
     if mf.kind == "qbd1d":
         k = mf.payload
@@ -191,25 +186,28 @@ def cmd_decay(args, out) -> int:
 
 
 def cmd_boundary(args, out) -> int:
-    mf = _load(args.file)
+    mf = _load(args)
     if mf.kind == "jackson":
         curve = jk.analytic_curve(mf.payload, scan=min(192, args.samples))
     else:
         curve = qbd2d.level_curve(_spec_2d(mf), scan=min(192, args.samples))
     rows = boundary_rows(curve, args.samples)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("theta1,theta2_lower,theta2_upper,feasible_C1,feasible_C2\n")
-        for r in rows:
-            fh.write(f"{r.theta1:.12g},{r.theta2_lower:.12g},"
-                     f"{r.theta2_upper:.12g},{int(r.feasible_c1)},"
-                     f"{int(r.feasible_c2)}\n")
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write("theta1,theta2_lower,theta2_upper,feasible_C1,feasible_C2\n")
+            for r in rows:
+                fh.write(f"{r.theta1:.12g},{r.theta2_lower:.12g},"
+                         f"{r.theta2_upper:.12g},{int(r.feasible_c1)},"
+                         f"{int(r.feasible_c2)}\n")
+    except OSError as exc:
+        raise SchemaError(f"cannot write --out {args.out}: {exc.strerror}") from None
     _emit(out, "rows", len(rows))
     _emit(out, "written", args.out)
     return EXIT_OK
 
 
 def cmd_jackson(args, out) -> int:
-    mf = _load(args.file)
+    mf = _load(args)
     if mf.kind != "jackson":
         raise SchemaError("jackson command requires a jackson model file")
     spec = mf.payload
@@ -229,28 +227,25 @@ def cmd_jackson(args, out) -> int:
         _print_decay(out, jk.decay_report(spec, _directions(args),
                                           scan=args.scan))
         return EXIT_OK
-    if args.subcommand == "certificate":
-        curve = jk.analytic_curve(spec, scan=max(32, args.points))
-        worst_upper = worst_lower = worst_c0 = 0.0
-        phis = np.linspace(0.0, 2.0 * np.pi, args.points, endpoint=False)
-        for phi in phis:
-            theta = curve.point_at(phi)
-            cert = jk.assumption3_certificate(spec, theta)
-            worst_upper = max(worst_upper, max(cert.residual_upper))
-            worst_lower = max(worst_lower, max(cert.residual_lower))
-            worst_c0 = max(worst_c0, max(cert.c0_error))
-        _emit(out, "points", args.points)
-        _emit(out, "max_residual_upper", worst_upper)
-        _emit(out, "max_residual_lower", worst_lower)
-        _emit(out, "max_c0_error", worst_c0)
-        _emit(out, "certified", worst_upper <= 1e-8 and worst_lower <= 1e-8)
-        return EXIT_OK
-    raise SchemaError(f"unknown jackson subcommand {args.subcommand!r}")
+    curve = jk.analytic_curve(spec, scan=max(32, args.points))
+    phis = np.linspace(0.0, 2.0 * np.pi, args.points, endpoint=False)
+    certs = [jk.assumption3_certificate(spec, curve.point_at(phi))
+             for phi in phis]
+    _emit(out, "points", args.points)
+    _emit(out, "max_residual_upper", max(max(c.residual_upper) for c in certs))
+    _emit(out, "max_residual_lower", max(max(c.residual_lower) for c in certs))
+    _emit(out, "max_c0_error", max(max(c.c0_error) for c in certs))
+    _emit(out, "certified", all(c.ok for c in certs))
+    return EXIT_OK
 
 
 def cmd_verify(args, out) -> int:
-    mf = _load(args.file)
+    mf = _load(args)
     spec2d = _spec_2d(mf)
+    phases = min(spec2d.dims[1:3]) if args.level == 0 else spec2d.dims[3]
+    if args.level > args.extent or args.phase >= phases:
+        raise SchemaError(f"need --level <= --extent ({args.extent}) and --phase "
+                          f"< {phases}, the phase count at that level")
     # the analytic taus, under the stability checks that ``decay`` applies
     if mf.kind == "jackson":
         traffic = jk.traffic_check(mf.payload)
@@ -258,12 +253,9 @@ def cmd_verify(args, out) -> int:
             raise Unstable(f"utilizations {traffic.rho} not both below one")
         tau = jk.analytic_curve(mf.payload, scan=args.scan).tau_report().tau
     else:
-        verdict = qbd2d.stability_check(spec2d)
-        if verdict != "stable":
-            raise Unstable(f"stability check returned {verdict!r}")
-        tau = qbd2d.tau_report(spec2d, scan=args.scan).tau
+        tau = qbd2d.decay_rates(spec2d, [], scan=args.scan).tau_report.tau
     table = oracle.truncate_and_solve(spec2d, (args.extent, args.extent),
-                                      tol=_default_tol())
+                                      tol=args.tol)
     _emit(out, "extent", args.extent)
     _emit(out, "solver_residual", table.residual)
     worst = 0.0
@@ -297,8 +289,23 @@ def cmd_verify(args, out) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parses ``QBDTAIL_TOL`` with the command line, into ``args.tol``."""
+
+    def parse_args(self, args=None, namespace=None):
+        ns = super().parse_args(args, namespace)
+        text = os.environ.get("QBDTAIL_TOL") or "1e-12"
+        try:
+            ns.tol = float(text)
+        except ValueError:
+            ns.tol = math.nan
+        if not 0 < ns.tol < math.inf:
+            self.error(f"QBDTAIL_TOL must be a finite positive number, got {text!r}")
+        return ns
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="qbdtail",
         description="Tail decay rates of two-dimensional QBD processes "
                     "and generalized Jackson networks.")
@@ -338,10 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
                                        "truncated solver and simulator")
     sp.add_argument("file")
     sp.add_argument("--extent", type=_int_at_least(1), default=100)
-    sp.add_argument("--seed", type=int, default=20240801)
+    sp.add_argument("--seed", type=_int_at_least(0), default=20240801)
     sp.add_argument("--steps", type=_int_at_least(0), default=0)
-    sp.add_argument("--level", type=int, default=0)
-    sp.add_argument("--phase", type=int, default=0)
+    sp.add_argument("--level", type=_int_at_least(0), default=0)
+    sp.add_argument("--phase", type=_int_at_least(0), default=0)
     sp.add_argument("--scan", type=_int_at_least(1), default=192)
     sp.set_defaults(func=cmd_verify)
     return p

@@ -397,13 +397,12 @@ class JacksonDecay:
     max_discrepancy: float   # over tau and every rate
 
 
-def decay_report(spec: JacksonSpec, directions, scan: int = 192,
-                 tol: float = 1e-6) -> JacksonDecay:
+def decay_report(spec: JacksonSpec, directions, scan: int = 192) -> JacksonDecay:
     """Directional decay rates via both pipelines.
 
     Path A traces {gamma_plus = 0} with feasibility from the gamma^{(i)}
     signs; path B assembles the Kronecker blocks and runs the generic
-    two-dimensional analysis.  A discrepancy beyond ``tol`` raises
+    two-dimensional analysis.  A discrepancy beyond 1e-6 raises
     PathDisagreement, signalling a defect.
     """
     directions = [checked_direction(c) for c in directions]
@@ -415,7 +414,7 @@ def decay_report(spec: JacksonSpec, directions, scan: int = 192,
     worst = max(abs(a - b) for a, b in
                 zip(analytic.tau_report.tau + analytic.rates,
                     generic.tau_report.tau + generic.rates))
-    if worst > tol:
+    if worst > 1e-6:
         raise PathDisagreement(
             f"analytic and generic pipelines disagree by {worst:.3e}")
     return JacksonDecay(traffic=traffic, analytic=analytic, generic=generic,
@@ -434,15 +433,15 @@ class CertificateResult:
     ok: bool
 
 
-def assumption3_certificate(spec: JacksonSpec, theta,
-                            tol: float = 1e-8) -> CertificateResult:
+def assumption3_certificate(spec: JacksonSpec, theta) -> CertificateResult:
     """Constructs the product-form eigenvectors at a curve point and checks
     the boundary compatibility displays for both faces.
 
     For face 1 the boundary vector is a(theta) h1a x h2a x h1d with
     a = <beta_2, h2d> and h_id normalised through the service transform;
     the fitted scalar must equal gamma^{(1)}(theta), and the lower display
-    must vanish.  Face 2 is symmetric.
+    must vanish.  Face 2 is symmetric.  ``ok`` holds when every display
+    residual is at most 1e-8.
     """
     theta = np.asarray(theta, dtype=float)
     cs = cumulants(spec)
@@ -485,7 +484,7 @@ def assumption3_certificate(spec: JacksonSpec, theta,
                        / max(1.0, float(np.max(np.abs(h_plus)))))
         c0s.append(c0)
         c0err.append(abs(c0 - cs.gamma_face(i, theta)))
-    ok = max(max(res_up), max(res_low)) <= tol
+    ok = max(max(res_up), max(res_low)) <= 1e-8
     return CertificateResult(residual_upper=tuple(res_up),
                              residual_lower=tuple(res_low),
                              c0=tuple(c0s), c0_error=tuple(c0err), ok=ok)

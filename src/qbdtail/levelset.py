@@ -33,15 +33,16 @@ class TauReport:
     category: str         # "I", "II_1" or "II_2"
 
 
-def minimize_convex_2d(f, x0=(0.0, 0.0), rounds: int = 60, tol: float = 1e-6):
-    """Coordinate descent with golden-section line searches.
-
-    The default ``tol`` is what a golden section can attain on a flat
-    minimum (about sqrt(eps) relative); a level curve needs only an
-    interior center, so asking for more only spends evaluations.
+def minimize_convex_2d(f):
+    """Coordinate descent from the origin with golden-section line
+    searches: at most 60 rounds, until no coordinate moves more than 1e-6,
+    what a golden section can attain on a flat minimum (about sqrt(eps)
+    relative).  A level curve needs only an interior center, so asking for
+    more only spends evaluations.
     """
-    x = np.array(x0, dtype=float)
-    for _ in range(rounds):
+    x = np.zeros(2)
+    tol = 1e-6
+    for _ in range(60):
         moved = 0.0
         for axis in (0, 1):
             def line(v, axis=axis):
@@ -130,8 +131,8 @@ class LevelCurve:
     def _flag(self, point, i: int) -> bool:
         return bool(self.flags(point)[i - 1])
 
-    def _flag_transitions(self, i: int, tol: float = 1e-10):
-        """Refined curve points at the boundaries of the feasible arcs."""
+    def _flag_transitions(self, i: int):
+        """Feasible-arc boundaries on the curve, bisected in phi to 1e-10."""
         n = len(self.scan_phi)
         flag = lambda phi: self._flag(self.point_at(phi), i)
         out = []
@@ -142,7 +143,7 @@ class LevelCurve:
                 continue
             lo, hi = _bisect_predicate(flag, self.scan_phi[k],
                                        self.scan_phi[k] + 2.0 * np.pi / n,
-                                       fa, tol)
+                                       fa, 1e-10)
             out.append(self.point_at(lo if fa else hi))
         return out
 

@@ -174,21 +174,22 @@ def kron_sum(a, b) -> np.ndarray:
     return np.kron(a, np.eye(b.shape[0])) + np.kron(np.eye(a.shape[0]), b)
 
 
-def neumann_inverse(t, margin: float = 1e-10, clamp_tol: float = 1e-12) -> np.ndarray:
+def neumann_inverse(t) -> np.ndarray:
     """(I - T)^{-1} = sum_n T^n for a nonnegative T with spectral radius
     strictly below 1.
 
-    Rejects radius > 1 - margin (the series diverges at radius 1).  Tiny
-    negative entries from the solve are clamped to 0 below ``clamp_tol``.
+    Rejects radius > 1 - 1e-10 (the series diverges at radius 1).  Tiny
+    negative entries from the solve, down to -1e-12, are clamped to 0.
     """
     t = _check_square_nonneg(t)
     n = t.shape[0]
     radius = spectral_radius(t)
+    margin = 1e-10
     if radius > 1.0 - margin:
         raise SpectralRadiusNotBelowOne(
             f"spectral radius {radius:.15g} is not below 1 - {margin}")
     x = np.linalg.solve(np.eye(n) - t, np.eye(n))
-    x[(x < 0) & (x > -clamp_tol)] = 0.0
+    x[(x < 0) & (x > -1e-12)] = 0.0
     if np.any(x < 0):
         raise IllConditioned("Neumann inverse came out negative beyond tolerance")
     check = np.max(np.abs((np.eye(n) - t) @ x - np.eye(n)))

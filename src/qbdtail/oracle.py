@@ -293,32 +293,29 @@ def estimate_decay(source, coordinate: int, level: int = 0, phase: int = 0,
     biased when the decay is slow, and the bend shows up directly in r^2.
     """
     tails = source.tail_sequence(coordinate, level, phase)
-    ns = np.arange(tails.size)
-    if window is not None:
-        slope, intercept, r2 = _fit_log_tail(ns, tails, window)
-        return TailEstimate(kind="coordinate",
-                            target=(coordinate, level, phase), slope=slope,
-                            intercept=intercept, r_squared=r2,
-                            window=tuple(window))
     n = tails.size
-    best = None
-    for cand in (regression_window(n), (n // 4, n // 2)):
-        try:
-            slope, intercept, r2 = _fit_log_tail(ns, tails, cand)
-        except EmptyWindow:
-            continue
-        if best is None or r2 > best[2]:
-            best = (slope, intercept, r2, cand)
-    if best is None:
-        raise EmptyWindow("no usable regression window")
+    ns = np.arange(n)
+    if window is not None:
+        best = (*_fit_log_tail(ns, tails, window), window)
+    else:
+        best = None
+        for cand in (regression_window(n), (n // 4, n // 2)):
+            try:
+                slope, intercept, r2 = _fit_log_tail(ns, tails, cand)
+            except EmptyWindow:
+                continue
+            if best is None or r2 > best[2]:
+                best = (slope, intercept, r2, cand)
+        if best is None:
+            raise EmptyWindow("no usable regression window")
     slope, intercept, r2, cand = best
     return TailEstimate(kind="coordinate", target=(coordinate, level, phase),
                         slope=slope, intercept=intercept, r_squared=r2,
                         window=tuple(cand))
 
 
-def estimate_decay_direction(source, c, window=None) -> TailEstimate:
-    """Least-squares slope of log P(<L, c> > x) on an x grid."""
+def estimate_decay_direction(source, c) -> TailEstimate:
+    """Least-squares slope of log P(<L, c> > x) on [xmax/4, 3 xmax/4]."""
     c = np.asarray(c, dtype=float)
     mass = source.cell_mass()
     n1, n2 = mass.shape[0] - 1, mass.shape[1] - 1
@@ -327,17 +324,16 @@ def estimate_decay_direction(source, c, window=None) -> TailEstimate:
     l1g, l2g = np.meshgrid(np.arange(n1 + 1), np.arange(n2 + 1), indexing="ij")
     proj = c[0] * l1g + c[1] * l2g
     tails = np.array([mass[proj > x].sum() for x in grid])
-    if window is None:
-        window = (0.25 * xmax, 0.75 * xmax)
+    window = (0.25 * xmax, 0.75 * xmax)
     slope, intercept, r2 = _fit_log_tail(grid, tails, window)
     return TailEstimate(kind="direction", target=tuple(c), slope=slope,
                         intercept=intercept, r_squared=r2,
                         window=tuple(window))
 
 
-def tail_csv(source, coordinate: int, path, level: int = 0, phase: int = 0):
-    """Write (n, log_tail) pairs for external plotting."""
-    tails = source.tail_sequence(coordinate, level, phase)
+def tail_csv(source, coordinate: int, path):
+    """Write (n, log_tail) pairs at level 0 and phase 0, for plotting."""
+    tails = source.tail_sequence(coordinate, 0, 0)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("n,log_tail\n")
         for n, t in enumerate(tails, start=1):
@@ -366,14 +362,15 @@ def _phi(table: StationaryTable, which: str, theta):
 
 
 def stationary_identity_residual(table: StationaryTable, spec: qbd2d.Qbd2dSpec,
-                                 theta, tail_tol: float = 1e-12) -> float:
+                                 theta) -> float:
     """Sup-norm of the censored stationary MGF identity at theta.
 
     The identity ties the interior MGF vector, the two face MGF vectors and
     the probabilities of the four corner cells together through the interior
     and censored matrix MGFs; for the exact stationary distribution it
     vanishes wherever the transforms converge.  Evaluated on a truncated
-    table it measures both solver error and truncation bias.
+    table it measures both solver error and truncation bias.  A top
+    boundary term above 1e-12 at theta raises ThetaOutsideDomain.
     """
     if spec.time == "continuous":
         spec = qbd2d.uniformize(spec)
@@ -385,9 +382,9 @@ def stationary_identity_residual(table: StationaryTable, spec: qbd2d.Qbd2dSpec,
                for l2 in range(0, n2 + 1, max(1, n2 // 8)))
     edge = max(edge, max(float(np.exp(n2 * t2) * table.vector(l1, n2).sum())
                          for l1 in range(0, n1 + 1, max(1, n1 // 8))))
-    if edge > tail_tol:
+    if edge > 1e-12:
         raise ThetaOutsideDomain(
-            f"truncation tail {edge:.3e} above {tail_tol} at theta={theta}")
+            f"truncation tail {edge:.3e} above 1e-12 at theta={theta}")
 
     fam = spec.families
     e1, e2 = np.exp(t1), np.exp(t2)
@@ -424,18 +421,16 @@ def stationary_identity_residual(table: StationaryTable, spec: qbd2d.Qbd2dSpec,
                  + pi10 @ fam[("1", "0")][(-1, 1)]
                  + pi00 @ fam[("0", "0")][(0, 1)])
 
-    inv1 = np.linalg.solve(np.eye(spec.dims[1])
-                           - qbd2d.face_mgf(spec, 1, 0, t1),
-                           np.eye(spec.dims[1]))
-    inv2 = np.linalg.solve(np.eye(spec.dims[2])
-                           - qbd2d.face_mgf(spec, 2, 0, t2),
-                           np.eye(spec.dims[2]))
+    _, face1_0, face1_1, _, _ = qbd2d.face_mgfs(spec, 1, t1)
+    _, face2_0, face2_1, _, _ = qbd2d.face_mgfs(spec, 2, t2)
+    inv1 = np.linalg.solve(np.eye(spec.dims[1]) - face1_0, np.eye(spec.dims[1]))
+    inv2 = np.linalg.solve(np.eye(spec.dims[2]) - face2_0, np.eye(spec.dims[2]))
 
     psi0 = (e1 * e2 * (pi11 @ (np.eye(m) - a_plusplus))
             - e1 * e2 * (pi10 @ f1_plus1 + pi01 @ f2_1plus
                          + pi00 @ fam[("0", "0")][(1, 1)])
-            - e2 * (psi1 @ inv1 @ qbd2d.face_mgf(spec, 1, 1, t1))
-            - e1 * (psi2 @ inv2 @ qbd2d.face_mgf(spec, 2, 1, t2)))
+            - e2 * (psi1 @ inv1 @ face1_1)
+            - e1 * (psi2 @ inv2 @ face2_1))
 
     lhs = (phi_pp @ (np.eye(m) - a_pp)
            + e2 * (phi_p1 @ (np.eye(m) - c1))

@@ -312,15 +312,15 @@ def _bisect_predicate(pred, a: float, b: float, at_a: bool, tol: float):
     return a, b
 
 
-def gamma1d_plus(k: QbdBlocks, tol: float = 1e-12) -> Interval:
+def gamma1d_plus(k: QbdBlocks) -> Interval:
     """Sublevel interval {theta : gamma(theta) <= 1} of the convex interior
-    eigenvalue curve; empty and degenerate results are valid.
+    eigenvalue curve, ends located to 1e-12; empty or degenerate is valid.
 
     A stochastic K has gamma(0) = 1 exactly, so 0 is the end on the side
     the mean drift points away from (both ends at zero drift, where the
     numerical tangent minimum may sit just above 1).
     """
-    ends = _sublevel_interval(lambda th: gamma_a(k, th), 1.0, 0.0, 1.0, tol)
+    ends = _sublevel_interval(lambda th: gamma_a(k, th), 1.0, 0.0, 1.0, 1e-12)
     if not _is_stochastic(k):
         return EMPTY_INTERVAL if ends is None else Interval(*ends)
     lo, hi = (0.0, 0.0) if ends is None else ends
@@ -328,10 +328,10 @@ def gamma1d_plus(k: QbdBlocks, tol: float = 1e-12) -> Interval:
     return Interval(lo=0.0 if drift <= 0 else lo, hi=0.0 if drift >= 0 else hi)
 
 
-def cp_kplus(k: QbdBlocks, tol: float = 1e-12) -> float:
+def cp_kplus(k: QbdBlocks) -> float:
     """Convergence parameter of the boundary-free part: the reciprocal of
-    the convex minimum of the interior eigenvalue curve."""
-    _, fmin = convex_min_scalar(lambda th: gamma_a(k, th), 0.0, tol=tol)
+    the convex minimum (to 1e-12) of the interior eigenvalue curve."""
+    _, fmin = convex_min_scalar(lambda th: gamma_a(k, th), 0.0)
     return 1.0 / fmin
 
 
@@ -358,13 +358,15 @@ def _g_iteration(k: QbdBlocks, theta1: float):
     return np.exp(theta1) * (h[:, np.newaxis] / h[np.newaxis, :]), iterates()
 
 
-def g_minus(k: QbdBlocks, tol: float = 1e-13, max_iter: int = 10**7) -> GMinusResult:
+def g_minus(k: QbdBlocks) -> GMinusResult:
     """Minimal nonnegative solution of G = A_-1 + A_0 G + A_1 G^2.
 
     Computed in twisted coordinates at theta1, the left endpoint of
     {gamma = 1}, where the twisted chain is (sub)stochastic so the fixed
-    point iteration from 0 converges, then untwisted.
+    point iteration from 0 converges, then untwisted: until a step changes
+    G by <= 1e-13, at most 10**7 steps (NoConvergence, early if too slow).
     """
+    tol, max_iter = 1e-13, 10**7
     interval = gamma1d_plus(k)
     if interval.empty:
         raise GammaPlusEmpty("gamma(theta) > 1 everywhere; G is undefined")
@@ -402,7 +404,7 @@ def _is_stochastic(k: QbdBlocks, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(rows - 1.0)) <= tol)
 
 
-def superharmonic_exists_via_G(k: QbdBlocks, g_max_iter: int = 200_000) -> bool:
+def superharmonic_exists_via_G(k: QbdBlocks) -> bool:
     """Existence of a positive y with K y <= y, via the G-matrix test:
     the tilting interval is nonempty and sp(C0 + A1 G-) <= 1.
 
@@ -410,7 +412,7 @@ def superharmonic_exists_via_G(k: QbdBlocks, g_max_iter: int = 200_000) -> bool:
     0, so sp(C0 + A1 G_n) > 1 + slack is a rigorous "no"; a geometric
     remainder bound from the measured contraction rate certifies "yes"
     early.  Raises NoConvergence when the twisted chain is too close to
-    null recurrent to decide within ``g_max_iter`` iterations.
+    null recurrent to decide within 200,000 iterations.
     """
     if _is_stochastic(k):
         # the ones vector is superharmonic; skips the (possibly null
@@ -445,17 +447,16 @@ def superharmonic_exists_via_G(k: QbdBlocks, g_max_iter: int = 200_000) -> bool:
                     if sp_hi <= 1.0 + LE_ONE_SLACK:
                         return True
             diff_prev, it_prev = diff, it
-        if it >= g_max_iter:
+        if it >= 200_000:
             break
     raise NoConvergence("existence undecidable within budget at this scale")
 
 
-def _common_vector_feasible(a_mat: np.ndarray, c_mat: np.ndarray,
-                            pos_tol: float = 1e-9) -> bool:
+def _common_vector_feasible(a_mat: np.ndarray, c_mat: np.ndarray) -> bool:
     """Linear-program feasibility of {h > 0 : A h <= h, C h <= h}.
 
     Maximizes the minimum entry of h under sum(h) = 1; feasible iff the
-    optimum is strictly positive.
+    optimum is above 1e-9.
     """
     from scipy.optimize import linprog  # lazy: scipy dominates CLI start-up
 
@@ -472,7 +473,7 @@ def _common_vector_feasible(a_mat: np.ndarray, c_mat: np.ndarray,
     res = linprog(c=np.concatenate([np.zeros(m), [-1.0]]),
                   A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
                   bounds=[(None, None)] * (m + 1), method="highs")
-    return bool(res.status == 0 and res.x is not None and res.x[m] > pos_tol)
+    return bool(res.status == 0 and res.x is not None and res.x[m] > 1e-9)
 
 
 def _curve_endpoint_member(k: QbdBlocks, can: CanonicalQbd, theta: float) -> bool:
@@ -483,9 +484,9 @@ def _curve_endpoint_member(k: QbdBlocks, can: CanonicalQbd, theta: float) -> boo
     return bool(np.all(c @ h <= h * (1.0 + LE_ONE_SLACK) + LE_ONE_SLACK))
 
 
-def gamma1d_0plus(k: QbdBlocks, tol: float = 1e-10) -> Interval:
+def gamma1d_0plus(k: QbdBlocks) -> Interval:
     """Closed interval {theta : some h > 0 has A_*(theta) h <= h and
-    C_*(theta) h <= h}.
+    C_*(theta) h <= h}, its ends bisected to 1e-10.
 
     Membership at the endpoints of the sublevel interval uses the Perron
     vector directly; strictly inside, the common-vector condition is decided
@@ -493,6 +494,7 @@ def gamma1d_0plus(k: QbdBlocks, tol: float = 1e-10) -> Interval:
     the intersection of the two sublevel intervals, so intersecting them is
     not a valid shortcut).
     """
+    tol = 1e-10
     plus = gamma1d_plus(k)
     if plus.empty:
         return EMPTY_INTERVAL
@@ -538,7 +540,7 @@ def _fit_proportional(v: np.ndarray, ref: np.ndarray):
 
 
 def boundary_compatibility(down, f0, f1, a_low, a_up, h, theta: float,
-                           pinned: float, inverse, tol: float) -> CompatibilityResult:
+                           pinned: float, inverse) -> CompatibilityResult:
     """Boundary vector h0 > 0 and scalars (c0, c1), one of them pinned, with
 
         F0 h0 + e^{theta} F1 h                   = c0 h0,
@@ -548,8 +550,9 @@ def boundary_compatibility(down, f0, f1, a_low, a_up, h, theta: float,
     for h0 by least squares, then fits c0; the c0-pinned branch takes
     h0 = e^{theta} inverse() F1 h, then fits c1.  ``inverse`` returns
     (I - F0)^{-1} (discrete time) or (-F0)^{-1} (continuous time), or None
-    when that does not exist.
+    when that does not exist.  A branch holds at relative residuals <= 1e-8.
     """
+    tol = 1e-8
     eo = np.exp(theta)
     # branch with c1 pinned: solve the lower display for h0
     rhs = eo * ((pinned * h) - (a_low @ h) - eo * (a_up @ h))
@@ -578,8 +581,7 @@ def boundary_compatibility(down, f0, f1, a_low, a_up, h, theta: float,
                                c1=np.nan, h0=None, residual=float(best))
 
 
-def check_assumption1(k: QbdBlocks, theta: float,
-                      tol: float = 1e-8) -> CompatibilityResult:
+def check_assumption1(k: QbdBlocks, theta: float) -> CompatibilityResult:
     """Numerical check of the boundary compatibility condition at theta:
     existence of a positive boundary vector h0 and scalars (c0, c1), one of
     them equal to 1, with
@@ -602,7 +604,7 @@ def check_assumption1(k: QbdBlocks, theta: float,
             return None
 
     return boundary_compatibility(k.bm1, k.b0, k.b1, k.a0, k.a1, h / h.max(),
-                                  theta, 1.0, inverse, tol)
+                                  theta, 1.0, inverse)
 
 
 def mean_drift(k: QbdBlocks) -> float:
@@ -611,20 +613,20 @@ def mean_drift(k: QbdBlocks) -> float:
     return float(nu @ ((k.a1 - k.am1) @ np.ones(k.m)))
 
 
-def rate_matrix(k: QbdBlocks, tol: float = 1e-13, max_iter: int = 10**7) -> np.ndarray:
+def rate_matrix(k: QbdBlocks) -> np.ndarray:
     """Minimal nonnegative solution of R = R^2 A_-1 + R A_0 + A_1 for a
-    stochastic, positive recurrent chain."""
+    stochastic, positive recurrent chain (step change <= 1e-13, 10**7 steps)."""
     if not _is_stochastic(k, tol=1e-9):
         raise NotStochastic("assembled matrix is not row stochastic")
     if mean_drift(k) >= 0:
         raise NotPositiveRecurrent("interior mean drift is >= 0")
     m = k.m
     r = np.zeros((m, m))
-    for _ in range(max_iter):
+    for _ in range(10**7):
         r_next = k.a1 + r @ k.a0 + (r @ r) @ k.am1
         diff = float(np.max(np.abs(r_next - r)))
         r = r_next
-        if diff <= tol:
+        if diff <= 1e-13:
             return r
     raise NoConvergence("R fixed point did not converge")
 
@@ -698,11 +700,11 @@ def cp_k(k: QbdBlocks) -> float:
     return _cp_bisect(k, superharmonic_exists_via_G(k), cp_kplus(k))
 
 
-def classify_recurrence(k: QbdBlocks, tol: float = 1e-9) -> str:
+def classify_recurrence(k: QbdBlocks) -> str:
     """Coarse classification at the convergence parameter t = c_p(K):
-    ``"t_positive"`` when t < c_p(K_+), else ``"t_null_or_transient"``."""
+    ``"t_positive"`` when t < c_p(K_+) - 1e-9, else ``"t_null_or_transient"``."""
     if not superharmonic_exists_via_G(k):
         raise NoSuperharmonicVector("c_p(K) < 1")
     t_plus = cp_kplus(k)
     t = _cp_bisect(k, True, t_plus)
-    return "t_positive" if t < t_plus - tol else "t_null_or_transient"
+    return "t_positive" if t < t_plus - 1e-9 else "t_null_or_transient"

@@ -168,11 +168,10 @@ def validate_spec(spec: Qbd2dSpec, tol: float = 1e-12) -> list:
     out = []
     for reg in REGIONS:
         fam = spec.families[reg]
-        n_rows = fam[(0, 0) if reg != ("0", "0") else (0, 0)].shape[0]
+        n_rows = fam[(0, 0)].shape[0]
         rowsum = np.zeros(n_rows)
         for inc, b in fam.items():
             rowsum += b @ np.ones(b.shape[1])
-            offdiag_ok = b >= -tol
             if inc == (0, 0) and spec.time == "continuous":
                 mask = ~np.eye(b.shape[0], dtype=bool)
                 if not np.all(b[mask] >= -tol):
@@ -181,7 +180,7 @@ def validate_spec(spec: Qbd2dSpec, tol: float = 1e-12) -> list:
                 if not np.all(np.diag(b) <= tol):
                     out.append(Violation("DiagSignViolation", reg, inc,
                                          "positive diagonal in a generator"))
-            elif not np.all(offdiag_ok):
+            elif not np.all(b >= -tol):
                 out.append(Violation("NegativeEntryViolation", reg, inc,
                                      "negative entry"))
             tgt = alias_target(*reg, *inc)
@@ -220,11 +219,6 @@ def _face_sum(spec, reg, fixed, axis, theta_val):
             continue
         parts.append(np.exp(free * theta_val) * b)
     return sum(parts)
-
-
-def face_mgf(spec: Qbd2dSpec, i: int, k: int, theta_i: float) -> np.ndarray:
-    """Axis-face MGF A^{(face i)}_{*k}(theta_i) for k in {0, 1}."""
-    return _face_sum(spec, _FACES[i][0], k, i - 1, theta_i)
 
 
 def face_mgfs(spec: Qbd2dSpec, i: int, theta_i: float) -> tuple:
@@ -414,10 +408,11 @@ def induced_drifts(spec: Qbd2dSpec) -> tuple:
     return tuple(out)
 
 
-def stability_check(spec: Qbd2dSpec, tol: float = 1e-9) -> str:
+def stability_check(spec: Qbd2dSpec) -> str:
     """Positive recurrence classification from the interior and induced
-    drifts; "undetermined" when the interior drift vector vanishes."""
+    drifts; "undetermined" when both interior drifts are within 1e-9 of 0."""
     mu1, mu2 = mean_drifts(spec)
+    tol = 1e-9
     if abs(mu1) <= tol and abs(mu2) <= tol:
         return "undetermined"
     if mu1 > 0 and mu2 > 0:
@@ -456,8 +451,7 @@ def decay_rates(spec: Qbd2dSpec, directions, scan: int = 192) -> Decay:
 # -- boundary compatibility checker -------------------------------------------
 
 
-def check_assumption2(spec: Qbd2dSpec, theta, i: int,
-                      tol: float = 1e-8) -> qbd1d.CompatibilityResult:
+def check_assumption2(spec: Qbd2dSpec, theta, i: int) -> qbd1d.CompatibilityResult:
     """Boundary compatibility condition for face i at a curve point.
 
     ``qbd1d.boundary_compatibility`` on the face MGFs at theta_i, with the
@@ -466,9 +460,9 @@ def check_assumption2(spec: Qbd2dSpec, theta, i: int,
     """
     theta = np.asarray(theta, dtype=float)
     level = gamma_level(spec)
-    if abs(gamma2(spec, theta) - level) > 1e-8:
+    gamma, h = gamma2_pair(spec, theta)
+    if abs(gamma - level) > 1e-8:
         raise ThetaNotOnCurve(f"gamma(theta) != {level} at {theta}")
-    _, h = gamma2_pair(spec, theta)
     down, f0, f1, a_low, a_up = face_mgfs(spec, i, float(theta[i - 1]))
 
     def inverse():
@@ -478,4 +472,4 @@ def check_assumption2(spec: Qbd2dSpec, theta, i: int,
             return None
 
     return qbd1d.boundary_compatibility(down, f0, f1, a_low, a_up, h / h.max(),
-                                        float(theta[2 - i]), level, inverse, tol)
+                                        float(theta[2 - i]), level, inverse)

@@ -148,6 +148,9 @@ class TestValidateCommand:
     (["verify", "scalar_rrw.yaml"], "--extent", "-3"),
     (["verify", "scalar_rrw.yaml"], "--steps", "-1"),
     (["decay", "scalar_rrw.yaml"], "--scan", "many"),
+    (["verify", "modulated_rrw.yaml", "--extent", "20"], "--seed", "-3"),
+    (["verify", "modulated_rrw.yaml", "--extent", "20"], "--level", "-1"),
+    (["verify", "modulated_rrw.yaml", "--extent", "20"], "--phase", "-1"),
 ])
 def test_bad_size_is_an_input_error(command, flag, value, capsys):
     argv = [command[0], str(MODELS / command[1]), *command[2:], flag, value]
@@ -476,3 +479,59 @@ def test_env_tolerance_override(tmp_path, monkeypatch):
     monkeypatch.setenv("QBDTAIL_TOL", "1e-6")
     code, _ = run_cli(["validate", str(bad)])
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "nan"])
+def test_bad_env_tolerance_is_an_input_error(value, monkeypatch, capsys):
+    # a tolerance that is not a finite positive number is rejected before
+    # any model is read: no traceback, no report, no numpy warning
+    monkeypatch.setenv("QBDTAIL_TOL", value)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate", str(MODELS / "scalar_rrw.yaml")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"QBDTAIL_TOL must be a finite positive number, got {value!r}" in captured.err
+    assert "Traceback" not in captured.err
+    assert "Warning" not in captured.err
+
+
+@pytest.mark.parametrize("flags", [["--level", "21"], ["--level", "500"],
+                                   ["--phase", "2"], ["--phase", "5"],
+                                   ["--level", "3", "--phase", "2"]])
+def test_verify_level_and_phase_are_checked_before_the_solve(
+        flags, monkeypatch, capsys):
+    # modulated_rrw has two phases in every cell; the fitted cells lie at
+    # --level <= --extent
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran on a bad --level or --phase")
+
+    monkeypatch.setattr(cli.oracle, "truncate_and_solve", no_solve)
+    argv = ["verify", str(MODELS / "modulated_rrw.yaml"), "--extent", "20",
+            *flags]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("model error: need --level <= --extent (20)")
+    assert "Traceback" not in err
+
+
+def test_verify_accepts_the_last_level_and_phase():
+    code, text = run_cli(["verify", str(MODELS / "modulated_rrw.yaml"),
+                          "--extent", "20", "--level", "20", "--phase", "1",
+                          "--scan", "32"])
+    assert code == 0
+    assert "coordinate 1: analytic = " in text
+
+
+@pytest.mark.parametrize("target", ["missing/curve.csv", "."])
+def test_boundary_unwritable_out_is_an_input_error(target, tmp_path, capsys):
+    # a missing directory and a directory: exit 2, no traceback, no file
+    out = tmp_path / target
+    argv = ["boundary", str(MODELS / "scalar_rrw.yaml"), "--samples", "8",
+            "--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"model error: cannot write --out {out}")
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []

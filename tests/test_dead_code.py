@@ -1,5 +1,6 @@
-"""Dead-code guard for ``src/qbdtail``: no unused import, and no private
-module-level name that nothing in the package refers to.
+"""Dead-code guard for ``src/qbdtail``: no unused import, no private
+module-level name that nothing in the package refers to, and no defaulted
+parameter that no call in the package or its tests sets.
 
 Helpers left behind when their last caller is deleted fail here.  Only the
 standard library's ``ast`` is used; the package's own ``from . import
@@ -78,3 +79,85 @@ def test_no_unreferenced_private_names():
             for name, line in _private_definitions(tree)
             if name not in used]
     assert dead == []
+
+
+# -- knob guard ------------------------------------------------------------
+
+TESTS = Path(__file__).resolve().parent
+
+
+def _defaulted_parameters(tree):
+    """(callee key, parameter, positional index, line) of every parameter
+    with a default in a module-level function or a method of a module-level
+    class.  Nested functions are exempt: a default there usually binds a
+    loop variable (``def line(v, axis=axis)``).  The index counts the
+    positional arguments of a call, so a method's ``self`` is left out, and
+    it is None for a keyword-only parameter.  A method's key is its name,
+    ``Class.__init__`` for an ``__init__``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            owner, funcs, skip = None, [node], 0
+        elif isinstance(node, ast.ClassDef):
+            owner, skip = node.name, 1
+            funcs = [f for f in node.body if isinstance(f, ast.FunctionDef)]
+        else:
+            continue
+        for fn in funcs:
+            key = f"{owner}.__init__" if fn.name == "__init__" else fn.name
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            for k in range(first, len(positional)):
+                yield key, positional[k].arg, k - skip, fn.lineno
+            for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if d is not None:
+                    yield key, a.arg, None, fn.lineno
+
+
+def _calls(node, classes, forwarded=frozenset()):
+    """(callee key, positional count, keyword names, unpacks) of every call
+    under ``node``.  The key is the last name of the call target, or
+    ``Class.__init__`` for a call to a package class.  ``unpacks`` is true
+    when the call unpacks ``*`` or ``**`` anything but the enclosing
+    function's own variadic parameters: plain forwarding passes only what
+    the wrapper's callers passed, and those calls are counted themselves."""
+    if isinstance(node, ast.FunctionDef):
+        forwarded = {a.arg for a in (node.args.vararg, node.args.kwarg) if a}
+    if isinstance(node, ast.Call):
+        f = node.func
+        name = getattr(f, "id", None) or getattr(f, "attr", None)
+        if name is not None:
+            def fresh(value):
+                return not (isinstance(value, ast.Name) and value.id in forwarded)
+            unpacks = (any(isinstance(a, ast.Starred) and fresh(a.value)
+                           for a in node.args)
+                       or any(k.arg is None and fresh(k.value)
+                              for k in node.keywords))
+            yield (f"{name}.__init__" if name in classes else name,
+                   sum(not isinstance(a, ast.Starred) for a in node.args),
+                   {k.arg for k in node.keywords}, unpacks)
+    for child in ast.iter_child_nodes(node):
+        yield from _calls(child, classes, forwarded)
+
+
+def test_every_default_is_passed_somewhere():
+    """Every defaulted parameter of a package function is set by some call
+    in the package or its tests, by keyword, by position or by unpacking.
+    A default that no caller sets is a fixed value: it belongs inline at
+    its use, stated in the docstring, not in the signature."""
+    trees = _trees()
+    classes = {n.name for t in trees.values() for n in t.body
+               if isinstance(n, ast.ClassDef)}
+    sources = list(trees.values()) + [
+        ast.parse(p.read_text(encoding="utf-8"), str(p))
+        for p in sorted(TESTS.glob("*.py"))]
+    sites = {}
+    for tree in sources:
+        for key, npos, keys, unpacks in _calls(tree, classes):
+            sites.setdefault(key, []).append((npos, keys, unpacks))
+    unset = [f"{fname}:{line} {key}({param})"
+             for fname, tree in trees.items()
+             for key, param, index, line in _defaulted_parameters(tree)
+             if not any(unpacks or param in keys
+                        or (index is not None and npos > index)
+                        for npos, keys, unpacks in sites.get(key, []))]
+    assert unset == []
