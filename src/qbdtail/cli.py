@@ -111,7 +111,7 @@ def _load(args) -> modelfile.ModelFile:
 
 def _spec_2d(mf: modelfile.ModelFile) -> qbd2d.Qbd2dSpec:
     if mf.kind == "jackson":
-        return jk.build_blocks(mf.payload)
+        return mf.payload.blocks
     if mf.kind in ("qbd2d_discrete", "qbd2d_continuous"):
         return mf.payload
     raise SchemaError(f"command not supported for kind {mf.kind!r}")

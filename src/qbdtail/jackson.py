@@ -156,6 +156,12 @@ class JacksonSpec:
         """(r_{i0}, r_{i,3-i}) for node i."""
         return (self.r10, self.r12) if i == 1 else (self.r20, self.r21)
 
+    # computed once: the generic path and every certificate point read it
+    @cached_property
+    def blocks(self) -> qbd2d.Qbd2dSpec:
+        """The network's continuous-time 2d-QBD (``build_blocks``)."""
+        return build_blocks(self)
+
 
 @dataclass(frozen=True)
 class TrafficReport:
@@ -376,17 +382,13 @@ def renewal_arrival_cumulant(arr: MapSpec, theta: float) -> float:
 
 
 def analytic_curve(spec: JacksonSpec, scan: int = 192) -> LevelCurve:
-    """Level curve of gamma_plus with face feasibility flags from the
-    gamma^{(i)} signs."""
+    """Level curve of gamma_plus with face feasibility margins
+    gamma^{(i)}(theta): face i is feasible where gamma^{(i)} <= slack."""
     cs = cumulants(spec)
-
-    def flags(theta):
-        out = []
-        for i in (1, 2):
-            out.append(bool(cs.gamma_face(i, theta) <= qbd1d.LE_ONE_SLACK))
-        return tuple(out)
-
-    return LevelCurve(cs.gamma_plus, flags, scan_size=scan)
+    return LevelCurve(
+        cs.gamma_plus,
+        lambda theta: (cs.gamma_face(1, theta), cs.gamma_face(2, theta)),
+        scan_size=scan)
 
 
 @dataclass(frozen=True)
@@ -410,7 +412,7 @@ def decay_report(spec: JacksonSpec, directions, scan: int = 192) -> JacksonDecay
     if not traffic.stable:
         raise Unstable(f"utilizations {traffic.rho} not both below one")
     analytic = decay(analytic_curve(spec, scan=scan), directions)
-    generic = decay(qbd2d.level_curve(build_blocks(spec), scan=scan), directions)
+    generic = decay(qbd2d.level_curve(spec.blocks, scan=scan), directions)
     worst = max(abs(a - b) for a, b in
                 zip(analytic.tau_report.tau + analytic.rates,
                     generic.tau_report.tau + generic.rates))
@@ -460,7 +462,7 @@ def assumption3_certificate(spec: JacksonSpec, theta) -> CertificateResult:
     h1d = h_service(1)
     h2d = h_service(2)
     h_plus = np.kron(np.kron(h1a, h2a), np.kron(h1d, h2d))
-    blocks = build_blocks(spec)
+    blocks = spec.blocks
 
     res_up, res_low, c0s, c0err = [], [], [], []
     for i in (1, 2):

@@ -5,11 +5,14 @@ to the same picture: a convex function ``gap(theta)`` on R^2, negative on a
 bounded open region, whose zero set is a closed convex curve.  Decay rates
 come from extreme points of the curve and from feasibility flags attached to
 curve points (one flag per coordinate, from the boundary-face conditions).
+Each flag is a continuous margin read against one slack: flag i holds when
+margin i is at most ``qbd1d.LE_ONE_SLACK``.
 
 The curve is parametrized by the angle around an interior center; radial
-root finding, pole location, flag-transition bisection, the tau/category
-logic and the directional decay rates all live here, independent of how
-``gap`` and the flags are computed.
+root finding, pole location (Brent's localmin in the angle), flag
+transitions (Brent on the margin in the angle), the tau/category logic and
+the directional decay rates all live here, independent of how ``gap`` and
+the margins are computed.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGammaPlus, InconsistentCategory, ZeroDirection
-from .qbd1d import (_bisect_predicate, _golden_min, _sublevel_interval,
-                    bisect_root, convex_min_scalar)
+from .qbd1d import (LE_ONE_SLACK, _brent_bracket, _brent_min,
+                    _sublevel_interval, bisect_root, convex_min_scalar)
 
 CATEGORY_TOL = 1e-9
 
@@ -34,11 +37,11 @@ class TauReport:
 
 
 def minimize_convex_2d(f):
-    """Coordinate descent from the origin with golden-section line
-    searches: at most 60 rounds, until no coordinate moves more than 1e-6,
-    what a golden section can attain on a flat minimum (about sqrt(eps)
-    relative).  A level curve needs only an interior center, so asking for
-    more only spends evaluations.
+    """Coordinate descent from the origin with Brent line searches: at
+    most 60 rounds, until no coordinate moves more than 1e-6, what a line
+    search can attain on a flat minimum (about sqrt(eps) relative).  A
+    level curve needs only an interior center, so asking for more only
+    spends evaluations.
     """
     x = np.zeros(2)
     tol = 1e-6
@@ -60,13 +63,14 @@ def minimize_convex_2d(f):
 class LevelCurve:
     """Angular parametrization of {gap = 0} around an interior center.
 
-    ``gap`` must be convex with a negative minimum; ``flags`` maps a point on
-    the curve to the pair of boundary-feasibility booleans.
+    ``gap`` must be convex with a negative minimum; ``margins`` maps a point
+    on the curve to the pair of boundary-feasibility margins, and flag i
+    holds where margin i is at most ``LE_ONE_SLACK`` (``+inf`` never holds).
     """
 
-    def __init__(self, gap, flags, scan_size: int = 192):
+    def __init__(self, gap, margins, scan_size: int = 192):
         self.gap = gap
-        self.flags = flags
+        self.margins = margins
         center, gmin = minimize_convex_2d(gap)
         if gmin > -1e-12:
             raise EmptyGammaPlus("level region has empty interior")
@@ -74,8 +78,13 @@ class LevelCurve:
         self.gmin = gmin
         self.scan_phi = np.linspace(0.0, 2.0 * np.pi, scan_size, endpoint=False)
         self.scan_points = [self.point_at(phi) for phi in self.scan_phi]
-        self.scan_flags = [self.flags(p) for p in self.scan_points]
+        self.scan_margins = [self.margins(p) for p in self.scan_points]
+        self.scan_flags = [_holds(m) for m in self.scan_margins]
         self._pole_cache = {}
+
+    def flags(self, point) -> tuple:
+        """The pair of boundary-feasibility booleans at a curve point."""
+        return _holds(self.margins(point))
 
     # -- parametrization ---------------------------------------------------
 
@@ -92,21 +101,22 @@ class LevelCurve:
 
     # -- poles and sections ------------------------------------------------
 
-    def _scan_max(self, score, tol: float):
-        """(phi, score) at the maximum of score(point_at(phi)): the best
-        scan sample, refined by a golden section over its two cells."""
-        k = int(np.argmax([score(p) for p in self.scan_points]))
-        span = 2.0 * np.pi / len(self.scan_phi)
-        phi, val = _golden_min(lambda f: -score(self.point_at(f)),
-                               self.scan_phi[k] - span,
-                               self.scan_phi[k] + span, tol=tol)
-        return phi, -val
-
     def extreme(self, direction) -> np.ndarray:
-        """The curve point maximizing <direction, theta>."""
+        """The curve point maximizing <direction, theta>: the best scan
+        sample, refined by Brent's localmin in phi to 1e-9 over its two
+        cells."""
         d = np.asarray(direction, dtype=float)
-        phi, _ = self._scan_max(lambda p: float(d @ p), tol=1e-9)
-        return self.point_at(phi)
+        k = int(np.argmax([float(d @ p) for p in self.scan_points]))
+        span = 2.0 * np.pi / len(self.scan_phi)
+        points = {}
+
+        def neg_score(phi):
+            p = points[phi] = self.point_at(phi)
+            return -float(d @ p)
+
+        phi, _ = _brent_min(neg_score, self.scan_phi[k] - span,
+                            self.scan_phi[k] + span, tol=1e-9)
+        return points[phi]
 
     def pole(self, i: int) -> np.ndarray:
         """The point maximizing theta_i over the curve."""
@@ -132,19 +142,26 @@ class LevelCurve:
         return bool(self.flags(point)[i - 1])
 
     def _flag_transitions(self, i: int):
-        """Feasible-arc boundaries on the curve, bisected in phi to 1e-10."""
+        """Feasible-arc boundaries on the curve: Brent on margin i minus
+        the slack in phi, to a bracket of 1e-10 whose feasible end is
+        returned."""
         n = len(self.scan_phi)
-        flag = lambda phi: self._flag(self.point_at(phi), i)
         out = []
         for k in range(n):
-            fa = self.scan_flags[k][i - 1]
-            fb = self.scan_flags[(k + 1) % n][i - 1]
-            if fa == fb:
+            if self.scan_flags[k][i - 1] == self.scan_flags[(k + 1) % n][i - 1]:
                 continue
-            lo, hi = _bisect_predicate(flag, self.scan_phi[k],
-                                       self.scan_phi[k] + 2.0 * np.pi / n,
-                                       fa, 1e-10)
-            out.append(self.point_at(lo if fa else hi))
+            a = self.scan_phi[k]
+            b = a + 2.0 * np.pi / n
+            points = {a: self.scan_points[k], b: self.scan_points[(k + 1) % n]}
+
+            def excess(phi):
+                p = points[phi] = self.point_at(phi)
+                return self.margins(p)[i - 1] - LE_ONE_SLACK
+
+            x, fx, y, _ = _brent_bracket(
+                excess, a, self.scan_margins[k][i - 1] - LE_ONE_SLACK,
+                b, self.scan_margins[(k + 1) % n][i - 1] - LE_ONE_SLACK, 1e-10)
+            out.append(points[x if fx <= 0 else y])
         return out
 
     def feasible_extreme(self, i: int) -> np.ndarray:
@@ -204,12 +221,28 @@ class LevelCurve:
     # -- directional supremum over the southwest closure ---------------------
 
     def directional_sup(self, c) -> float:
-        """sup{u >= 0 : some curve point dominates u*c componentwise}."""
+        """sup{u >= 0 : some curve point dominates u*c componentwise}.
+
+        For c > 0 this is the maximum of min(theta_1/c_1, theta_2/c_2) over
+        the region, the largest of: pole i valued theta_i/c_i when its other
+        coordinate has theta_j/c_j >= theta_i/c_i, and the far root of
+        gap(u c) = 0 along the ray (to 1e-12).
+        """
         c = np.asarray(c, dtype=float)
         if np.all(c > 0):
-            _, val = self._scan_max(
-                lambda p: float(min(p[0] / c[0], p[1] / c[1])), tol=1e-10)
-            return max(val, 0.0)
+            cands = []
+            for i in (1, 2):
+                pole = self.pole(i)
+                if pole[2 - i] / c[2 - i] >= pole[i - 1] / c[i - 1]:
+                    cands.append(pole[i - 1] / c[i - 1])
+            # start from the center's projection on the ray; when that is
+            # outside, _sublevel_interval looks for the minimum along the ray
+            u0 = float(self.center @ c) / float(c @ c)
+            ray = _sublevel_interval(lambda u: self.gap(u * c), 0.0, u0, 0.5,
+                                     1e-12)
+            if ray is not None:
+                cands.append(ray[1])
+            return max(max(cands, default=0.0), 0.0)
         # coordinate direction: sup of theta_i over curve points with the
         # other coordinate positive
         i = 1 if c[0] > 0 else 2
@@ -224,6 +257,11 @@ class LevelCurve:
         if not cands:
             return 0.0
         return max(max(cands) / scale, 0.0)
+
+
+def _holds(margins) -> tuple:
+    """Feasibility flags from margins: margin <= slack."""
+    return tuple(bool(m <= LE_ONE_SLACK) for m in margins)
 
 
 def checked_direction(direction) -> np.ndarray:

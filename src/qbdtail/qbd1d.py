@@ -6,8 +6,9 @@ recurrence classification.  One twisted fixed-point iteration computes G
 (``_g_iteration``): ``g_minus`` runs it to convergence, and the one existence
 test ``superharmonic_exists_via_G`` decides during it.  The boundary
 compatibility condition is solved by ``boundary_compatibility``, which
-``qbd2d.check_assumption2`` shares.  The scalar tools (Brent roots, convex
-minima, sublevel intervals, predicate bisection) also serve ``levelset``.
+``qbd2d.check_assumption2`` shares.  The scalar tools (Brent roots and
+brackets, Brent minima, sublevel intervals, predicate bisection) also serve
+``levelset``.
 
 Block layout convention: the matrix acts on level-stacked row vectors
 (pi_0, pi_1, ...) with level 0 of dimension m0 and all higher levels of
@@ -25,6 +26,7 @@ construction.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -47,6 +49,7 @@ from .errors import (
 # single documented slack for all "<= 1" style tests
 LE_ONE_SLACK = 1e-10
 _EPS = float(np.finfo(float).eps)
+_SQRT_EPS = _EPS ** 0.5
 
 
 @dataclass(frozen=True)
@@ -184,29 +187,64 @@ def gamma_a(k: QbdBlocks, theta: float) -> float:
     return matcore.dominant(a_mgf(k, theta)).value
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-12):
-    """Golden-section minimum of a unimodal f on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+def _brent_min(f, lo: float, hi: float, tol: float = 1e-12):
+    """Minimum (x, f(x)) of a unimodal f on [lo, hi] by Brent's localmin:
+    a parabola through the three best points when it steps inside the
+    bracket and shrinks, else a golden-section step (Brent 1973, *Algorithms
+    for Minimization without Derivatives*, ch. 5).  Stops once the bracket
+    around x is no wider than ``tol + 4 sqrt(eps) |x|``.
+    """
+    golden = 0.5 * (3.0 - 5.0 ** 0.5)
     a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+    x = w = v = a + golden * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + 0.25 * tol
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            return x, fx
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                d = p / q
+                if (x + d) - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if x < m else -tol1
+        if not parabolic:
+            e = (b - x) if x < m else (a - x)
+            d = golden * e
+        u = x + (d if abs(d) >= tol1 else (tol1 if d > 0 else -tol1))
+        fu = f(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def convex_min_scalar(f, x0: float = 0.0, step: float = 1.0, tol: float = 1e-12):
     """Minimum of a convex scalar function: downhill bracket walk with
-    doubling steps, then golden-section refinement."""
+    doubling steps, then Brent's localmin on the bracket."""
     a, mid, b = x0 - step, x0, x0 + step
     fa, fm, fb = f(a), f(mid), f(b)
     for _ in range(200):
@@ -224,25 +262,19 @@ def convex_min_scalar(f, x0: float = 0.0, step: float = 1.0, tol: float = 1e-12)
             fb = f(b)
     else:
         raise NoConvergence("could not bracket the convex minimum")
-    return _golden_min(f, a, b, tol=tol)
+    return _brent_min(f, a, b, tol=tol)
 
 
-def bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Brent-Dekker root of f; f(lo) and f(hi) must straddle zero.
+def _brent_bracket(f, a: float, fa: float, b: float, fb: float, tol: float):
+    """Brent-Dekker shrinking of a sign-change bracket [a, b] of f, given
+    fa = f(a) and fb = f(b) of opposite signs (or one of them zero).
 
     Inverse-quadratic and secant steps, with a bisection step whenever they
-    stall (Brent 1973, *Algorithms for Minimization without Derivatives*,
-    ch. 4).  The returned point is an exact zero of f or an end of a
-    sign-change bracket no wider than ``max(tol, 4 eps |root|)``.
+    stall or a value is not finite (Brent 1973, *Algorithms for Minimization
+    without Derivatives*, ch. 4).  Returns ``(b, fb, c, fc)``: b the best
+    point, either an exact zero of f or an end of the sign-change bracket
+    [b, c] no wider than ``max(tol, 4 eps |b|)``.
     """
-    a, b = lo, hi
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0:
-        raise NoSignChange("root bracket does not straddle a root")
     c, fc = a, fa
     d = e = b - a
     for _ in range(1000):
@@ -256,8 +288,10 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
         tol1 = max(0.5 * tol, 2.0 * _EPS * abs(b))
         xm = 0.5 * (c - b)
         if abs(xm) <= tol1 or fb == 0.0:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            return b, fb, c, fc
+        # |fb| <= |fc| and |fb| < |fa| here, so fb is finite when fa is
+        if (abs(e) >= tol1 and abs(fa) > abs(fb) and math.isfinite(fa)
+                and math.isfinite(fc)):
             s = fb / fa
             if a == c:
                 p, q = 2.0 * xm * s, 1.0 - s          # secant
@@ -278,6 +312,22 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
         b += d if abs(d) > tol1 else (tol1 if xm > 0 else -tol1)
         fb = f(b)
     raise NoConvergence("root bracket did not shrink to the tolerance")
+
+
+def bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
+    """Brent-Dekker root of f; f(lo) and f(hi) must straddle zero.
+
+    The returned point is an exact zero of f or an end of a sign-change
+    bracket no wider than ``max(tol, 4 eps |root|)`` (``_brent_bracket``).
+    """
+    fa, fb = f(lo), f(hi)
+    if fa == 0.0:
+        return lo
+    if fb == 0.0:
+        return hi
+    if fa * fb > 0:
+        raise NoSignChange("root bracket does not straddle a root")
+    return _brent_bracket(f, lo, fa, hi, fb, tol)[0]
 
 
 def _sublevel_interval(f, level: float, x0: float, step: float, tol: float):

@@ -284,12 +284,16 @@ def curve_gap(spec: Qbd2dSpec):
     return lambda theta: gamma2(spec, theta) - level
 
 
-def feasibility_flags(spec: Qbd2dSpec):
-    """Callable mapping a curve point theta to the C^{(1)}/C^{(2)} flags,
-    tested with the Perron vector of the interior MGF there."""
+def feasibility_margins(spec: Qbd2dSpec):
+    """Callable mapping a curve point theta to the C^{(1)}/C^{(2)} margins,
+    read with the Perron vector h of the interior MGF there, scaled to
+    max 1: max_k ((C h)_k - h_k) in discrete time, max_k (C h)_k /
+    max(1, max |C|) in continuous time, and +inf where the face is not
+    invertible.  Face i is feasible where its margin is at most
+    ``qbd1d.LE_ONE_SLACK``."""
     discrete = spec.time == "discrete"
 
-    def flags(theta):
+    def margins(theta):
         _, h = gamma2_pair(spec, theta)
         h = h / h.max()
         out = []
@@ -297,22 +301,21 @@ def feasibility_flags(spec: Qbd2dSpec):
             try:
                 c = c2_mgf(spec, i, theta)
             except FaceNotInvertible:
-                out.append(False)
+                out.append(np.inf)
                 continue
             v = c @ h
             if discrete:
-                out.append(bool(np.all(v <= h + qbd1d.LE_ONE_SLACK)))
+                out.append(float(np.max(v - h)))
             else:
-                scale = max(1.0, float(np.max(np.abs(c))))
-                out.append(bool(np.all(v <= qbd1d.LE_ONE_SLACK * scale)))
+                out.append(float(np.max(v)) / max(1.0, float(np.max(np.abs(c)))))
         return tuple(out)
 
-    return flags
+    return margins
 
 
 def level_curve(spec: Qbd2dSpec, scan: int = 192) -> LevelCurve:
-    """The boundary curve of the tilting region with feasibility flags."""
-    return LevelCurve(curve_gap(spec), feasibility_flags(spec), scan_size=scan)
+    """The boundary curve of the tilting region with feasibility margins."""
+    return LevelCurve(curve_gap(spec), feasibility_margins(spec), scan_size=scan)
 
 
 # -- uniformization -----------------------------------------------------------

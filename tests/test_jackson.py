@@ -275,6 +275,22 @@ class TestCertificate:
                 assert cert.c0[i - 1] == pytest.approx(
                     cs.gamma_face(i, theta), abs=1e-10)
 
+    def test_blocks_are_built_once_per_spec(self, monkeypatch):
+        spec = jackson.JacksonSpec(
+            arrivals=(mmpp2_map(0.4, 0.6, 0.5, 2.0), jackson.poisson_map(0.25)),
+            services=(jackson.erlang_ph(2, 3.5), jackson.erlang_ph(2, 1.77)),
+            r12=0.3, r21=0.2)
+        built = []
+        original = jackson.build_blocks
+        monkeypatch.setattr(jackson, "build_blocks",
+                            lambda s: built.append(s) or original(s))
+        curve = jackson.analytic_curve(spec, scan=32)
+        for phi in (0.4, 1.3, 2.2, 3.9):
+            assert jackson.assumption3_certificate(spec, curve.point_at(phi)).ok
+        jackson.decay_report(spec, [(1.0, 1.0)], scan=32)
+        assert built == [spec]
+        assert spec.blocks is spec.blocks
+
     def test_off_curve_raises(self, mapph_spec):
         with pytest.raises(ThetaNotOnCurve):
             jackson.assumption3_certificate(mapph_spec, (2.0, 2.0))

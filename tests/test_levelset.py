@@ -1,0 +1,190 @@
+"""Level-curve refinements: the exact diagonal supremum, feasibility
+margins, agreement across scan sizes, and evaluation-count ceilings."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.optimize import brentq, minimize_scalar
+
+from qbdtail import jackson, levelset, modelfile, qbd1d, qbd2d
+from qbdtail.errors import FaceNotInvertible
+from qbdtail.levelset import LevelCurve
+
+from conftest import scalar_rrw
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+SHIPPED = ("scalar_rrw", "modulated_rrw", "tandem_jackson", "mapph_jackson")
+DIRECTIONS = [np.array(d, dtype=float) for d in ((1, 0), (0, 1), (1, 1), (2, 1))]
+DIAGONALS = [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (0.3, 0.7), (1.0, 4.0),
+             (5.0, 1.0)]
+
+
+def sup_from_parts(pole1, pole2, ray_root, c):
+    """max of min(theta_1/c_1, theta_2/c_2) over a convex region, from its
+    two poles and the far root of the boundary along the ray u c."""
+    cands = [ray_root]
+    if pole1[1] / c[1] >= pole1[0] / c[0]:
+        cands.append(pole1[0] / c[0])
+    if pole2[0] / c[0] >= pole2[1] / c[1]:
+        cands.append(pole2[1] / c[1])
+    return max(max(cands), 0.0)
+
+
+def far_ray_root(h, c):
+    """Far root of a convex h(u c) that is negative at its minimum."""
+    inner = minimize_scalar(lambda u: h(u * c), bounds=(0.0, 20.0),
+                            method="bounded").x
+    return brentq(lambda u: h(u * c), inner, 50.0, xtol=1e-14)
+
+
+class TestDirectionalSup:
+    @pytest.mark.parametrize("m,r", [((0.0, 0.0), 1.0), ((0.5, -0.2), 1.0),
+                                     ((-0.3, 0.6), 0.8)],
+                             ids=["unit", "shifted_right", "shifted_up"])
+    @pytest.mark.parametrize("c", DIAGONALS)
+    def test_circle(self, m, r, c):
+        m, c = np.array(m), np.array(c)
+        curve = LevelCurve(lambda t: float((t - m) @ (t - m)) - r * r,
+                           lambda t: (-1.0, -1.0), scan_size=64)
+        cm, cc = float(c @ m), float(c @ c)
+        ray = (cm + np.sqrt(cm * cm - cc * (float(m @ m) - r * r))) / cc
+        want = sup_from_parts(m + (r, 0.0), m + (0.0, r), ray, c)
+        assert curve.directional_sup(c) == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("c", DIAGONALS)
+    def test_scalar_rrw(self, c):
+        pxp, pxm, pyp, pym = 0.15, 0.25, 0.1, 0.2
+        curve = qbd2d.level_curve(scalar_rrw(pxp, pxm, pyp, pym))
+        total = pxp + pxm + pyp + pym
+
+        def pole(a_up, a_down, b_up, b_down):
+            # the other coordinate minimizes its own exponential pair; the
+            # pole coordinate is the larger root of the remaining quadratic
+            s = total - 2.0 * np.sqrt(b_up * b_down)
+            top = np.log((s + np.sqrt(s * s - 4.0 * a_up * a_down)) / (2.0 * a_up))
+            return top, 0.5 * np.log(b_down / b_up)
+
+        t1, t2 = pole(pxp, pxm, pyp, pym)
+        s2, s1 = pole(pyp, pym, pxp, pxm)
+        h = lambda t: (pxp * np.exp(t[0]) + pxm * np.exp(-t[0])
+                       + pyp * np.exp(t[1]) + pym * np.exp(-t[1]) - total)
+        c = np.array(c)
+        want = sup_from_parts((t1, t2), (s1, s2), far_ray_root(h, c), c)
+        assert curve.directional_sup(c) == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("c", DIAGONALS)
+    def test_tandem_jackson(self, tandem_spec, c):
+        lam, mu1, mu2 = 1.0, 2.0, 3.0
+        curve = jackson.analytic_curve(tandem_spec)
+        # pole 1: mu1 e^{t2-t1} = mu2 e^{-t2}, x = e^{t1/2} solves
+        # lam x^3 - (lam+mu1+mu2) x + 2 sqrt(mu1 mu2) = 0
+        x = max(np.roots([lam, 0.0, -(lam + mu1 + mu2),
+                          2.0 * np.sqrt(mu1 * mu2)]).real)
+        t1 = 2.0 * np.log(x)
+        pole1 = (t1, 0.5 * np.log(mu2 / mu1) + 0.5 * t1)
+        # pole 2: lam e^{t1} = mu1 e^{t2-t1}, z = e^{t1} solves
+        # 2 lam z^3 - (lam+mu1+mu2) z^2 + mu1 mu2 / lam = 0
+        z = max(np.roots([2.0 * lam, -(lam + mu1 + mu2), 0.0,
+                          mu1 * mu2 / lam]).real)
+        pole2 = (np.log(z), np.log(lam / mu1) + 2.0 * np.log(z))
+        h = lambda t: (lam * np.expm1(t[0]) + mu1 * np.expm1(t[1] - t[0])
+                       + mu2 * np.expm1(-t[1]))
+        c = np.array(c)
+        want = sup_from_parts(pole1, pole2, far_ray_root(h, c), c)
+        assert curve.directional_sup(c) == pytest.approx(want, abs=1e-9)
+
+
+def old_flags(spec, theta):
+    """The boolean feasibility test the margins replace."""
+    _, h = qbd2d.gamma2_pair(spec, theta)
+    h = h / h.max()
+    out = []
+    for i in (1, 2):
+        try:
+            c = qbd2d.c2_mgf(spec, i, theta)
+        except FaceNotInvertible:
+            out.append(False)
+            continue
+        v = c @ h
+        if spec.time == "discrete":
+            out.append(bool(np.all(v <= h + qbd1d.LE_ONE_SLACK)))
+        else:
+            scale = max(1.0, float(np.max(np.abs(c))))
+            out.append(bool(np.all(v <= qbd1d.LE_ONE_SLACK * scale)))
+    return tuple(out)
+
+
+class TestMargins:
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_flags_keep_the_boolean_tests(self, name):
+        mf = modelfile.load_model(MODELS / f"{name}.yaml")
+        spec = mf.payload.blocks if mf.kind == "jackson" else mf.payload
+        curve = qbd2d.level_curve(spec, scan=64)
+        assert len(set(curve.scan_flags)) > 1   # both values occur
+        for p, m, fl in zip(curve.scan_points, curve.scan_margins,
+                            curve.scan_flags):
+            assert fl == old_flags(spec, p)
+            assert all(np.isfinite(v) or v == np.inf for v in m)
+
+    def test_jackson_margins_are_the_face_cumulants(self, mapph_spec):
+        curve = jackson.analytic_curve(mapph_spec, scan=32)
+        cs = jackson.cumulants(mapph_spec)
+        for p, m in zip(curve.scan_points, curve.scan_margins):
+            assert m == (cs.gamma_face(1, p), cs.gamma_face(2, p))
+
+    def test_infinite_margin_never_holds(self):
+        # face 1 "not invertible" on the left half of the unit circle
+        curve = LevelCurve(lambda t: t[0] ** 2 + t[1] ** 2 - 1.0,
+                           lambda t: (np.inf if t[0] < 0.5 else -1.0, -1.0),
+                           scan_size=16)
+        assert curve.flags(np.array([-1.0, 0.0])) == (False, True)
+        ends = curve._flag_transitions(1)
+        assert len(ends) == 2
+        for p in ends:
+            assert p[0] == pytest.approx(0.5, abs=1e-9)
+            assert curve.flags(p)[0]
+
+
+def decay_values(name, scan):
+    mf = modelfile.load_model(MODELS / f"{name}.yaml")
+    if mf.kind == "jackson":
+        rep = jackson.decay_report(mf.payload, DIRECTIONS, scan=scan)
+        return np.array(rep.analytic.tau_report.tau + rep.analytic.rates
+                        + rep.generic.tau_report.tau + rep.generic.rates)
+    rep = qbd2d.decay_rates(mf.payload, DIRECTIONS, scan=scan)
+    return np.array(rep.tau_report.tau + rep.rates)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_tau_and_rates_do_not_depend_on_the_scan(name):
+    ref = decay_values(name, 192)
+    for scan in (4, 32, 64, 512):
+        assert np.max(np.abs(decay_values(name, scan) - ref)) <= 1e-9
+
+
+# (level-function evaluations, point_at calls) of `decay` in the four
+# directions at the default scan, measured once; the ceilings allow 10%
+COUNTS = {"scalar_rrw": (2808, 222), "modulated_rrw": (3236, 268),
+          "tandem_jackson": (5562, 438), "mapph_jackson": (8514, 589)}
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_evaluation_counts_stay_under_their_ceilings(name, monkeypatch):
+    counts = {"gap": 0, "point_at": 0}
+
+    def counted(fn, key):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(qbd2d, "gamma2", counted(qbd2d.gamma2, "gap"))
+    monkeypatch.setattr(jackson.CumulantSet, "gamma_plus",
+                        counted(jackson.CumulantSet.gamma_plus, "gap"))
+    monkeypatch.setattr(levelset.LevelCurve, "point_at",
+                        counted(levelset.LevelCurve.point_at, "point_at"))
+    decay_values(name, 192)
+    gap, point_at = COUNTS[name]
+    assert counts["gap"] <= 1.1 * gap
+    assert counts["point_at"] <= 1.1 * point_at

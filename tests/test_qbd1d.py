@@ -336,6 +336,84 @@ class TestIntervalHelpers:
         assert a <= 0.3 <= b
 
 
+SQRT_EPS = float(np.finfo(float).eps) ** 0.5
+
+
+class TestBrentMin:
+    # golden section needs about 61 evaluations for a width-5 bracket at
+    # 1e-12; parabolic steps need far fewer on smooth minima
+    @pytest.mark.parametrize("f,lo,hi,xmin,max_evals", [
+        (lambda x: np.cosh(x - 0.7), -2.0, 3.0, 0.7, 20),
+        (lambda x: (x - 0.3) ** 2 * (2.0 + np.sin(x)), -2.0, 3.0, 0.3, 20),
+        (lambda x: abs(x - 0.3) + 0.1 * x, -2.0, 3.0, 0.3, 65),
+        (lambda x: max(x - 0.3, 0.2 * (0.3 - x)), -2.0, 3.0, 0.3, 65),
+        (lambda x: (x - 0.3) ** 4, -2.0, 3.0, 0.3, 25),
+        (lambda x: x, 0.0, 1.0, 0.0, 65),
+        (lambda x: -x, 0.0, 1.0, 1.0, 65),
+    ], ids=["cosh", "smooth", "kinked", "kinked_skew", "flat_quartic",
+            "left_end", "right_end"])
+    def test_minimum_within_the_bracket_tolerance(self, f, lo, hi, xmin,
+                                                  max_evals):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        x, fx = qbd1d._brent_min(counted, lo, hi, tol=1e-12)
+        assert fx == f(x)
+        assert abs(x - xmin) <= 1e-12 + 4.0 * SQRT_EPS * abs(x)
+        assert all(lo <= c <= hi for c in calls)
+        assert len(calls) <= max_evals
+
+    def test_convex_min_scalar_brackets_then_refines(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.exp(x - 4.0) - (x - 4.0)
+
+        x, fx = qbd1d.convex_min_scalar(f, 0.0, step=0.5)
+        assert x == pytest.approx(4.0, abs=1e-12 + 4.0 * SQRT_EPS * 4.0)
+        assert fx == pytest.approx(1.0, abs=1e-15)
+        assert len(calls) <= 30
+
+
+class TestBrentBracket:
+    @pytest.mark.parametrize("g", [
+        lambda x: x - 0.3,
+        lambda x: np.tanh(40.0 * (0.3 - x)),
+        lambda x: -1.0 if x < 0.3 else 1.0,
+        lambda x: 1.0 if x < 0.3 else -1.0,
+        lambda x: np.inf if x > 0.3 else x - 0.5,
+        lambda x: np.inf if x < 0.3 else x - 0.5,
+    ], ids=["linear", "decreasing", "step_up", "step_down", "inf_right",
+            "inf_left"])
+    def test_feasible_end_of_a_narrow_bracket(self, g):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return g(x)
+
+        x, fx, y, fy = qbd1d._brent_bracket(counted, 0.0, g(0.0), 1.0,
+                                            g(1.0), 1e-10)
+        assert (fx, fy) == (g(x), g(y))
+        end = x if fx <= 0 else y
+        assert g(end) <= 0
+        if fx != 0.0:   # else x is an exact zero
+            assert abs(x - y) <= 1e-10 and (fx > 0) != (fy > 0)
+            assert min(x, y) - 1e-15 <= 0.3 <= max(x, y) + 1e-15
+        # bisection needs 34 steps for 1e-10; nothing interpolates through inf
+        assert all(0.0 <= c <= 1.0 for c in calls)
+        assert len(calls) <= 40
+
+    def test_bisect_root_returns_the_best_point_of_the_bracket(self):
+        f = lambda x: np.exp(x) - 2.0
+        b, fb, _, _ = qbd1d._brent_bracket(f, 0.0, f(0.0), 4.0, f(4.0), 1e-12)
+        assert qbd1d.bisect_root(f, 0.0, 4.0, tol=1e-12) == b
+
+
 class TestGamma1d0Plus:
     def test_m1_equals_intersection(self):
         # for m = 1 the common-vector interval is exactly the intersection

@@ -300,7 +300,7 @@ class TestTauReport:
         # unit circle; face 1 feasible only high up, face 2 only far right,
         # so each feasibility extreme lies beyond the other's coordinate
         curve = LevelCurve(lambda t: t[0] ** 2 + t[1] ** 2 - 1.0,
-                           lambda t: (t[1] >= 0.95, t[0] >= 0.95),
+                           lambda t: (0.95 - t[1], 0.95 - t[0]),
                            scan_size=64)
         with pytest.raises(InconsistentCategory) as info:
             curve.tau_report()
