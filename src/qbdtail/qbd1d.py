@@ -2,11 +2,13 @@
 
 Canonical form, tilting intervals, superharmonic-vector existence (both the
 G-matrix and the common-vector characterizations), G/R matrices and
-recurrence classification.  One twisted fixed-point iteration computes G
-(``_g_iteration``): ``g_minus`` runs it to convergence, and the one existence
-test ``superharmonic_exists_via_G`` decides during it.  The boundary
-compatibility condition is solved by ``boundary_compatibility``, which
-``qbd2d.check_assumption2`` shares.  The scalar tools (Brent roots and
+recurrence classification.  One logarithmic reduction in twisted
+coordinates computes G with an entrywise bracket (``_log_reduction``):
+``g_minus`` and ``rate_matrix`` read its converged G, and the one existence
+test ``superharmonic_exists_via_G`` reads the bracket.  The common-vector
+set is a sublevel interval of a spectral radius (``gamma1d_0plus``).  The
+boundary compatibility condition is solved by ``boundary_compatibility``,
+which ``qbd2d.check_assumption2`` shares.  The scalar tools (Brent roots and
 brackets, Brent minima, sublevel intervals, predicate bisection) also serve
 ``levelset``.
 
@@ -27,7 +29,6 @@ construction.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +120,7 @@ class GMinusResult:
 
     g: np.ndarray
     theta1: float
-    iterations: int
+    iterations: int      # logarithmic-reduction doubling steps
 
 
 @dataclass(frozen=True)
@@ -385,64 +386,74 @@ def cp_kplus(k: QbdBlocks) -> float:
     return 1.0 / fmin
 
 
-def _g_iteration(k: QbdBlocks, theta1: float):
-    """Fixed-point iteration for G- in twisted coordinates at theta1, the
-    left end of {gamma <= 1}, where the twisted chain is (sub)stochastic.
+def _log_reduction(k: QbdBlocks, theta1: float):
+    """G- by logarithmic reduction (Latouche & Ramaswami, J. Appl. Prob. 30,
+    1993) in twisted coordinates at theta1, the left end of {gamma <= 1}.
+    There the twisted blocks sum to a stochastic matrix with nonpositive
+    mean drift, so the twisted G is stochastic.
 
-    Returns ``(untwist, iterates)``: ``iterates`` yields (g_n, change_n) for
-    n = 1, 2, ..., the twisted iterates increasing entrywise from 0 and
-    their sup-norm change, and ``untwist * g_n`` is G_n in the original
-    coordinates.
+    Step n watches the chain at multiples of 2^n: H_n and L_n are its up
+    and down moves, G_n = G_{n-1} + T_{n-1} L_n and T_n = T_{n-1} H_n.  The
+    iterates increase to G, and the unreturned mass T_n 1, which is the
+    row-sum deficit 1 - G_n 1 of the stochastic twisted chain, bounds what
+    is missing: G_n <= G <= G_n + (T_n 1) 1^T entrywise.  The deficit falls
+    quadratically, and the reduction stops once it is at most 1e-15 (64
+    steps at most, 2^64 levels).  At a
+    tangent interval the twisted chain is null recurrent, the deficit only
+    halves per step and rounding in the row sums of H_n + L_n grows
+    fourfold; a step that leaves them more than 1e-6 from 1, does not
+    shrink the deficit or is not finite is dropped, and the reduction stops
+    on the deficit it has.
+
+    Returns ``(g, bound, converged, steps)`` in the original coordinates:
+    g = G_n, ``bound`` the entrywise bound matrix of G - G_n, ``converged``
+    whether the deficit reached 1e-15, and the number of doubling steps.
     """
+    m = k.m
     h = matcore.dominant(a_mgf(k, theta1)).right
-    tw_m1, tw_0, tw_1 = matcore.twist((k.am1, k.a0, k.a1), h, theta1, (-1, 0, 1))
-
-    def iterates():
-        g = np.zeros((k.m, k.m))
-        while True:
-            g_next = tw_m1 + tw_0 @ g + tw_1 @ (g @ g)
-            diff = float(np.abs(g_next - g).max())
-            g = g_next
-            yield g, diff
-
-    return np.exp(theta1) * (h[:, np.newaxis] / h[np.newaxis, :]), iterates()
+    down, local, up = matcore.twist((k.am1, k.a0, k.a1), h, theta1, (-1, 0, 1))
+    eye = np.eye(m)
+    moves = np.linalg.solve(eye - local, np.hstack([up, down]))   # [H_0 L_0]
+    h_up, h_down = moves[:, :m], moves[:, m:]
+    g, t = h_down, h_up
+    deficit = t.sum(axis=1)
+    steps = 0
+    while deficit.max() > 1e-15 and steps < 64:
+        try:
+            moves = np.linalg.solve(eye - h_up @ h_down - h_down @ h_up,
+                                    np.hstack([h_up @ h_up, h_down @ h_down]))
+        except np.linalg.LinAlgError:
+            break
+        up_next, down_next = moves[:, :m], moves[:, m:]
+        g_next, t_next = g + t @ down_next, t @ up_next
+        deficit_next = t_next.sum(axis=1)
+        if not (np.all(np.isfinite(g_next)) and np.all(np.isfinite(t_next))
+                and deficit_next.max() < deficit.max()
+                and np.abs(moves.sum(axis=1) - 1.0).max() <= 1e-6):
+            break
+        h_up, h_down, g, t, deficit = up_next, down_next, g_next, t_next, deficit_next
+        steps += 1
+    untwist = np.exp(theta1) * (h[:, np.newaxis] / h[np.newaxis, :])
+    return (untwist * g, untwist * deficit[:, np.newaxis],
+            bool(deficit.max() <= 1e-15), steps)
 
 
 def g_minus(k: QbdBlocks) -> GMinusResult:
     """Minimal nonnegative solution of G = A_-1 + A_0 G + A_1 G^2.
 
-    Computed in twisted coordinates at theta1, the left endpoint of
-    {gamma = 1}, where the twisted chain is (sub)stochastic so the fixed
-    point iteration from 0 converges, then untwisted: until a step changes
-    G by <= 1e-13, at most 10**7 steps (NoConvergence, early if too slow).
+    Logarithmic reduction in twisted coordinates at theta1, the left end of
+    {gamma = 1} (``_log_reduction``), then untwisted.  Raises
+    ``NoConvergence`` unless the row-sum deficit reaches 1e-15, which fails
+    at a tangent interval (null-recurrent twisted chain).
     """
-    tol, max_iter = 1e-13, 10**7
     interval = gamma1d_plus(k)
     if interval.empty:
         raise GammaPlusEmpty("gamma(theta) > 1 everywhere; G is undefined")
-    if interval.hi - interval.lo < 1e-9:
-        warnings.warn("tangent tilting interval: twisted chain is null "
-                      "recurrent, G iteration converges slowly", RuntimeWarning)
-    untwist, iterates = _g_iteration(k, interval.lo)
-    check, diff_at_check = 1024, np.inf
-    for it, (g, diff) in enumerate(iterates, start=1):
-        if diff <= tol:
-            return GMinusResult(g=untwist * g, theta1=interval.lo, iterations=it)
-        if it == max_iter:
-            break
-        if it == check:
-            # project the geometric tail; bail out early if the remaining
-            # budget cannot reach tol (near-null-recurrent twisted chain)
-            rate = (diff / diff_at_check) ** (1.0 / 1024.0) if diff_at_check < np.inf else 0.0
-            if 0.0 < rate < 1.0:
-                projected = it + np.log(tol / diff) / np.log(rate)
-                if projected > max_iter:
-                    break
-            elif rate >= 1.0:
-                break
-            diff_at_check = diff
-            check += 1024
-    raise NoConvergence(f"G fixed point cannot reach {tol} within {max_iter} iterations")
+    g, bound, converged, steps = _log_reduction(k, interval.lo)
+    if not converged:
+        raise NoConvergence(f"G bracket stalled at width {bound.max():.1e} "
+                            "(tangent tilting interval, null-recurrent chain)")
+    return GMinusResult(g=g, theta1=interval.lo, iterations=steps)
 
 
 def _is_stochastic(k: QbdBlocks, tol: float = 1e-12) -> bool:
@@ -458,15 +469,16 @@ def superharmonic_exists_via_G(k: QbdBlocks) -> bool:
     """Existence of a positive y with K y <= y, via the G-matrix test:
     the tilting interval is nonempty and sp(C0 + A1 G-) <= 1.
 
-    Decided during the G iteration.  The iterates increase entrywise from
-    0, so sp(C0 + A1 G_n) > 1 + slack is a rigorous "no"; a geometric
-    remainder bound from the measured contraction rate certifies "yes"
-    early.  Raises NoConvergence when the twisted chain is too close to
-    null recurrent to decide within 200,000 iterations.
+    One logarithmic reduction gives G_n <= G- <= G_n + bound entrywise
+    (``_log_reduction``), and both ends of the bracket are read:
+    sp(C0 + A1 G_n) > 1 + slack is a rigorous "no", and
+    sp(C0 + A1 (G_n + bound)) <= 1 + 2 slack a "yes" with the true radius
+    within one slack of the test.  A converged bracket is far narrower than
+    the slack and always decides; a stalled one (tangent interval) that
+    straddles the test raises ``NoConvergence``.
     """
     if _is_stochastic(k):
-        # the ones vector is superharmonic; skips the (possibly null
-        # recurrent, slowly converging) G iteration
+        # the ones vector is superharmonic
         return True
     iv = gamma1d_plus(k)
     if iv.empty:
@@ -476,109 +488,51 @@ def superharmonic_exists_via_G(k: QbdBlocks) -> bool:
     except BoundaryNotInvertible:
         # sp(B0) >= 1 already contradicts existence
         return False
-    untwist, iterates = _g_iteration(k, iv.lo)
-    bound_scale = float(untwist.max())
-    check = 256
-    diff_prev = it_prev = None
-    for it, (g, diff) in enumerate(iterates, start=1):
-        if diff <= 1e-13 or it >= check:
-            check = it + min(2 * check, 8192)
-            sp_lo = matcore.spectral_radius(can.c0 + can.a1 @ (untwist * g))
-            if sp_lo > 1.0 + LE_ONE_SLACK:
-                return False
-            if diff <= 1e-13:
-                return True
-            if diff_prev is not None and 0.0 < diff < diff_prev:
-                rate = (diff / diff_prev) ** (1.0 / (it - it_prev))
-                if rate < 1.0:
-                    bound = 4.0 * bound_scale * diff * rate / (1.0 - rate)
-                    sp_hi = matcore.spectral_radius(
-                        can.c0 + can.a1 @ (untwist * g + bound))
-                    if sp_hi <= 1.0 + LE_ONE_SLACK:
-                        return True
-            diff_prev, it_prev = diff, it
-        if it >= 200_000:
-            break
-    raise NoConvergence("existence undecidable within budget at this scale")
+    g, bound, _, _ = _log_reduction(k, iv.lo)
+    if matcore.spectral_radius(can.c0 + can.a1 @ g) > 1.0 + LE_ONE_SLACK:
+        return False
+    if matcore.spectral_radius(can.c0 + can.a1 @ (g + bound)) <= 1.0 + 2.0 * LE_ONE_SLACK:
+        return True
+    raise NoConvergence(f"sp(C0 + A1 G) straddles 1 + {LE_ONE_SLACK} within the "
+                        f"G bracket of width {bound.max():.1e}")
 
 
-def _common_vector_feasible(a_mat: np.ndarray, c_mat: np.ndarray) -> bool:
-    """Linear-program feasibility of {h > 0 : A h <= h, C h <= h}.
-
-    Maximizes the minimum entry of h under sum(h) = 1; feasible iff the
-    optimum is above 1e-9.
-    """
-    from scipy.optimize import linprog  # lazy: scipy dominates CLI start-up
-
+def _selection_radius(a_mat: np.ndarray, c_mat: np.ndarray) -> float:
+    """Largest spectral radius over the 2^m matrices whose row i is row i
+    of ``a_mat`` or of ``c_mat``: one stacked eigenvalue solve."""
     m = a_mat.shape[0]
-    # variables (h_1..h_m, t); maximize t
-    a_ub = np.zeros((2 * m + m, m + 1))
-    a_ub[:m, :m] = a_mat - np.eye(m)
-    a_ub[m:2 * m, :m] = c_mat - np.eye(m)
-    a_ub[2 * m:, :m] = -np.eye(m)
-    a_ub[2 * m:, m] = 1.0
-    b_ub = np.zeros(3 * m)
-    a_eq = np.zeros((1, m + 1))
-    a_eq[0, :m] = 1.0
-    res = linprog(c=np.concatenate([np.zeros(m), [-1.0]]),
-                  A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-                  bounds=[(None, None)] * (m + 1), method="highs")
-    return bool(res.status == 0 and res.x is not None and res.x[m] > 1e-9)
-
-
-def _curve_endpoint_member(k: QbdBlocks, can: CanonicalQbd, theta: float) -> bool:
-    """Equality-form membership at a point with gamma(theta) = 1: the Perron
-    vector of A_*(theta) must also satisfy the C condition."""
-    h = matcore.dominant(a_mgf(k, theta)).right
-    c = can.c0 + np.exp(theta) * can.a1
-    return bool(np.all(c @ h <= h * (1.0 + LE_ONE_SLACK) + LE_ONE_SLACK))
+    pick = (np.arange(2 ** m)[:, np.newaxis] >> np.arange(m)) & 1
+    stack = np.where(pick[:, :, np.newaxis] == 1, c_mat, a_mat)
+    return float(np.abs(np.linalg.eigvals(stack)).max())
 
 
 def gamma1d_0plus(k: QbdBlocks) -> Interval:
     """Closed interval {theta : some h > 0 has A_*(theta) h <= h and
-    C_*(theta) h <= h}, its ends bisected to 1e-10.
+    C_*(theta) h <= h}, its ends located to 1e-12.
 
-    Membership at the endpoints of the sublevel interval uses the Perron
-    vector directly; strictly inside, the common-vector condition is decided
-    by a linear feasibility solve (the set is generally a strict subset of
-    the intersection of the two sublevel intervals, so intersecting them is
-    not a valid shortcut).
+    The row choices of A_* and C_* are independent, so a common
+    subinvariant vector exists iff phi(theta), the largest spectral radius
+    over the 2^m matrices that take each row from A_* or from C_*, is at
+    most 1 (Blondel & Nesterov, SIAM J. Matrix Anal. Appl. 31, 2009).
+    Every entry is log-convex in theta, so phi is too (Kingman 1961) and
+    the set is the sublevel interval {phi <= 1}.  A stochastic K has
+    phi(0) = 1 exactly (h = 1), so 0 belongs to the set; the set lies in
+    ``gamma1d_plus``, which has 0 as an end, and an end within the 1e-12
+    root tolerance of 0 is 0.
     """
-    tol = 1e-10
-    plus = gamma1d_plus(k)
-    if plus.empty:
-        return EMPTY_INTERVAL
     try:
         can = canonical_form(k)
     except BoundaryNotInvertible:
         return EMPTY_INTERVAL
-
-    def member(theta: float) -> bool:
-        if not plus.contains(theta):
-            return False
-        if theta <= plus.lo + 1e-13:
-            return _curve_endpoint_member(k, can, plus.lo)
-        if theta >= plus.hi - 1e-13:
-            return _curve_endpoint_member(k, can, plus.hi)
-        return _common_vector_feasible(a_mgf(k, theta),
-                                       can.c0 + np.exp(theta) * can.a1)
-
-    grid = np.linspace(plus.lo, plus.hi, 33)
-    flags = [member(t) for t in grid]
-    if not any(flags):
-        return EMPTY_INTERVAL
-    i_first = flags.index(True)
-    i_last = len(flags) - 1 - flags[::-1].index(True)
-    lo, hi = plus.lo, plus.hi
-    if i_first > 0:
-        a, b = _bisect_predicate(member, grid[i_first - 1], grid[i_first],
-                                 False, tol)
-        lo = 0.5 * (a + b)
-    if i_last < len(grid) - 1:
-        a, b = _bisect_predicate(member, grid[i_last], grid[i_last + 1],
-                                 True, tol)
-        hi = 0.5 * (a + b)
-    return Interval(lo=lo, hi=hi)
+    ends = _sublevel_interval(
+        lambda th: _selection_radius(a_mgf(k, th), can.c0 + np.exp(th) * can.a1),
+        1.0, 0.0, 1.0, 1e-12)
+    if not _is_stochastic(k):
+        return EMPTY_INTERVAL if ends is None else Interval(*ends)
+    plus = gamma1d_plus(k)
+    lo, hi = (0.0, 0.0) if ends is None else ends
+    lo, hi = max(lo, plus.lo), min(hi, plus.hi)
+    return Interval(lo=lo if lo < -1e-12 else 0.0, hi=hi if hi > 1e-12 else 0.0)
 
 
 def _fit_proportional(v: np.ndarray, ref: np.ndarray):
@@ -665,28 +619,33 @@ def mean_drift(k: QbdBlocks) -> float:
 
 def rate_matrix(k: QbdBlocks) -> np.ndarray:
     """Minimal nonnegative solution of R = R^2 A_-1 + R A_0 + A_1 for a
-    stochastic, positive recurrent chain (step change <= 1e-13, 10**7 steps)."""
+    stochastic, positive recurrent chain: R = A_1 (I - A_0 - A_1 G-)^{-1}
+    from ``g_minus``, refused (``NoConvergence``) when the residual of the
+    R equation exceeds 1e-12."""
     if not _is_stochastic(k, tol=1e-9):
         raise NotStochastic("assembled matrix is not row stochastic")
     if mean_drift(k) >= 0:
         raise NotPositiveRecurrent("interior mean drift is >= 0")
-    m = k.m
-    r = np.zeros((m, m))
-    for _ in range(10**7):
-        r_next = k.a1 + r @ k.a0 + (r @ r) @ k.am1
-        diff = float(np.max(np.abs(r_next - r)))
-        r = r_next
-        if diff <= 1e-13:
-            return r
-    raise NoConvergence("R fixed point did not converge")
+    g = g_minus(k).g
+    r = np.linalg.solve((np.eye(k.m) - k.a0 - k.a1 @ g).T, k.a1.T).T
+    residual = float(np.abs(r @ r @ k.am1 + r @ k.a0 + k.a1 - r).max())
+    if not residual <= 1e-12:
+        raise NoConvergence(f"R equation residual {residual:.3e} above 1e-12")
+    return r
 
 
 def stationary_boundary(k: QbdBlocks):
     """(pi_0, pi_1, R) of a positive recurrent stochastic QBD, normalized so
-    that pi_0 1 + pi_1 (I - R)^{-1} 1 = 1."""
+    that pi_0 1 + pi_1 (I - R)^{-1} 1 = 1.
+
+    The balance equations at levels 0 and 1 are solved once with the first
+    entry pinned to 1 (as ``oracle.truncate_and_solve`` does); the pinned
+    matrix is a nonsingular M-matrix, so a negative or non-finite entry
+    raises ``NoConvergence``.
+    """
     r = rate_matrix(k)
     m0, m = k.m0, k.m
-    # balance at levels 0 and 1 with pi_2 = pi_1 R:
+    # balance at levels 0 and 1 with pi_2 = pi_1 R, transposed:
     #   pi_0 (B0 - I) + pi_1 Bm1 = 0
     #   pi_0 B1 + pi_1 (A0 + R Am1 - I) = 0
     block = np.zeros((m0 + m, m0 + m))
@@ -694,14 +653,14 @@ def stationary_boundary(k: QbdBlocks):
     block[:m0, m0:] = k.b1
     block[m0:, :m0] = k.bm1
     block[m0:, m0:] = k.a0 + r @ k.am1 - np.eye(m)
-    # left null vector of `block`
-    _, _, vt = np.linalg.svd(block.T)
-    x = vt[-1]
-    if x.sum() < 0:
-        x = -x
-    if np.any(x < -1e-9):
-        raise NoConvergence("boundary solve produced a sign-mixed vector")
-    x = np.clip(x, 0.0, None)
+    a = block.T
+    x = np.ones(m0 + m)
+    try:
+        x[1:] = np.linalg.solve(a[1:, 1:], -a[1:, 0])
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"pinned boundary balance equations: {exc}") from None
+    if not np.all(np.isfinite(x)) or np.any(x < 0):
+        raise NoConvergence("boundary solve gave a negative or non-finite entry")
     pi0, pi1 = x[:m0], x[m0:]
     tail = pi1 @ matcore.neumann_inverse(r) @ np.ones(m)
     total = pi0.sum() + tail
@@ -727,19 +686,10 @@ def _cp_bisect(k: QbdBlocks, exists: bool, t_plus: float) -> float:
     lo, hi = (1.0, t_plus) if exists else (0.0, 1.0)
     if hi - lo < 1e-14:
         return lo
-
-    def ok(u: float) -> bool:
-        try:
-            return superharmonic_exists_via_G(scale(k, u))
-        except NoConvergence:
-            # near the critical scale the twisted chain is almost null
-            # recurrent; classify conservatively, the error stays within
-            # the undecidable band
-            return False
-
     # 40 halvings, but no narrower than a few ulps: a bracket of one ulp
     # cannot shrink further
-    a, b = _bisect_predicate(ok, lo, hi, True,
+    a, b = _bisect_predicate(lambda u: superharmonic_exists_via_G(scale(k, u)),
+                             lo, hi, True,
                              max((hi - lo) * 2.0**-40, 4.0 * _EPS * hi))
     return 0.5 * (a + b)
 
@@ -752,9 +702,14 @@ def cp_k(k: QbdBlocks) -> float:
 
 def classify_recurrence(k: QbdBlocks) -> str:
     """Coarse classification at the convergence parameter t = c_p(K):
-    ``"t_positive"`` when t < c_p(K_+) - 1e-9, else ``"t_null_or_transient"``."""
+    ``"t_positive"`` when t < c_p(K_+) - 1e-9, else ``"t_null_or_transient"``.
+
+    Existence is monotone in the scale u, so t < u0 = c_p(K_+) - 1e-9
+    exactly when u0 K has no superharmonic vector: two existence tests.
+    """
     if not superharmonic_exists_via_G(k):
         raise NoSuperharmonicVector("c_p(K) < 1")
-    t_plus = cp_kplus(k)
-    t = _cp_bisect(k, True, t_plus)
-    return "t_positive" if t < t_plus - 1e-9 else "t_null_or_transient"
+    u0 = cp_kplus(k) - 1e-9
+    if u0 <= 1.0 or superharmonic_exists_via_G(scale(k, u0)):
+        return "t_null_or_transient"
+    return "t_positive"

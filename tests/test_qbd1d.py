@@ -1,3 +1,5 @@
+import itertools
+import time
 import warnings
 
 import numpy as np
@@ -14,6 +16,27 @@ from qbdtail.errors import (
     NotStochastic,
     ThetaOutsideGammaPlus,
 )
+
+
+def common_vector_feasible(a_mat, c_mat):
+    """Reference LP for a common subinvariant vector: maximize the least
+    entry t of h over {A h <= h, C h <= h, sum(h) = 1} (HiGHS); feasible
+    when the optimum t is above 1e-9."""
+    from scipy.optimize import linprog
+
+    m = a_mat.shape[0]
+    # variables (h_1..h_m, t); maximize t
+    a_ub = np.zeros((3 * m, m + 1))
+    a_ub[:m, :m] = a_mat - np.eye(m)
+    a_ub[m:2 * m, :m] = c_mat - np.eye(m)
+    a_ub[2 * m:, :m] = -np.eye(m)
+    a_ub[2 * m:, m] = 1.0
+    a_eq = np.zeros((1, m + 1))
+    a_eq[0, :m] = 1.0
+    res = linprog(c=np.concatenate([np.zeros(m), [-1.0]]),
+                  A_ub=a_ub, b_ub=np.zeros(3 * m), A_eq=a_eq, b_eq=[1.0],
+                  bounds=[(None, None)] * (m + 1), method="highs")
+    return bool(res.status == 0 and res.x is not None and res.x[m] > 1e-9)
 
 
 def scalar_blocks(am1, a0, a1, b0=None, b1=None, bm1=None):
@@ -458,13 +481,59 @@ class TestGamma1d0Plus:
             pytest.skip("random instance has empty common-vector interval")
         can = qbd1d.canonical_form(k)
         for th in np.linspace(zp.lo + 1e-6, zp.hi - 1e-6, 7):
-            assert qbd1d._common_vector_feasible(
+            assert common_vector_feasible(
                 qbd1d.a_mgf(k, th), can.c0 + np.exp(th) * can.a1)
         plus = qbd1d.gamma1d_plus(k)
         for th in [zp.lo - 1e-4, zp.hi + 1e-4]:
             if plus.contains(th) and not (zp.lo <= th <= zp.hi):
-                assert not qbd1d._common_vector_feasible(
+                assert not common_vector_feasible(
                     qbd1d.a_mgf(k, th), can.c0 + np.exp(th) * can.a1)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_selection_radius_is_the_largest_enumerated_radius(self, m):
+        rng = np.random.default_rng(90 + m)
+        for _ in range(5):
+            a, c = rng.uniform(0.0, 0.5, (2, m, m))
+            c[rng.uniform(size=(m, m)) < 0.3] = 0.0   # reducible rows too
+            rows = (a, c)
+            enumerated = max(
+                matcore.spectral_radius(np.array([rows[pick][i] for i, pick
+                                                  in enumerate(choice)]))
+                for choice in itertools.product((0, 1), repeat=m))
+            assert qbd1d._selection_radius(a, c) == pytest.approx(
+                enumerated, rel=1e-12, abs=1e-15)
+
+    def test_right_end_is_the_root_of_phi(self):
+        # the right end is a root of phi - 1: inside {phi <= 1 + slack}, and
+        # 1e-9 beyond it phi exceeds the slack; MAP/PH/1 instances drawn as
+        # in criterion 6
+        from test_acceptance import (_random_map, _random_ph,
+                                     _uniformized_mapph1_blocks)
+        rng = np.random.default_rng(77)
+        checked = 0
+        for _ in range(60):
+            base = _uniformized_mapph1_blocks(_random_map(rng), _random_ph(rng))
+            k = qbd1d.scale(base, float(rng.uniform(0.9, 1.15)))
+            zp = qbd1d.gamma1d_0plus(k)
+            if zp.empty:
+                continue
+            can = qbd1d.canonical_form(k)
+
+            def phi(th):
+                return qbd1d._selection_radius(qbd1d.a_mgf(k, th),
+                                               can.c0 + np.exp(th) * can.a1)
+
+            assert phi(zp.hi) <= 1.0 + qbd1d.LE_ONE_SLACK
+            assert phi(zp.hi + 1e-9) > 1.0 + qbd1d.LE_ONE_SLACK
+            checked += 1
+        assert checked >= 20
+
+    def test_stochastic_point_set_is_exactly_zero(self):
+        # C(theta) = 0.8 + 0.2 e^theta <= 1 iff theta <= 0 and gamma_plus
+        # starts at 0: the set is {0}
+        k = scalar_blocks(0.3, 0.5, 0.2, b0=0.8, b1=0.2, bm1=0.3)
+        zp = qbd1d.gamma1d_0plus(k)
+        assert (zp.empty, zp.lo, zp.hi) == (False, 0.0, 0.0)
 
 
 class TestAssumption1:
@@ -544,6 +613,19 @@ class TestRateMatrixAndStationary:
         tv = 0.5 * np.abs(flat - pi).sum()
         assert tv < 1e-8
 
+    def test_near_critical_birth_death(self):
+        # mean drift -2.5e-5: nearly null recurrent
+        p = 0.25
+        q = 1.0001 * p
+        k = mm1_blocks(p, q)
+        t0 = time.perf_counter()
+        r = qbd1d.rate_matrix(k)
+        g = qbd1d.g_minus(k)
+        assert time.perf_counter() - t0 < 0.1
+        assert r[0, 0] == pytest.approx(p / q, rel=0.0, abs=1e-11)
+        assert g.g[0, 0] == pytest.approx(1.0, rel=0.0, abs=1e-11)
+        assert g.iterations <= 60
+
     def test_not_stochastic_raises(self):
         k = scalar_blocks(0.5, 0.2, 0.1)
         with pytest.raises(NotStochastic):
@@ -569,10 +651,10 @@ class TestClassifyRecurrence:
             qbd1d.classify_recurrence(k)
 
     def test_unscaled_steps_run_once(self, monkeypatch):
-        # cp_kplus and the existence test at scale 1 are shared between the
-        # classification and its scale bisection, not recomputed
+        # cp_kplus runs once; the classification makes two existence tests,
+        # one at scale 1 and one at c_p(K_+) - 1e-9
         k = mm1_blocks(0.2, 0.3)
-        calls = {"cp_kplus": 0, "exists": 0}
+        calls = {"cp_kplus": 0, "exists": 0, "scales": []}
         cp_kplus = qbd1d.cp_kplus
         exists = qbd1d.superharmonic_exists_via_G
 
@@ -582,12 +664,55 @@ class TestClassifyRecurrence:
 
         def counted_exists(kk, *args, **kwargs):
             calls["exists"] += kk is k
+            calls["scales"].append(kk.a1[0, 0] / k.a1[0, 0])
             return exists(kk, *args, **kwargs)
 
         monkeypatch.setattr(qbd1d, "cp_kplus", counted_cp_kplus)
         monkeypatch.setattr(qbd1d, "superharmonic_exists_via_G", counted_exists)
         assert qbd1d.classify_recurrence(k) == "t_positive"
-        assert calls == {"cp_kplus": 1, "exists": 1}
+        assert (calls["cp_kplus"], calls["exists"]) == (1, 1)
+        assert calls["scales"] == [1.0, pytest.approx(cp_kplus(k) - 1e-9,
+                                                      rel=1e-15)]
+
+    def test_matches_the_convergence_parameters(self):
+        # t_positive exactly when c_p(K) < c_p(K_+) - 1e-9
+        rng = np.random.default_rng(58)
+        seen = set()
+        done = 0
+        while done < 8:
+            k = TestLemma22Invariants._random_instance(rng)
+            try:
+                label = qbd1d.classify_recurrence(k)
+            except (NoSuperharmonicVector, BoundaryNotInvertible):
+                continue
+            expect = qbd1d.cp_k(k) < qbd1d.cp_kplus(k) - 1e-9
+            assert label == ("t_positive" if expect else "t_null_or_transient")
+            seen.add(label)
+            done += 1
+        assert seen == {"t_positive", "t_null_or_transient"}
+
+    @pytest.mark.parametrize("seed, exists, g_error", [
+        (11, True, NoConvergence),
+        (13, True, NoConvergence),
+        (17, False, GammaPlusEmpty),
+    ])
+    def test_tangent_scale(self, seed, exists, g_error):
+        # u K with u = c_p(K_+): the tilting interval is one point (or
+        # empty) and the twisted chain null recurrent; G stalls at a
+        # bracket, the existence and classification answers stand, and
+        # nothing hangs
+        k = TestLemma22Invariants._random_instance(np.random.default_rng(seed))
+        ks = qbd1d.scale(k, qbd1d.cp_kplus(k))
+        t0 = time.perf_counter()
+        with pytest.raises(g_error):
+            qbd1d.g_minus(ks)
+        assert qbd1d.superharmonic_exists_via_G(ks) is exists
+        if exists:
+            assert qbd1d.classify_recurrence(ks) == "t_null_or_transient"
+        else:
+            with pytest.raises(NoSuperharmonicVector):
+                qbd1d.classify_recurrence(ks)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_scale_bisection_ends_on_a_bracket_of_a_few_ulps(self, monkeypatch):
         # c_p(K_+) within 2.4e-4 of 1: 40 halvings of [1, c_p(K_+)] would
@@ -603,6 +728,22 @@ class TestClassifyRecurrence:
         monkeypatch.setattr(qbd1d, "superharmonic_exists_via_G", exists)
         u = qbd1d._cp_bisect(mm1_blocks(0.2, 0.3), True, 1.0 + 1e-6)
         assert u == pytest.approx(crit, rel=0.0, abs=1e-15)
+
+    def test_near_critical_cp_k_stays_under_a_step_ceiling(self, monkeypatch):
+        # mean drift -1e-3: the chain is nearly null recurrent at every
+        # scale the bisection probes
+        k = scalar_blocks(0.3005, 0.4, 0.2995, b0=0.7, b1=0.3, bm1=0.3005)
+        steps = []
+        reduction = qbd1d._log_reduction
+
+        def counted(*args):
+            out = reduction(*args)
+            steps.append(out[3])
+            return out
+
+        monkeypatch.setattr(qbd1d, "_log_reduction", counted)
+        assert qbd1d.cp_k(k) == pytest.approx(1.0, rel=0.0, abs=1e-9)
+        assert len(steps) <= 45 and max(steps) <= 30 and sum(steps) <= 600
 
     def test_bisection_near_critical_scale(self):
         # transient stochastic chain: c_p(K) > 1; scaling past it kills
