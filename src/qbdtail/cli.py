@@ -146,19 +146,12 @@ def cmd_stability(args, out) -> int:
         _emit(out, "rho2", tr.rho[1])
         _emit(out, "verdict", "stable" if tr.stable else "unstable")
         return EXIT_OK
-    spec = mf.payload
-    mu = qbd2d.mean_drifts(spec)
-    _emit(out, "mu1", mu[0])
-    _emit(out, "mu2", mu[1])
-    verdict = qbd2d.stability_check(spec)
-    if verdict != "unstable":
-        try:
-            ind = qbd2d.induced_drifts(spec)
-            _emit(out, "induced_mu1", ind[0])
-            _emit(out, "induced_mu2", ind[1])
-        except QbdTailError:
-            pass
-    _emit(out, "verdict", verdict)
+    st = qbd2d.stability_check(mf.payload)
+    _emit(out, "mu1", st.mu[0])
+    _emit(out, "mu2", st.mu[1])
+    for i, drift in st.induced.items():
+        _emit(out, f"induced_mu{i}", drift)
+    _emit(out, "verdict", st.verdict)
     return EXIT_OK
 
 
@@ -227,10 +220,8 @@ def cmd_jackson(args, out) -> int:
         _print_decay(out, jk.decay_report(spec, _directions(args),
                                           scan=args.scan))
         return EXIT_OK
-    curve = jk.analytic_curve(spec, scan=max(32, args.points))
-    phis = np.linspace(0.0, 2.0 * np.pi, args.points, endpoint=False)
-    certs = [jk.assumption3_certificate(spec, curve.point_at(phi))
-             for phi in phis]
+    curve = jk.analytic_curve(spec, scan=args.points)
+    certs = [jk.assumption3_certificate(spec, p) for p in curve.scan_points]
     _emit(out, "points", args.points)
     _emit(out, "max_residual_upper", max(max(c.residual_upper) for c in certs))
     _emit(out, "max_residual_lower", max(max(c.residual_lower) for c in certs))

@@ -88,10 +88,6 @@ class ThetaNotOnCurve(QbdTailError):
     """theta does not lie on the eigenvalue level curve."""
 
 
-class QiNotPositiveRecurrent(QbdTailError):
-    """An induced one-dimensional chain is not positive recurrent."""
-
-
 class InconsistentCategory(QbdTailError):
     """Both feasibility extremes dominate each other: a numerical defect."""
 

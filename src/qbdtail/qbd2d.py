@@ -20,8 +20,6 @@ import numpy as np
 from . import matcore, qbd1d
 from .errors import (
     FaceNotInvertible,
-    QiNotPositiveRecurrent,
-    NotPositiveRecurrent,
     SpectralRadiusNotBelowOne,
     ThetaNotOnCurve,
     Unstable,
@@ -375,62 +373,61 @@ def _transverse_qbd(spec: Qbd2dSpec, i: int) -> qbd1d.QbdBlocks:
     return qbd1d.QbdBlocks(b0=f0, b1=f1, bm1=down, am1=am1, a0=a_low, a1=a_up)
 
 
-def induced_drifts(spec: Qbd2dSpec) -> tuple:
-    """Mean drifts (mu^(1)_1, mu^(2)_2) of the chains obtained by removing
-    one boundary, under their matrix-geometric stationary laws.
+def _induced_drift(spec: Qbd2dSpec, i: int) -> float:
+    """Mean drift mu^(i)_i per step of coordinate i along face i of a
+    discrete spec, under the matrix-geometric stationary law of the
+    transverse chain in coordinate 3-i, which must be positive recurrent
+    (mu_{3-i} < 0)."""
+    nu0, nu1, r = qbd1d.stationary_boundary(_transverse_qbd(spec, i))
+    face, inner = _FACES[i]
 
-    Continuous specs are uniformized first; that scales both drifts by the
-    same positive constant and preserves the signs that matter.
+    def drift(*parts):
+        # level increment times row sum, over the blocks of each
+        # (region, kept increments of the other coordinate) in order
+        return sum(inc[i - 1] * (b @ np.ones(b.shape[1]))
+                   for reg, keep in parts
+                   for inc, b in spec.families[reg].items()
+                   if inc[2 - i] in keep)
+
+    d_axis = drift((face, H))
+    d_lvl1 = drift((inner, (-1,)), (("+", "+"), HP))
+    d_int = drift((("+", "+"), H))
+    tail = nu1 @ r @ matcore.neumann_inverse(r)
+    return float(nu0 @ d_axis + nu1 @ d_lvl1 + tail @ d_int)
+
+
+@dataclass(frozen=True)
+class Stability:
+    verdict: str       # "stable" | "unstable" | "undetermined"
+    mu: tuple          # interior drifts (mu_1, mu_2)
+    induced: dict      # face i -> induced drift mu^(i)_i, for each face read
+
+
+def stability_check(spec: Qbd2dSpec) -> Stability:
+    """Positive recurrence from the interior and induced drifts (Fayolle,
+    Malyshev & Menshikov 1995; Ozawa 2013), in the model's time unit.
+
+    Face i is read exactly when mu_{3-i} < -1e-9, the transverse chain of
+    that face then being positive recurrent.  The spec is stable when at
+    least one face is read and every induced drift read is negative, and
+    "undetermined" when both interior drifts are within 1e-9 of 0.  A
+    continuous spec's induced drifts are read on its uniformization and
+    multiplied by the uniformization rate.
     """
-    if spec.time == "continuous":
-        spec = uniformize(spec)
-    out = []
-    for i in (1, 2):
-        q = _transverse_qbd(spec, i)
-        try:
-            nu0, nu1, r = qbd1d.stationary_boundary(q)
-        except NotPositiveRecurrent as exc:
-            raise QiNotPositiveRecurrent(
-                f"transverse chain for coordinate {i} is not positive "
-                f"recurrent") from exc
-        face, inner = _FACES[i]
-
-        def drift(*parts):
-            # level increment times row sum, over the blocks of each
-            # (region, kept increments of the other coordinate) in order
-            return sum(inc[i - 1] * (b @ np.ones(b.shape[1]))
-                       for reg, keep in parts
-                       for inc, b in spec.families[reg].items()
-                       if inc[2 - i] in keep)
-
-        d_axis = drift((face, H))
-        d_lvl1 = drift((inner, (-1,)), (("+", "+"), HP))
-        d_int = drift((("+", "+"), H))
-        tail = nu1 @ r @ matcore.neumann_inverse(r)
-        out.append(float(nu0 @ d_axis + nu1 @ d_lvl1 + tail @ d_int))
-    return tuple(out)
-
-
-def stability_check(spec: Qbd2dSpec) -> str:
-    """Positive recurrence classification from the interior and induced
-    drifts; "undetermined" when both interior drifts are within 1e-9 of 0."""
-    mu1, mu2 = mean_drifts(spec)
+    mu = mean_drifts(spec)
     tol = 1e-9
-    if abs(mu1) <= tol and abs(mu2) <= tol:
-        return "undetermined"
-    if mu1 > 0 and mu2 > 0:
-        return "unstable"
-    try:
-        if mu1 < 0 and mu2 < 0:
-            i1, i2 = induced_drifts(spec)
-            return "stable" if (i1 < 0 and i2 < 0) else "unstable"
-        if mu1 >= 0 and mu2 < 0:
-            i1 = induced_drifts(spec)[0]
-            return "stable" if i1 < 0 else "unstable"
-        i2 = induced_drifts(spec)[1]
-        return "stable" if i2 < 0 else "unstable"
-    except QiNotPositiveRecurrent:
-        return "unstable"
+    scale, disc = 1.0, spec
+    if spec.time == "continuous":
+        scale, disc = uniformization_rate(spec), uniformize(spec)
+    induced = {i: scale * _induced_drift(disc, i)
+               for i in (1, 2) if mu[2 - i] < -tol}
+    if max(abs(mu[0]), abs(mu[1])) <= tol:
+        verdict = "undetermined"
+    elif induced and all(d < 0 for d in induced.values()):
+        verdict = "stable"
+    else:
+        verdict = "unstable"
+    return Stability(verdict, mu, induced)
 
 
 # -- tau and decay rates -------------------------------------------------------
@@ -445,7 +442,7 @@ def decay_rates(spec: Qbd2dSpec, directions, scan: int = 192) -> Decay:
     """Directional decay rates (see ``levelset.decay``) from one curve
     analysis; directions and stability are checked before any curve work."""
     directions = [checked_direction(c) for c in directions]
-    verdict = stability_check(spec)
+    verdict = stability_check(spec).verdict
     if verdict != "stable":
         raise Unstable(f"stability check returned {verdict!r}")
     return decay(level_curve(spec, scan=scan), directions)

@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbdtail import cli, modelfile
+from qbdtail import cli, jackson, modelfile
 from qbdtail.errors import ParseError, SchemaError
 
-from conftest import scalar_rrw
+from conftest import product_form_jackson, scalar_rrw
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -312,6 +312,26 @@ class TestStabilityCommand:
         code, text = run_cli(["stability", str(f)])
         assert code == 0
         assert "mean_drift = -0.1" in text
+
+    def test_mixed_sign_walk_reads_one_face(self, tmp_path):
+        f = tmp_path / "m.yaml"
+        f.write_text(modelfile.dump_model(modelfile.ModelFile(
+            "1", "qbd2d_discrete", scalar_rrw(
+                0.25, 0.2, 0.1, 0.3,
+                face1={"up": 0.1, "right": 0.05, "left": 0.3}))))
+        code, text = run_cli(["stability", str(f)])
+        assert code == 0
+        assert "induced_mu1 = -0.15\n" in text
+        assert "induced_mu2" not in text
+        assert text.endswith("verdict = stable\n")
+
+    def test_continuous_walk_prints_rate_units(self, tmp_path):
+        f = tmp_path / "m.yaml"
+        f.write_text(modelfile.dump_model(modelfile.ModelFile(
+            "1", "qbd2d_continuous", jackson.build_blocks(product_form_jackson()))))
+        code, text = run_cli(["stability", str(f)])
+        assert code == 0
+        assert "induced_mu1 = -0.78\ninduced_mu2 = -2.02\n" in text
 
 
 class TestDecayCommand:

@@ -1,6 +1,7 @@
 """Dead-code guard for ``src/qbdtail``: no unused import, no private
-module-level name that nothing in the package refers to, and no defaulted
-parameter that no call in the package or its tests sets.
+module-level name that nothing in the package refers to, no defaulted
+parameter that no call in the package or its tests sets, and no error type
+that nothing in the package raises.
 
 Helpers left behind when their last caller is deleted fail here.  Only the
 standard library's ``ast`` is used; the package's own ``from . import
@@ -161,3 +162,23 @@ def test_every_default_is_passed_somewhere():
                         or (index is not None and npos > index)
                         for npos, keys, unpacks in sites.get(key, []))]
     assert unset == []
+
+
+# -- error guard -----------------------------------------------------------
+
+
+def test_every_error_class_is_raised():
+    """Every class of ``errors.py`` but the base ``QbdTailError`` appears
+    in some ``raise`` of the package, so an error type left behind by a
+    deleted code path fails here."""
+    trees = _trees()
+    raised = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
+    never = [node.name for node in trees["errors.py"].body
+             if isinstance(node, ast.ClassDef)
+             and node.name != "QbdTailError" and node.name not in raised]
+    assert never == []

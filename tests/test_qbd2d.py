@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbdtail import jackson, levelset, modelfile, qbd1d, qbd2d
+from qbdtail import jackson, levelset, modelfile, oracle, qbd1d, qbd2d
 from qbdtail.errors import (
     InconsistentCategory,
     QbdTailError,
@@ -101,13 +101,80 @@ class TestDrifts:
         mu = qbd2d.mean_drifts(blocks)
         # both utilizations below one: interior drifts negative
         assert mu[0] < 0 and mu[1] < 0
-        ind = qbd2d.induced_drifts(blocks)
-        assert ind[0] < 0 and ind[1] < 0
+        ind = qbd2d.stability_check(blocks).induced
+        assert ind[1] < 0 and ind[2] < 0
 
     def test_stability_cases(self):
-        assert qbd2d.stability_check(scalar_rrw(0.15, 0.25, 0.15, 0.25)) == "stable"
-        assert qbd2d.stability_check(scalar_rrw(0.25, 0.15, 0.25, 0.15)) == "unstable"
-        assert qbd2d.stability_check(scalar_rrw(0.2, 0.2, 0.2, 0.2)) == "undetermined"
+        assert qbd2d.stability_check(scalar_rrw(0.15, 0.25, 0.15, 0.25)).verdict == "stable"
+        assert qbd2d.stability_check(scalar_rrw(0.25, 0.15, 0.25, 0.15)).verdict == "unstable"
+        assert qbd2d.stability_check(scalar_rrw(0.2, 0.2, 0.2, 0.2)).verdict == "undetermined"
+
+    def test_verdict_agrees_with_fmm_on_unmodulated_walks(self):
+        """Fayolle, Malyshev & Menshikov's criterion on random walks in
+        all four drift-sign quadrants, with M, M', M'' the interior,
+        face-1 and face-2 drift vectors."""
+        rng = np.random.default_rng(12)
+        quadrants, mixed_stable = set(), 0
+        for _ in range(60):
+            pxp, pxm, pyp, pym = rng.uniform(0.02, 0.24, size=4)
+            f1 = dict(zip(("up", "right", "left"), rng.uniform(0.02, 0.3, size=3)))
+            f2 = dict(zip(("up", "down", "right"), rng.uniform(0.02, 0.3, size=3)))
+            m = (pxp - pxm, pyp - pym)
+            m1 = (f1["right"] - f1["left"], f1["up"])
+            m2 = (f2["right"], f2["up"] - f2["down"])
+            d1 = m[0] * m1[1] - m[1] * m1[0]
+            d2 = m[1] * m2[0] - m[0] * m2[1]
+            if min(abs(m[0]), abs(m[1]), abs(d1), abs(d2)) < 1e-6:
+                continue
+            if m[0] < 0 and m[1] < 0:
+                fmm = d1 < 0 and d2 < 0
+            elif m[1] < 0:
+                fmm = d1 < 0
+            elif m[0] < 0:
+                fmm = d2 < 0
+            else:
+                fmm = False
+            st = qbd2d.stability_check(scalar_rrw(pxp, pxm, pyp, pym,
+                                                  face1=f1, face2=f2))
+            assert st.verdict == ("stable" if fmm else "unstable"), (m, m1, m2)
+            quadrants.add((m[0] < 0, m[1] < 0))
+            mixed_stable += fmm and (m[0] > 0 or m[1] > 0)
+        assert len(quadrants) == 4 and mixed_stable > 0
+
+    def test_mixed_sign_walks_are_stable_with_one_induced_drift(self):
+        walk = scalar_rrw(0.25, 0.2, 0.1, 0.3,
+                          face1={"up": 0.1, "right": 0.05, "left": 0.3})
+        mirror = scalar_rrw(0.1, 0.3, 0.25, 0.2,
+                            face2={"up": 0.05, "down": 0.3, "right": 0.1})
+        tau = (0.385400599194, 1.11235501314)
+        for spec, face, expect in ((walk, 1, tau), (mirror, 2, tau[::-1])):
+            st = qbd2d.stability_check(spec)
+            assert st.verdict == "stable"
+            assert list(st.induced) == [face]
+            assert st.induced[face] == pytest.approx(-0.15, abs=1e-12)
+            rep = qbd2d.decay_rates(spec, []).tau_report
+            assert rep.category == "I"
+            assert rep.tau == pytest.approx(expect, rel=1e-10)
+            table = oracle.truncate_and_solve(spec, (120, 120))
+            for i in (1, 2):
+                slope = -oracle.estimate_decay(table, i).slope
+                assert slope == pytest.approx(rep.tau[i - 1], rel=0.05)
+
+    def test_zero_interior_drift_reads_one_face_or_none(self):
+        face1 = {"up": 0.1, "right": 0.05, "left": 0.3}
+        st = qbd2d.stability_check(scalar_rrw(0.2, 0.2, 0.1, 0.3, face1=face1))
+        assert st.mu[0] == 0.0 and st.mu[1] < 0
+        assert list(st.induced) == [1] and st.verdict == "stable"
+        st = qbd2d.stability_check(scalar_rrw(0.2, 0.2, 0.3, 0.1, face1=face1))
+        assert st.mu[0] == 0.0 and st.mu[1] > 0
+        assert st.induced == {} and st.verdict == "unstable"
+
+    def test_continuous_induced_drifts_in_rate_units(self):
+        # lam = (1, 0.5), mu = (2, 3), r12 = 0.3, r21 = 0.2
+        st = qbd2d.stability_check(jackson.build_blocks(product_form_jackson()))
+        assert st.verdict == "stable"
+        assert st.induced[1] == pytest.approx(1 - 2 + 0.2 * (0.5 + 0.3 * 2), abs=1e-9)
+        assert st.induced[2] == pytest.approx(0.5 - 3 + 0.3 * (1 + 0.2 * 3), abs=1e-9)
 
 
 class TestMgfs:
@@ -279,7 +346,7 @@ class TestTauReport:
             spec = scalar_rrw(pxp, pxm, pyp, pym,
                               face1={"up": f1u, "right": pxp, "left": pxm / 2},
                               face2={"right": f2r, "up": pyp, "down": pym / 2})
-            if qbd2d.stability_check(spec) != "stable":
+            if qbd2d.stability_check(spec).verdict != "stable":
                 continue
             curve = qbd2d.level_curve(spec, scan=64)
             tau = curve.tau_report()  # raises on the impossible fourth case
