@@ -283,35 +283,44 @@ def build_blocks(spec: JacksonSpec) -> qbd2d.Qbd2dSpec:
 
 @dataclass(frozen=True)
 class CumulantSet:
-    """Time-average cumulant eigenvalues of the four primitive streams."""
+    """Time-average cumulant eigenvalues of the four primitive streams.
+
+    Each takes theta of shape (2,) (theta_i a number) or a stack (n, 2)
+    (theta_i of shape (n,)) and gives a number or one value per point.
+    """
 
     spec: JacksonSpec
 
-    def t_factor(self, i: int, theta) -> float:
+    def t_factor(self, i: int, theta):
         """Tilting factor of node-i departures: e^{-theta_i}(r_i0 +
         e^{theta_{3-i}} r_{i,3-i})."""
         ri0, rij = self.spec.routing(i)
-        ti, tj = (theta[0], theta[1]) if i == 1 else (theta[1], theta[0])
-        return float(np.exp(-ti) * (ri0 + np.exp(tj) * rij))
+        theta = np.asarray(theta, dtype=float)
+        ti, tj = theta[..., i - 1], theta[..., 2 - i]
+        return np.exp(-ti) * (ri0 + np.exp(tj) * rij)
 
-    def gamma_a(self, i: int, theta_i: float) -> float:
+    def gamma_a(self, i: int, theta_i):
         """Arrival cumulant: dominant eigenvalue of T_i + e^theta U_i."""
         a = self.spec.arrivals[i - 1]
-        return matcore.dominant(a.t + np.exp(theta_i) * a.u).value
+        lift = np.exp(np.asarray(theta_i, dtype=float))[..., np.newaxis, np.newaxis]
+        return matcore.dominant(a.t + lift * a.u).value
 
-    def gamma_d(self, i: int, theta) -> float:
+    def gamma_d(self, i: int, theta):
         """Busy-server departure cumulant: dominant eigenvalue of
         S_i + t_i(theta) D_i."""
         s = self.spec.services[i - 1]
-        return matcore.dominant(s.s + self.t_factor(i, theta) * s.d_mat).value
+        lift = self.t_factor(i, theta)[..., np.newaxis, np.newaxis]
+        return matcore.dominant(s.s + lift * s.d_mat).value
 
-    def gamma_plus(self, theta) -> float:
-        return (self.gamma_a(1, theta[0]) + self.gamma_a(2, theta[1])
+    def gamma_plus(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        return (self.gamma_a(1, theta[..., 0]) + self.gamma_a(2, theta[..., 1])
                 + self.gamma_d(1, theta) + self.gamma_d(2, theta))
 
-    def gamma_face(self, i: int, theta) -> float:
+    def gamma_face(self, i: int, theta):
         """gamma^{(i)} = both arrival cumulants plus the node-i departure."""
-        return (self.gamma_a(1, theta[0]) + self.gamma_a(2, theta[1])
+        theta = np.asarray(theta, dtype=float)
+        return (self.gamma_a(1, theta[..., 0]) + self.gamma_a(2, theta[..., 1])
                 + self.gamma_d(i, theta))
 
 
@@ -385,10 +394,8 @@ def analytic_curve(spec: JacksonSpec, scan: int = 192) -> LevelCurve:
     """Level curve of gamma_plus with face feasibility margins
     gamma^{(i)}(theta): face i is feasible where gamma^{(i)} <= slack."""
     cs = cumulants(spec)
-    return LevelCurve(
-        cs.gamma_plus,
-        lambda theta: (cs.gamma_face(1, theta), cs.gamma_face(2, theta)),
-        scan_size=scan)
+    return LevelCurve(cs.gamma_plus, lambda theta, i: cs.gamma_face(i, theta),
+                      scan_size=scan)
 
 
 @dataclass(frozen=True)

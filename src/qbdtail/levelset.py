@@ -8,11 +8,14 @@ curve points (one flag per coordinate, from the boundary-face conditions).
 Each flag is a continuous margin read against one slack: flag i holds when
 margin i is at most ``qbd1d.LE_ONE_SLACK``.
 
-The curve is parametrized by the angle around an interior center; radial
-root finding, pole location (Brent's localmin in the angle), flag
-transitions (Brent on the margin in the angle), the tau/category logic and
-the directional decay rates all live here, independent of how ``gap`` and
-the margins are computed.
+``gap`` and the margins take one point (2,) or a stack (n, 2) of points.
+The curve is parametrized by the angle around an interior center; the
+radial roots of every scan angle (and the sections of a boundary table)
+are solved in lockstep, one stacked ``gap`` call per step.  Pole location
+(Brent's localmin in the angle), flag transitions (Brent on the margin in
+the angle), sections, the tau/category logic and the directional decay
+rates work point by point.  All of it lives here, independent of how
+``gap`` and the margins are computed.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGammaPlus, InconsistentCategory, ZeroDirection
+from .errors import (EmptyGammaPlus, InconsistentCategory, NoConvergence,
+                     ZeroDirection)
 from .qbd1d import (LE_ONE_SLACK, _brent_bracket, _brent_min,
                     _sublevel_interval, bisect_root, convex_min_scalar)
 
@@ -60,31 +64,90 @@ def minimize_convex_2d(f):
     return x, f(x)
 
 
+def _radial_roots(gap, base, step, inside) -> np.ndarray:
+    """Lockstep roots t > 0 of gap(base_k + t step_k) = 0, one per lane k,
+    given ``inside`` = gap(base) < 0 per lane.
+
+    Each lane doubles its bracket end from t = 1 until gap > 0 there
+    (``EmptyGammaPlus`` past 1e8), then Illinois regula falsi (a bisection
+    step where the secant is not finite) shrinks it to 1e-12 (1 + t_hi),
+    t_hi the doubled end.  A lane returns an exact zero of gap or the end of
+    its final bracket with the smaller |gap|.  Every step is one ``gap``
+    call on the stack of the lanes still open.
+    """
+    n = len(base)
+    lo, f_lo = np.zeros(n), np.array(inside, dtype=float)
+    hi, f_hi = np.ones(n), np.empty(n)
+    open_ = np.arange(n)
+    while open_.size:
+        f = gap(base[open_] + hi[open_, np.newaxis] * step[open_])
+        grow = f <= 0
+        f_hi[open_[~grow]] = f[~grow]
+        open_ = open_[grow]
+        lo[open_], f_lo[open_] = hi[open_], f[grow]
+        hi[open_] *= 2.0
+        if np.any(hi[open_] > 1e8):
+            raise EmptyGammaPlus("level region appears unbounded")
+    tol = 1e-12 * (1.0 + hi)
+    # Illinois: the secant runs on scaled copies of the end values; an end
+    # kept twice in a row has its value halved
+    s_lo, s_hi = f_lo.copy(), f_hi.copy()
+    last = np.zeros(n)               # -1: lo moved last, +1: hi moved last
+    open_ = np.flatnonzero((hi - lo > tol) & (f_lo != 0))
+    for _ in range(200):
+        if not open_.size:
+            break
+        a, b = lo[open_], hi[open_]
+        x = a - s_lo[open_] * (b - a) / (s_hi[open_] - s_lo[open_])
+        x = np.where(np.isfinite(x), x, 0.5 * (a + b))
+        half = 0.5 * tol[open_]
+        x = np.clip(x, a + half, b - half)
+        f = gap(base[open_] + x[:, np.newaxis] * step[open_])
+        moved_lo = f <= 0
+        side = np.where(moved_lo, -1.0, 1.0)
+        twice = last[open_] == side
+        k_lo, k_hi = open_[moved_lo], open_[~moved_lo]
+        lo[k_lo], f_lo[k_lo], s_lo[k_lo] = x[moved_lo], f[moved_lo], f[moved_lo]
+        hi[k_hi], f_hi[k_hi], s_hi[k_hi] = x[~moved_lo], f[~moved_lo], f[~moved_lo]
+        s_hi[open_[moved_lo & twice]] *= 0.5
+        s_lo[open_[~moved_lo & twice]] *= 0.5
+        last[open_] = side
+        open_ = open_[(hi[open_] - lo[open_] > tol[open_]) & (f_lo[open_] != 0)]
+    if open_.size:
+        raise NoConvergence("radial root brackets did not shrink to the tolerance")
+    return np.where(np.abs(f_hi) < np.abs(f_lo), hi, lo)
+
+
 class LevelCurve:
     """Angular parametrization of {gap = 0} around an interior center.
 
-    ``gap`` must be convex with a negative minimum; ``margins`` maps a point
-    on the curve to the pair of boundary-feasibility margins, and flag i
-    holds where margin i is at most ``LE_ONE_SLACK`` (``+inf`` never holds).
+    ``gap`` must be convex with a negative minimum; ``margin(points, i)``
+    gives face i's boundary-feasibility margins at curve points, and flag i
+    holds where margin i is at most ``LE_ONE_SLACK`` (``+inf`` never
+    holds).  Both take one point (2,) or a stack (n, 2).
     """
 
-    def __init__(self, gap, margins, scan_size: int = 192):
+    def __init__(self, gap, margin, scan_size: int = 192):
         self.gap = gap
-        self.margins = margins
+        self.margin = margin
         center, gmin = minimize_convex_2d(gap)
         if gmin > -1e-12:
             raise EmptyGammaPlus("level region has empty interior")
         self.center = center
         self.gmin = gmin
         self.scan_phi = np.linspace(0.0, 2.0 * np.pi, scan_size, endpoint=False)
-        self.scan_points = [self.point_at(phi) for phi in self.scan_phi]
-        self.scan_margins = [self.margins(p) for p in self.scan_points]
+        u = np.column_stack((np.cos(self.scan_phi), np.sin(self.scan_phi)))
+        base = np.broadcast_to(center, u.shape)
+        t = _radial_roots(gap, base, u, np.full(scan_size, gmin))
+        self.scan_points = center + t[:, np.newaxis] * u
+        margins = np.column_stack([margin(self.scan_points, i) for i in (1, 2)])
+        self.scan_margins = [tuple(m) for m in margins.tolist()]
         self.scan_flags = [_holds(m) for m in self.scan_margins]
         self._pole_cache = {}
 
     def flags(self, point) -> tuple:
         """The pair of boundary-feasibility booleans at a curve point."""
-        return _holds(self.margins(point))
+        return _holds([self.margin(point, i) for i in (1, 2)])
 
     # -- parametrization ---------------------------------------------------
 
@@ -106,7 +169,7 @@ class LevelCurve:
         sample, refined by Brent's localmin in phi to 1e-9 over its two
         cells."""
         d = np.asarray(direction, dtype=float)
-        k = int(np.argmax([float(d @ p) for p in self.scan_points]))
+        k = int(np.argmax(self.scan_points @ d))
         span = 2.0 * np.pi / len(self.scan_phi)
         points = {}
 
@@ -139,7 +202,8 @@ class LevelCurve:
     # -- feasibility extremes ----------------------------------------------
 
     def _flag(self, point, i: int) -> bool:
-        return bool(self.flags(point)[i - 1])
+        """Flag i alone at a curve point (face i's margin only)."""
+        return bool(self.margin(point, i) <= LE_ONE_SLACK)
 
     def _flag_transitions(self, i: int):
         """Feasible-arc boundaries on the curve: Brent on margin i minus
@@ -156,7 +220,7 @@ class LevelCurve:
 
             def excess(phi):
                 p = points[phi] = self.point_at(phi)
-                return self.margins(p)[i - 1] - LE_ONE_SLACK
+                return float(self.margin(p, i)) - LE_ONE_SLACK
 
             x, fx, y, _ = _brent_bracket(
                 excess, a, self.scan_margins[k][i - 1] - LE_ONE_SLACK,
@@ -236,12 +300,13 @@ class LevelCurve:
                 if pole[2 - i] / c[2 - i] >= pole[i - 1] / c[i - 1]:
                     cands.append(pole[i - 1] / c[i - 1])
             # start from the center's projection on the ray; when that is
-            # outside, _sublevel_interval looks for the minimum along the ray
+            # outside, _sublevel_interval looks for the minimum along the ray;
+            # only the far root is solved
             u0 = float(self.center @ c) / float(c @ c)
             ray = _sublevel_interval(lambda u: self.gap(u * c), 0.0, u0, 0.5,
-                                     1e-12)
+                                     1e-12, sides=(1.0,))
             if ray is not None:
-                cands.append(ray[1])
+                cands.append(ray[0])
             return max(max(cands, default=0.0), 0.0)
         # coordinate direction: sup of theta_i over curve points with the
         # other coordinate positive
@@ -314,26 +379,31 @@ def boundary_rows(curve: LevelCurve, samples: int) -> list:
 
     Each row holds the lower and upper theta_2 roots at one theta_1 value;
     the feasibility columns are the disjunction over the two branch points.
-    The extreme columns degenerate to the tangency points.
+    The extreme columns degenerate to the tangency points.  The interior
+    rows are solved in lockstep, up and down from the west-east chord,
+    inside the region by convexity; a chord point whose gap is not
+    negative raises ``NoConvergence``.
     """
     west = curve.extreme((-1.0, 0.0))
     east = curve.pole(1)
-    grid = np.linspace(float(west[0]), float(east[0]), max(3, samples))
-    rows = []
-    for idx, t1 in enumerate(grid):
-        if idx == 0:
-            lo = hi = float(west[1])
-        elif idx == len(grid) - 1:
-            lo = hi = float(east[1])
-        else:
-            sec = curve.section(2, float(t1))
-            if sec is None:
-                continue
-            lo, hi = sec
-        fl = curve.flags(np.array([t1, lo]))
-        fu = curve.flags(np.array([t1, hi]))
-        rows.append(BoundaryRow(theta1=float(t1), theta2_lower=float(lo),
-                                theta2_upper=float(hi),
-                                feasible_c1=bool(fl[0] or fu[0]),
-                                feasible_c2=bool(fl[1] or fu[1])))
-    return rows
+    n = max(3, samples)
+    grid = np.linspace(float(west[0]), float(east[0]), n)
+    chord = np.linspace(float(west[1]), float(east[1]), n)
+    inner = np.column_stack((grid, chord))[1:-1]
+    g = curve.gap(inner)
+    if not np.all(g < 0):
+        raise NoConvergence("the west-east chord is not inside the level region")
+    t = _radial_roots(curve.gap, np.vstack((inner, inner)),
+                      np.repeat([[0.0, 1.0], [0.0, -1.0]], n - 2, axis=0),
+                      np.concatenate((g, g)))
+    lower, upper = chord.copy(), chord.copy()
+    upper[1:-1] += t[:n - 2]
+    lower[1:-1] -= t[n - 2:]
+    points = np.vstack((np.column_stack((grid, lower)),
+                        np.column_stack((grid, upper))))
+    feasible = [(m[:n] <= LE_ONE_SLACK) | (m[n:] <= LE_ONE_SLACK)
+                for m in (curve.margin(points, i) for i in (1, 2))]
+    return [BoundaryRow(theta1=float(t1), theta2_lower=float(lo),
+                        theta2_upper=float(hi), feasible_c1=bool(f1),
+                        feasible_c2=bool(f2))
+            for t1, lo, hi, f1, f2 in zip(grid, lower, upper, *feasible)]

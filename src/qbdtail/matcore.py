@@ -2,9 +2,11 @@
 
 Certified dominant eigenpairs (closed form at order <= 2, dense ``eig``
 above, each checked by a Collatz-Wielandt bracket), Kronecker algebra,
-Neumann-type inverses and diagonal similarity twists.  Everything here is
-a pure function of its inputs and safe for concurrent use; matrices are
-plain 2-d numpy arrays at desk scale (dimension up to a few hundred).
+Neumann-type inverses and diagonal similarity twists.  The eigenpairs and
+the Neumann inverses also take stacks ``(n, m, m)``, solved lane by lane.
+Everything here is a pure function of its inputs and safe for concurrent
+use; matrices are plain 2-d numpy arrays at desk scale (dimension up to a
+few hundred).
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ from .errors import (
 #: diagonal of at least 1.
 PF_TOL = 1e-13
 
+#: a Neumann inverse needs spectral radius <= 1 - NEUMANN_MARGIN (the series
+#: diverges at radius 1)
+NEUMANN_MARGIN = 1e-10
+
 _ONE = np.ones(1)
 _ONE.flags.writeable = False
 
@@ -42,7 +48,8 @@ class Dominant(NamedTuple):
     Collatz-Wielandt bounds min_i (T right)_i / right_i and
     max_i (T right)_i / right_i; for a Metzler matrix they enclose the
     Perron root (Horn & Johnson, Matrix Analysis, 8.1), and ``value`` is
-    their midpoint.
+    their midpoint.  From a stack of matrices, each field is an array with
+    one entry (one row for ``right``) per lane.
     """
 
     value: float
@@ -59,15 +66,6 @@ def as_matrix(x) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise NonFiniteEntry("matrix entries must be finite")
     return a
-
-
-def _check_square_nonneg(t: np.ndarray) -> np.ndarray:
-    t = as_matrix(t)
-    if t.shape[0] != t.shape[1]:
-        raise ShapeMismatch(f"expected a square matrix, got {t.shape}")
-    if np.any(t < 0):
-        raise NegativeEntry("matrix must be entrywise nonnegative")
-    return t
 
 
 def is_irreducible(t: np.ndarray) -> bool:
@@ -92,11 +90,16 @@ def dominant(t) -> Dominant:
     nonnegative or Metzler matrix, certified by a Collatz-Wielandt bracket.
 
     Order 1 is the entry, order 2 a closed form in scalar arithmetic, higher
-    orders a dense ``eig``.  Left vectors are ``dominant(t.T).right``.
-    Raises ``NotIrreducible`` when the vector has an entry <= 0 and
-    ``NoConvergence`` when the bracket is wider than ``PF_TOL`` allows.
+    orders a dense ``eig`` (``_dominant_stack``).  A stack ``(n, m, m)`` is
+    solved lane by lane by the same rule and gives a ``Dominant`` of arrays
+    (``value``, ``lo``, ``hi`` of shape ``(n,)``, ``right`` of ``(n, m)``).
+    Left vectors are ``dominant(t.T).right``.  Raises ``NotIrreducible``
+    when a vector has an entry <= 0 and ``NoConvergence`` when a bracket is
+    wider than ``PF_TOL`` allows, for the first failing lane of a stack.
     """
     t = np.asarray(t, dtype=float)
+    if t.ndim == 3:
+        return _dominant_stack(t)
     if t.shape == (1, 1):
         value = t.item()
         if not math.isfinite(value):
@@ -105,45 +108,78 @@ def dominant(t) -> Dominant:
     n = t.shape[0]
     if t.shape != (n, n):
         raise ShapeMismatch(f"expected a square matrix, got {t.shape}")
-    if n == 2:
-        (a, b), (c, d) = t.tolist()
-        if not math.isfinite(a + b + c + d):
-            raise NonFiniteEntry("matrix entries must be finite")
-        if b < 0 or c < 0:
-            raise NegativeEntry("off-diagonal entries must be nonnegative")
-        # s = sqrt(h^2 + bc) >= |h|; pick the eigenvector form that adds
-        # |h| to s, so neither entry cancels
+    if n > 2:
+        d = _dominant_stack(t[np.newaxis])
+        return Dominant(float(d.value[0]), d.right[0], float(d.lo[0]),
+                        float(d.hi[0]))
+    (a, b), (c, d) = t.tolist()
+    if not math.isfinite(a + b + c + d):
+        raise NonFiniteEntry("matrix entries must be finite")
+    if b < 0 or c < 0:
+        raise NegativeEntry("off-diagonal entries must be nonnegative")
+    # s = sqrt(h^2 + bc) >= |h|; pick the eigenvector form that adds
+    # |h| to s, so neither entry cancels
+    h = 0.5 * (a - d)
+    s = math.sqrt(h * h + b * c)
+    x, y = (h + s, c) if h >= 0 else (b, s - h)
+    if not (x > 0 and y > 0):
+        raise NotIrreducible("Perron vector has a zero entry")
+    r0 = a + b * y / x
+    r1 = d + c * x / y
+    lo, hi = (r0, r1) if r0 <= r1 else (r1, r0)
+    value = 0.5 * (lo + hi)
+    if not hi - lo <= PF_TOL * (value + 1.0 + max(0.0, -a, -d)):
+        raise _wide_bracket(lo, hi)
+    return Dominant(value, np.array((x / (x + y), y / (x + y))), lo, hi)
+
+
+def _dominant_stack(t: np.ndarray) -> Dominant:
+    """``dominant`` of each lane of a finite ``(n, m, m)`` stack."""
+    n, m = t.shape[0], t.shape[-1]
+    if t.shape != (n, m, m):
+        raise ShapeMismatch(f"expected a stack of square matrices, got {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise NonFiniteEntry("matrix entries must be finite")
+    if m == 1:
+        value = t[:, 0, 0]
+        return Dominant(value, np.ones((n, 1)), value, value)
+    if np.any(t[:, ~np.eye(m, dtype=bool)] < 0):
+        raise NegativeEntry("off-diagonal entries must be nonnegative")
+    diag = t[:, np.arange(m), np.arange(m)]
+    if m == 2:
+        # the order-2 closed form of ``dominant``, lane by lane
+        a, b, c, d = t[:, 0, 0], t[:, 0, 1], t[:, 1, 0], t[:, 1, 1]
         h = 0.5 * (a - d)
-        s = math.sqrt(h * h + b * c)
-        x, y = (h + s, c) if h >= 0 else (b, s - h)
-        if not (x > 0 and y > 0):
+        s = np.sqrt(h * h + b * c)
+        up = h >= 0
+        x = np.where(up, h + s, b)
+        y = np.where(up, c, s - h)
+        if not np.all((x > 0) & (y > 0)):
             raise NotIrreducible("Perron vector has a zero entry")
         r0 = a + b * y / x
         r1 = d + c * x / y
-        lo, hi = (r0, r1) if r0 <= r1 else (r1, r0)
-        right = np.array((x / (x + y), y / (x + y)))
-        shift = 1.0 + max(0.0, -a, -d)
+        lo, hi = np.minimum(r0, r1), np.maximum(r0, r1)
+        right = np.stack((x / (x + y), y / (x + y)), axis=-1)
     else:
-        t = as_matrix(t)
-        neg = t < 0
-        if neg.any():
-            np.fill_diagonal(neg, False)
-            if neg.any():
-                raise NegativeEntry("off-diagonal entries must be nonnegative")
         w, vecs = np.linalg.eig(t)
-        k = int(np.argmax(w.real))
-        right = vecs[:, k].real
-        right = right / right.sum()
+        k = np.argmax(w.real, axis=1)
+        right = vecs[np.arange(n), :, k].real
+        right = right / right.sum(axis=1, keepdims=True)
         if not np.all(right > 0):
             raise NotIrreducible("Perron vector has an entry <= 0")
-        ratio = (t @ right) / right
-        lo, hi = float(ratio.min()), float(ratio.max())
-        shift = 1.0 + max(0.0, -float(np.diag(t).min()))
+        ratio = (t @ right[:, :, np.newaxis])[:, :, 0] / right
+        lo, hi = ratio.min(axis=1), ratio.max(axis=1)
     value = 0.5 * (lo + hi)
-    if not hi - lo <= PF_TOL * (value + shift):
-        raise NoConvergence(f"Collatz-Wielandt bracket [{lo!r}, {hi!r}] "
-                            f"is wider than {PF_TOL} relative")
+    wide = ~(hi - lo <= PF_TOL * (value + 1.0 + np.maximum(0.0, -diag.min(axis=1))))
+    if wide.any():
+        k = int(np.argmax(wide))
+        raise _wide_bracket(float(lo[k]), float(hi[k]))
     return Dominant(value, right, lo, hi)
+
+
+def _wide_bracket(lo: float, hi: float) -> NoConvergence:
+    return NoConvergence(f"Collatz-Wielandt bracket [{lo!r}, {hi!r}] "
+                         f"is wider than {PF_TOL} relative")
 
 
 def spectral_radius(t) -> float:
@@ -176,26 +212,47 @@ def kron_sum(a, b) -> np.ndarray:
 
 def neumann_inverse(t) -> np.ndarray:
     """(I - T)^{-1} = sum_n T^n for a nonnegative T with spectral radius
-    strictly below 1.
-
-    Rejects radius > 1 - 1e-10 (the series diverges at radius 1).  Tiny
-    negative entries from the solve, down to -1e-12, are clamped to 0.
-    """
-    t = _check_square_nonneg(t)
-    n = t.shape[0]
-    radius = spectral_radius(t)
-    margin = 1e-10
-    if radius > 1.0 - margin:
+    strictly below 1: ``neumann_inverses`` on one lane, raising
+    ``SpectralRadiusNotBelowOne`` where that lane is refused."""
+    x, radius = neumann_inverses(as_matrix(t)[np.newaxis])
+    if not radius[0] <= 1.0 - NEUMANN_MARGIN:
         raise SpectralRadiusNotBelowOne(
-            f"spectral radius {radius:.15g} is not below 1 - {margin}")
-    x = np.linalg.solve(np.eye(n) - t, np.eye(n))
-    x[(x < 0) & (x > -1e-12)] = 0.0
-    if np.any(x < 0):
-        raise IllConditioned("Neumann inverse came out negative beyond tolerance")
-    check = np.max(np.abs((np.eye(n) - t) @ x - np.eye(n)))
-    if check > 1e-10:
-        raise IllConditioned(f"Neumann inverse verification failed: {check:.3e}")
-    return x
+            f"spectral radius {radius[0]:.15g} is not below 1 - {NEUMANN_MARGIN}")
+    return x[0]
+
+
+def neumann_inverses(t) -> tuple:
+    """(I - T)^{-1} lane by lane for a stack ``(n, m, m)`` of nonnegative
+    matrices, with their spectral radii: ``(x, radius)``.
+
+    A lane with radius above 1 - ``NEUMANN_MARGIN`` is NaN in ``x``.  Tiny
+    negative entries from the solve, down to -1e-12, are clamped to 0; a
+    solved lane that is still negative, or whose residual exceeds 1e-10,
+    raises ``IllConditioned``.
+    """
+    t = np.asarray(t, dtype=float)
+    n, m = t.shape[0], t.shape[-1]
+    if t.shape != (n, m, m):
+        raise ShapeMismatch(f"expected a stack of square matrices, got {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise NonFiniteEntry("matrix entries must be finite")
+    if np.any(t < 0):
+        raise NegativeEntry("matrix must be entrywise nonnegative")
+    radius = (np.abs(t[:, 0, 0]) if m == 1
+              else np.abs(np.linalg.eigvals(t)).max(axis=1))
+    ok = radius <= 1.0 - NEUMANN_MARGIN
+    x = np.full(t.shape, np.nan)
+    if ok.any():
+        a = np.eye(m) - t[ok]
+        inv = np.linalg.solve(a, np.broadcast_to(np.eye(m), a.shape))
+        inv[(inv < 0) & (inv > -1e-12)] = 0.0
+        if np.any(inv < 0):
+            raise IllConditioned("Neumann inverse came out negative beyond tolerance")
+        check = np.max(np.abs(a @ inv - np.eye(m)))
+        if check > 1e-10:
+            raise IllConditioned(f"Neumann inverse verification failed: {check:.3e}")
+        x[ok] = inv
+    return x, radius
 
 
 def twist(t_blocks, h, theta: float, levels) -> list[np.ndarray]:

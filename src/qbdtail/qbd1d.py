@@ -331,11 +331,13 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     return _brent_bracket(f, lo, fa, hi, fb, tol)[0]
 
 
-def _sublevel_interval(f, level: float, x0: float, step: float, tol: float):
-    """Ends (lo, hi) of {x : f(x) <= level} for a convex scalar f, or None
-    when the minimum lies above ``level``: an inner point below ``level``
-    (``x0`` itself when f(x0) < level, else the convex minimum), a doubling
-    bracket on each side, then one Brent root per side."""
+def _sublevel_interval(f, level: float, x0: float, step: float, tol: float,
+                       sides=(-1.0, 1.0)):
+    """Ends of {x : f(x) <= level} for a convex scalar f, one per side in
+    ``sides`` (-1 the lower end, +1 the upper), or None when the minimum
+    lies above ``level``: an inner point below ``level`` (``x0`` itself when
+    f(x0) < level, else the convex minimum), then per side a doubling
+    bracket and one Brent root."""
     if f(x0) < level:   # strict: at f(x0) == level, x0 may be both ends
         inner = x0
     else:
@@ -343,13 +345,13 @@ def _sublevel_interval(f, level: float, x0: float, step: float, tol: float):
         if fmin > level:
             return None
     g = lambda x: f(x) - level
-    lo_b = inner - 1.0
-    while g(lo_b) <= 0:
-        lo_b = inner - 2.0 * (inner - lo_b)
-    hi_b = inner + 1.0
-    while g(hi_b) <= 0:
-        hi_b = inner + 2.0 * (hi_b - inner)
-    return bisect_root(g, lo_b, inner, tol=tol), bisect_root(g, inner, hi_b, tol=tol)
+    ends = []
+    for side in sides:
+        out = inner + side
+        while g(out) <= 0:
+            out = inner + 2.0 * (out - inner)
+        ends.append(bisect_root(g, min(inner, out), max(inner, out), tol=tol))
+    return tuple(ends)
 
 
 def _bisect_predicate(pred, a: float, b: float, at_a: bool, tol: float):
@@ -377,6 +379,19 @@ def gamma1d_plus(k: QbdBlocks) -> Interval:
     lo, hi = (0.0, 0.0) if ends is None else ends
     drift = mean_drift(k)
     return Interval(lo=0.0 if drift <= 0 else lo, hi=0.0 if drift >= 0 else hi)
+
+
+def _gamma1d_lo(k: QbdBlocks):
+    """``gamma1d_plus(k).lo`` without the right end, or None when the
+    interval is empty."""
+    stochastic = _is_stochastic(k)
+    if stochastic and mean_drift(k) <= 0:
+        return 0.0
+    ends = _sublevel_interval(lambda th: gamma_a(k, th), 1.0, 0.0, 1.0, 1e-12,
+                              sides=(-1.0,))
+    if ends is None:
+        return 0.0 if stochastic else None
+    return ends[0]
 
 
 def cp_kplus(k: QbdBlocks) -> float:
@@ -446,14 +461,14 @@ def g_minus(k: QbdBlocks) -> GMinusResult:
     ``NoConvergence`` unless the row-sum deficit reaches 1e-15, which fails
     at a tangent interval (null-recurrent twisted chain).
     """
-    interval = gamma1d_plus(k)
-    if interval.empty:
+    theta1 = _gamma1d_lo(k)
+    if theta1 is None:
         raise GammaPlusEmpty("gamma(theta) > 1 everywhere; G is undefined")
-    g, bound, converged, steps = _log_reduction(k, interval.lo)
+    g, bound, converged, steps = _log_reduction(k, theta1)
     if not converged:
         raise NoConvergence(f"G bracket stalled at width {bound.max():.1e} "
                             "(tangent tilting interval, null-recurrent chain)")
-    return GMinusResult(g=g, theta1=interval.lo, iterations=steps)
+    return GMinusResult(g=g, theta1=theta1, iterations=steps)
 
 
 def _is_stochastic(k: QbdBlocks, tol: float = 1e-12) -> bool:
@@ -480,15 +495,15 @@ def superharmonic_exists_via_G(k: QbdBlocks) -> bool:
     if _is_stochastic(k):
         # the ones vector is superharmonic
         return True
-    iv = gamma1d_plus(k)
-    if iv.empty:
+    theta1 = _gamma1d_lo(k)
+    if theta1 is None:
         return False
     try:
         can = canonical_form(k)
     except BoundaryNotInvertible:
         # sp(B0) >= 1 already contradicts existence
         return False
-    g, bound, _, _ = _log_reduction(k, iv.lo)
+    g, bound, _, _ = _log_reduction(k, theta1)
     if matcore.spectral_radius(can.c0 + can.a1 @ g) > 1.0 + LE_ONE_SLACK:
         return False
     if matcore.spectral_radius(can.c0 + can.a1 @ (g + bound)) <= 1.0 + 2.0 * LE_ONE_SLACK:

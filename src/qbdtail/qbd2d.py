@@ -18,12 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matcore, qbd1d
-from .errors import (
-    FaceNotInvertible,
-    SpectralRadiusNotBelowOne,
-    ThetaNotOnCurve,
-    Unstable,
-)
+from .errors import FaceNotInvertible, ThetaNotOnCurve, Unstable
 from .levelset import Decay, LevelCurve, TauReport, checked_direction, decay
 
 H = (-1, 0, 1)
@@ -86,7 +81,7 @@ def block_shape(dims: tuple, s1: str, s2: str, i: int, j: int) -> tuple:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str          # RowSumViolation | AliasViolation | NegativeEntryViolation | DiagSignViolation
+    kind: str          # RowSumViolation | AliasViolation | NegativeEntryViolation | DiagSignViolation | AxisTrapViolation
     family: tuple
     increment: tuple | None
     detail: str
@@ -117,6 +112,27 @@ class Qbd2dSpec:
         incs = np.array(list(fam), dtype=float)
         blocks = np.array([b.ravel() for b in fam.values()])
         return incs, blocks
+
+    # computed once: every censored-MGF evaluation reads it
+    @cached_property
+    def face_stacks(self) -> dict:
+        """Per face i, the six sums of ``_sum_parts`` as (increments of
+        coordinate i (k,), blocks as rows (k, r*c), block shape (r, c)):
+        the down-crossing D, the axis F0 and F1, and the interior blocks with
+        the other increment 0, 1 and -1."""
+        out = {}
+        for i, (face, inner) in _FACES.items():
+            parts = []
+            for reg, other in ((inner, -1), (face, 0), (face, 1),
+                               (("+", "+"), 0), (("+", "+"), 1),
+                               (("+", "+"), -1)):
+                fam = [(inc[i - 1], b) for inc, b in self.families[reg].items()
+                       if inc[2 - i] == other]
+                parts.append((np.array([k for k, _ in fam], dtype=float),
+                              np.array([b.ravel() for _, b in fam]),
+                              fam[0][1].shape))
+            out[i] = parts
+        return out
 
 
 def make_spec(families: dict, dims: tuple, time: str) -> Qbd2dSpec:
@@ -162,7 +178,9 @@ def make_spec(families: dict, dims: tuple, time: str) -> Qbd2dSpec:
 
 
 def validate_spec(spec: Qbd2dSpec, tol: float = 1e-12) -> list:
-    """All structural violations: row sums, sign pattern, alias equality."""
+    """All structural violations: row sums, sign pattern, alias equality,
+    and each axis that the walk can enter but not leave (a closed class of
+    the transverse chain that the stability check would read)."""
     out = []
     for reg in REGIONS:
         fam = spec.families[reg]
@@ -192,59 +210,75 @@ def validate_spec(spec: Qbd2dSpec, tol: float = 1e-12) -> list:
             out.append(Violation("RowSumViolation", reg, None,
                                  f"row sums deviate from {target} by "
                                  f"{np.max(np.abs(rowsum - target)):.3e}"))
+    for i, (face, _) in _FACES.items():
+        if _traps_axis(_sum_parts(spec.face_stacks[i][:3], 0.0)):
+            out.append(Violation(
+                "AxisTrapViolation", face, None,
+                f"the walk can enter the axis l{3 - i} = 0 and cannot leave it"))
     return out
 
 
+def _traps_axis(sums) -> bool:
+    """Whether the chain of coordinate 3-i on face i, from the patterns of
+    its (D, F0, F1) at theta_i = 0, reaches an axis phase from which it
+    cannot leave the axis."""
+    down, f0, f1 = (b != 0 for b in sums)
+    reach = f0 | np.eye(f0.shape[0], dtype=bool)
+    for _ in range(f0.shape[0].bit_length()):
+        reach = reach @ reach
+    entered = down.any(axis=0) @ reach
+    return bool(np.any(entered & ~(reach @ f1).any(axis=1)))
+
+
 # -- moment generating functions --------------------------------------------
+#
+# Every evaluator takes theta of shape (2,) or a stack (n, 2) of points.
 
 
 def a2_mgf(spec: Qbd2dSpec, theta) -> np.ndarray:
-    """Interior matrix MGF: sum of e^{<theta, increment>} A_increment."""
+    """Interior matrix MGF: sum of e^{<theta, increment>} A_increment,
+    (m, m) or one per point (n, m, m)."""
     incs, blocks = spec.interior_stack
-    weights = np.exp(incs @ np.asarray(theta, dtype=float))
+    theta = np.asarray(theta, dtype=float)
     m = spec.dims[3]
-    return (weights @ blocks).reshape(m, m)
+    return (np.exp(theta @ incs.T) @ blocks).reshape(theta.shape[:-1] + (m, m))
 
 
-def _face_sum(spec, reg, fixed, axis, theta_val):
-    """Sum over the free index of e^{i theta} blocks with the other index
-    fixed; axis=0 sums the first index, axis=1 the second."""
-    fam = spec.families[reg]
-    parts = []
-    for inc, b in fam.items():
-        free, other = (inc[0], inc[1]) if axis == 0 else (inc[1], inc[0])
-        if other != fixed:
-            continue
-        parts.append(np.exp(free * theta_val) * b)
-    return sum(parts)
+def _sum_parts(parts, theta_i) -> tuple:
+    """Each part (increments, blocks, shape) of ``Qbd2dSpec.face_stacks``
+    summed with weights e^{increment theta_i}, for a number or an array
+    theta_i."""
+    theta_i = np.asarray(theta_i, dtype=float)
+    return tuple((np.exp(theta_i[..., np.newaxis] * incs) @ blocks)
+                 .reshape(theta_i.shape + shape)
+                 for incs, blocks, shape in parts)
 
 
-def face_mgfs(spec: Qbd2dSpec, i: int, theta_i: float) -> tuple:
-    """The five MGFs of face i at theta_i, each summed over coordinate i:
-    (D, F0, F1, A_low, A_up), with D the down-crossing MGF of the inner face
-    (other increment -1), F0, F1 the axis-face MGFs and A_low, A_up the
-    interior ones (other increment 0 and 1)."""
-    face, inner = _FACES[i]
-    axis = i - 1
-    return (_face_sum(spec, inner, -1, axis, theta_i),
-            _face_sum(spec, face, 0, axis, theta_i),
-            _face_sum(spec, face, 1, axis, theta_i),
-            _face_sum(spec, ("+", "+"), 0, axis, theta_i),
-            _face_sum(spec, ("+", "+"), 1, axis, theta_i))
+def face_mgfs(spec: Qbd2dSpec, i: int, theta_i) -> tuple:
+    """The five MGFs of face i at theta_i (a number or an array), each
+    summed over coordinate i: (D, F0, F1, A_low, A_up), with D the
+    down-crossing MGF of the inner face (other increment -1), F0, F1 the
+    axis-face MGFs and A_low, A_up the interior ones (other increment 0 and
+    1)."""
+    return _sum_parts(spec.face_stacks[i][:5], theta_i)
 
 
-def _censor_inverse(spec: Qbd2dSpec, w: np.ndarray) -> np.ndarray:
-    """(I - W)^{-1} in discrete time, (-W)^{-1} in continuous time."""
+def _censor_inverse(spec: Qbd2dSpec, w: np.ndarray) -> tuple:
+    """(I - W)^{-1} in discrete time, (-W)^{-1} in continuous time, for W
+    of shape (..., r, r): ``(inverse, ok)``, with ``ok`` false and the
+    inverse NaN on the lanes where it does not exist."""
+    stack = w.reshape((-1,) + w.shape[-2:])
     if spec.time == "discrete":
-        try:
-            return matcore.neumann_inverse(w)
-        except SpectralRadiusNotBelowOne as exc:
-            raise FaceNotInvertible(str(exc)) from exc
-    # face generators may be reducible, so no Perron certificate here
-    if float(np.max(np.linalg.eigvals(w).real)) >= -1e-12:
-        raise FaceNotInvertible("face generator is not stable at this theta")
-    inv = np.linalg.solve(-w, np.eye(w.shape[0]))
-    return np.clip(inv, 0.0, None)
+        inv, _ = matcore.neumann_inverses(stack)
+    else:
+        # face generators may be reducible, so no Perron certificate here
+        stable = np.linalg.eigvals(stack).real.max(axis=1) < -1e-12
+        inv = np.full(stack.shape, np.nan)
+        if stable.any():
+            eye = np.broadcast_to(np.eye(stack.shape[1]), inv[stable].shape)
+            inv[stable] = np.clip(np.linalg.solve(-stack[stable], eye), 0.0, None)
+    ok = ~np.isnan(inv[:, 0, 0])
+    return inv.reshape(w.shape), ok.reshape(w.shape[:-2])
 
 
 def c2_mgf(spec: Qbd2dSpec, i: int, theta) -> np.ndarray:
@@ -252,15 +286,21 @@ def c2_mgf(spec: Qbd2dSpec, i: int, theta) -> np.ndarray:
 
     C^{(i)}(theta) = A_{*+}(theta) + D(theta_i) (I - F0(theta_i))^{-1} F1(theta_i)
     with F0, F1 the axis-face MGFs and D the down-crossing MGF; in continuous
-    time (I - F0)^{-1} becomes (-F0)^{-1}.
+    time (I - F0)^{-1} becomes (-F0)^{-1}.  Where face i is not invertible
+    at theta_i, a single point raises ``FaceNotInvertible`` and a lane of a
+    stack is NaN.
     """
-    ti, tother = float(theta[i - 1]), float(theta[2 - i])
-    down, f0, f1, a_low, a_up = face_mgfs(spec, i, ti)
-    inv = _censor_inverse(spec, f0)
-    return a_low + np.exp(tother) * a_up + down @ inv @ f1
+    theta = np.asarray(theta, dtype=float)
+    down, f0, f1, a_low, a_up = face_mgfs(spec, i, theta[..., i - 1])
+    inv, ok = _censor_inverse(spec, f0)
+    if theta.ndim == 1 and not ok:
+        raise FaceNotInvertible(
+            f"face {i} is not invertible at theta_{i} = {theta[i - 1]!r}")
+    lift = np.exp(theta[..., 2 - i])[..., np.newaxis, np.newaxis]
+    return a_low + lift * a_up + down @ inv @ f1
 
 
-def gamma2(spec: Qbd2dSpec, theta) -> float:
+def gamma2(spec: Qbd2dSpec, theta):
     """Dominant eigenvalue of the interior MGF at theta."""
     return matcore.dominant(a2_mgf(spec, theta)).value
 
@@ -282,38 +322,35 @@ def curve_gap(spec: Qbd2dSpec):
     return lambda theta: gamma2(spec, theta) - level
 
 
-def feasibility_margins(spec: Qbd2dSpec):
-    """Callable mapping a curve point theta to the C^{(1)}/C^{(2)} margins,
-    read with the Perron vector h of the interior MGF there, scaled to
-    max 1: max_k ((C h)_k - h_k) in discrete time, max_k (C h)_k /
+def feasibility_margin(spec: Qbd2dSpec):
+    """Callable ``margin(theta, i)``: face i's C^{(i)} margin at curve
+    points theta, read with the Perron vector h of the interior MGF there,
+    scaled to max 1: max_k ((C h)_k - h_k) in discrete time, max_k (C h)_k /
     max(1, max |C|) in continuous time, and +inf where the face is not
     invertible.  Face i is feasible where its margin is at most
     ``qbd1d.LE_ONE_SLACK``."""
     discrete = spec.time == "discrete"
 
-    def margins(theta):
-        _, h = gamma2_pair(spec, theta)
-        h = h / h.max()
-        out = []
-        for i in (1, 2):
-            try:
-                c = c2_mgf(spec, i, theta)
-            except FaceNotInvertible:
-                out.append(np.inf)
-                continue
-            v = c @ h
-            if discrete:
-                out.append(float(np.max(v - h)))
-            else:
-                out.append(float(np.max(v)) / max(1.0, float(np.max(np.abs(c)))))
-        return tuple(out)
+    def margin(theta, i):
+        theta = np.asarray(theta, dtype=float)
+        points = theta.reshape(-1, 2)
+        _, h = gamma2_pair(spec, points)
+        h = h / h.max(axis=1, keepdims=True)
+        c = c2_mgf(spec, i, points)
+        v = (c @ h[:, :, np.newaxis])[:, :, 0]
+        if discrete:
+            out = np.max(v - h, axis=1)
+        else:
+            out = np.max(v, axis=1) / np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
+        out[np.isnan(out)] = np.inf
+        return out.reshape(theta.shape[:-1])
 
-    return margins
+    return margin
 
 
 def level_curve(spec: Qbd2dSpec, scan: int = 192) -> LevelCurve:
     """The boundary curve of the tilting region with feasibility margins."""
-    return LevelCurve(curve_gap(spec), feasibility_margins(spec), scan_size=scan)
+    return LevelCurve(curve_gap(spec), feasibility_margin(spec), scan_size=scan)
 
 
 # -- uniformization -----------------------------------------------------------
@@ -368,9 +405,9 @@ def mean_drifts(spec: Qbd2dSpec) -> tuple:
 
 def _transverse_qbd(spec: Qbd2dSpec, i: int) -> qbd1d.QbdBlocks:
     """The QBD in coordinate 3-i obtained by summing out coordinate i."""
-    down, f0, f1, a_low, a_up = face_mgfs(spec, i, 0.0)
-    am1 = _face_sum(spec, ("+", "+"), -1, i - 1, 0.0)
-    return qbd1d.QbdBlocks(b0=f0, b1=f1, bm1=down, am1=am1, a0=a_low, a1=a_up)
+    down, f0, f1, a_low, a_up, a_down = _sum_parts(spec.face_stacks[i], 0.0)
+    return qbd1d.QbdBlocks(b0=f0, b1=f1, bm1=down, am1=a_down, a0=a_low,
+                           a1=a_up)
 
 
 def _induced_drift(spec: Qbd2dSpec, i: int) -> float:
@@ -466,10 +503,8 @@ def check_assumption2(spec: Qbd2dSpec, theta, i: int) -> qbd1d.CompatibilityResu
     down, f0, f1, a_low, a_up = face_mgfs(spec, i, float(theta[i - 1]))
 
     def inverse():
-        try:
-            return _censor_inverse(spec, f0)
-        except FaceNotInvertible:
-            return None
+        inv, ok = _censor_inverse(spec, f0)
+        return inv if ok else None
 
     return qbd1d.boundary_compatibility(down, f0, f1, a_low, a_up, h / h.max(),
                                         float(theta[2 - i]), level, inverse)

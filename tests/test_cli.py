@@ -211,6 +211,26 @@ def test_commands_reject_what_validate_rejects(command, tmp_path, capsys,
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["validate"], ["stability"], ["decay"],
+    ["boundary", "--samples", "32", "--out", "x.csv"],
+    ["verify", "--extent", "30"]])
+def test_an_axis_the_walk_cannot_leave_is_an_input_error(command, tmp_path,
+                                                         capsys, monkeypatch):
+    # face 1 never moves up: once the walk reaches the first axis it stays
+    trapped = tmp_path / "trapped.yaml"
+    trapped.write_text(modelfile.dump_model(modelfile.ModelFile(
+        "1", "qbd2d_discrete", scalar_rrw(
+            0.15, 0.25, 0.12, 0.22,
+            face1={"up": 0.0, "right": 0.15, "left": 0.25}))))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([command[0], str(trapped), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert "AxisTrapViolation at family +0" in captured.out + captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def _fuzz_files(tmp_path) -> dict:
     """Named model files: the shipped ones and broken or unstable variants."""
     rrw = (MODELS / "scalar_rrw.yaml").read_text()

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import brentq, minimize_scalar
 
 from qbdtail import jackson, levelset, modelfile, qbd1d, qbd2d
-from qbdtail.errors import FaceNotInvertible
+from qbdtail.errors import EmptyGammaPlus, FaceNotInvertible
 from qbdtail.levelset import LevelCurve
 
 from conftest import scalar_rrw
@@ -45,8 +45,9 @@ class TestDirectionalSup:
     @pytest.mark.parametrize("c", DIAGONALS)
     def test_circle(self, m, r, c):
         m, c = np.array(m), np.array(c)
-        curve = LevelCurve(lambda t: float((t - m) @ (t - m)) - r * r,
-                           lambda t: (-1.0, -1.0), scan_size=64)
+        curve = LevelCurve(lambda t: ((t - m) ** 2).sum(axis=-1) - r * r,
+                           lambda t, i: np.full(t.shape[:-1], -1.0),
+                           scan_size=64)
         cm, cc = float(c @ m), float(c @ c)
         ray = (cm + np.sqrt(cm * cm - cc * (float(m @ m) - r * r))) / cc
         want = sup_from_parts(m + (r, 0.0), m + (0.0, r), ray, c)
@@ -135,8 +136,9 @@ class TestMargins:
 
     def test_infinite_margin_never_holds(self):
         # face 1 "not invertible" on the left half of the unit circle
-        curve = LevelCurve(lambda t: t[0] ** 2 + t[1] ** 2 - 1.0,
-                           lambda t: (np.inf if t[0] < 0.5 else -1.0, -1.0),
+        curve = LevelCurve(lambda t: t[..., 0] ** 2 + t[..., 1] ** 2 - 1.0,
+                           lambda t, i: np.where((i == 1) & (t[..., 0] < 0.5),
+                                                 np.inf, -1.0),
                            scan_size=16)
         assert curve.flags(np.array([-1.0, 0.0])) == (False, True)
         ends = curve._flag_transitions(1)
@@ -163,10 +165,11 @@ def test_tau_and_rates_do_not_depend_on_the_scan(name):
         assert np.max(np.abs(decay_values(name, scan) - ref)) <= 1e-9
 
 
-# (level-function evaluations, point_at calls) of `decay` in the four
-# directions at the default scan, measured once; the ceilings allow 10%
-COUNTS = {"scalar_rrw": (2808, 222), "modulated_rrw": (3236, 268),
-          "tandem_jackson": (5562, 438), "mapph_jackson": (8514, 589)}
+# (level-function calls, point_at calls) of `decay` in the four directions
+# at the default scan, measured once; a stacked call counts once; the
+# ceilings allow 10%
+COUNTS = {"scalar_rrw": (493, 30), "modulated_rrw": (1032, 76),
+          "tandem_jackson": (1276, 54), "mapph_jackson": (3272, 207)}
 
 
 @pytest.mark.parametrize("name", SHIPPED)
@@ -188,3 +191,117 @@ def test_evaluation_counts_stay_under_their_ceilings(name, monkeypatch):
     gap, point_at = COUNTS[name]
     assert counts["gap"] <= 1.1 * gap
     assert counts["point_at"] <= 1.1 * point_at
+
+
+def shipped_curves(scan):
+    """(label, curve) for the generic curve of every shipped model and the
+    analytic curve of each Jackson one."""
+    out = []
+    for name in SHIPPED:
+        mf = modelfile.load_model(MODELS / f"{name}.yaml")
+        spec = mf.payload.blocks if mf.kind == "jackson" else mf.payload
+        out.append((name, qbd2d.level_curve(spec, scan=scan)))
+        if mf.kind == "jackson":
+            out.append((f"{name}-analytic",
+                        jackson.analytic_curve(mf.payload, scan=scan)))
+    return out
+
+
+class TestStackedScan:
+    @pytest.mark.parametrize("scan", [64, 512])
+    def test_scan_points_are_the_radial_roots(self, scan):
+        for label, curve in shipped_curves(scan):
+            for phi, p in zip(curve.scan_phi, curve.scan_points):
+                assert np.max(np.abs(curve.point_at(phi) - p)) <= 1e-11, label
+
+    def test_scan_margins_are_the_pointwise_margins(self):
+        for label, curve in shipped_curves(64):
+            for p, m in zip(curve.scan_points, curve.scan_margins):
+                single = tuple(float(curve.margin(p, i)) for i in (1, 2))
+                assert single == pytest.approx(m, rel=1e-12, abs=1e-14), label
+
+    @pytest.mark.parametrize("scan", [64, 192, 512])
+    def test_gap_calls_do_not_grow_with_the_scan(self, scan, monkeypatch):
+        # every scan angle moves in lockstep: one stacked gap call per step
+        counting = {"on": True, "calls": 0}
+        center = levelset.minimize_convex_2d
+
+        def uncounted(f):
+            counting["on"] = False
+            try:
+                return center(f)
+            finally:
+                counting["on"] = True
+
+        monkeypatch.setattr(levelset, "minimize_convex_2d", uncounted)
+        for name in SHIPPED:
+            mf = modelfile.load_model(MODELS / f"{name}.yaml")
+            spec = mf.payload.blocks if mf.kind == "jackson" else mf.payload
+            gap = qbd2d.curve_gap(spec)
+
+            def counted(theta):
+                counting["calls"] += counting["on"]
+                return gap(theta)
+
+            counting["calls"] = 0
+            LevelCurve(counted, qbd2d.feasibility_margin(spec), scan_size=scan)
+            assert counting["calls"] <= 40, name
+
+    def test_flag_reads_build_one_face(self, monkeypatch):
+        mf = modelfile.load_model(MODELS / "modulated_rrw.yaml")
+        curve = qbd2d.level_curve(mf.payload, scan=64)
+        other = {1: float(curve.feasible_extreme(2)[1]),
+                 2: float(curve.feasible_extreme(1)[0])}
+        faces = []
+        c2 = qbd2d.c2_mgf
+
+        def recorded(spec, i, theta):
+            faces.append(i)
+            return c2(spec, i, theta)
+
+        monkeypatch.setattr(qbd2d, "c2_mgf", recorded)
+        for i in (1, 2):
+            faces.clear()
+            curve._flag_transitions(i)
+            curve.feasible_extreme(i)
+            # category I: no feasible section point, after both flags are read
+            with pytest.raises(EmptyGammaPlus, match="no feasible point"):
+                curve.xi_bar(i, other[i])
+            assert faces and set(faces) == {i}
+
+
+class TestBoundaryRows:
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_rows_are_the_sections_and_their_flags(self, name):
+        mf = modelfile.load_model(MODELS / f"{name}.yaml")
+        curve = (jackson.analytic_curve(mf.payload, scan=64)
+                 if mf.kind == "jackson" else qbd2d.level_curve(mf.payload, scan=64))
+        rows = levelset.boundary_rows(curve, 48)
+        assert len(rows) == 48
+        for r in rows[1:-1]:
+            lo, hi = curve.section(2, r.theta1)
+            assert r.theta2_lower == pytest.approx(lo, abs=1e-11)
+            assert r.theta2_upper == pytest.approx(hi, abs=1e-11)
+        for r in rows:
+            fl = curve.flags(np.array([r.theta1, r.theta2_lower]))
+            fu = curve.flags(np.array([r.theta1, r.theta2_upper]))
+            assert (r.feasible_c1, r.feasible_c2) == (fl[0] or fu[0], fl[1] or fu[1])
+
+
+class TestFarRayRoot:
+    @pytest.mark.parametrize("c", DIAGONALS)
+    def test_diagonal_sup_solves_one_root(self, c, monkeypatch):
+        curve = qbd2d.level_curve(scalar_rrw(0.15, 0.25, 0.1, 0.2), scan=64)
+        for i in (1, 2):
+            curve.pole(i)
+        roots = []
+        bisect = levelset._sublevel_interval
+
+        def recorded(*args, **kwargs):
+            out = bisect(*args, **kwargs)
+            roots.append(out)
+            return out
+
+        monkeypatch.setattr(levelset, "_sublevel_interval", recorded)
+        curve.directional_sup(np.array(c))
+        assert len(roots) == 1 and len(roots[0]) == 1

@@ -5,6 +5,7 @@ from qbdtail import matcore, qbd1d
 from qbdtail.errors import (
     IllConditioned,
     NegativeEntry,
+    NoConvergence,
     NonFiniteEntry,
     NonPositiveScale,
     NotIrreducible,
@@ -260,6 +261,63 @@ class TestNeumannInverse:
         t = np.array([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(SpectralRadiusNotBelowOne):
             matcore.neumann_inverse(t)
+
+
+class TestStacks:
+    """A stack (n, m, m) is solved lane by lane by the single-matrix rule."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_lanes_equal_single_calls(self, m):
+        rng = np.random.default_rng(7000 + m)
+        stack = np.array([rng.uniform(0.0, 1.0, size=(m, m)) for _ in range(5)]
+                         + [random_metzler(rng, m) for _ in range(5)]
+                         + [random_metzler(rng, m, generator=True)
+                            for _ in range(3)])
+        res = matcore.dominant(stack)
+        assert res.value.shape == res.lo.shape == res.hi.shape == (len(stack),)
+        assert res.right.shape == (len(stack), m)
+        for k, t in enumerate(stack):
+            one = matcore.dominant(t)
+            assert (res.value[k], res.lo[k], res.hi[k]) == (one.value, one.lo, one.hi)
+            assert np.array_equal(res.right[k], one.right)
+            assert_certified(t, one)
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[0.2, 0.0], [0.3, 0.5]]),                       # reducible
+        np.array([[0.8, 0.1, 0.1], [0.0, 0.3, 0.2], [0.0, 0.1, 0.4]]),
+        np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1e-15, 0.0, 1.0]]),
+        np.array([[0.2, -0.1], [0.3, 0.1]]),
+        np.array([[np.inf, 0.1], [0.3, 0.1]]),
+    ], ids=["reducible_2", "reducible_3", "wide_bracket_3", "negative_2",
+            "infinite_2"])
+    def test_a_failing_lane_raises_the_single_error(self, bad):
+        rng = np.random.default_rng(3)
+        m = bad.shape[0]
+        with pytest.raises(QbdTailError) as single:
+            matcore.dominant(bad)
+        stack = np.array([rng.uniform(0.1, 1.0, size=(m, m)), bad,
+                          rng.uniform(0.1, 1.0, size=(m, m))])
+        with pytest.raises(QbdTailError) as stacked:
+            matcore.dominant(stack)
+        assert type(stacked.value) is type(single.value)
+
+    def test_wide_bracket_is_no_convergence(self):
+        with pytest.raises(NoConvergence):
+            matcore.dominant(np.array([[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0],
+                                        [1e-15, 0.0, 1.0]]]))
+
+    def test_neumann_lanes(self):
+        rng = np.random.default_rng(5)
+        good = [rng.uniform(0.0, 0.3, size=(3, 3)) for _ in range(3)]
+        stack = np.array(good[:1] + [np.full((3, 3), 0.5)] + good[1:])
+        x, radius = matcore.neumann_inverses(stack)
+        assert radius[1] == pytest.approx(1.5)
+        assert np.all(np.isnan(x[1]))
+        for k in (0, 2, 3):
+            assert radius[k] == pytest.approx(matcore.spectral_radius(stack[k]),
+                                              abs=1e-15)
+            assert np.allclose(x[k], matcore.neumann_inverse(stack[k]),
+                               atol=1e-15)
 
 
 class TestTwist:

@@ -5,6 +5,7 @@ import pytest
 
 from qbdtail import jackson, levelset, modelfile, oracle, qbd1d, qbd2d
 from qbdtail.errors import (
+    FaceNotInvertible,
     InconsistentCategory,
     QbdTailError,
     ThetaNotOnCurve,
@@ -47,6 +48,29 @@ class TestValidateSpec:
     def test_continuous_jackson_blocks_validate(self):
         blocks = jackson.build_blocks(product_form_jackson())
         assert qbd2d.validate_spec(blocks) == []
+
+    @pytest.mark.parametrize("face", [1, 2])
+    def test_an_axis_the_walk_cannot_leave_is_a_violation(self, face):
+        if face == 1:
+            spec = scalar_rrw(0.15, 0.25, 0.12, 0.22,
+                              face1={"up": 0.0, "right": 0.15, "left": 0.25})
+        else:
+            spec = scalar_rrw(0.15, 0.25, 0.12, 0.22,
+                              face2={"right": 0.0, "up": 0.12, "down": 0.22})
+        (v,) = qbd2d.validate_spec(spec)
+        assert (v.kind, v.family) == ("AxisTrapViolation", qbd2d._FACES[face][0])
+        assert f"l{3 - face} = 0" in v.detail
+
+    def test_an_axis_never_entered_is_not_a_trap(self):
+        # no down-move onto the first axis: it is left, never entered
+        spec = scalar_rrw(0.15, 0.25, 0.12, 0.22,
+                          face1={"up": 0.0, "right": 0.15, "left": 0.25})
+        fams = {reg: dict(blocks) for reg, blocks in spec.families.items()}
+        for reg in (("+", "1"), ("1", "1"), ("0", "1")):
+            fams[reg][(0, -1)] = np.zeros((1, 1))
+        assert qbd2d._traps_axis(qbd2d._sum_parts(
+            qbd2d.make_spec(fams, spec.dims, "discrete").face_stacks[1][:3],
+            0.0)) is False
 
 
 class TestUniformize:
@@ -219,6 +243,55 @@ class TestMgfs:
             assert np.all(np.abs(got - ref) <= 1e-14 * scale)
 
 
+class TestStackedEvaluators:
+    """Every evaluator broadcasts over a stack (n, 2) of points, lane by
+    lane equal to one call per point."""
+
+    # face 1 of scalar_rrw(0.15, 0.25, 0.12, 0.22) is not invertible at
+    # theta_1 = 1.2
+    THETAS = np.array([[0.0, 0.0], [0.3, -0.2], [1.2, 0.1], [-0.4, 0.8],
+                       [0.5, 0.5]])
+
+    @pytest.mark.parametrize("which", ["scalar_rrw", "modulated_rrw",
+                                       "mapph_jackson"])
+    def test_interior_and_censored_mgfs(self, which, mapph_spec):
+        spec = (jackson.build_blocks(mapph_spec) if which == "mapph_jackson"
+                else modelfile.load_model(MODELS / f"{which}.yaml").payload)
+        values, right = qbd2d.gamma2_pair(spec, self.THETAS)
+        assert np.array_equal(qbd2d.gamma2(spec, self.THETAS), values)
+        for i in (1, 2):
+            stack = qbd2d.c2_mgf(spec, i, self.THETAS)
+            for k, theta in enumerate(self.THETAS):
+                one = qbd2d.gamma2_pair(spec, theta)
+                assert values[k] == pytest.approx(one[0], rel=1e-14, abs=1e-14)
+                assert np.allclose(right[k], one[1], rtol=1e-13, atol=0)
+                try:
+                    c = qbd2d.c2_mgf(spec, i, theta)
+                except FaceNotInvertible:
+                    assert np.all(np.isnan(stack[k]))
+                    continue
+                assert np.allclose(stack[k], c, rtol=1e-13, atol=1e-15)
+
+    def test_a_face_that_is_not_invertible_is_one_nan_lane(self):
+        spec = scalar_rrw(0.15, 0.25, 0.12, 0.22)
+        with pytest.raises(FaceNotInvertible):
+            qbd2d.c2_mgf(spec, 1, self.THETAS[2])
+        margin = qbd2d.feasibility_margin(spec)
+        stack = margin(self.THETAS, 1)
+        assert stack[2] == np.inf
+        assert np.all(np.isfinite(np.delete(stack, 2)))
+        for k, theta in enumerate(self.THETAS):
+            assert float(margin(theta, 1)) == stack[k]
+
+    def test_jackson_cumulants(self, mapph_spec):
+        cs = jackson.cumulants(mapph_spec)
+        for fn in (cs.gamma_plus, lambda t: cs.gamma_face(1, t),
+                   lambda t: cs.gamma_face(2, t)):
+            stack = fn(self.THETAS)
+            assert stack.shape == (len(self.THETAS),)
+            assert [fn(t) for t in self.THETAS] == list(stack)
+
+
 class TestGammaCurve:
     def test_scalar_curve_matches_quadratic_level_set(self):
         pxp, pxm, pyp, pym = 0.15, 0.25, 0.1, 0.2
@@ -366,8 +439,8 @@ class TestTauReport:
     def test_inconsistent_geometry_is_a_typed_error(self):
         # unit circle; face 1 feasible only high up, face 2 only far right,
         # so each feasibility extreme lies beyond the other's coordinate
-        curve = LevelCurve(lambda t: t[0] ** 2 + t[1] ** 2 - 1.0,
-                           lambda t: (0.95 - t[1], 0.95 - t[0]),
+        curve = LevelCurve(lambda t: t[..., 0] ** 2 + t[..., 1] ** 2 - 1.0,
+                           lambda t, i: 0.95 - t[..., 2 - i],
                            scan_size=64)
         with pytest.raises(InconsistentCategory) as info:
             curve.tau_report()
