@@ -68,21 +68,23 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
+def reach(pattern) -> np.ndarray:
+    """Reflexive-transitive closure of a square boolean pattern: entry
+    (i, j) says whether j is reached from i in zero or more steps."""
+    r = np.asarray(pattern, dtype=bool) | np.eye(len(pattern), dtype=bool)
+    # boolean closure by repeated squaring; n is small
+    for _ in range(r.shape[0].bit_length()):
+        r = r @ r
+    return r
+
+
 def is_irreducible(t: np.ndarray) -> bool:
     """Reachability closure on the sparsity pattern of a square matrix.
 
     A 1x1 matrix counts as irreducible (a single state).  The pattern of a
     matrix MGF does not depend on theta, so callers check it once per spec.
     """
-    t = as_matrix(t)
-    n = t.shape[0]
-    if n == 1:
-        return True
-    reach = (t != 0) | np.eye(n, dtype=bool)
-    # boolean closure by repeated squaring; n is small
-    for _ in range(int(np.ceil(np.log2(n))) + 1):
-        reach = (reach.astype(np.uint8) @ reach.astype(np.uint8)) > 0
-    return bool(reach.all())
+    return bool(reach(as_matrix(t) != 0).all())
 
 
 def dominant(t) -> Dominant:

@@ -381,19 +381,6 @@ def gamma1d_plus(k: QbdBlocks) -> Interval:
     return Interval(lo=0.0 if drift <= 0 else lo, hi=0.0 if drift >= 0 else hi)
 
 
-def _gamma1d_lo(k: QbdBlocks):
-    """``gamma1d_plus(k).lo`` without the right end, or None when the
-    interval is empty."""
-    stochastic = _is_stochastic(k)
-    if stochastic and mean_drift(k) <= 0:
-        return 0.0
-    ends = _sublevel_interval(lambda th: gamma_a(k, th), 1.0, 0.0, 1.0, 1e-12,
-                              sides=(-1.0,))
-    if ends is None:
-        return 0.0 if stochastic else None
-    return ends[0]
-
-
 def cp_kplus(k: QbdBlocks) -> float:
     """Convergence parameter of the boundary-free part: the reciprocal of
     the convex minimum (to 1e-12) of the interior eigenvalue curve."""
@@ -461,14 +448,14 @@ def g_minus(k: QbdBlocks) -> GMinusResult:
     ``NoConvergence`` unless the row-sum deficit reaches 1e-15, which fails
     at a tangent interval (null-recurrent twisted chain).
     """
-    theta1 = _gamma1d_lo(k)
-    if theta1 is None:
+    interval = gamma1d_plus(k)
+    if interval.empty:
         raise GammaPlusEmpty("gamma(theta) > 1 everywhere; G is undefined")
-    g, bound, converged, steps = _log_reduction(k, theta1)
+    g, bound, converged, steps = _log_reduction(k, interval.lo)
     if not converged:
         raise NoConvergence(f"G bracket stalled at width {bound.max():.1e} "
                             "(tangent tilting interval, null-recurrent chain)")
-    return GMinusResult(g=g, theta1=theta1, iterations=steps)
+    return GMinusResult(g=g, theta1=interval.lo, iterations=steps)
 
 
 def _is_stochastic(k: QbdBlocks, tol: float = 1e-12) -> bool:
@@ -495,15 +482,15 @@ def superharmonic_exists_via_G(k: QbdBlocks) -> bool:
     if _is_stochastic(k):
         # the ones vector is superharmonic
         return True
-    theta1 = _gamma1d_lo(k)
-    if theta1 is None:
+    iv = gamma1d_plus(k)
+    if iv.empty:
         return False
     try:
         can = canonical_form(k)
     except BoundaryNotInvertible:
         # sp(B0) >= 1 already contradicts existence
         return False
-    g, bound, _, _ = _log_reduction(k, theta1)
+    g, bound, _, _ = _log_reduction(k, iv.lo)
     if matcore.spectral_radius(can.c0 + can.a1 @ g) > 1.0 + LE_ONE_SLACK:
         return False
     if matcore.spectral_radius(can.c0 + can.a1 @ (g + bound)) <= 1.0 + 2.0 * LE_ONE_SLACK:

@@ -179,8 +179,8 @@ def make_spec(families: dict, dims: tuple, time: str) -> Qbd2dSpec:
 
 def validate_spec(spec: Qbd2dSpec, tol: float = 1e-12) -> list:
     """All structural violations: row sums, sign pattern, alias equality,
-    and each axis that the walk can enter but not leave (a closed class of
-    the transverse chain that the stability check would read)."""
+    and each face whose transverse chain has a closed class on its axis
+    (a model that the stability rule and decay analysis do not cover)."""
     out = []
     for reg in REGIONS:
         fam = spec.families[reg]
@@ -214,18 +214,21 @@ def validate_spec(spec: Qbd2dSpec, tol: float = 1e-12) -> list:
         if _traps_axis(_sum_parts(spec.face_stacks[i][:3], 0.0)):
             out.append(Violation(
                 "AxisTrapViolation", face, None,
-                f"the walk can enter the axis l{3 - i} = 0 and cannot leave it"))
+                f"the transverse chain of face {i} enters a closed class at "
+                f"l{3 - i} = 0; the stability rule and decay analysis do not "
+                "cover such a model"))
     return out
 
 
 def _traps_axis(sums) -> bool:
-    """Whether the chain of coordinate 3-i on face i, from the patterns of
-    its (D, F0, F1) at theta_i = 0, reaches an axis phase from which it
-    cannot leave the axis."""
+    """Whether the transverse chain of face i (coordinate 3-i, from the
+    patterns of the face's (D, F0, F1) at theta_i = 0) moves down to level
+    0 and reaches there a phase with no path to an up-move: a closed class
+    at level 0.
+    The origin and the (1, 0) region are not read, so the 2-d walk itself
+    may still leave the axis through them."""
     down, f0, f1 = (b != 0 for b in sums)
-    reach = f0 | np.eye(f0.shape[0], dtype=bool)
-    for _ in range(f0.shape[0].bit_length()):
-        reach = reach @ reach
+    reach = matcore.reach(f0)
     entered = down.any(axis=0) @ reach
     return bool(np.any(entered & ~(reach @ f1).any(axis=1)))
 

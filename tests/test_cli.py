@@ -215,9 +215,10 @@ def test_commands_reject_what_validate_rejects(command, tmp_path, capsys,
     ["validate"], ["stability"], ["decay"],
     ["boundary", "--samples", "32", "--out", "x.csv"],
     ["verify", "--extent", "30"]])
-def test_an_axis_the_walk_cannot_leave_is_an_input_error(command, tmp_path,
-                                                         capsys, monkeypatch):
-    # face 1 never moves up: once the walk reaches the first axis it stays
+def test_a_face_chain_closed_on_its_axis_is_an_input_error(command, tmp_path,
+                                                           capsys, monkeypatch):
+    # face 1 never moves up: its transverse chain has a closed class at
+    # level 0, which the stability rule and decay analysis do not cover
     trapped = tmp_path / "trapped.yaml"
     trapped.write_text(modelfile.dump_model(modelfile.ModelFile(
         "1", "qbd2d_discrete", scalar_rrw(

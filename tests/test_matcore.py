@@ -378,3 +378,25 @@ class TestMetzler:
 def test_spectral_radius_reducible():
     t = np.array([[0.5, 1.0], [0.0, 0.9]])
     assert matcore.spectral_radius(t) == pytest.approx(0.9)
+
+
+class TestReach:
+    def test_path_and_cycle_closures(self):
+        # a path of 5 states reaches forward only; closing it makes a cycle
+        path = np.eye(5, k=1, dtype=bool)
+        assert np.array_equal(matcore.reach(path),
+                              np.triu(np.ones((5, 5), dtype=bool)))
+        cycle = path.copy()
+        cycle[4, 0] = True
+        assert matcore.reach(cycle).all()
+        assert matcore.is_irreducible(cycle.astype(float))
+        assert not matcore.is_irreducible(path.astype(float))
+
+    def test_reflexive_on_an_empty_pattern(self):
+        assert np.array_equal(matcore.reach(np.zeros((3, 3), dtype=bool)),
+                              np.eye(3, dtype=bool))
+        assert matcore.is_irreducible(np.zeros((1, 1)))
+
+    def test_many_paths_do_not_wrap(self):
+        # 256 two-step paths per entry: a uint8 path count would wrap to 0
+        assert matcore.is_irreducible(np.ones((256, 256)))

@@ -248,33 +248,6 @@ class TestGamma1dPlus:
         assert iv.lo < 0.0
 
 
-    @pytest.mark.parametrize("k", [
-        scalar_blocks(0.5, 0.2, 0.1),
-        scalar_blocks(0.5 * 1.6, 0.2 * 1.6, 0.1 * 1.6),
-        scalar_blocks(0.3, 0.4, 0.3, b0=0.7, b1=0.3, bm1=0.3),
-        mm1_blocks(0.2, 0.3),
-        mm1_blocks(0.3, 0.2),
-        modulated_stochastic(),
-        qbd1d.scale(modulated_stochastic(), 1.02),
-        qbd1d.scale(mm1_blocks(0.2, 0.3), 1.0 - 1e-11),
-        appendix_counterexample(),
-    ], ids=["roots", "empty", "zero_drift", "mm1_down", "mm1_up", "modulated",
-            "modulated_scaled", "near_stochastic", "appendix"])
-    def test_left_end_alone_is_the_interval_lo(self, k, monkeypatch):
-        iv = qbd1d.gamma1d_plus(k)
-        roots = []
-        bisect = qbd1d.bisect_root
-
-        def counted(*args, **kwargs):
-            roots.append(args[1:3])
-            return bisect(*args, **kwargs)
-
-        monkeypatch.setattr(qbd1d, "bisect_root", counted)
-        lo = qbd1d._gamma1d_lo(k)
-        assert lo is None if iv.empty else lo == iv.lo
-        assert len(roots) <= 1
-
-
 class TestCpKplus:
     def test_stochastic_at_least_one(self):
         k = mm1_blocks(0.2, 0.3)

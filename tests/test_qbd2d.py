@@ -50,7 +50,7 @@ class TestValidateSpec:
         assert qbd2d.validate_spec(blocks) == []
 
     @pytest.mark.parametrize("face", [1, 2])
-    def test_an_axis_the_walk_cannot_leave_is_a_violation(self, face):
+    def test_a_face_chain_closed_on_its_axis_is_a_violation(self, face):
         if face == 1:
             spec = scalar_rrw(0.15, 0.25, 0.12, 0.22,
                               face1={"up": 0.0, "right": 0.15, "left": 0.25})
