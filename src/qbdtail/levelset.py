@@ -11,15 +11,21 @@ margin i is at most ``qbd1d.LE_ONE_SLACK``.
 ``gap`` and the margins take one point (2,) or a stack (n, 2) of points.
 The curve is parametrized by the angle around an interior center; the
 radial roots of every scan angle (and the sections of a boundary table)
-are solved in lockstep, one stacked ``gap`` call per step.  Pole location
-(Brent's localmin in the angle), flag transitions (Brent on the margin in
-the angle), sections, the tau/category logic and the directional decay
-rates work point by point.  All of it lives here, independent of how
-``gap`` and the margins are computed.
+are solved in lockstep, one stacked ``gap`` call per step.  Every other
+curve point is bracketed from the known curve points around its angle
+(convexity puts the root between a chord and two secants) and solved
+alone: pole location (Brent's localmin in the offset from the best scan
+angle) and flag transitions (Brent on the margin in the angle, only in
+the cells whose convexity bound on theta_i can still beat the best
+feasible point).  Sections, the tau/category logic and the directional
+decay rates work point by point.  All of it lives here, independent of
+how ``gap`` and the margins are computed.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +33,12 @@ import numpy as np
 from .errors import (EmptyGammaPlus, InconsistentCategory, NoConvergence,
                      ZeroDirection)
 from .qbd1d import (LE_ONE_SLACK, _brent_bracket, _brent_min,
-                    _sublevel_interval, bisect_root, convex_min_scalar)
+                    _sublevel_interval, convex_min_scalar)
 
 CATEGORY_TOL = 1e-9
+# localmin stop in the angle at a pole: theta_i is flat to second order
+# there, so a radial root known to 1e-12 fixes the angle to about 1e-6
+POLE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -144,6 +153,11 @@ class LevelCurve:
         self.scan_margins = [tuple(m) for m in margins.tolist()]
         self.scan_flags = [_holds(m) for m in self.scan_margins]
         self._pole_cache = {}
+        # every curve point known so far, sorted by angle in [0, 2 pi) and
+        # kept as its offset from the center: the scan, then each point
+        # that point_at solves
+        self._known_phi = self.scan_phi.tolist()
+        self._known = (self.scan_points - center).tolist()
 
     def flags(self, point) -> tuple:
         """The pair of boundary-feasibility booleans at a curve point."""
@@ -152,34 +166,68 @@ class LevelCurve:
     # -- parametrization ---------------------------------------------------
 
     def point_at(self, phi: float) -> np.ndarray:
-        u = np.array([np.cos(phi), np.sin(phi)])
-        t_hi = 1.0
-        while self.gap(self.center + t_hi * u) <= 0:
-            t_hi *= 2.0
-            if t_hi > 1e8:
-                raise EmptyGammaPlus("level region appears unbounded")
-        t = bisect_root(lambda s: self.gap(self.center + s * u), 0.0, t_hi,
-                        tol=1e-12 * (1.0 + t_hi))
-        return self.center + t * u
+        """The curve point at angle phi: the root of gap along the ray,
+        bracketed by the known curve points around phi (the scan and every
+        point solved since) and shrunk by Brent to 1e-12 (1 + t_hi).
+
+        With A, B the known neighbours of phi and P, Q the next ones out,
+        the chord AB lies inside the region (convexity) and the lines PA
+        and BQ bound the arc from A to B from outside.  gap(lo) <= 0 <
+        gap(hi) certifies the bracket; where rounding breaks it, the broken
+        end becomes the other end and the bracket doubles its width away
+        from it (the center, at t = 0, is inside).
+        """
+        phi = float(phi) % (2.0 * np.pi)
+        known = self._known_phi
+        n = len(known)
+        k = bisect_left(known, phi)
+        if k < n and known[k] == phi:
+            return self.center + self._known[k]
+        u = (math.cos(phi), math.sin(phi))
+        p, a, b, q = (self._known[(k + j) % n] for j in (-2, -1, 0, 1))
+        g = lambda t: float(self.gap(self.center + np.multiply(t, u)))
+        lo = _ray_hit(u, a, b)
+        lo = lo if lo < math.inf else 0.0
+        hi = min(_ray_hit(u, p, a), _ray_hit(u, b, q),
+                 2.0 * max(math.hypot(*a), math.hypot(*b)))
+        width = max(hi - lo, 1e-12 * (1.0 + lo))
+        hi = lo + width
+        f_lo, f_hi = g(lo), g(hi)
+        while True:
+            if not f_lo <= 0:
+                hi, f_hi, lo = lo, f_lo, max(lo - width, 0.0)
+                f_lo = g(lo)
+            elif f_hi <= 0:
+                lo, f_lo, hi = hi, f_hi, hi + width
+                if hi > 1e8:
+                    raise EmptyGammaPlus("level region appears unbounded")
+                f_hi = g(hi)
+            else:
+                break
+            width *= 2.0
+        t = _brent_bracket(g, lo, f_lo, hi, f_hi, 1e-12 * (1.0 + hi))[0]
+        known.insert(k, phi)
+        self._known.insert(k, [t * u[0], t * u[1]])
+        return self.center + self._known[k]
 
     # -- poles and sections ------------------------------------------------
 
     def extreme(self, direction) -> np.ndarray:
         """The curve point maximizing <direction, theta>: the best scan
-        sample, refined by Brent's localmin in phi to 1e-9 over its two
-        cells."""
+        sample, refined by Brent's localmin over its two cells in the
+        offset s from its angle, to a bracket of ``POLE_TOL`` + 4 sqrt(eps)
+        |s|."""
         d = np.asarray(direction, dtype=float)
         k = int(np.argmax(self.scan_points @ d))
         span = 2.0 * np.pi / len(self.scan_phi)
         points = {}
 
-        def neg_score(phi):
-            p = points[phi] = self.point_at(phi)
+        def neg_score(s):
+            p = points[s] = self.point_at(self.scan_phi[k] + s)
             return -float(d @ p)
 
-        phi, _ = _brent_min(neg_score, self.scan_phi[k] - span,
-                            self.scan_phi[k] + span, tol=1e-9)
-        return points[phi]
+        s, _ = _brent_min(neg_score, -span, span, tol=POLE_TOL)
+        return points[s]
 
     def pole(self, i: int) -> np.ndarray:
         """The point maximizing theta_i over the curve."""
@@ -205,38 +253,81 @@ class LevelCurve:
         """Flag i alone at a curve point (face i's margin only)."""
         return bool(self.margin(point, i) <= LE_ONE_SLACK)
 
-    def _flag_transitions(self, i: int):
-        """Feasible-arc boundaries on the curve: Brent on margin i minus
+    def _flag_cells(self, i: int) -> np.ndarray:
+        """Scan cells k (from sample k to sample k + 1, wrapped) where flag
+        i changes."""
+        f = np.array([fl[i - 1] for fl in self.scan_flags])
+        return np.flatnonzero(f != np.roll(f, -1))
+
+    def _transition(self, i: int, k: int) -> np.ndarray:
+        """The feasible-arc boundary in scan cell k: Brent on margin i minus
         the slack in phi, to a bracket of 1e-10 whose feasible end is
         returned."""
         n = len(self.scan_phi)
-        out = []
-        for k in range(n):
-            if self.scan_flags[k][i - 1] == self.scan_flags[(k + 1) % n][i - 1]:
-                continue
-            a = self.scan_phi[k]
-            b = a + 2.0 * np.pi / n
-            points = {a: self.scan_points[k], b: self.scan_points[(k + 1) % n]}
+        a = self.scan_phi[k]
+        b = a + 2.0 * np.pi / n
+        points = {a: self.scan_points[k], b: self.scan_points[(k + 1) % n]}
 
-            def excess(phi):
-                p = points[phi] = self.point_at(phi)
-                return float(self.margin(p, i)) - LE_ONE_SLACK
+        def excess(phi):
+            p = points[phi] = self.point_at(phi)
+            return float(self.margin(p, i)) - LE_ONE_SLACK
 
-            x, fx, y, _ = _brent_bracket(
-                excess, a, self.scan_margins[k][i - 1] - LE_ONE_SLACK,
-                b, self.scan_margins[(k + 1) % n][i - 1] - LE_ONE_SLACK, 1e-10)
-            out.append(points[x if fx <= 0 else y])
-        return out
+        x, fx, y, _ = _brent_bracket(
+            excess, a, self.scan_margins[k][i - 1] - LE_ONE_SLACK,
+            b, self.scan_margins[(k + 1) % n][i - 1] - LE_ONE_SLACK, 1e-10)
+        return points[x if fx <= 0 else y]
+
+    def _flag_transitions(self, i: int):
+        """Every feasible-arc boundary on the curve, one per flag-change
+        cell."""
+        return [self._transition(i, k) for k in self._flag_cells(i)]
+
+    def _arc_bounds(self, i: int, cells) -> np.ndarray:
+        """Upper bounds of theta_i on the curve arcs of scan cells.
+
+        By convexity the arc from A (sample k) to B (sample k + 1) lies
+        outside the chord AB and inside the lines PA and BQ through the
+        samples P, Q next out.  When those lines meet at X beyond the chord,
+        the arc lies in the triangle ABX and theta_i is at most the largest
+        of its corners; otherwise the bound is +inf.
+        """
+        n = len(self.scan_points)
+        p, a, b, q = (self.scan_points[(cells + j) % n] for j in (-1, 0, 1, 2))
+        cross = lambda x, y: x[:, 0] * y[:, 1] - x[:, 1] * y[:, 0]
+        da, db = a - p, b - q
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = cross(b - a, db) / cross(da, db)   # X = A + s da = B + r db
+            r = cross(b - a, da) / cross(da, db)
+        x = a + s[:, np.newaxis] * da
+        meet = np.isfinite(s) & np.isfinite(r) & (s >= 0) & (r >= 0)
+        top = np.maximum(np.maximum(a, b), x)[:, i - 1]
+        return np.where(meet, top, np.inf)
 
     def feasible_extreme(self, i: int) -> np.ndarray:
-        """arg sup{theta_i >= 0 : theta on curve, flag_i holds}."""
+        """arg sup{theta_i >= 0 : theta on curve, flag_i holds}.
+
+        The candidates are the feasible scan samples and the flag
+        transitions.  Transition cells are solved in decreasing order of
+        their arc bound (``_arc_bounds``) until the bound falls below the
+        best candidate so far: no arc past that point can reach it.
+        """
         pole = self.pole(i)
         if self._flag(pole, i):
             return pole
         cands = [p for p, fl in zip(self.scan_points, self.scan_flags)
-                 if fl[i - 1]]
-        cands.extend(self._flag_transitions(i))
-        cands = [p for p in cands if p[i - 1] >= -1e-12]
+                 if fl[i - 1] and p[i - 1] >= -1e-12]
+        best = max((p[i - 1] for p in cands), default=-np.inf)
+        cells = self._flag_cells(i)
+        bounds = self._arc_bounds(i, cells)
+        solved = {}
+        for j in np.argsort(-bounds, kind="stable"):
+            if bounds[j] < best:
+                break
+            p = self._transition(i, cells[j])
+            if p[i - 1] >= -1e-12:
+                solved[j] = p
+                best = max(best, p[i - 1])
+        cands.extend(solved[j] for j in sorted(solved))
         if not cands:
             raise EmptyGammaPlus(
                 f"no feasible curve point with theta_{i} >= 0")
@@ -322,6 +413,14 @@ class LevelCurve:
         if not cands:
             return 0.0
         return max(max(cands) / scale, 0.0)
+
+
+def _ray_hit(u, x, y) -> float:
+    """Distance t > 0 at which the ray t u from the center meets the line
+    through the center offsets x and y; +inf when it does not."""
+    den = u[0] * (y[1] - x[1]) - u[1] * (y[0] - x[0])
+    t = (x[0] * y[1] - x[1] * y[0]) / den if den else math.inf
+    return t if t > 0 else math.inf
 
 
 def _holds(margins) -> tuple:

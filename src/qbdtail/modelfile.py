@@ -26,6 +26,10 @@ from .errors import NotIrreducible, ParseError, SchemaError
 SCHEMA_VERSION = "1"
 KINDS = ("qbd1d", "qbd2d_discrete", "qbd2d_continuous", "jackson")
 
+# libyaml's parser when PyYAML was built with it, else the pure-Python one;
+# both build the same tree with the same safe constructors
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 
 @dataclass(frozen=True)
 class ModelFile:
@@ -143,7 +147,7 @@ def _parse_jackson(model: dict) -> jk.JacksonSpec:
 
 def parse_model(text: str) -> ModelFile:
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ParseError(f"YAML error: {exc}") from exc
     if not isinstance(doc, dict):

@@ -23,10 +23,10 @@ def _state_layout(spec: qbd2d.Qbd2dSpec, extent):
     """Offsets into the flat state vector for each lattice cell."""
     n1, n2 = extent
     m0, m1, m2, m = spec.dims
-    sizes = np.zeros((n1 + 1, n2 + 1), dtype=np.int64)
-    for l1 in range(n1 + 1):
-        for l2 in range(n2 + 1):
-            sizes[l1, l2] = spec.dims[qbd2d._vspace_index(l1, l2)]
+    sizes = np.full((n1 + 1, n2 + 1), m, dtype=np.int64)
+    sizes[0, :] = m2
+    sizes[:, 0] = m1
+    sizes[0, 0] = m0
     offsets = np.zeros_like(sizes)
     np.cumsum(sizes.ravel()[:-1], out=offsets.ravel()[1:])
     return offsets, sizes, int(sizes.sum())
@@ -44,14 +44,14 @@ def build_truncated(spec: qbd2d.Qbd2dSpec, extent):
     offsets, sizes, nstates = _state_layout(spec, extent)
     rows, cols, vals = [], [], []
     diag_extra = np.zeros(nstates)
-    cells_by_region = {reg: [] for reg in qbd2d.REGIONS}
-    for l1 in range(n1 + 1):
-        for l2 in range(n2 + 1):
-            cells_by_region[qbd2d.region_of(l1, l2)].append((l1, l2))
-    for reg, cells in cells_by_region.items():
-        if not cells:
+    # coordinate class of every cell (0, 1 or 2 for "+"), cells row-major
+    grid = np.indices((n1 + 1, n2 + 1)).reshape(2, -1).T
+    klass = np.minimum(grid, 2)
+    for reg in qbd2d.REGIONS:
+        cells = grid[(klass[:, 0] == qbd2d._REP[reg[0]])
+                     & (klass[:, 1] == qbd2d._REP[reg[1]])]
+        if not cells.size:
             continue
-        cells = np.array(cells, dtype=np.int64)
         base_r = offsets[cells[:, 0], cells[:, 1]]
         for inc, block in spec.families[reg].items():
             nz_r, nz_c = np.nonzero(block)
@@ -69,8 +69,9 @@ def build_truncated(spec: qbd2d.Qbd2dSpec, extent):
                 vals.append(np.broadcast_to(v, (br.size, v.size)).ravel())
             if np.any(~inside):
                 row_loss = block @ np.ones(block.shape[1])
-                for b in base_r[~inside]:
-                    diag_extra[b:b + block.shape[0]] += row_loss
+                # the cells are distinct, so no state repeats in one update
+                lost = base_r[~inside][:, None] + np.arange(block.shape[0])
+                diag_extra[lost.ravel()] += np.tile(row_loss, len(lost))
     rows.append(np.nonzero(diag_extra)[0])
     cols.append(np.nonzero(diag_extra)[0])
     vals.append(diag_extra[np.nonzero(diag_extra)[0]])

@@ -34,13 +34,6 @@ _REP = {"0": 0, "1": 1, "+": 2}
 _FACES = {1: (("+", "0"), ("+", "1")), 2: (("0", "+"), ("1", "+"))}
 
 
-def region_of(l1: int, l2: int) -> tuple:
-    """Region key of a lattice point."""
-    s1 = "0" if l1 == 0 else ("1" if l1 == 1 else "+")
-    s2 = "0" if l2 == 0 else ("1" if l2 == 1 else "+")
-    return s1, s2
-
-
 def allowed_increments(s1: str, s2: str) -> list:
     """Skip-free increments available from a region."""
     iset = HP if s1 == "0" else H

@@ -36,6 +36,25 @@ def scalar_rrw(pxp, pxm, pyp, pym, face1=None, face2=None, origin=None):
     return qbd2d.make_spec(fams, (1, 1, 1, 1), "discrete")
 
 
+def trichotomy_fuzz_specs():
+    """The stable random walks of the category fuzz (numpy seed 71): face
+    1 adds an up move, face 2 a right move, both halve the inward move."""
+    rng = np.random.default_rng(71)
+    out = []
+    for _ in range(25):
+        pxp, pyp = rng.uniform(0.05, 0.18, size=2)
+        pxm = pxp + rng.uniform(0.03, 0.2)
+        pym = pyp + rng.uniform(0.03, 0.2)
+        f1u = rng.uniform(0.05, 0.4)
+        f2r = rng.uniform(0.05, 0.4)
+        spec = scalar_rrw(pxp, pxm, pyp, pym,
+                          face1={"up": f1u, "right": pxp, "left": pxm / 2},
+                          face2={"right": f2r, "up": pyp, "down": pym / 2})
+        if qbd2d.stability_check(spec).verdict == "stable":
+            out.append(spec)
+    return out
+
+
 def product_form_jackson():
     """Exponential network: lam = (1, 0.5), mu = (2, 3), r12 = 0.3, r21 = 0.2."""
     return jackson.JacksonSpec(

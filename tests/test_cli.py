@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from qbdtail import cli, jackson, modelfile
 from qbdtail.errors import ParseError, SchemaError
@@ -14,6 +15,7 @@ from qbdtail.errors import ParseError, SchemaError
 from conftest import product_form_jackson, scalar_rrw
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
 
 
 def run_cli(argv):
@@ -56,6 +58,21 @@ class TestModelFile:
     def test_parse_error_on_bad_yaml(self):
         with pytest.raises(ParseError):
             modelfile.parse_model("kind: [unclosed")
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+    def test_both_yaml_loaders_read_the_same_model(self, loader, monkeypatch):
+        for name in ("scalar_rrw", "modulated_rrw", "tandem_jackson",
+                     "mapph_jackson"):
+            text = (MODELS / f"{name}.yaml").read_text()
+            # the pure-Python safe loader is the reference
+            monkeypatch.setattr(modelfile, "_LOADER", yaml.SafeLoader)
+            want = modelfile.model_to_dict(modelfile.parse_model(text))
+            monkeypatch.setattr(modelfile, "_LOADER", loader)
+            assert yaml.load(text, Loader=loader) == yaml.safe_load(text)
+            assert modelfile.model_to_dict(modelfile.parse_model(text)) == want
+        for bad in ("kind: [unclosed", "a: b: c", "x: 'open", "\tkey: 1"):
+            with pytest.raises(ParseError):
+                modelfile.parse_model(bad)
 
     def test_schema_error_on_unknown_kind(self):
         with pytest.raises(SchemaError):

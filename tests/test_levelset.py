@@ -11,7 +11,7 @@ from qbdtail import jackson, levelset, modelfile, qbd1d, qbd2d
 from qbdtail.errors import EmptyGammaPlus, FaceNotInvertible
 from qbdtail.levelset import LevelCurve
 
-from conftest import scalar_rrw
+from conftest import scalar_rrw, trichotomy_fuzz_specs
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 SHIPPED = ("scalar_rrw", "modulated_rrw", "tandem_jackson", "mapph_jackson")
@@ -168,8 +168,8 @@ def test_tau_and_rates_do_not_depend_on_the_scan(name):
 # (level-function calls, point_at calls) of `decay` in the four directions
 # at the default scan, measured once; a stacked call counts once; the
 # ceilings allow 10%
-COUNTS = {"scalar_rrw": (493, 30), "modulated_rrw": (1032, 76),
-          "tandem_jackson": (1276, 54), "mapph_jackson": (3272, 207)}
+COUNTS = {"scalar_rrw": (242, 30), "modulated_rrw": (307, 31),
+          "tandem_jackson": (975, 50), "mapph_jackson": (1192, 142)}
 
 
 @pytest.mark.parametrize("name", SHIPPED)
@@ -210,9 +210,14 @@ def shipped_curves(scan):
 class TestStackedScan:
     @pytest.mark.parametrize("scan", [64, 512])
     def test_scan_points_are_the_radial_roots(self, scan):
-        for label, curve in shipped_curves(scan):
-            for phi, p in zip(curve.scan_phi, curve.scan_points):
+        # every other scan angle of a 2n-curve is off the n-curve's scan, so
+        # point_at solves it there from a warm bracket
+        for (label, curve), (_, fine) in zip(shipped_curves(scan),
+                                             shipped_curves(2 * scan)):
+            for phi, p in zip(fine.scan_phi[1::2], fine.scan_points[1::2]):
                 assert np.max(np.abs(curve.point_at(phi) - p)) <= 1e-11, label
+            for phi, p in zip(curve.scan_phi, curve.scan_points):
+                assert np.array_equal(curve.point_at(phi), p), label
 
     def test_scan_margins_are_the_pointwise_margins(self):
         for label, curve in shipped_curves(64):
@@ -268,6 +273,103 @@ class TestStackedScan:
             with pytest.raises(EmptyGammaPlus, match="no feasible point"):
                 curve.xi_bar(i, other[i])
             assert faces and set(faces) == {i}
+
+
+def exhaustive_extreme(curve, i):
+    """feasible_extreme by its definition: the pole when flag i holds
+    there, else the argmax of theta_i over the feasible scan samples and
+    every flag transition with theta_i >= -1e-12; None when there is no
+    such point."""
+    pole = curve.pole(i)
+    if curve._flag(pole, i):
+        return pole
+    cands = [p for p, fl in zip(curve.scan_points, curve.scan_flags)
+             if fl[i - 1]]
+    cands += curve._flag_transitions(i)
+    cands = [p for p in cands if p[i - 1] >= -1e-12]
+    if not cands:
+        return None
+    return cands[int(np.argmax([p[i - 1] for p in cands]))]
+
+
+class TestPrunedTransitions:
+    @pytest.mark.parametrize("scan", [4, 16, 64])
+    def test_pruned_extreme_is_the_exhaustive_argmax(self, scan):
+        curves = shipped_curves(scan) + [
+            (f"fuzz-{j}", qbd2d.level_curve(spec, scan=scan))
+            for j, spec in enumerate(trichotomy_fuzz_specs())]
+        for label, curve in curves:
+            for i in (1, 2):
+                # the exhaustive list is solved first: a transition solved
+                # again reads the same curve points and lands on the same point
+                want = exhaustive_extreme(curve, i)
+                if want is None:
+                    with pytest.raises(EmptyGammaPlus):
+                        curve.feasible_extreme(i)
+                else:
+                    assert np.array_equal(curve.feasible_extreme(i), want), label
+
+    def test_one_transition_per_face_at_the_default_scan(self, monkeypatch):
+        solved = []
+        transition = LevelCurve._transition
+
+        def recorded(self, i, k):
+            solved.append(i)
+            return transition(self, i, k)
+
+        monkeypatch.setattr(LevelCurve, "_transition", recorded)
+        for label, curve in shipped_curves(192):
+            for i in (1, 2):
+                solved.clear()
+                curve.feasible_extreme(i)
+                cells = len(curve._flag_cells(i))
+                assert cells == 2, label
+                assert len(solved) == (0 if curve._flag(curve.pole(i), i) else 1)
+
+
+def ellipse_curve(scan):
+    """A tilted ellipse off the origin as a level curve, with its exact
+    radial root from the curve's center."""
+    m, axes, angle = np.array([0.3, -0.2]), np.array([1.5, 0.6]), 0.4
+    rot = np.array([[np.cos(angle), -np.sin(angle)],
+                    [np.sin(angle), np.cos(angle)]])
+    frame = lambda t: (np.asarray(t) - m) @ rot / axes
+    curve = LevelCurve(lambda t: (frame(t) ** 2).sum(axis=-1) - 1.0,
+                       lambda t, i: np.full(np.shape(t)[:-1], -1.0),
+                       scan_size=scan)
+
+    def points(phi):
+        u = np.column_stack((np.cos(phi), np.sin(phi)))
+        z0, w = frame(curve.center), u @ rot / axes
+        b, a = w @ z0, (w * w).sum(axis=1)
+        t = (-b + np.sqrt(b * b - a * (z0 @ z0 - 1.0))) / a
+        return curve.center + t[:, np.newaxis] * u
+
+    return curve, points
+
+
+class TestArcBounds:
+    @pytest.mark.parametrize("scan", [4, 5, 8, 16, 64])
+    def test_bound_covers_the_arc(self, scan):
+        curve, points = ellipse_curve(scan)
+        cells = np.arange(scan)
+        for i in (1, 2):
+            bounds = curve._arc_bounds(i, cells)
+            for k, bound in zip(cells, bounds):
+                phi = curve.scan_phi[k] + np.linspace(0.0, 2.0 * np.pi / scan, 401)
+                assert np.max(points(phi)[:, i - 1]) <= bound + 1e-12
+            if scan >= 8:
+                assert np.all(np.isfinite(bounds))
+
+    def test_bound_is_infinite_where_the_secants_diverge(self):
+        # a quadrilateral's cells k and k + 2 share their two secant lines,
+        # which meet beyond one of the two chords at most
+        curve, _ = ellipse_curve(4)
+        for i in (1, 2):
+            bounds = curve._arc_bounds(i, np.arange(4))
+            for k in (0, 1):
+                assert np.isinf(bounds[k]) or np.isinf(bounds[k + 2])
+            assert np.sum(np.isinf(bounds)) >= 2
 
 
 class TestBoundaryRows:

@@ -14,7 +14,8 @@ from qbdtail.errors import (
 )
 from qbdtail.levelset import LevelCurve, boundary_rows
 
-from conftest import product_form_jackson, scalar_rrw, tandem_jackson
+from conftest import (product_form_jackson, scalar_rrw, tandem_jackson,
+                      trichotomy_fuzz_specs)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -408,19 +409,8 @@ class TestTauReport:
         assert tau.tau[1] == pytest.approx(tau4.tau[1], abs=1e-6)
 
     def test_category_trichotomy_fuzz(self):
-        rng = np.random.default_rng(71)
         seen = set()
-        for _ in range(25):
-            pxp, pyp = rng.uniform(0.05, 0.18, size=2)
-            pxm = pxp + rng.uniform(0.03, 0.2)
-            pym = pyp + rng.uniform(0.03, 0.2)
-            f1u = rng.uniform(0.05, 0.4)
-            f2r = rng.uniform(0.05, 0.4)
-            spec = scalar_rrw(pxp, pxm, pyp, pym,
-                              face1={"up": f1u, "right": pxp, "left": pxm / 2},
-                              face2={"right": f2r, "up": pyp, "down": pym / 2})
-            if qbd2d.stability_check(spec).verdict != "stable":
-                continue
+        for spec in trichotomy_fuzz_specs():
             curve = qbd2d.level_curve(spec, scan=64)
             tau = curve.tau_report()  # raises on the impossible fourth case
             seen.add(tau.category)
