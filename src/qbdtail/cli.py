@@ -8,8 +8,10 @@ model or input, 3 numerical failure.
 The environment variable ``QBDTAIL_TOL`` (default 1e-12) sets the tolerance
 of the validation row-sum check and the oracle solver.  It is read with the
 command line, and anything but a finite positive number exits 2.
-``verify --level`` may not exceed ``--extent``, and ``--phase`` must be
-below the phase count of the fitted cells: min(m1, m2) at level 0, m above.
+``verify --extent`` and ``boundary --samples`` are at least 3, the fewest
+points of a tail fit and of a two-branch table.  ``verify --level`` may not
+exceed ``--extent``, and ``--phase`` must be below the phase count of the
+fitted cells: min(m1, m2) at level 0, m above.
 """
 
 from __future__ import annotations
@@ -319,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("boundary", help="boundary curve CSV")
     sp.add_argument("file")
-    sp.add_argument("--samples", type=_int_at_least(1), default=512)
+    sp.add_argument("--samples", type=_int_at_least(3), default=512)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_boundary)
 
@@ -335,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="compare analytic rates with the "
                                        "truncated solver and simulator")
     sp.add_argument("file")
-    sp.add_argument("--extent", type=_int_at_least(1), default=100)
+    sp.add_argument("--extent", type=_int_at_least(3), default=100)
     sp.add_argument("--seed", type=_int_at_least(0), default=20240801)
     sp.add_argument("--steps", type=_int_at_least(0), default=0)
     sp.add_argument("--level", type=_int_at_least(0), default=0)

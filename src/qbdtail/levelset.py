@@ -474,7 +474,8 @@ class BoundaryRow:
 
 
 def boundary_rows(curve: LevelCurve, samples: int) -> list:
-    """Two-branch table of the curve on a theta_1 grid.
+    """Two-branch table of the curve on a theta_1 grid of ``samples`` >= 3
+    points.
 
     Each row holds the lower and upper theta_2 roots at one theta_1 value;
     the feasibility columns are the disjunction over the two branch points.
@@ -485,22 +486,23 @@ def boundary_rows(curve: LevelCurve, samples: int) -> list:
     """
     west = curve.extreme((-1.0, 0.0))
     east = curve.pole(1)
-    n = max(3, samples)
-    grid = np.linspace(float(west[0]), float(east[0]), n)
-    chord = np.linspace(float(west[1]), float(east[1]), n)
+    grid = np.linspace(float(west[0]), float(east[0]), samples)
+    chord = np.linspace(float(west[1]), float(east[1]), samples)
     inner = np.column_stack((grid, chord))[1:-1]
     g = curve.gap(inner)
     if not np.all(g < 0):
         raise NoConvergence("the west-east chord is not inside the level region")
     t = _radial_roots(curve.gap, np.vstack((inner, inner)),
-                      np.repeat([[0.0, 1.0], [0.0, -1.0]], n - 2, axis=0),
+                      np.repeat([[0.0, 1.0], [0.0, -1.0]], samples - 2,
+                                axis=0),
                       np.concatenate((g, g)))
     lower, upper = chord.copy(), chord.copy()
-    upper[1:-1] += t[:n - 2]
-    lower[1:-1] -= t[n - 2:]
+    upper[1:-1] += t[:samples - 2]
+    lower[1:-1] -= t[samples - 2:]
     points = np.vstack((np.column_stack((grid, lower)),
                         np.column_stack((grid, upper))))
-    feasible = [(m[:n] <= LE_ONE_SLACK) | (m[n:] <= LE_ONE_SLACK)
+    feasible = [(m[:samples] <= LE_ONE_SLACK)
+                | (m[samples:] <= LE_ONE_SLACK)
                 for m in (curve.margin(points, i) for i in (1, 2))]
     return [BoundaryRow(theta1=float(t1), theta2_lower=float(lo),
                         theta2_upper=float(hi), feasible_c1=bool(f1),

@@ -182,6 +182,47 @@ def _jump_table(spec: qbd2d.Qbd2dSpec):
 
 
 _BLOCK = 4096  # steps per uniform draw; larger blocks only add memory
+# Equal-width u-bins per jump-table row.  A power of two, so u * L is exact
+# and bin int(u * L) holds exactly the uniforms in [b/L, (b+1)/L).
+_GUIDE_BINS = 2048
+
+
+def _guide_row(cum, moves, phase, row_len, m):
+    """Guide table of one jump-table row (Chen & Asau 1974; Devroye 1986,
+    section III.2.4).  Entry b is the state-code increment of the move that
+    every uniform of bin b takes, or None when a cumulative breakpoint lies
+    in the bin; entry ``_GUIDE_BINS`` holds the row's cumulative list and
+    code increments for ``bisect_left`` in those bins."""
+    incs = [d1 * row_len + d2 * m + c - phase for d1, d2, c in moves]
+    # first[b] = breakpoints below b/L, the count bisect_left returns
+    first = np.searchsorted(cum, np.arange(_GUIDE_BINS + 1) / _GUIDE_BINS)
+    lo, hi = first[:-1], first[1:]
+    pick = np.where(lo == hi, lo, len(incs))
+    guide = np.array(incs + [None], dtype=object)[pick].tolist()
+    guide.append((cum, incs))
+    return guide
+
+
+def _code_guides(table, record_extent, m):
+    """The guide of every state code ``l1 * row_len + l2 * m + phase`` on
+    the record box padded by one sentinel row and column, where
+    ``row_len = (N2 + 2) * m``, plus one last code for a walk outside the
+    box.  Every cell of a region shares its (region, phase) guides; sentinel
+    cells, unused phases and the outside code get an all-None guide, which
+    sends the step to the coordinate stepper."""
+    rec1, rec2 = record_extent
+    row_len = (rec2 + 2) * m
+    stop = [None] * (_GUIDE_BINS + 1)
+    cell = [[_guide_row(cum, moves, k, row_len, m)
+             for k, (cum, moves) in enumerate(rows)]
+            + [stop] * (m - len(rows)) for rows in table]
+    codes = []
+    for s1, n1 in zip(range(3), (1, min(rec1, 1), max(rec1 - 1, 0))):
+        line = []
+        for s2, n2 in zip(range(3), (1, min(rec2, 1), max(rec2 - 1, 0))):
+            line += cell[3 * s1 + s2] * n2
+        codes += (line + [stop] * m) * n1
+    return codes + [stop] * (row_len + 1)
 
 
 @dataclass(frozen=True)
@@ -216,38 +257,69 @@ def simulate(spec: qbd2d.Qbd2dSpec, seed: int, steps: int,
     first column whose cumulative probability is at least its uniform.  The
     uniforms are drawn in blocks of ``_BLOCK``; the PCG64 stream does not
     depend on the block size, so neither does the sample path.
+
+    Inside the recording box the state is one integer code (see
+    ``_code_guides``) and a step adds the code increment that the guide of
+    its row gives for the uniform's bin.  A bin holding a breakpoint, and
+    every step from a sentinel cell or beyond, takes ``bisect_left`` on the
+    jump table instead, so the column rule and the sample path are the same
+    on either path.
     """
     if spec.time == "continuous":
         spec = qbd2d.uniformize(spec)
     table = _jump_table(spec)
     rec1, rec2 = record_extent
-    stride = rec2 + 1
     m = max(spec.dims)
-    counts = np.zeros((rec1 + 1, rec2 + 1, m), dtype=np.int64)
-    flat = counts.reshape(-1)
-    spill = 0
+    row_len = (rec2 + 2) * m
+    guides = _code_guides(table, record_extent, m)
+    outside = len(guides) - 1
+    spilled = (rec2 + 1) * m  # sentinel cell (0, N2 + 1) tallies the spill
+    tally = np.zeros(outside, dtype=np.int64)
     rng = np.random.Generator(np.random.PCG64(seed))
     l1, l2, k = map(int, start)
+    s = l1 * row_len + l2 * m + k if l1 <= rec1 and l2 <= rec2 else outside
+    bins = _GUIDE_BINS
     remaining = steps
     while remaining > 0:
         block = min(_BLOCK, remaining)
+        uniforms = rng.random(block)
+        # every step visits exactly one code, so len(visits) is its index
         visits = []
         visit = visits.append
-        for u in rng.random(block).tolist():
-            row, move = table[(l1 if l1 < 2 else 2) * 3
-                              + (l2 if l2 < 2 else 2)][k]
-            d1, d2, k = move[bisect_left(row, u)]
-            l1 += d1
-            l2 += d2
-            if l1 <= rec1 and l2 <= rec2:
-                visit((l1 * stride + l2) * m + k)
-        spill += block - len(visits)
-        if visits:
-            tally = np.bincount(visits)
-            flat[:tally.size] += tally
+        for b in (uniforms * bins).astype(np.intp).tolist():
+            d = guides[s][b]
+            if d is None:
+                u = float(uniforms[len(visits)])
+                tail = guides[s][bins]
+                if tail is not None:  # the bin holds a breakpoint
+                    cum, incs = tail
+                    d = incs[bisect_left(cum, u)]
+                else:
+                    if s != outside:  # a sentinel cell
+                        l1, k = divmod(s, row_len)
+                        l2, k = divmod(k, m)
+                    row, move = table[(l1 if l1 < 2 else 2) * 3
+                                      + (l2 if l2 < 2 else 2)][k]
+                    d1, d2, k = move[bisect_left(row, u)]
+                    l1 += d1
+                    l2 += d2
+                    if l1 <= rec1 and l2 <= rec2:
+                        s = l1 * row_len + l2 * m + k
+                        visit(s)
+                    else:
+                        s = outside
+                        visit(spilled)
+                    continue
+            s += d
+            visit(s)
+        counted = np.bincount(visits)
+        tally[:counted.size] += counted
         remaining -= block
-    return SimulationCounts(spec=spec, counts=counts, spill=spill,
-                            steps=steps, seed=seed)
+    counts = tally.reshape(rec1 + 2, rec2 + 2, m)[:rec1 + 1, :rec2 + 1]
+    counts = np.ascontiguousarray(counts)
+    return SimulationCounts(spec=spec, counts=counts,
+                            spill=steps - int(counts.sum()), steps=steps,
+                            seed=seed)
 
 
 # -- tail slope estimation -------------------------------------------------------

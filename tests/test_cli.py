@@ -160,9 +160,13 @@ class TestValidateCommand:
 
 @pytest.mark.parametrize("command,flag,value", [
     (["boundary", "scalar_rrw.yaml", "--out", "unused.csv"], "--samples", "0"),
+    (["boundary", "scalar_rrw.yaml", "--out", "unused.csv"], "--samples", "1"),
+    (["boundary", "scalar_rrw.yaml", "--out", "unused.csv"], "--samples", "2"),
     (["decay", "scalar_rrw.yaml"], "--scan", "0"),
     (["jackson", "tandem_jackson.yaml", "certificate"], "--points", "-1"),
     (["verify", "scalar_rrw.yaml"], "--extent", "-3"),
+    (["verify", "scalar_rrw.yaml"], "--extent", "1"),
+    (["verify", "scalar_rrw.yaml"], "--extent", "2"),
     (["verify", "scalar_rrw.yaml"], "--steps", "-1"),
     (["decay", "scalar_rrw.yaml"], "--scan", "many"),
     (["verify", "modulated_rrw.yaml", "--extent", "20"], "--seed", "-3"),

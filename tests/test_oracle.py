@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 from pathlib import Path
 
@@ -458,6 +459,92 @@ class TestRowsJustUnderOne:
                               start=(0, 0, 1))
         # the origin phase-1 row's last move is (+1, 0) to phase 1
         assert sim.counts[1, 0, 1] == 1
+
+
+def _edge_uniforms(spec):
+    """Generator stand-in cycling through, in a fixed shuffled order, every
+    cumulative breakpoint of the spec's jump table and every guide-bin edge
+    b/L, each also one ulp either side, keeping those in [0, 1)."""
+    if spec.time == "continuous":
+        spec = qbd2d.uniformize(spec)
+    cuts = {c for rows in oracle._jump_table(spec) for cum, _ in rows
+            for c in cum}
+    cuts.update(np.arange(oracle._GUIDE_BINS) / oracle._GUIDE_BINS)
+    cuts = np.array(sorted(cuts))
+    near = np.concatenate((cuts, np.nextafter(cuts, 0.0),
+                           np.nextafter(cuts, 1.0)))
+    values = near[(near >= 0.0) & (near < 1.0)]
+    np.random.default_rng(0).shuffle(values)
+
+    class EdgeUniforms:
+        def __init__(self, bit_generator):
+            self.drawn = 0
+
+        def random(self, size):
+            picks = values[(self.drawn + np.arange(size)) % values.size]
+            self.drawn += size
+            return picks
+
+    return EdgeUniforms
+
+
+def _dyadic_walk():
+    """A stable walk with probabilities 1/8 and 1/4, so that every
+    cumulative breakpoint is a guide-bin edge."""
+    return scalar_rrw(0.125, 0.25, 0.125, 0.25)
+
+
+class TestGuideTableEdges:
+    """Uniforms exactly at a breakpoint or a bin edge, or one ulp from
+    either, take the reference stepper's column on the guide path, on its
+    bisection fallback and on the coordinate path outside the box."""
+
+    STEPS = 3 * oracle._BLOCK + 517
+
+    def _assert_same_path(self, monkeypatch, spec, **kw):
+        monkeypatch.setattr(np.random, "Generator", _edge_uniforms(spec))
+        sim = oracle.simulate(spec, seed=0, steps=self.STEPS, **kw)
+        counts, spill = reference_simulate(spec, seed=0, steps=self.STEPS,
+                                           **kw)
+        assert np.array_equal(sim.counts, counts)
+        assert sim.spill == spill
+        return sim
+
+    def test_dyadic_breakpoints_on_bin_edges(self, monkeypatch):
+        sim = self._assert_same_path(monkeypatch, _dyadic_walk(),
+                                     record_extent=(24, 24))
+        assert sim.spill == 0
+
+    def test_start_outside_the_box(self, monkeypatch):
+        sim = self._assert_same_path(monkeypatch, _dyadic_walk(),
+                                     record_extent=(6, 6), start=(12, 3, 0))
+        assert 0 < sim.spill < sim.steps
+
+    def test_one_cell_box(self, monkeypatch):
+        sim = self._assert_same_path(monkeypatch, _dyadic_walk(),
+                                     record_extent=(0, 0))
+        assert 0 < sim.spill < sim.steps
+
+    def test_continuous_multi_phase_model(self, monkeypatch):
+        spec = _shipped_spec("mapph_jackson")
+        assert spec.time == "continuous" and max(spec.dims) > 1
+        self._assert_same_path(monkeypatch, spec, record_extent=(16, 16),
+                               start=(2, 3, 1))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_guide_tables_spare_the_bisection(name, monkeypatch):
+    """At most 1% of the steps bisect: the rest read a guide table."""
+    calls = []
+
+    def counting_bisect(cum, u):
+        calls.append(u)
+        return bisect.bisect_left(cum, u)
+
+    monkeypatch.setattr(oracle, "bisect_left", counting_bisect)
+    oracle.simulate(_shipped_spec(name), seed=7, steps=100_000,
+                    record_extent=(40, 40))
+    assert len(calls) <= 1_000
 
 
 class TestEstimateDecay:
