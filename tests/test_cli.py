@@ -160,18 +160,18 @@ class TestValidateCommand:
 
 @pytest.mark.parametrize("command,flag,value", [
     (["boundary", "scalar_rrw.yaml", "--out", "unused.csv"], "--samples", "0"),
-    (["boundary", "scalar_rrw.yaml", "--out", "unused.csv"], "--samples", "1"),
-    (["boundary", "scalar_rrw.yaml", "--out", "unused.csv"], "--samples", "2"),
     (["decay", "scalar_rrw.yaml"], "--scan", "0"),
     (["jackson", "tandem_jackson.yaml", "certificate"], "--points", "-1"),
     (["verify", "scalar_rrw.yaml"], "--extent", "-3"),
-    (["verify", "scalar_rrw.yaml"], "--extent", "1"),
-    (["verify", "scalar_rrw.yaml"], "--extent", "2"),
     (["verify", "scalar_rrw.yaml"], "--steps", "-1"),
     (["decay", "scalar_rrw.yaml"], "--scan", "many"),
     (["verify", "modulated_rrw.yaml", "--extent", "20"], "--seed", "-3"),
     (["verify", "modulated_rrw.yaml", "--extent", "20"], "--level", "-1"),
     (["verify", "modulated_rrw.yaml", "--extent", "20"], "--phase", "-1"),
+    (["boundary", "scalar_rrw.yaml", "--out", "unused.csv"], "--samples", "1"),
+    (["boundary", "scalar_rrw.yaml", "--out", "unused.csv"], "--samples", "2"),
+    (["verify", "scalar_rrw.yaml"], "--extent", "1"),
+    (["verify", "scalar_rrw.yaml"], "--extent", "2"),
 ])
 def test_bad_size_is_an_input_error(command, flag, value, capsys):
     argv = [command[0], str(MODELS / command[1]), *command[2:], flag, value]
