@@ -118,6 +118,10 @@ class ThetaOutsideDomain(QbdTailError):
     """theta is outside the convergence domain of the stationary MGF."""
 
 
+class InvalidStart(QbdTailError):
+    """Simulation start is not a state of the chain."""
+
+
 # cli
 class ParseError(QbdTailError):
     """Model file cannot be parsed."""

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -149,9 +150,6 @@ class LevelCurve:
         base = np.broadcast_to(center, u.shape)
         t = _radial_roots(gap, base, u, np.full(scan_size, gmin))
         self.scan_points = center + t[:, np.newaxis] * u
-        margins = np.column_stack([margin(self.scan_points, i) for i in (1, 2)])
-        self.scan_margins = [tuple(m) for m in margins.tolist()]
-        self.scan_flags = [_holds(m) for m in self.scan_margins]
         self._pole_cache = {}
         # every curve point known so far, sorted by angle in [0, 2 pi) and
         # kept as its offset from the center: the scan, then each point
@@ -159,9 +157,11 @@ class LevelCurve:
         self._known_phi = self.scan_phi.tolist()
         self._known = (self.scan_points - center).tolist()
 
-    def flags(self, point) -> tuple:
-        """The pair of boundary-feasibility booleans at a curve point."""
-        return _holds([self.margin(point, i) for i in (1, 2)])
+    @cached_property
+    def scan_margins(self) -> np.ndarray:
+        """(n, 2) margins of faces 1 and 2 at the scan points, computed
+        when feasibility is first read."""
+        return np.column_stack([self.margin(self.scan_points, i) for i in (1, 2)])
 
     # -- parametrization ---------------------------------------------------
 
@@ -256,7 +256,7 @@ class LevelCurve:
     def _flag_cells(self, i: int) -> np.ndarray:
         """Scan cells k (from sample k to sample k + 1, wrapped) where flag
         i changes."""
-        f = np.array([fl[i - 1] for fl in self.scan_flags])
+        f = self.scan_margins[:, i - 1] <= LE_ONE_SLACK
         return np.flatnonzero(f != np.roll(f, -1))
 
     def _transition(self, i: int, k: int) -> np.ndarray:
@@ -272,15 +272,9 @@ class LevelCurve:
             p = points[phi] = self.point_at(phi)
             return float(self.margin(p, i)) - LE_ONE_SLACK
 
-        x, fx, y, _ = _brent_bracket(
-            excess, a, self.scan_margins[k][i - 1] - LE_ONE_SLACK,
-            b, self.scan_margins[(k + 1) % n][i - 1] - LE_ONE_SLACK, 1e-10)
+        ends = (self.scan_margins[[k, (k + 1) % n], i - 1] - LE_ONE_SLACK).tolist()
+        x, fx, y, _ = _brent_bracket(excess, a, ends[0], b, ends[1], 1e-10)
         return points[x if fx <= 0 else y]
-
-    def _flag_transitions(self, i: int):
-        """Every feasible-arc boundary on the curve, one per flag-change
-        cell."""
-        return [self._transition(i, k) for k in self._flag_cells(i)]
 
     def _arc_bounds(self, i: int, cells) -> np.ndarray:
         """Upper bounds of theta_i on the curve arcs of scan cells.
@@ -314,8 +308,8 @@ class LevelCurve:
         pole = self.pole(i)
         if self._flag(pole, i):
             return pole
-        cands = [p for p, fl in zip(self.scan_points, self.scan_flags)
-                 if fl[i - 1] and p[i - 1] >= -1e-12]
+        cands = [p for p, m in zip(self.scan_points, self.scan_margins[:, i - 1])
+                 if m <= LE_ONE_SLACK and p[i - 1] >= -1e-12]
         best = max((p[i - 1] for p in cands), default=-np.inf)
         cells = self._flag_cells(i)
         bounds = self._arc_bounds(i, cells)
@@ -339,11 +333,9 @@ class LevelCurve:
         sec = self.section(i, other_value)
         if sec is None:
             raise EmptyGammaPlus("section misses the level region")
-        lo, hi = sec
-        if self._flag(self._point_on_section(i, hi, other_value), i):
-            return hi
-        if self._flag(self._point_on_section(i, lo, other_value), i):
-            return lo
+        for end in sec[::-1]:
+            if self._flag(self._point_on_section(i, end, other_value), i):
+                return end
         raise EmptyGammaPlus("no feasible point on the section")
 
     # -- tau and categories --------------------------------------------------
@@ -378,41 +370,27 @@ class LevelCurve:
     def directional_sup(self, c) -> float:
         """sup{u >= 0 : some curve point dominates u*c componentwise}.
 
-        For c > 0 this is the maximum of min(theta_1/c_1, theta_2/c_2) over
-        the region, the largest of: pole i valued theta_i/c_i when its other
-        coordinate has theta_j/c_j >= theta_i/c_i, and the far root of
-        gap(u c) = 0 along the ray (to 1e-12).
+        The largest of: pole i valued theta_i/c_i, where c_i > 0 and its
+        other coordinate has pole_j c_i >= pole_i c_j, and the far root of
+        gap(u c) = 0 along the ray (to 1e-12).  For a coordinate direction
+        that ray is the section theta_j = 0.
         """
         c = np.asarray(c, dtype=float)
-        if np.all(c > 0):
-            cands = []
-            for i in (1, 2):
-                pole = self.pole(i)
-                if pole[2 - i] / c[2 - i] >= pole[i - 1] / c[i - 1]:
-                    cands.append(pole[i - 1] / c[i - 1])
-            # start from the center's projection on the ray; when that is
-            # outside, _sublevel_interval looks for the minimum along the ray;
-            # only the far root is solved
-            u0 = float(self.center @ c) / float(c @ c)
-            ray = _sublevel_interval(lambda u: self.gap(u * c), 0.0, u0, 0.5,
-                                     1e-12, sides=(1.0,))
-            if ray is not None:
-                cands.append(ray[0])
-            return max(max(cands, default=0.0), 0.0)
-        # coordinate direction: sup of theta_i over curve points with the
-        # other coordinate positive
-        i = 1 if c[0] > 0 else 2
-        scale = c[i - 1]
-        pole = self.pole(i)
         cands = []
-        if pole[2 - i] > 0:
-            cands.append(pole[i - 1])
-        sec = self.section(i, 0.0)
-        if sec is not None:
-            cands.append(sec[1])
-        if not cands:
-            return 0.0
-        return max(max(cands) / scale, 0.0)
+        for i in (1, 2):
+            if c[i - 1] > 0:
+                pole = self.pole(i)
+                if pole[2 - i] * c[i - 1] >= pole[i - 1] * c[2 - i]:
+                    cands.append(pole[i - 1] / c[i - 1])
+        # start from the center's projection on the ray; when that is
+        # outside, _sublevel_interval looks for the minimum along the ray;
+        # only the far root is solved
+        u0 = float(self.center @ c) / float(c @ c)
+        ray = _sublevel_interval(lambda u: self.gap(u * c), 0.0, u0, 0.5,
+                                 1e-12, sides=(1.0,))
+        if ray is not None:
+            cands.append(ray[0])
+        return max(max(cands, default=0.0), 0.0)
 
 
 def _ray_hit(u, x, y) -> float:
@@ -421,11 +399,6 @@ def _ray_hit(u, x, y) -> float:
     den = u[0] * (y[1] - x[1]) - u[1] * (y[0] - x[0])
     t = (x[0] * y[1] - x[1] * y[0]) / den if den else math.inf
     return t if t > 0 else math.inf
-
-
-def _holds(margins) -> tuple:
-    """Feasibility flags from margins: margin <= slack."""
-    return tuple(bool(m <= LE_ONE_SLACK) for m in margins)
 
 
 def checked_direction(direction) -> np.ndarray:

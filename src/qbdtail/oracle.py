@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qbd2d
-from .errors import EmptyWindow, NoConvergence, NotStochastic, ThetaOutsideDomain
+from .errors import (EmptyWindow, InvalidStart, NoConvergence, NotStochastic,
+                     ThetaOutsideDomain)
 
 
 def _state_layout(spec: qbd2d.Qbd2dSpec, extent):
@@ -264,7 +265,14 @@ def simulate(spec: qbd2d.Qbd2dSpec, seed: int, steps: int,
     every step from a sentinel cell or beyond, takes ``bisect_left`` on the
     jump table instead, so the column rule and the sample path are the same
     on either path.
+
+    ``start`` = (l1, l2, phase) may lie outside the recording box, but its
+    levels must be nonnegative and its phase below the phase count of its
+    region (m0, m1, m2 or m), else ``InvalidStart``.
     """
+    l1, l2, k = map(int, start)
+    if min(l1, l2, k) < 0 or k >= spec.dims[(l1 > 0) + 2 * (l2 > 0)]:
+        raise InvalidStart(f"start {tuple(start)} is not a state of the chain")
     if spec.time == "continuous":
         spec = qbd2d.uniformize(spec)
     table = _jump_table(spec)
@@ -276,7 +284,6 @@ def simulate(spec: qbd2d.Qbd2dSpec, seed: int, steps: int,
     spilled = (rec2 + 1) * m  # sentinel cell (0, N2 + 1) tallies the spill
     tally = np.zeros(outside, dtype=np.int64)
     rng = np.random.Generator(np.random.PCG64(seed))
-    l1, l2, k = map(int, start)
     s = l1 * row_len + l2 * m + k if l1 <= rec1 and l2 <= rec2 else outside
     bins = _GUIDE_BINS
     remaining = steps

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import matcore, qbd1d
 from .errors import FaceNotInvertible, ThetaNotOnCurve, Unstable
-from .levelset import Decay, LevelCurve, TauReport, checked_direction, decay
+from .levelset import Decay, LevelCurve, checked_direction, decay
 
 H = (-1, 0, 1)
 HP = (0, 1)
@@ -463,12 +463,7 @@ def stability_check(spec: Qbd2dSpec) -> Stability:
     return Stability(verdict, mu, induced)
 
 
-# -- tau and decay rates -------------------------------------------------------
-
-
-def tau_report(spec: Qbd2dSpec, scan: int = 192) -> TauReport:
-    """Key points, category and the tau vector."""
-    return level_curve(spec, scan=scan).tau_report()
+# -- decay rates ---------------------------------------------------------------
 
 
 def decay_rates(spec: Qbd2dSpec, directions, scan: int = 192) -> Decay:

@@ -311,10 +311,10 @@ def test_criterion_10_invariance_suite():
     # uniformization-constant invariance and continuous/discrete agreement
     spec = mapph_jackson()
     blocks = jackson.build_blocks(spec)
-    taus = [qbd2d.tau_report(blocks, scan=96).tau]
+    taus = [qbd2d.level_curve(blocks, scan=96).tau_report().tau]
     for factor in (1.05, 2.1):
-        taus.append(qbd2d.tau_report(qbd2d.uniformize(blocks, factor),
-                                     scan=96).tau)
+        taus.append(qbd2d.level_curve(qbd2d.uniformize(blocks, factor),
+                                      scan=96).tau_report().tau)
     unif_gap = max(abs(a[i] - b[i]) for a in taus for b in taus
                    for i in (0, 1))
     # directional homogeneity

@@ -401,6 +401,22 @@ class TestDecayCommand:
         assert a == b
         assert "tau1_generic" in a and "discrepancy = " in a
 
+    @pytest.mark.parametrize("name", ["scalar_rrw", "modulated_rrw",
+                                      "tandem_jackson", "mapph_jackson"])
+    def test_golden_reports(self, name):
+        """The ``decay`` report of a shipped model at the default scan in
+        four directions, as exact text: a change that moves no digit on
+        purpose must leave every printed digit alone.  A change that does
+        move digits on purpose rewrites ``tests/data/decay_<name>.txt`` and
+        lists the diff in CHANGES.md."""
+        argv = ["decay", str(MODELS / f"{name}.yaml")]
+        for d in ("1,0", "0,1", "1,1", "2,1"):
+            argv += ["--direction", d]
+        code, text = run_cli(argv)
+        assert code == 0
+        golden = Path(__file__).resolve().parent / "data" / f"decay_{name}.txt"
+        assert text == golden.read_text(encoding="utf-8")
+
     def test_qbd1d_decay(self, tmp_path):
         f = tmp_path / "m.yaml"
         f.write_text(QBD1D_FILE)

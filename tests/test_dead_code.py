@@ -1,7 +1,8 @@
 """Dead-code guard for ``src/qbdtail``: no unused import, no private
-module-level name that nothing in the package refers to, no defaulted
-parameter that no call in the package or its tests sets, and no error type
-that nothing in the package raises.
+module-level name or private method that nothing in the package refers to
+(a helper that only tests call is dead too), no defaulted parameter that no
+call in the package or its tests sets, and no error type that nothing in
+the package raises.
 
 Helpers left behind when their last caller is deleted fail here.  Only the
 standard library's ``ast`` is used; the package's own ``from . import
@@ -47,8 +48,13 @@ def _imported(tree):
 
 def _private_definitions(tree):
     """(name, line) of module-level private functions, classes and
-    assignments."""
+    assignments, and of private methods of module-level classes."""
     for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+                        and not fn.name.startswith("__")):
+                    yield fn.name, fn.lineno
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):

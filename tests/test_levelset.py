@@ -18,6 +18,7 @@ SHIPPED = ("scalar_rrw", "modulated_rrw", "tandem_jackson", "mapph_jackson")
 DIRECTIONS = [np.array(d, dtype=float) for d in ((1, 0), (0, 1), (1, 1), (2, 1))]
 DIAGONALS = [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (0.3, 0.7), (1.0, 4.0),
              (5.0, 1.0)]
+AXES = [(1.0, 0.0), (0.0, 1.0), (2.0, 0.0)]
 
 
 def sup_from_parts(pole1, pole2, ray_root, c):
@@ -31,6 +32,16 @@ def sup_from_parts(pole1, pole2, ray_root, c):
     return max(max(cands), 0.0)
 
 
+def circle_axis_sup(m, r, c):
+    """sup of theta_i/c_i over the disc |theta - m| <= r cut to theta_j >= 0,
+    for c = c_i e_i: the pole (m_i + r, m_j) when m_j >= 0, else the far end
+    of the chord theta_j = 0."""
+    i = 0 if c[0] > 0 else 1
+    j = 1 - i
+    top = m[i] + (r if m[j] >= 0 else np.sqrt(r * r - m[j] ** 2))
+    return max(top / c[i], 0.0)
+
+
 def far_ray_root(h, c):
     """Far root of a convex h(u c) that is negative at its minimum."""
     inner = minimize_scalar(lambda u: h(u * c), bounds=(0.0, 20.0),
@@ -42,15 +53,21 @@ class TestDirectionalSup:
     @pytest.mark.parametrize("m,r", [((0.0, 0.0), 1.0), ((0.5, -0.2), 1.0),
                                      ((-0.3, 0.6), 0.8)],
                              ids=["unit", "shifted_right", "shifted_up"])
-    @pytest.mark.parametrize("c", DIAGONALS)
+    @pytest.mark.parametrize("c", DIAGONALS + AXES)
     def test_circle(self, m, r, c):
+        # shifted_right (center at theta_2 = -0.2) and shifted_up (center at
+        # theta_1 = -0.3) put the pole below the cut of one coordinate
+        # direction, where the section theta_j = 0 sets the rate
         m, c = np.array(m), np.array(c)
         curve = LevelCurve(lambda t: ((t - m) ** 2).sum(axis=-1) - r * r,
                            lambda t, i: np.full(t.shape[:-1], -1.0),
                            scan_size=64)
-        cm, cc = float(c @ m), float(c @ c)
-        ray = (cm + np.sqrt(cm * cm - cc * (float(m @ m) - r * r))) / cc
-        want = sup_from_parts(m + (r, 0.0), m + (0.0, r), ray, c)
+        if np.all(c > 0):
+            cm, cc = float(c @ m), float(c @ c)
+            ray = (cm + np.sqrt(cm * cm - cc * (float(m @ m) - r * r))) / cc
+            want = sup_from_parts(m + (r, 0.0), m + (0.0, r), ray, c)
+        else:
+            want = circle_axis_sup(m, r, c)
         assert curve.directional_sup(c) == pytest.approx(want, abs=1e-10)
 
     @pytest.mark.parametrize("c", DIAGONALS)
@@ -96,6 +113,17 @@ class TestDirectionalSup:
         assert curve.directional_sup(c) == pytest.approx(want, abs=1e-9)
 
 
+def flags(curve, point):
+    """The pair of feasibility flags at a point: margin <= LE_ONE_SLACK."""
+    return tuple(bool(curve.margin(point, i) <= qbd1d.LE_ONE_SLACK)
+                 for i in (1, 2))
+
+
+def transitions(curve, i):
+    """Every feasible-arc boundary on the curve, one per flag-change cell."""
+    return [curve._transition(i, k) for k in curve._flag_cells(i)]
+
+
 def old_flags(spec, theta):
     """The boolean feasibility test the margins replace."""
     _, h = qbd2d.gamma2_pair(spec, theta)
@@ -122,9 +150,9 @@ class TestMargins:
         mf = modelfile.load_model(MODELS / f"{name}.yaml")
         spec = mf.payload.blocks if mf.kind == "jackson" else mf.payload
         curve = qbd2d.level_curve(spec, scan=64)
-        assert len(set(curve.scan_flags)) > 1   # both values occur
-        for p, m, fl in zip(curve.scan_points, curve.scan_margins,
-                            curve.scan_flags):
+        scan_flags = [tuple(f) for f in curve.scan_margins <= qbd1d.LE_ONE_SLACK]
+        assert len(set(scan_flags)) > 1   # both values occur
+        for p, m, fl in zip(curve.scan_points, curve.scan_margins, scan_flags):
             assert fl == old_flags(spec, p)
             assert all(np.isfinite(v) or v == np.inf for v in m)
 
@@ -132,7 +160,24 @@ class TestMargins:
         curve = jackson.analytic_curve(mapph_spec, scan=32)
         cs = jackson.cumulants(mapph_spec)
         for p, m in zip(curve.scan_points, curve.scan_margins):
-            assert m == (cs.gamma_face(1, p), cs.gamma_face(2, p))
+            assert tuple(m) == (cs.gamma_face(1, p), cs.gamma_face(2, p))
+
+    def test_scan_margins_are_computed_when_first_read(self):
+        calls = []
+
+        def margin(t, i):
+            calls.append(i)
+            return np.full(np.shape(t)[:-1], -1.0)
+
+        curve = LevelCurve(lambda t: (t ** 2).sum(axis=-1) - 1.0, margin,
+                           scan_size=16)
+        assert calls == []
+        levelset.boundary_rows(curve, 8)   # reads its own rows' margins only
+        assert "scan_margins" not in vars(curve)
+        calls.clear()
+        m = curve.scan_margins
+        assert m.shape == (16, 2) and m.dtype == float
+        assert curve.scan_margins is m and calls == [1, 2]
 
     def test_infinite_margin_never_holds(self):
         # face 1 "not invertible" on the left half of the unit circle
@@ -140,12 +185,12 @@ class TestMargins:
                            lambda t, i: np.where((i == 1) & (t[..., 0] < 0.5),
                                                  np.inf, -1.0),
                            scan_size=16)
-        assert curve.flags(np.array([-1.0, 0.0])) == (False, True)
-        ends = curve._flag_transitions(1)
+        assert flags(curve, np.array([-1.0, 0.0])) == (False, True)
+        ends = transitions(curve, 1)
         assert len(ends) == 2
         for p in ends:
             assert p[0] == pytest.approx(0.5, abs=1e-9)
-            assert curve.flags(p)[0]
+            assert flags(curve, p)[0]
 
 
 def decay_values(name, scan):
@@ -223,7 +268,7 @@ class TestStackedScan:
         for label, curve in shipped_curves(64):
             for p, m in zip(curve.scan_points, curve.scan_margins):
                 single = tuple(float(curve.margin(p, i)) for i in (1, 2))
-                assert single == pytest.approx(m, rel=1e-12, abs=1e-14), label
+                assert single == pytest.approx(tuple(m), rel=1e-12, abs=1e-14), label
 
     @pytest.mark.parametrize("scan", [64, 192, 512])
     def test_gap_calls_do_not_grow_with_the_scan(self, scan, monkeypatch):
@@ -267,7 +312,7 @@ class TestStackedScan:
         monkeypatch.setattr(qbd2d, "c2_mgf", recorded)
         for i in (1, 2):
             faces.clear()
-            curve._flag_transitions(i)
+            transitions(curve, i)
             curve.feasible_extreme(i)
             # category I: no feasible section point, after both flags are read
             with pytest.raises(EmptyGammaPlus, match="no feasible point"):
@@ -283,9 +328,9 @@ def exhaustive_extreme(curve, i):
     pole = curve.pole(i)
     if curve._flag(pole, i):
         return pole
-    cands = [p for p, fl in zip(curve.scan_points, curve.scan_flags)
-             if fl[i - 1]]
-    cands += curve._flag_transitions(i)
+    cands = [p for p, m in zip(curve.scan_points, curve.scan_margins[:, i - 1])
+             if m <= qbd1d.LE_ONE_SLACK]
+    cands += transitions(curve, i)
     cands = [p for p in cands if p[i - 1] >= -1e-12]
     if not cands:
         return None
@@ -385,13 +430,15 @@ class TestBoundaryRows:
             assert r.theta2_lower == pytest.approx(lo, abs=1e-11)
             assert r.theta2_upper == pytest.approx(hi, abs=1e-11)
         for r in rows:
-            fl = curve.flags(np.array([r.theta1, r.theta2_lower]))
-            fu = curve.flags(np.array([r.theta1, r.theta2_upper]))
+            fl = flags(curve, np.array([r.theta1, r.theta2_lower]))
+            fu = flags(curve, np.array([r.theta1, r.theta2_upper]))
             assert (r.feasible_c1, r.feasible_c2) == (fl[0] or fu[0], fl[1] or fu[1])
 
 
 class TestFarRayRoot:
-    @pytest.mark.parametrize("c", DIAGONALS)
+    # a coordinate direction takes the same ray: its far root is the far
+    # end of the section theta_j = 0, and the near end is not solved
+    @pytest.mark.parametrize("c", DIAGONALS + AXES)
     def test_diagonal_sup_solves_one_root(self, c, monkeypatch):
         curve = qbd2d.level_curve(scalar_rrw(0.15, 0.25, 0.1, 0.2), scan=64)
         for i in (1, 2):

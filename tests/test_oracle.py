@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from qbdtail import jackson, modelfile, oracle, qbd2d
-from qbdtail.errors import (EmptyWindow, NoConvergence, NotStochastic,
-                            ThetaOutsideDomain)
+from qbdtail.errors import (EmptyWindow, InvalidStart, NoConvergence,
+                            NotStochastic, ThetaOutsideDomain)
 
 from conftest import scalar_rrw, product_form_jackson
 
@@ -547,6 +547,26 @@ def test_guide_tables_spare_the_bisection(name, monkeypatch):
     assert len(calls) <= 1_000
 
 
+@pytest.mark.parametrize("name,start", [
+    ("scalar_rrw", (-1, 0, 0)), ("scalar_rrw", (0, 0, 1)),
+    ("mapph_jackson", (0, 0, 2)), ("mapph_jackson", (3, 0, 4)),
+    ("mapph_jackson", (0, 3, 4)), ("mapph_jackson", (30, 3, 8))])
+def test_start_that_is_not_a_state_is_a_typed_error(name, start):
+    # a negative level, or a phase at or above the phase count of the
+    # start's region (m0, m1, m2, m): (2, 4, 4, 8) for mapph_jackson
+    with pytest.raises(InvalidStart):
+        oracle.simulate(_shipped_spec(name), seed=0, steps=1000,
+                        record_extent=(10, 10), start=start)
+
+
+def test_last_phase_of_each_region_is_a_start():
+    spec = _shipped_spec("mapph_jackson")
+    for start in ((0, 0, 1), (3, 0, 3), (0, 3, 3), (30, 3, 7)):
+        sim = oracle.simulate(spec, seed=0, steps=100, record_extent=(10, 10),
+                              start=start)
+        assert sim.counts.sum() + sim.spill == 100
+
+
 class TestEstimateDecay:
     class _GeometricSource:
         def __init__(self, rho, n):
@@ -665,7 +685,7 @@ class TestStationaryIdentity:
             spec = (jackson.build_blocks(mf.payload)
                     if mf.kind == "jackson" else mf.payload)
             table = oracle.truncate_and_solve(spec, extent)
-            tau = qbd2d.tau_report(spec, scan=64).tau
+            tau = qbd2d.level_curve(spec, scan=64).tau_report().tau
             worst = 0.0
             for f1 in np.linspace(0.05, frac, 5):
                 for f2 in (0.1, 0.3):

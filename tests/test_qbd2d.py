@@ -385,13 +385,13 @@ class TestGammaCurve:
 
 class TestTauReport:
     def test_symmetric_category_one(self):
-        tau = qbd2d.tau_report(symmetric_walk(), scan=96)
+        tau = qbd2d.level_curve(symmetric_walk(), scan=96).tau_report()
         assert tau.category == "I"
         assert tau.tau[0] == pytest.approx(tau.tau[1], abs=1e-8)
 
     def test_product_form_rates(self):
         blocks = jackson.build_blocks(product_form_jackson())
-        tau = qbd2d.tau_report(blocks, scan=128)
+        tau = qbd2d.level_curve(blocks, scan=128).tau_report()
         tr = jackson.traffic_check(product_form_jackson())
         assert tau.tau[0] == pytest.approx(-np.log(tr.rho[0]), abs=1e-6)
         assert tau.tau[1] == pytest.approx(-np.log(tr.rho[1]), abs=1e-6)
@@ -402,9 +402,9 @@ class TestTauReport:
             services=(jackson.exponential_ph(3.0), jackson.exponential_ph(2.0)),
             r12=0.2, r21=0.3)
         blocks = jackson.build_blocks(mirror)
-        tau = qbd2d.tau_report(blocks, scan=96)
+        tau = qbd2d.level_curve(blocks, scan=96).tau_report()
         assert tau.category == "II_1"
-        tau4 = qbd2d.tau_report(blocks, scan=384)
+        tau4 = qbd2d.level_curve(blocks, scan=384).tau_report()
         assert tau.tau[0] == pytest.approx(tau4.tau[0], abs=1e-6)
         assert tau.tau[1] == pytest.approx(tau4.tau[1], abs=1e-6)
 
@@ -419,7 +419,8 @@ class TestTauReport:
             assert tau.tau[1] <= curve.pole(2)[1] + 1e-9
             # tau dominates every feasible curve point obeying the side
             # constraint of its defining supremum
-            for p, fl in zip(curve.scan_points, curve.scan_flags):
+            flags = curve.scan_margins <= qbd1d.LE_ONE_SLACK
+            for p, fl in zip(curve.scan_points, flags):
                 if fl[0] and p[1] < tau.theta_gamma[1][1] - 1e-9:
                     assert tau.tau[0] >= p[0] - 1e-8
                 if fl[1] and p[0] < tau.theta_gamma[0][0] - 1e-9:
