@@ -3,7 +3,7 @@
 Subpackages:
 
 - ``matcore``: dense nonnegative-matrix kernel (Perron eigenpairs, Kronecker
-  algebra, Neumann inverses, diagonal twists).
+  algebra, M-matrix inverses, diagonal twists).
 - ``qbd1d``: nonnegative matrices with QBD block structure (canonical form,
   G/R matrices, superharmonic-vector tests, recurrence classification).
 - ``qbd2d``: two-dimensional QBD processes (stability, boundary curve of the

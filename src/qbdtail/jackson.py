@@ -344,7 +344,7 @@ def _lt_inverse(weights: np.ndarray, gen: np.ndarray, y: float) -> float:
     -theta0 is the dominant eigenvalue of the generator."""
     # PH and MAP subgenerators may be reducible (Erlang stages), so no
     # Perron certificate here
-    theta0 = -float(np.max(np.linalg.eigvals(gen).real))
+    theta0 = matcore.least_eigenvalue(-gen)
     try:
         return qbd1d.bisect_root(lambda x: _lt_value(weights, gen, x) - y,
                                  -40.0, theta0 - 1e-12)

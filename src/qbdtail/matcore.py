@@ -1,12 +1,12 @@
 """Dense nonnegative-matrix kernel.
 
 Certified dominant eigenpairs (closed form at order <= 2, dense ``eig``
-above, each checked by a Collatz-Wielandt bracket), Kronecker algebra,
-Neumann-type inverses and diagonal similarity twists.  The eigenpairs and
-the Neumann inverses also take stacks ``(n, m, m)``, solved lane by lane.
-Everything here is a pure function of its inputs and safe for concurrent
-use; matrices are plain 2-d numpy arrays at desk scale (dimension up to a
-few hundred).
+above, each checked by a Collatz-Wielandt bracket), the package's only other
+eigenvalue solves, the one M-matrix inverse for both time conventions (all
+of these also take stacks, lane by lane), Kronecker algebra and diagonal
+similarity twists.  Everything here is a pure function of its inputs and
+safe for concurrent use; matrices are plain 2-d numpy arrays at desk scale
+(dimension up to a few hundred).
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .errors import (
 #: diagonal of at least 1.
 PF_TOL = 1e-13
 
-#: a Neumann inverse needs spectral radius <= 1 - NEUMANN_MARGIN (the series
-#: diverges at radius 1)
+#: an M-matrix inverse needs its eigenvalues' least real part >= NEUMANN_MARGIN
+#: (for I - T: the Neumann series of T diverges at spectral radius 1)
 NEUMANN_MARGIN = 1e-10
 
 _ONE = np.ones(1)
@@ -137,11 +137,8 @@ def dominant(t) -> Dominant:
 
 def _dominant_stack(t: np.ndarray) -> Dominant:
     """``dominant`` of each lane of a finite ``(n, m, m)`` stack."""
+    t = _square(t)
     n, m = t.shape[0], t.shape[-1]
-    if t.shape != (n, m, m):
-        raise ShapeMismatch(f"expected a stack of square matrices, got {t.shape}")
-    if not np.all(np.isfinite(t)):
-        raise NonFiniteEntry("matrix entries must be finite")
     if m == 1:
         value = t[:, 0, 0]
         return Dominant(value, np.ones((n, 1)), value, value)
@@ -184,18 +181,32 @@ def _wide_bracket(lo: float, hi: float) -> NoConvergence:
                          f"is wider than {PF_TOL} relative")
 
 
-def spectral_radius(t) -> float:
-    """Spectral radius of a square matrix, reducible patterns allowed.
+def _square(t) -> np.ndarray:
+    """Validate and return a finite float array of shape (..., m, m)."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim < 2 or t.shape[-1] != t.shape[-2]:
+        raise ShapeMismatch(f"expected square matrices, got {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise NonFiniteEntry("matrix entries must be finite")
+    return t
 
-    Dense eigenvalue solve; used for matrices like C0 + A1 G- that need not
-    be irreducible.
-    """
-    t = as_matrix(t)
-    if t.shape[0] != t.shape[1]:
-        raise ShapeMismatch(f"expected a square matrix, got {t.shape}")
-    if t.shape[0] == 1:
-        return abs(float(t[0, 0]))
-    return float(np.max(np.abs(np.linalg.eigvals(t))))
+
+def spectral_radius(t):
+    """Spectral radius of a square matrix, or per lane of a stack, by a
+    dense eigenvalue solve: reducible patterns (C0 + A1 G-) are allowed."""
+    t = _square(t)
+    radius = (np.abs(t[..., 0, 0]) if t.shape[-1] == 1
+              else np.abs(np.linalg.eigvals(t)).max(axis=-1))
+    return float(radius) if t.ndim == 2 else radius
+
+
+def least_eigenvalue(a):
+    """Least real part of the eigenvalues of a square matrix, or per lane
+    of a stack, by a dense eigenvalue solve (reducible patterns allowed)."""
+    a = _square(a)
+    low = (a[..., 0, 0].copy() if a.shape[-1] == 1
+           else np.linalg.eigvals(a).real.min(axis=-1))
+    return float(low) if a.ndim == 2 else low
 
 
 def kron_prod(a, b) -> np.ndarray:
@@ -212,49 +223,46 @@ def kron_sum(a, b) -> np.ndarray:
     return np.kron(a, np.eye(b.shape[0])) + np.kron(np.eye(a.shape[0]), b)
 
 
-def neumann_inverse(t) -> np.ndarray:
-    """(I - T)^{-1} = sum_n T^n for a nonnegative T with spectral radius
-    strictly below 1: ``neumann_inverses`` on one lane, raising
-    ``SpectralRadiusNotBelowOne`` where that lane is refused."""
-    x, radius = neumann_inverses(as_matrix(t)[np.newaxis])
-    if not radius[0] <= 1.0 - NEUMANN_MARGIN:
-        raise SpectralRadiusNotBelowOne(
-            f"spectral radius {radius[0]:.15g} is not below 1 - {NEUMANN_MARGIN}")
-    return x[0]
-
-
-def neumann_inverses(t) -> tuple:
-    """(I - T)^{-1} lane by lane for a stack ``(n, m, m)`` of nonnegative
-    matrices, with their spectral radii: ``(x, radius)``.
-
-    A lane with radius above 1 - ``NEUMANN_MARGIN`` is NaN in ``x``.  Tiny
-    negative entries from the solve, down to -1e-12, are clamped to 0; a
-    solved lane that is still negative, or whose residual exceeds 1e-10,
-    raises ``IllConditioned``.
-    """
-    t = np.asarray(t, dtype=float)
-    n, m = t.shape[0], t.shape[-1]
-    if t.shape != (n, m, m):
-        raise ShapeMismatch(f"expected a stack of square matrices, got {t.shape}")
-    if not np.all(np.isfinite(t)):
-        raise NonFiniteEntry("matrix entries must be finite")
-    if np.any(t < 0):
-        raise NegativeEntry("matrix must be entrywise nonnegative")
-    radius = (np.abs(t[:, 0, 0]) if m == 1
-              else np.abs(np.linalg.eigvals(t)).max(axis=1))
-    ok = radius <= 1.0 - NEUMANN_MARGIN
-    x = np.full(t.shape, np.nan)
+def m_inverses(a) -> tuple:
+    """``(x, low)``: A^{-1} and ``least_eigenvalue(A)`` for a Z-matrix A, or
+    per lane of a stack: I - T (T >= 0) in discrete time, -Q (Q Metzler) in
+    continuous time.  With low > 0, A is a nonsingular M-matrix and A^{-1}
+    >= 0 (Berman & Plemmons, Nonnegative Matrices in the Mathematical
+    Sciences, ch. 6).  A lane is inverted where low >= ``NEUMANN_MARGIN``,
+    else NaN.  Entries of the solve down to -1e-12 are clamped to 0; a lane
+    still negative, or with residual max |A X - I| above 1e-10, raises
+    ``IllConditioned``."""
+    a = _square(a)
+    m = a.shape[-1]
+    stack = a.reshape((-1, m, m))
+    low = least_eigenvalue(stack)
+    ok = low >= NEUMANN_MARGIN
+    x = np.full(stack.shape, np.nan)
     if ok.any():
-        a = np.eye(m) - t[ok]
-        inv = np.linalg.solve(a, np.broadcast_to(np.eye(m), a.shape))
+        b = stack[ok]
+        inv = np.linalg.solve(b, np.broadcast_to(np.eye(m), b.shape))
         inv[(inv < 0) & (inv > -1e-12)] = 0.0
         if np.any(inv < 0):
-            raise IllConditioned("Neumann inverse came out negative beyond tolerance")
-        check = np.max(np.abs(a @ inv - np.eye(m)))
+            raise IllConditioned("M-matrix inverse came out negative beyond tolerance")
+        check = np.max(np.abs(b @ inv - np.eye(m)))
         if check > 1e-10:
-            raise IllConditioned(f"Neumann inverse verification failed: {check:.3e}")
+            raise IllConditioned(f"M-matrix inverse verification failed: {check:.3e}")
         x[ok] = inv
-    return x, radius
+    return x.reshape(a.shape), low.reshape(a.shape[:-2])
+
+
+def neumann_inverse(t) -> np.ndarray:
+    """(I - T)^{-1} = sum_n T^n for a nonnegative T with spectral radius
+    strictly below 1: ``m_inverses`` of I - T, raising
+    ``SpectralRadiusNotBelowOne`` (radius 1 - low) where it is refused."""
+    t = as_matrix(t)
+    if np.any(t < 0):
+        raise NegativeEntry("matrix must be entrywise nonnegative")
+    x, low = m_inverses(np.eye(t.shape[-1]) - t)
+    if not low >= NEUMANN_MARGIN:
+        raise SpectralRadiusNotBelowOne(
+            f"spectral radius {1.0 - low:.15g} is not below 1 - {NEUMANN_MARGIN}")
+    return x
 
 
 def twist(t_blocks, h, theta: float, levels) -> list[np.ndarray]:

@@ -8,7 +8,8 @@ coordinates computes G with an entrywise bracket (``_log_reduction``):
 test ``superharmonic_exists_via_G`` reads the bracket.  The common-vector
 set is a sublevel interval of a spectral radius (``gamma1d_0plus``).  The
 boundary compatibility condition is solved by ``boundary_compatibility``,
-which ``qbd2d.check_assumption2`` shares.  The scalar tools (Brent roots and
+which ``qbd2d.check_assumption2`` shares (its pinned level, 1 or 0, also
+sets its inverse (level I - F0)^{-1}).  The scalar tools (Brent roots and
 brackets, Brent minima, sublevel intervals, predicate bisection) also serve
 ``levelset``.
 
@@ -505,7 +506,7 @@ def _selection_radius(a_mat: np.ndarray, c_mat: np.ndarray) -> float:
     m = a_mat.shape[0]
     pick = (np.arange(2 ** m)[:, np.newaxis] >> np.arange(m)) & 1
     stack = np.where(pick[:, :, np.newaxis] == 1, c_mat, a_mat)
-    return float(np.abs(np.linalg.eigvals(stack)).max())
+    return float(matcore.spectral_radius(stack).max())
 
 
 def gamma1d_0plus(k: QbdBlocks) -> Interval:
@@ -546,7 +547,7 @@ def _fit_proportional(v: np.ndarray, ref: np.ndarray):
 
 
 def boundary_compatibility(down, f0, f1, a_low, a_up, h, theta: float,
-                           pinned: float, inverse) -> CompatibilityResult:
+                           pinned: float) -> CompatibilityResult:
     """Boundary vector h0 > 0 and scalars (c0, c1), one of them pinned, with
 
         F0 h0 + e^{theta} F1 h                   = c0 h0,
@@ -554,9 +555,9 @@ def boundary_compatibility(down, f0, f1, a_low, a_up, h, theta: float,
 
     where D is ``down``.  The c1-pinned branch solves the second display
     for h0 by least squares, then fits c0; the c0-pinned branch takes
-    h0 = e^{theta} inverse() F1 h, then fits c1.  ``inverse`` returns
-    (I - F0)^{-1} (discrete time) or (-F0)^{-1} (continuous time), or None
-    when that does not exist.  A branch holds at relative residuals <= 1e-8.
+    h0 = e^{theta} (pinned I - F0)^{-1} F1 h (``matcore.m_inverses``; the
+    pinned level is 1 in discrete and 0 in continuous time), then fits c1,
+    where that inverse exists.  A branch holds at relative residuals <= 1e-8.
     """
     tol = 1e-8
     eo = np.exp(theta)
@@ -572,8 +573,8 @@ def boundary_compatibility(down, f0, f1, a_low, a_up, h, theta: float,
                                        c1=pinned, h0=h0, residual=resid)
 
     # branch with c0 pinned: h0 from the upper display
-    inv = inverse()
-    if inv is not None:
+    inv, low = matcore.m_inverses(pinned * np.eye(len(f0)) - f0)
+    if low >= matcore.NEUMANN_MARGIN:
         h0b = inv @ (eo * (f1 @ h))
         if np.all(h0b > 0):
             w = np.exp(-theta) * (down @ h0b) + (a_low + eo * a_up) @ h
@@ -602,15 +603,8 @@ def check_assumption1(k: QbdBlocks, theta: float) -> CompatibilityResult:
     if not plus.contains(theta, slack=1e-9):
         raise ThetaOutsideGammaPlus(f"theta={theta} outside {plus}")
     h = matcore.dominant(a_mgf(k, theta)).right
-
-    def inverse():
-        try:
-            return matcore.neumann_inverse(k.b0)
-        except SpectralRadiusNotBelowOne:
-            return None
-
     return boundary_compatibility(k.bm1, k.b0, k.b1, k.a0, k.a1, h / h.max(),
-                                  theta, 1.0, inverse)
+                                  theta, 1.0)
 
 
 def mean_drift(k: QbdBlocks) -> float:

@@ -7,7 +7,8 @@ them.  This module validates such specifications, decides stability,
 traces the convex boundary curve of the tilting region and reads the tau
 vector, its category and directional decay rates off it.  Both
 discrete- and continuous-time specifications are supported; continuous ones
-can also be uniformized into equivalent discrete ones.
+can also be uniformized into equivalent discrete ones.  They differ only in
+the curve level L (1 or 0), and the censored kernel inverts L I - F0 alike.
 """
 
 from __future__ import annotations
@@ -92,9 +93,6 @@ class Qbd2dSpec:
     families: dict
     dims: tuple          # (m0, m1, m2, m)
     time: str            # "discrete" | "continuous"
-
-    def block(self, s1: str, s2: str, i: int, j: int) -> np.ndarray:
-        return self.families[(s1, s2)][(i, j)]
 
     # computed once: every interior-MGF evaluation reads it
     @cached_property
@@ -259,37 +257,20 @@ def face_mgfs(spec: Qbd2dSpec, i: int, theta_i) -> tuple:
     return _sum_parts(spec.face_stacks[i][:5], theta_i)
 
 
-def _censor_inverse(spec: Qbd2dSpec, w: np.ndarray) -> tuple:
-    """(I - W)^{-1} in discrete time, (-W)^{-1} in continuous time, for W
-    of shape (..., r, r): ``(inverse, ok)``, with ``ok`` false and the
-    inverse NaN on the lanes where it does not exist."""
-    stack = w.reshape((-1,) + w.shape[-2:])
-    if spec.time == "discrete":
-        inv, _ = matcore.neumann_inverses(stack)
-    else:
-        # face generators may be reducible, so no Perron certificate here
-        stable = np.linalg.eigvals(stack).real.max(axis=1) < -1e-12
-        inv = np.full(stack.shape, np.nan)
-        if stable.any():
-            eye = np.broadcast_to(np.eye(stack.shape[1]), inv[stable].shape)
-            inv[stable] = np.clip(np.linalg.solve(-stack[stable], eye), 0.0, None)
-    ok = ~np.isnan(inv[:, 0, 0])
-    return inv.reshape(w.shape), ok.reshape(w.shape[:-2])
-
-
 def c2_mgf(spec: Qbd2dSpec, i: int, theta) -> np.ndarray:
     """Boundary-censored matrix MGF for face i at theta.
 
-    C^{(i)}(theta) = A_{*+}(theta) + D(theta_i) (I - F0(theta_i))^{-1} F1(theta_i)
-    with F0, F1 the axis-face MGFs and D the down-crossing MGF; in continuous
-    time (I - F0)^{-1} becomes (-F0)^{-1}.  Where face i is not invertible
-    at theta_i, a single point raises ``FaceNotInvertible`` and a lane of a
+    C^{(i)}(theta) = A_{*+}(theta) + D(theta_i) (L I - F0(theta_i))^{-1} F1(theta_i)
+    with F0, F1 the axis-face MGFs, D the down-crossing MGF and L the curve
+    level (``gamma_level``: 1 in discrete time, 0 in continuous time), the
+    inverse from ``matcore.m_inverses``.  Where face i is not invertible at
+    theta_i, a single point raises ``FaceNotInvertible`` and a lane of a
     stack is NaN.
     """
     theta = np.asarray(theta, dtype=float)
     down, f0, f1, a_low, a_up = face_mgfs(spec, i, theta[..., i - 1])
-    inv, ok = _censor_inverse(spec, f0)
-    if theta.ndim == 1 and not ok:
+    inv, low = matcore.m_inverses(gamma_level(spec) * np.eye(f0.shape[-1]) - f0)
+    if theta.ndim == 1 and not low >= matcore.NEUMANN_MARGIN:
         raise FaceNotInvertible(
             f"face {i} is not invertible at theta_{i} = {theta[i - 1]!r}")
     lift = np.exp(theta[..., 2 - i])[..., np.newaxis, np.newaxis]
@@ -492,10 +473,5 @@ def check_assumption2(spec: Qbd2dSpec, theta, i: int) -> qbd1d.CompatibilityResu
     if abs(gamma - level) > 1e-8:
         raise ThetaNotOnCurve(f"gamma(theta) != {level} at {theta}")
     down, f0, f1, a_low, a_up = face_mgfs(spec, i, float(theta[i - 1]))
-
-    def inverse():
-        inv, ok = _censor_inverse(spec, f0)
-        return inv if ok else None
-
     return qbd1d.boundary_compatibility(down, f0, f1, a_low, a_up, h / h.max(),
-                                        float(theta[2 - i]), level, inverse)
+                                        float(theta[2 - i]), level)

@@ -426,6 +426,42 @@ class TestDecayCommand:
         assert "classification = t_positive" in text
 
 
+SHIPPED = ("scalar_rrw", "modulated_rrw", "tandem_jackson", "mapph_jackson")
+GOLDEN = Path(__file__).resolve().parent / "data"
+
+
+class TestGoldenReports:
+    """The reports of the other commands on the shipped models, as exact
+    text, like ``TestDecayCommand.test_golden_reports``: ``stability``,
+    ``verify --extent 40 --scan 64 --steps 20000``, ``jackson certificate
+    --points 32`` and the ``boundary --samples 64`` CSV, each against
+    ``tests/data/<command>_<model>``.  A change that moves digits on purpose
+    rewrites those files and lists the diff in CHANGES.md."""
+
+    @pytest.mark.parametrize("command, name", [
+        *((c, n) for c in ("stability", "verify") for n in SHIPPED),
+        *(("certificate", n) for n in SHIPPED if n.endswith("_jackson"))])
+    def test_report(self, command, name):
+        f = str(MODELS / f"{name}.yaml")
+        argv = {"stability": ["stability", f],
+                "verify": ["verify", f, "--extent", "40", "--scan", "64",
+                           "--steps", "20000"],
+                "certificate": ["jackson", f, "certificate", "--points", "32"],
+                }[command]
+        code, text = run_cli(argv)
+        assert code == 0
+        assert text == (GOLDEN / f"{command}_{name}.txt").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_boundary_csv(self, name, tmp_path):
+        out = tmp_path / "curve.csv"
+        code, _ = run_cli(["boundary", str(MODELS / f"{name}.yaml"),
+                           "--samples", "64", "--out", str(out)])
+        assert code == 0
+        assert (out.read_text(encoding="utf-8")
+                == (GOLDEN / f"boundary_{name}.csv").read_text(encoding="utf-8"))
+
+
 class TestBoundaryCommand:
     def test_csv_schema(self, tmp_path):
         out = tmp_path / "curve.csv"

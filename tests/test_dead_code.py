@@ -1,8 +1,9 @@
 """Dead-code guard for ``src/qbdtail``: no unused import, no private
 module-level name or private method that nothing in the package refers to
-(a helper that only tests call is dead too), no defaulted parameter that no
-call in the package or its tests sets, and no error type that nothing in
-the package raises.
+(a helper that only tests call is dead too), no public function or method
+that nothing in the package or its tests reads, no defaulted parameter that
+no call in the package or its tests sets, no error type that nothing in
+the package raises, and no dense eigenvalue solve outside ``matcore``.
 
 Helpers left behind when their last caller is deleted fail here.  Only the
 standard library's ``ast`` is used; the package's own ``from . import
@@ -13,12 +14,18 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qbdtail"
+TESTS = Path(__file__).resolve().parent
 EXEMPT_IMPORTS = {("__init__.py", "errors")}
 
 
 def _trees():
     return {p.name: ast.parse(p.read_text(encoding="utf-8"), str(p))
             for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _test_trees():
+    return [ast.parse(p.read_text(encoding="utf-8"), str(p))
+            for p in sorted(TESTS.glob("*.py"))]
 
 
 def _loaded_names(tree):
@@ -88,9 +95,42 @@ def test_no_unreferenced_private_names():
     assert dead == []
 
 
-# -- knob guard ------------------------------------------------------------
+# -- public-name guard -----------------------------------------------------
 
-TESTS = Path(__file__).resolve().parent
+
+def _public_definitions(tree):
+    """(name, line, is_method) of module-level public functions and of
+    public methods of module-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            funcs, method = [node], False
+        elif isinstance(node, ast.ClassDef):
+            funcs = [f for f in node.body if isinstance(f, ast.FunctionDef)]
+            method = True
+        else:
+            continue
+        for fn in funcs:
+            if not fn.name.startswith("_"):
+                yield fn.name, fn.lineno, method
+
+
+def test_every_public_function_is_read_somewhere():
+    """A public function or method that neither the package nor its tests
+    read is dead code.  A function counts as read by name, attribute or
+    ``from ... import``; a method only as an attribute, so a local variable
+    of the same name does not keep it alive."""
+    sources = list(_trees().values()) + _test_trees()
+    read = set().union(*(_loaded_names(t) for t in sources))
+    attributes = {node.attr for t in sources for node in ast.walk(t)
+                  if isinstance(node, ast.Attribute)}
+    dead = [f"{fname}:{line} {name}"
+            for fname, tree in _trees().items()
+            for name, line, method in _public_definitions(tree)
+            if name not in (attributes if method else read)]
+    assert dead == []
+
+
+# -- knob guard ------------------------------------------------------------
 
 
 def _defaulted_parameters(tree):
@@ -154,9 +194,7 @@ def test_every_default_is_passed_somewhere():
     trees = _trees()
     classes = {n.name for t in trees.values() for n in t.body
                if isinstance(n, ast.ClassDef)}
-    sources = list(trees.values()) + [
-        ast.parse(p.read_text(encoding="utf-8"), str(p))
-        for p in sorted(TESTS.glob("*.py"))]
+    sources = list(trees.values()) + _test_trees()
     sites = {}
     for tree in sources:
         for key, npos, keys, unpacks in _calls(tree, classes):
@@ -188,3 +226,17 @@ def test_every_error_class_is_raised():
              if isinstance(node, ast.ClassDef)
              and node.name != "QbdTailError" and node.name not in raised]
     assert never == []
+
+
+# -- eigenvalue guard --------------------------------------------------------
+
+
+def test_dense_eigenvalue_solves_live_in_matcore():
+    """``np.linalg.eig`` and ``eigvals`` are called only in ``matcore``,
+    the one home for eigenvalues; other modules use its helpers."""
+    found = [f"{fname}:{node.lineno} {node.attr}"
+             for fname, tree in _trees().items() if fname != "matcore.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("eig", "eigvals")]
+    assert found == []

@@ -307,17 +307,32 @@ class TestStacks:
                                         [1e-15, 0.0, 1.0]]]))
 
     def test_neumann_lanes(self):
+        """``m_inverses`` lane by lane: I - T lanes equal ``neumann_inverse``
+        and read 1 - spectral radius, a lane with radius above 1 is NaN, and
+        -Q of a Metzler Q (a continuous-time face) is the dense inverse."""
         rng = np.random.default_rng(5)
         good = [rng.uniform(0.0, 0.3, size=(3, 3)) for _ in range(3)]
         stack = np.array(good[:1] + [np.full((3, 3), 0.5)] + good[1:])
-        x, radius = matcore.neumann_inverses(stack)
-        assert radius[1] == pytest.approx(1.5)
+        x, low = matcore.m_inverses(np.eye(3) - stack)
+        assert low.shape == (4,)
+        assert low[1] == pytest.approx(-0.5)
         assert np.all(np.isnan(x[1]))
         for k in (0, 2, 3):
-            assert radius[k] == pytest.approx(matcore.spectral_radius(stack[k]),
-                                              abs=1e-15)
+            assert 1.0 - low[k] == pytest.approx(matcore.spectral_radius(stack[k]),
+                                                 abs=1e-15)
             assert np.allclose(x[k], matcore.neumann_inverse(stack[k]),
                                atol=1e-15)
+        q = random_metzler(rng, 3)
+        gen = random_metzler(rng, 3, generator=True)
+        x, low = matcore.m_inverses(np.array([-q, -gen]))
+        assert low[0] == pytest.approx(-float(np.max(np.linalg.eigvals(q).real)),
+                                       abs=1e-12)
+        assert low[0] >= matcore.NEUMANN_MARGIN
+        assert np.all(x[0] >= 0)
+        assert np.allclose(x[0], np.linalg.solve(-q, np.eye(3)), atol=1e-15)
+        # a generator is singular: its abscissa 0 is refused
+        assert abs(low[1]) < 1e-12
+        assert np.all(np.isnan(x[1]))
 
 
 class TestTwist:

@@ -6,6 +6,7 @@ import pytest
 from qbdtail import jackson, levelset, modelfile, oracle, qbd1d, qbd2d
 from qbdtail.errors import (
     FaceNotInvertible,
+    IllConditioned,
     InconsistentCategory,
     QbdTailError,
     ThetaNotOnCurve,
@@ -216,6 +217,14 @@ class TestMgfs:
         for i in (1, 2):
             c = qbd2d.c2_mgf(blocks, i, (0.0, 0.0))
             assert np.allclose(c @ np.ones(c.shape[1]), 0.0, atol=1e-10)
+
+    def test_continuous_negative_inverse_is_ill_conditioned(self, monkeypatch):
+        # a solved (-F0)^{-1} with an entry below -1e-12 is refused, not
+        # clipped to 0
+        blocks = jackson.build_blocks(product_form_jackson())
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: -np.ones_like(b))
+        with pytest.raises(IllConditioned, match="negative"):
+            qbd2d.c2_mgf(blocks, 1, (0.1, 0.1))
 
     def test_tandem_censored_mgf_hand_formula(self):
         lam, mu1, mu2 = 1.0, 2.0, 3.0
@@ -487,6 +496,35 @@ class TestAssumption2:
         assert res.c1 == 0.0  # continuous-time pinned value
         cs = jackson.cumulants(mapph_spec)
         assert res.c0 == pytest.approx(cs.gamma_face(1, theta), abs=1e-8)
+
+    def test_continuous_c0_branch_inverts_minus_f0(self):
+        # a 1-d generator embedded with coordinate 1 frozen; the down block
+        # has equal rows and every interior block constant row sums, so
+        # h = 1 on the curve and the lower display is always proportional
+        # to h, while the c1 branch's h0 fails the upper display
+        am1 = np.array([[0.2, 0.1], [0.2, 0.1]])
+        a0 = np.array([[0.1, 0.2], [0.25, 0.05]])
+        a1 = np.array([[0.3, 0.1], [0.1, 0.3]])
+        b0 = np.array([[0.2, 0.3], [0.1, 0.4]])
+        b1 = np.array([[0.1, 0.2], [0.3, 0.1]])
+        fams = {("+", "+"): {(0, -1): am1, (0, 0): a0 - np.eye(2), (0, 1): a1},
+                ("+", "0"): {(0, 0): b0 - np.eye(2), (0, 1): b1},
+                ("+", "1"): {(0, -1): am1}}
+        spec = qbd2d.make_spec(fams, (2, 2, 2, 2), "continuous")
+        k = qbd1d.QbdBlocks(b0=b0, b1=b1, bm1=am1, am1=am1, a0=a0, a1=a1)
+        # e^{-t} 0.3 + 0.3 + e^{t} 0.4 = 1 at e^t = 0.75 and e^t = 1
+        for t in (np.log(0.75), 0.0):
+            res = qbd2d.check_assumption2(spec, (0.3, t), 1)
+            assert res.holds and res.branch == "c0" and res.c0 == 0.0
+            _, f0, f1, _, _ = qbd2d.face_mgfs(spec, 1, 0.3)
+            direct = np.linalg.solve(-f0, np.exp(t) * f1 @ np.ones(2))
+            assert np.allclose(res.h0, direct, rtol=1e-12, atol=0.0)
+            # (I - B0)^{-1} B1 1 = (2/3, 7/9)
+            assert np.allclose(res.h0, np.exp(t) * np.array([2 / 3, 7 / 9]),
+                               rtol=1e-12, atol=0.0)
+            one = qbd1d.check_assumption1(k, t)
+            assert one.branch == "c0"
+            assert res.c1 == pytest.approx(one.c1 - 1.0, abs=1e-12)
 
     @pytest.mark.parametrize("i", [1, 2])
     @pytest.mark.parametrize("instance", ["scalar", "counterexample",
