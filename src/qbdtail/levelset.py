@@ -9,17 +9,17 @@ Each flag is a continuous margin read against one slack: flag i holds when
 margin i is at most ``qbd1d.LE_ONE_SLACK``.
 
 ``gap`` and the margins take one point (2,) or a stack (n, 2) of points.
-The curve is parametrized by the angle around an interior center; the
-radial roots of every scan angle (and the sections of a boundary table)
-are solved in lockstep, one stacked ``gap`` call per step.  Every other
-curve point is bracketed from the known curve points around its angle
-(convexity puts the root between a chord and two secants) and solved
-alone: pole location (Brent's localmin in the offset from the best scan
-angle) and flag transitions (Brent on the margin in the angle, only in
-the cells whose convexity bound on theta_i can still beat the best
-feasible point).  Sections, the tau/category logic and the directional
-decay rates work point by point.  All of it lives here, independent of
-how ``gap`` and the margins are computed.
+The center and the extremes take Newton steps on the quadratic model of
+gap on a 3x3 stencil.  The curve is parametrized by the angle around the
+center; the radial roots of every scan angle (and the sections of a
+boundary table) are solved in lockstep, one stacked ``gap`` call per
+step.  Every other curve point is bracketed from the known curve points
+around its angle (convexity puts the root between a chord and two
+secants) and solved alone: an extreme at its Newton angle and the flag
+transitions (Brent on the margin in the angle, only in cells whose
+convexity bound on theta_i can beat the best feasible point).  Sections,
+tau/category and the directional rates work point by point.  All of it
+is independent of how ``gap`` and the margins are computed.
 """
 
 from __future__ import annotations
@@ -33,13 +33,11 @@ import numpy as np
 
 from .errors import (EmptyGammaPlus, InconsistentCategory, NoConvergence,
                      ZeroDirection)
-from .qbd1d import (LE_ONE_SLACK, _brent_bracket, _brent_min,
-                    _sublevel_interval, convex_min_scalar)
+from .qbd1d import LE_ONE_SLACK, _brent_bracket, _sublevel_interval
 
 CATEGORY_TOL = 1e-9
-# localmin stop in the angle at a pole: theta_i is flat to second order
-# there, so a radial root known to 1e-12 fixes the angle to about 1e-6
-POLE_TOL = 1e-7
+CENTER_STEPS, EXTREME_STEPS = 40, 30
+_STENCIL = np.array([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
 
 
 @dataclass(frozen=True)
@@ -50,28 +48,41 @@ class TauReport:
     category: str         # "I", "II_1" or "II_2"
 
 
+def _stencil_model(f, x, h):
+    """f on the stencil x + h {-1, 0, 1}^2 in one stacked call: its values
+    (3, 3) and the central-difference gradient and Hessian at x."""
+    m = np.asarray(f(x + h * _STENCIL), dtype=float).reshape(3, 3)
+    grad = np.array([m[2, 1] - m[0, 1], m[1, 2] - m[1, 0]]) / (2.0 * h)
+    cross = 0.25 * (m[2, 2] - m[2, 0] - m[0, 2] + m[0, 0])
+    hess = np.array([[m[2, 1] - 2.0 * m[1, 1] + m[0, 1], cross],
+                     [cross, m[1, 2] - 2.0 * m[1, 1] + m[1, 0]]]) / (h * h)
+    return m, grad, hess
+
+
+def _clipped(step, h):
+    """The step shortened to length at most 4h, and its length."""
+    size = math.hypot(*step)
+    return (step * (4.0 * h / size), 4.0 * h) if size > 4.0 * h else (step, size)
+
+
 def minimize_convex_2d(f):
-    """Coordinate descent from the origin with Brent line searches: at
-    most 60 rounds, until no coordinate moves more than 1e-6, what a line
-    search can attain on a flat minimum (about sqrt(eps) relative).  A
-    level curve needs only an interior center, so asking for more only
-    spends evaluations.
-    """
-    x = np.zeros(2)
-    tol = 1e-6
-    for _ in range(60):
-        moved = 0.0
-        for axis in (0, 1):
-            def line(v, axis=axis):
-                y = x.copy()
-                y[axis] = v
-                return f(y)
-            v, _ = convex_min_scalar(line, x[axis], step=0.5, tol=tol)
-            moved = max(moved, abs(v - x[axis]))
-            x[axis] = v
-        if moved <= tol:
-            break
-    return x, f(x)
+    """Damped Newton from the origin on the stencil model of f: -H^-1 g
+    where H is positive definite beyond rounding, else the best stencil
+    point, clipped to 4h; h = 0.5 follows |step| down to 1e-4.  Stops at
+    |step| <= 1e-6 on that h with the stencil's center and value (a level
+    curve needs only an interior point); else ``NoConvergence``."""
+    x, h = np.zeros(2), 0.5
+    for _ in range(CENTER_STEPS):
+        m, g, hess = _stencil_model(f, x, h)
+        (a, b), (_, c) = hess - 1e-12 * np.abs(m).max() / (h * h) * np.eye(2)
+        convex = a > 0 and a * c > b * b
+        step = -np.linalg.solve(hess, g) if convex else h * _STENCIL[np.argmin(m)]
+        step, size = _clipped(step, h)
+        if size <= 1e-6 and h <= 1e-4:
+            return x, float(m[1, 1])
+        x = x + step
+        h = max(min(h, size), 1e-4)
+    raise NoConvergence("the level-curve center did not settle")
 
 
 def _radial_roots(gap, base, step, inside) -> np.ndarray:
@@ -213,21 +224,30 @@ class LevelCurve:
     # -- poles and sections ------------------------------------------------
 
     def extreme(self, direction) -> np.ndarray:
-        """The curve point maximizing <direction, theta>: the best scan
-        sample, refined by Brent's localmin over its two cells in the
-        offset s from its angle, to a bracket of ``POLE_TOL`` + 4 sqrt(eps)
-        |s|."""
+        """The curve point maximizing <direction, theta>: Newton on (gap,
+        t . grad gap) = 0, t perpendicular to the direction, on the stencil
+        model clipped to 4h, from the best scan sample of radius r (at that
+        radius on the ray toward d below 3 scan angles); h = r min(1, pi /
+        scan) follows |step| down to 1e-5.  At |step| <= 1e-9 and d . grad
+        gap > 0, ``point_at`` of the angle reached; ``NoConvergence`` after
+        ``EXTREME_STEPS`` steps or at a singular Jacobian."""
         d = np.asarray(direction, dtype=float)
-        k = int(np.argmax(self.scan_points @ d))
-        span = 2.0 * np.pi / len(self.scan_phi)
-        points = {}
-
-        def neg_score(s):
-            p = points[s] = self.point_at(self.scan_phi[k] + s)
-            return -float(d @ p)
-
-        s, _ = _brent_min(neg_score, -span, span, tol=POLE_TOL)
-        return points[s]
+        t = np.array([-d[1], d[0]])
+        x = self.scan_points[int(np.argmax(self.scan_points @ d))]
+        r = math.hypot(*(x - self.center))
+        x = x if len(self.scan_phi) >= 3 else self.center + r * d / math.hypot(*d)
+        h = r * min(1.0, np.pi / len(self.scan_phi))
+        for _ in range(EXTREME_STEPS):
+            m, g, hess = _stencil_model(self.gap, x, h)
+            jac = np.vstack((g, t @ hess))
+            if not np.linalg.det(jac):
+                break
+            step, size = _clipped(np.linalg.solve(jac, (-m[1, 1], -t @ g)), h)
+            x = x + step
+            if size <= 1e-9 and d @ g > 0:
+                return self.point_at(np.arctan2(*(x - self.center)[::-1]))
+            h = max(min(h, size), 1e-5)
+        raise NoConvergence(f"the curve extreme toward {d.tolist()} did not settle")
 
     def pole(self, i: int) -> np.ndarray:
         """The point maximizing theta_i over the curve."""

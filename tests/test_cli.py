@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from qbdtail import cli, jackson, modelfile
+from qbdtail import cli, jackson, levelset, modelfile
 from qbdtail.errors import ParseError, SchemaError
 
 from conftest import product_form_jackson, scalar_rrw
@@ -485,6 +485,33 @@ class TestBoundaryCommand:
         lo = min(float(r.split(",")[1]) for r in rows)
         hi = max(float(r.split(",")[2]) for r in rows)
         assert lo < 0 < hi
+
+    # (feasible_C1, feasible_C2) per row, west to east; the scan is the
+    # sample count, so the tangent rows start their extremes from a 3-, 4-
+    # or 5-point scan
+    COARSE_FLAGS = {
+        "scalar_rrw": ("01 10 00", "01 10 10 00", "01 10 10 10 00"),
+        "modulated_rrw": ("01 10 00", "01 10 10 00", "01 10 10 10 00"),
+        "tandem_jackson": ("01 11 00", "01 11 01 00", "01 11 11 01 00"),
+        "mapph_jackson": ("01 11 00", "01 11 10 00", "01 11 11 10 00"),
+    }
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    @pytest.mark.parametrize("samples", [3, 4, 5])
+    def test_coarsest_samples(self, name, samples, tmp_path):
+        out = tmp_path / "curve.csv"
+        code, _ = run_cli(["boundary", str(MODELS / f"{name}.yaml"),
+                           "--samples", str(samples), "--out", str(out)])
+        assert code == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        flags = " ".join(r[3] + r[4] for r in rows)
+        assert flags == self.COARSE_FLAGS[name][samples - 3]
+
+    def test_extreme_step_budget_exits_3(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(levelset, "EXTREME_STEPS", 1)
+        out = str(tmp_path / "curve.csv")
+        assert cli.main(["boundary", str(MODELS / "mapph_jackson.yaml"),
+                         "--samples", "3", "--out", out]) == 3
 
 
 class TestJacksonCommand:

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import brentq, minimize_scalar
 
 from qbdtail import jackson, levelset, modelfile, qbd1d, qbd2d
-from qbdtail.errors import EmptyGammaPlus, FaceNotInvertible
+from qbdtail.errors import EmptyGammaPlus, FaceNotInvertible, NoConvergence
 from qbdtail.levelset import LevelCurve
 
 from conftest import scalar_rrw, trichotomy_fuzz_specs
@@ -213,8 +213,8 @@ def test_tau_and_rates_do_not_depend_on_the_scan(name):
 # (level-function calls, point_at calls) of `decay` in the four directions
 # at the default scan, measured once; a stacked call counts once; the
 # ceilings allow 10%
-COUNTS = {"scalar_rrw": (242, 30), "modulated_rrw": (307, 31),
-          "tandem_jackson": (975, 50), "mapph_jackson": (1192, 142)}
+COUNTS = {"scalar_rrw": (114, 10), "modulated_rrw": (165, 15),
+          "tandem_jackson": (290, 12), "mapph_jackson": (625, 87)}
 
 
 @pytest.mark.parametrize("name", SHIPPED)
@@ -372,10 +372,10 @@ class TestPrunedTransitions:
                 assert len(solved) == (0 if curve._flag(curve.pole(i), i) else 1)
 
 
-def ellipse_curve(scan):
+def ellipse_curve(scan, m=(0.3, -0.2), axes=(1.5, 0.6), angle=0.4):
     """A tilted ellipse off the origin as a level curve, with its exact
     radial root from the curve's center."""
-    m, axes, angle = np.array([0.3, -0.2]), np.array([1.5, 0.6]), 0.4
+    m, axes = np.array(m), np.array(axes)
     rot = np.array([[np.cos(angle), -np.sin(angle)],
                     [np.sin(angle), np.cos(angle)]])
     frame = lambda t: (np.asarray(t) - m) @ rot / axes
@@ -454,3 +454,109 @@ class TestFarRayRoot:
         monkeypatch.setattr(levelset, "_sublevel_interval", recorded)
         curve.directional_sup(np.array(c))
         assert len(roots) == 1 and len(roots[0]) == 1
+
+
+def ellipse_extreme(d, m=(0.3, -0.2), axes=(1.5, 0.6), angle=0.4):
+    """arg max of <d, theta> over the ellipse of ``ellipse_curve``:
+    m + S d / sqrt(d' S d), S = R diag(axes^2) R'."""
+    rot = np.array([[np.cos(angle), -np.sin(angle)],
+                    [np.sin(angle), np.cos(angle)]])
+    s = rot @ np.diag(np.square(axes)) @ rot.T
+    return np.array(m) + s @ d / np.sqrt(d @ s @ d)
+
+
+@pytest.fixture
+def stencils(monkeypatch):
+    """The center x of every stencil model evaluated."""
+    seen = []
+    model = levelset._stencil_model
+
+    def recorded(f, x, h):
+        seen.append(np.array(x))
+        return model(f, x, h)
+
+    monkeypatch.setattr(levelset, "_stencil_model", recorded)
+    return seen
+
+
+class TestStencilNewton:
+    """The center and the extremes from Newton steps on the quadratic model
+    of a 3x3 stencil of gap values."""
+
+    @pytest.mark.parametrize("scan", [3, 8, 64])
+    def test_tilted_ellipse_center_and_extremes(self, scan):
+        curve, _ = ellipse_curve(scan)
+        assert np.max(np.abs(curve.center - (0.3, -0.2))) <= 1e-9
+        assert curve.gmin == pytest.approx(-1.0, abs=1e-12)
+        for a in np.arange(8) * np.pi / 4:
+            d = np.array([np.cos(a), np.sin(a)])
+            got = curve.extreme(d)
+            assert np.max(np.abs(got - ellipse_extreme(d))) <= 1e-9, a
+            # the returned point is a solved radial root
+            assert abs(curve.gap(got)) <= 1e-12
+
+    def test_elongated_ellipse_center_is_interior(self):
+        curve, _ = ellipse_curve(64, m=(2.0, -1.5), axes=(1.0, 1e-3))
+        assert curve.gmin == pytest.approx(-1.0, abs=1e-9)
+        assert np.max(np.abs(curve.center - (2.0, -1.5))) <= 1e-9
+
+    def test_polygonal_gap_takes_the_best_point_fallback(self, stencils):
+        # positive at the origin, and linear on the first two stencils (a
+        # Hessian of rounding noise), which move to their best point
+        gap = lambda t: (np.abs(np.asarray(t)[..., 0] - 1.3)
+                         + 2.0 * np.abs(np.asarray(t)[..., 1] + 1.1) - 1.0)
+        curve = LevelCurve(gap, lambda t, i: np.full(np.shape(t)[:-1], -1.0),
+                           scan_size=16)
+        assert np.array_equal(stencils[:3],
+                              [[0.0, 0.0], [0.5, -0.5], [1.0, -1.0]])
+        assert curve.gmin < -0.99 and curve.gap(curve.center) == curve.gmin
+        assert np.max(np.abs(curve.center - (1.3, -1.1))) <= 1e-2
+
+    def test_step_budgets_raise_no_convergence(self, monkeypatch):
+        curve, _ = ellipse_curve(3)
+        monkeypatch.setattr(levelset, "CENTER_STEPS", 2)
+        with pytest.raises(NoConvergence, match="center"):
+            ellipse_curve(8, m=(3.0, 0.0))
+        monkeypatch.setattr(levelset, "EXTREME_STEPS", 1)
+        with pytest.raises(NoConvergence, match="extreme"):
+            curve.extreme((0.0, 1.0))
+
+    def test_stencil_calls_per_center_and_extreme(self, stencils):
+        # measured: 4-6 per center, 1-4 per extreme at scan 192 and 1-8 at
+        # scan 3-5 (a stacked call of 9 points each)
+        for scan, most in ((192, 5), (3, 9), (4, 9), (5, 9)):
+            for label, curve in shipped_curves(scan):
+                stencils.clear()
+                levelset.minimize_convex_2d(curve.gap)
+                assert len(stencils) <= 7, label
+                stencils.clear()
+                for d in ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)):
+                    curve.extreme(np.array(d, dtype=float))
+                    assert len(stencils) <= most, (label, scan, d)
+                    stencils.clear()
+
+
+def test_scalar_walk_poles_are_the_closed_form():
+    # gap = 0.15 e^x + 0.25 e^-x + 0.12 e^y + 0.22 e^-y + 0.26 - 1 is
+    # separable: the theta_1 extremes sit at y* = ln(0.22/0.12)/2, and
+    # there 0.15 e^x + 0.25 e^-x = c, a quadratic in e^x (likewise theta_2)
+    mf = modelfile.load_model(MODELS / "scalar_rrw.yaml")
+    # scans 1 and 2 start from the ray toward the direction
+    for scan in (1, 2, 3, 64, 192):
+        curve = qbd2d.level_curve(mf.payload, scan=scan)
+        for i, (up, down, other_up, other_down) in (
+                (1, (0.15, 0.25, 0.12, 0.22)), (2, (0.12, 0.22, 0.15, 0.25))):
+            other = 0.5 * np.log(other_down / other_up)
+            c = 0.74 - 2.0 * np.sqrt(other_up * other_down)
+            disc = np.sqrt(c * c - 4.0 * up * down)
+            for sign in (-1.0, 1.0):
+                end = np.log((c + sign * disc) / (2.0 * up))
+                p = curve.extreme(sign * np.eye(2)[i - 1])
+                assert abs(p[i - 1] - end) <= 1e-12, (scan, i, sign)
+                assert abs(p[2 - i] - other) <= 1e-10, (scan, i, sign)
+
+
+def test_analytic_tandem_rates_are_ln2_and_ln3(tandem_spec):
+    tau = jackson.analytic_curve(tandem_spec).tau_report().tau
+    assert abs(tau[0] - np.log(2.0)) <= 1e-10
+    assert abs(tau[1] - np.log(3.0)) <= 1e-10
