@@ -223,12 +223,12 @@ def cmd_jackson(args, out) -> int:
                                           scan=args.scan))
         return EXIT_OK
     curve = jk.analytic_curve(spec, scan=args.points)
-    certs = [jk.assumption3_certificate(spec, p) for p in curve.scan_points]
+    cert = jk.assumption3_certificate(spec, curve.scan_points)
     _emit(out, "points", args.points)
-    _emit(out, "max_residual_upper", max(max(c.residual_upper) for c in certs))
-    _emit(out, "max_residual_lower", max(max(c.residual_lower) for c in certs))
-    _emit(out, "max_c0_error", max(max(c.c0_error) for c in certs))
-    _emit(out, "certified", all(c.ok for c in certs))
+    _emit(out, "max_residual_upper", cert.residual_upper.max())
+    _emit(out, "max_residual_lower", cert.residual_lower.max())
+    _emit(out, "max_c0_error", cert.c0_error.max())
+    _emit(out, "certified", cert.ok.all())
     return EXIT_OK
 
 

@@ -4,8 +4,10 @@ MAP arrivals, phase-type services, Bernoulli routing.  The network is
 analyzed two ways: a fast analytic path built from the four time-average
 cumulant eigenvalue functions (one per arrival stream and one per busy
 server), and the generic path that assembles the full continuous-time
-two-dimensional QBD via Kronecker products and runs the generic machinery.
-Both must agree; the decay report carries their maximum discrepancy.
+two-dimensional QBD via Kronecker products (``matcore.kron_prod``) and runs
+the generic machinery.  Both must agree; the decay report carries their
+maximum discrepancy.  The boundary-compatibility certificate checks one
+curve point or a stack of them in one pass.
 """
 
 from __future__ import annotations
@@ -435,6 +437,12 @@ def decay_report(spec: JacksonSpec, directions, scan: int = 192) -> JacksonDecay
 
 @dataclass(frozen=True)
 class CertificateResult:
+    """The boundary-compatibility check at one curve point: per face, as a
+    (face 1, face 2) pair of floats, the display residuals, the fitted
+    scalar and its error, and ``ok`` a bool.  From a stack of n points
+    every field has a leading lane axis, as in ``matcore.Dominant``: the
+    pairs are (n, 2) arrays and ``ok`` is an (n,) array."""
+
     residual_upper: tuple    # per face, the pinned-scalar display residual
     residual_lower: tuple    # per face, the zero display residual
     c0: tuple                # fitted scalars, should equal gamma_face
@@ -443,57 +451,62 @@ class CertificateResult:
 
 
 def assumption3_certificate(spec: JacksonSpec, theta) -> CertificateResult:
-    """Constructs the product-form eigenvectors at a curve point and checks
-    the boundary compatibility displays for both faces.
+    """Constructs the product-form eigenvectors at a curve point, or at
+    each lane of an (n, 2) stack, and checks the boundary compatibility
+    displays for both faces.
 
     For face 1 the boundary vector is a(theta) h1a x h2a x h1d with
     a = <beta_2, h2d> and h_id normalised through the service transform;
     the fitted scalar must equal gamma^{(1)}(theta), and the lower display
-    must vanish.  Face 2 is symmetric.  ``ok`` holds when every display
-    residual is at most 1e-8.
+    must vanish.  Face 2 is symmetric.  ``ok`` holds where every display
+    residual is at most 1e-8.  A stack takes one pass: stacked cumulants,
+    one stacked ``dominant`` per arrival stream, one stacked solve per
+    service vector and stacked products for the displays.  A point with
+    |gamma_plus| > 1e-8 raises ``ThetaNotOnCurve``, which names the first
+    such lane of a stack.
     """
     theta = np.asarray(theta, dtype=float)
+    lanes = theta.reshape(-1, 2)
     cs = cumulants(spec)
-    if abs(cs.gamma_plus(theta)) > 1e-8:
-        raise ThetaNotOnCurve("gamma_plus(theta) != 0")
-    (a1, a2), (s1, s2) = spec.arrivals, spec.services
-    h1a = matcore.dominant(a1.t + np.exp(theta[0]) * a1.u).right
-    h2a = matcore.dominant(a2.t + np.exp(theta[1]) * a2.u).right
+    off = ~(np.abs(cs.gamma_plus(lanes)) <= 1e-8)
+    if off.any():
+        where = f" at lane {int(np.argmax(off))}" if theta.ndim == 2 else ""
+        raise ThetaNotOnCurve(f"gamma_plus(theta) != 0{where}")
+    # the eigenvector factors as (n, k, 1) columns, one per lane
+    h1a, h2a = (matcore.dominant(a.t + np.exp(lanes[:, k, np.newaxis, np.newaxis])
+                                 * a.u).right[..., np.newaxis]
+                for k, a in enumerate(spec.arrivals))
+    h1d, h2d = (np.linalg.solve(cs.gamma_d(i, lanes)[:, np.newaxis, np.newaxis]
+                                * np.eye(ph.order) - ph.s, ph.exit[:, np.newaxis])
+                for i, ph in zip((1, 2), spec.services))
+    kron = matcore.kron_prod
+    h_arr = kron(h1a, h2a)
+    h_plus = kron(h_arr, kron(h1d, h2d))
 
-    def h_service(i):
-        ph = spec.services[i - 1]
-        gid = cs.gamma_d(i, theta)
-        return np.linalg.solve(gid * np.eye(ph.order) - ph.s,
-                               ph.exit)
+    def dot(x, y):
+        return (np.swapaxes(x, 1, 2) @ y)[:, 0, 0]
 
-    h1d = h_service(1)
-    h2d = h_service(2)
-    h_plus = np.kron(np.kron(h1a, h2a), np.kron(h1d, h2d))
-    blocks = spec.blocks
+    def peak(x):
+        return np.abs(x).max(axis=(1, 2))
 
     res_up, res_low, c0s, c0err = [], [], [], []
-    for i in (1, 2):
-        ti = float(theta[i - 1])
-        tother = float(theta[2 - i])
+    for i, h_own, h_other in ((1, h1d, h2d), (2, h2d, h1d)):
+        tother = lanes[:, 2 - i, np.newaxis, np.newaxis]
         eo = np.exp(tother)
-        down, f0, f1, a_low, a_up = qbd2d.face_mgfs(blocks, i, ti)
-        if i == 1:
-            a_scal = float(s2.beta @ h2d)
-            h0 = a_scal * np.kron(np.kron(h1a, h2a), h1d)
-        else:
-            a_scal = float(s1.beta @ h1d)
-            h0 = a_scal * np.kron(np.kron(h1a, h2a), h2d)
-        scale = max(1.0, float(np.max(np.abs(h0))))
+        down, f0, f1, a_low, a_up = qbd2d.face_mgfs(spec.blocks, i, lanes[:, i - 1])
+        a_scal = spec.services[2 - i].beta @ h_other
+        h0 = a_scal[..., np.newaxis] * kron(h_arr, h_own)
         v = f0 @ h0 + eo * (f1 @ h_plus)
-        c0 = float(v @ h0) / float(h0 @ h0)
-        res_up.append(float(np.max(np.abs(v - c0 * h0))) / scale)
-        low = (np.exp(-tother) * (down @ h0) + a_low @ h_plus
-               + eo * (a_up @ h_plus))
-        res_low.append(float(np.max(np.abs(low)))
-                       / max(1.0, float(np.max(np.abs(h_plus)))))
+        c0 = dot(v, h0) / dot(h0, h0)
+        res_up.append(peak(v - c0[:, np.newaxis, np.newaxis] * h0)
+                      / np.maximum(1.0, peak(h0)))
+        low = np.exp(-tother) * (down @ h0) + a_low @ h_plus + eo * (a_up @ h_plus)
+        res_low.append(peak(low) / np.maximum(1.0, peak(h_plus)))
         c0s.append(c0)
-        c0err.append(abs(c0 - cs.gamma_face(i, theta)))
-    ok = max(max(res_up), max(res_low)) <= 1e-8
-    return CertificateResult(residual_upper=tuple(res_up),
-                             residual_lower=tuple(res_low),
-                             c0=tuple(c0s), c0_error=tuple(c0err), ok=ok)
+        c0err.append(np.abs(c0 - cs.gamma_face(i, lanes)))
+    fields = [np.column_stack(f) for f in (res_up, res_low, c0s, c0err)]
+    ok = np.maximum(fields[0].max(axis=1), fields[1].max(axis=1)) <= 1e-8
+    if theta.ndim == 1:
+        return CertificateResult(*(tuple(f[0].tolist()) for f in fields),
+                                 ok=bool(ok[0]))
+    return CertificateResult(*fields, ok=ok)

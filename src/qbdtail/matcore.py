@@ -3,10 +3,10 @@
 Certified dominant eigenpairs (closed form at order <= 2, dense ``eig``
 above, each checked by a Collatz-Wielandt bracket), the package's only other
 eigenvalue solves, the one M-matrix inverse for both time conventions (all
-of these also take stacks, lane by lane), Kronecker algebra and diagonal
-similarity twists.  Everything here is a pure function of its inputs and
-safe for concurrent use; matrices are plain 2-d numpy arrays at desk scale
-(dimension up to a few hundred).
+of these also take stacks, lane by lane), the one Kronecker kernel (also
+over stacks) and diagonal similarity twists.  Everything here is a pure
+function of its inputs and safe for concurrent use; matrices are plain 2-d
+numpy arrays at desk scale (dimension up to a few hundred).
 """
 
 from __future__ import annotations
@@ -210,8 +210,18 @@ def least_eigenvalue(a):
 
 
 def kron_prod(a, b) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Kronecker product of the last two axes, lane by lane over leading
+    stack axes that broadcast: ``out[..., i p + k, j q + l] = a[..., i, j]
+    b[..., k, l]`` for b of shape (..., p, q).  One broadcast multiply and a
+    reshape, which is what ``np.kron`` does, so its entries are the same
+    bits; an (n, k, 1) stack of columns gives the per-lane vector product."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeMismatch(f"expected matrices, got ndim {a.ndim} and {b.ndim}")
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, np.newaxis, :, np.newaxis] * b[..., np.newaxis, :, np.newaxis, :]
+    return out.reshape(out.shape[:-4] + (m * p, n * q))
 
 
 def kron_sum(a, b) -> np.ndarray:
@@ -220,7 +230,7 @@ def kron_sum(a, b) -> np.ndarray:
     b = as_matrix(b)
     if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
         raise ShapeMismatch("kron_sum requires square operands")
-    return np.kron(a, np.eye(b.shape[0])) + np.kron(np.eye(a.shape[0]), b)
+    return kron_prod(a, np.eye(b.shape[0])) + kron_prod(np.eye(a.shape[0]), b)
 
 
 def m_inverses(a) -> tuple:

@@ -319,7 +319,7 @@ def simulate(spec: qbd2d.Qbd2dSpec, seed: int, steps: int,
                     continue
             s += d
             visit(s)
-        counted = np.bincount(visits)
+        counted = np.bincount(np.fromiter(visits, np.intp, len(visits)))
         tally[:counted.size] += counted
         remaining -= block
     counts = tally.reshape(rec1 + 2, rec2 + 2, m)[:rec1 + 1, :rec2 + 1]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from qbdtail import cli, jackson, levelset, modelfile
+from qbdtail import cli, jackson, levelset, matcore, modelfile
 from qbdtail.errors import ParseError, SchemaError
 
 from conftest import product_form_jackson, scalar_rrw
@@ -538,6 +538,37 @@ class TestJacksonCommand:
                               "certificate", "--points", "8"])
         assert code == 0
         assert "certified = true" in text
+
+    def test_certificate_is_one_stacked_call(self, monkeypatch):
+        """``certificate`` checks all its scan points in one
+        ``assumption3_certificate`` call, whose ``dominant`` calls do not
+        grow with ``--points``."""
+        dominant = matcore.dominant
+        certificate = jackson.assumption3_certificate
+        seen = []       # one entry per dominant call
+        per_call = []   # dominant calls inside each certificate call
+
+        def counted_dominant(t):
+            seen.append(1)
+            return dominant(t)
+
+        def counted_certificate(spec, theta):
+            before = len(seen)
+            result = certificate(spec, theta)
+            per_call.append(len(seen) - before)
+            return result
+
+        monkeypatch.setattr(matcore, "dominant", counted_dominant)
+        monkeypatch.setattr(jackson, "assumption3_certificate", counted_certificate)
+        counts = {}
+        for points in (8, 64):
+            per_call.clear()
+            code, text = run_cli(["jackson", str(MODELS / "mapph_jackson.yaml"),
+                                  "certificate", "--points", str(points)])
+            assert code == 0 and "certified = true" in text
+            assert len(per_call) == 1
+            counts[points] = per_call[0]
+        assert counts[8] == counts[64] > 0
 
     def test_wrong_kind_rejected(self):
         assert cli.main(["jackson", str(MODELS / "scalar_rrw.yaml"),

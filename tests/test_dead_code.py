@@ -3,7 +3,8 @@ module-level name or private method that nothing in the package refers to
 (a helper that only tests call is dead too), no public function or method
 that nothing in the package or its tests reads, no defaulted parameter that
 no call in the package or its tests sets, no error type that nothing in
-the package raises, and no dense eigenvalue solve outside ``matcore``.
+the package raises, no dense eigenvalue solve outside ``matcore`` and no
+``np.kron`` beside ``matcore.kron_prod``.
 
 Helpers left behind when their last caller is deleted fail here.  Only the
 standard library's ``ast`` is used; the package's own ``from . import
@@ -239,4 +240,14 @@ def test_dense_eigenvalue_solves_live_in_matcore():
              for node in ast.walk(tree)
              if isinstance(node, ast.Attribute)
              and node.attr in ("eig", "eigvals")]
+    assert found == []
+
+
+def test_kronecker_products_use_the_one_kernel():
+    """No ``np.kron`` anywhere in the package: every Kronecker product,
+    ``kron_sum`` included, goes through ``matcore.kron_prod``."""
+    found = [f"{fname}:{node.lineno}"
+             for fname, tree in _trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "kron"]
     assert found == []

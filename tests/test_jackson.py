@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from qbdtail import jackson, matcore, qbd2d
+from qbdtail import jackson, matcore, modelfile, qbd2d
 from qbdtail.errors import (
     InvalidSpec,
     NotRenewalStructure,
@@ -11,7 +13,19 @@ from qbdtail.errors import (
     ZeroDirection,
 )
 
-from conftest import mmpp2_map, product_form_jackson, tandem_jackson
+from conftest import (mapph_jackson, mmpp2_map, product_form_jackson,
+                      tandem_jackson)
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def h2_service_jackson():
+    """Hyperexponential-2 service at node 1, exponential elsewhere."""
+    return jackson.JacksonSpec(
+        arrivals=(jackson.poisson_map(1.0), jackson.poisson_map(0.5)),
+        services=(jackson.PhSpec(beta=[0.4, 0.6], s=[[-12.0, 0.0], [0.0, -1.6]]),
+                  jackson.exponential_ph(1.6)),
+        r12=0.3, r21=0.2)
 
 
 def erlang2_renewal_map(rate):
@@ -109,6 +123,20 @@ class TestBuildBlocks:
     def test_generator_rows_vanish(self, mapph_spec):
         blocks = jackson.build_blocks(mapph_spec)
         assert qbd2d.validate_spec(blocks) == []
+
+    @pytest.mark.parametrize("name", ["tandem_jackson", "mapph_jackson"])
+    def test_blocks_are_the_np_kron_blocks(self, name, monkeypatch):
+        """Every block of a shipped network is bit-identical to the one
+        assembled with ``np.kron`` in place of ``matcore.kron_prod``."""
+        spec = modelfile.load_model(MODELS / f"{name}.yaml").payload
+        blocks = jackson.build_blocks(spec)
+        monkeypatch.setattr(matcore, "kron_prod", np.kron)
+        ref = jackson.build_blocks(spec)
+        assert blocks.dims == ref.dims
+        for reg, fam in ref.families.items():
+            assert fam.keys() == blocks.families[reg].keys()
+            for inc, b in fam.items():
+                assert blocks.families[reg][inc].tobytes() == b.tobytes(), (reg, inc)
 
     def test_kronecker_eigen_consistency(self, mapph_spec):
         blocks = jackson.build_blocks(mapph_spec)
@@ -294,3 +322,33 @@ class TestCertificate:
     def test_off_curve_raises(self, mapph_spec):
         with pytest.raises(ThetaNotOnCurve):
             jackson.assumption3_certificate(mapph_spec, (2.0, 2.0))
+
+    @pytest.mark.parametrize("make", [tandem_jackson, mapph_jackson,
+                                      h2_service_jackson])
+    def test_stack_lanes_are_the_single_point_certificates(self, make):
+        """A stack of the 32 scan points gives, lane by lane, the
+        certificate of each point alone: residuals and c0 to 1e-13, the same
+        ``ok``; a single point gives floats and a bool."""
+        spec = make()
+        points = jackson.analytic_curve(spec, scan=32).scan_points
+        stack = jackson.assumption3_certificate(spec, points)
+        for field in (stack.residual_upper, stack.residual_lower, stack.c0,
+                      stack.c0_error):
+            assert field.shape == (32, 2)
+        assert stack.ok.shape == (32,) and stack.ok.all()
+        for k, p in enumerate(points):
+            one = jackson.assumption3_certificate(spec, p)
+            assert type(one.ok) is bool and one.ok == stack.ok[k]
+            for single, lanes in ((one.residual_upper, stack.residual_upper),
+                                  (one.residual_lower, stack.residual_lower),
+                                  (one.c0, stack.c0),
+                                  (one.c0_error, stack.c0_error)):
+                assert all(type(x) is float for x in single)
+                assert np.max(np.abs(np.array(single) - lanes[k])) <= 1e-13
+
+    def test_off_curve_lane_raises(self, mapph_spec):
+        points = jackson.analytic_curve(mapph_spec, scan=8).scan_points.copy()
+        assert jackson.assumption3_certificate(mapph_spec, points).ok.all()
+        points[5] *= 1.5
+        with pytest.raises(ThetaNotOnCurve, match="lane 5"):
+            jackson.assumption3_certificate(mapph_spec, points)

@@ -230,6 +230,33 @@ class TestKron:
         with pytest.raises(ShapeMismatch):
             matcore.kron_sum(np.ones((2, 3)), np.eye(2))
 
+    def test_kron_prod_is_np_kron(self):
+        """Bit-identical to ``np.kron`` on every pair of shapes from 1x1 to
+        4x3, and lane by lane on stacks, broadcast ones included."""
+        rng = np.random.default_rng(31)
+        shapes = [(m, n) for m in range(1, 5) for n in range(1, 4)]
+        for sa in shapes:
+            for sb in shapes:
+                a, b = rng.normal(size=sa), rng.normal(size=sb)
+                assert matcore.kron_prod(a, b).tobytes() == np.kron(a, b).tobytes()
+        a, b = rng.normal(size=(5, 2, 3)), rng.normal(size=(5, 4, 1))
+        out = matcore.kron_prod(a, b)
+        assert out.shape == (5, 8, 3)
+        for k in range(5):
+            assert out[k].tobytes() == np.kron(a[k], b[k]).tobytes()
+        out = matcore.kron_prod(a, b[0])
+        for k in range(5):
+            assert out[k].tobytes() == np.kron(a[k], b[0]).tobytes()
+        cols = [rng.uniform(size=(7, k, 1)) for k in (2, 1, 3)]
+        out = matcore.kron_prod(matcore.kron_prod(cols[0], cols[1]), cols[2])
+        for k in range(7):
+            ref = np.kron(np.kron(cols[0][k, :, 0], cols[1][k, :, 0]), cols[2][k, :, 0])
+            assert out[k, :, 0].tobytes() == ref.tobytes()
+
+    def test_kron_prod_shape_check(self):
+        with pytest.raises(ShapeMismatch):
+            matcore.kron_prod(np.ones(3), np.eye(2))
+
 
 class TestNeumannInverse:
     def test_zero_matrix(self):
