@@ -17,17 +17,19 @@ fitted cells: min(m1, m2) at level 0, m above.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 
 import numpy as np
 
-from . import jackson as jk
-from . import modelfile, oracle, qbd1d, qbd2d
+from . import modelfile, qbd2d
 from .errors import (ParseError, QbdTailError, SchemaError, Unstable,
                      ZeroDirection)
-from .levelset import boundary_rows, checked_direction
+
+# jackson, levelset, oracle and qbd1d are imported by the commands that run
+# them, so a command's cold start compiles and executes only its own layers
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -61,6 +63,7 @@ def _int_at_least(low: int):
 
 
 def _parse_direction(text: str):
+    from .levelset import checked_direction
     try:
         c = checked_direction([float(p) for p in text.split(",")])
     except (ValueError, ZeroDirection) as exc:
@@ -73,10 +76,10 @@ def _directions(args) -> list:
             or [(1.0, 0.0), (0.0, 1.0)])
 
 
-def _print_decay(out, rep) -> None:
-    """One decay report: a ``levelset.Decay``, or a ``jackson.JacksonDecay``
-    whose generic path is printed beside the analytic one."""
-    dual = isinstance(rep, jk.JacksonDecay)
+def _print_decay(out, rep, dual: bool) -> None:
+    """One decay report: a ``levelset.Decay``, or with ``dual`` a
+    ``jackson.JacksonDecay`` whose generic path is printed beside the
+    analytic one."""
     dec = rep.analytic if dual else rep
     _emit(out, "category", dec.tau_report.category)
     _emit(out, "tau1", dec.tau_report.tau[0])
@@ -137,12 +140,14 @@ def cmd_validate(args, out) -> int:
 def cmd_stability(args, out) -> int:
     mf = _load(args)
     if mf.kind == "qbd1d":
+        from . import qbd1d
         k = mf.payload
         drift = qbd1d.mean_drift(k)
         _emit(out, "mean_drift", drift)
         _emit(out, "stable", drift < 0)
         return EXIT_OK
     if mf.kind == "jackson":
+        from . import jackson as jk
         tr = jk.traffic_check(mf.payload)
         _emit(out, "rho1", tr.rho[0])
         _emit(out, "rho2", tr.rho[1])
@@ -161,6 +166,7 @@ def cmd_decay(args, out) -> int:
     mf = _load(args)
     directions = _directions(args)
     if mf.kind == "qbd1d":
+        from . import qbd1d
         k = mf.payload
         iv = qbd1d.gamma1d_plus(k)
         _emit(out, "gamma_plus_interval", f"[{_fmt(iv.lo)}, {_fmt(iv.hi)}]"
@@ -173,16 +179,20 @@ def cmd_decay(args, out) -> int:
         _emit(out, "classification", qbd1d.classify_recurrence(k))
         return EXIT_OK
     if mf.kind == "jackson":
-        rep = jk.decay_report(mf.payload, directions, scan=args.scan)
+        from . import jackson as jk
+        _print_decay(out, jk.decay_report(mf.payload, directions,
+                                          scan=args.scan), dual=True)
     else:
-        rep = qbd2d.decay_rates(mf.payload, directions, scan=args.scan)
-    _print_decay(out, rep)
+        _print_decay(out, qbd2d.decay_rates(mf.payload, directions,
+                                            scan=args.scan), dual=False)
     return EXIT_OK
 
 
 def cmd_boundary(args, out) -> int:
+    from .levelset import boundary_rows
     mf = _load(args)
     if mf.kind == "jackson":
+        from . import jackson as jk
         curve = jk.analytic_curve(mf.payload, scan=min(192, args.samples))
     else:
         curve = qbd2d.level_curve(_spec_2d(mf), scan=min(192, args.samples))
@@ -205,6 +215,7 @@ def cmd_jackson(args, out) -> int:
     mf = _load(args)
     if mf.kind != "jackson":
         raise SchemaError("jackson command requires a jackson model file")
+    from . import jackson as jk
     spec = mf.payload
     if args.subcommand == "traffic":
         tr = jk.traffic_check(spec)
@@ -220,7 +231,7 @@ def cmd_jackson(args, out) -> int:
         return EXIT_OK
     if args.subcommand == "decay":
         _print_decay(out, jk.decay_report(spec, _directions(args),
-                                          scan=args.scan))
+                                          scan=args.scan), dual=True)
         return EXIT_OK
     curve = jk.analytic_curve(spec, scan=args.points)
     cert = jk.assumption3_certificate(spec, curve.scan_points)
@@ -239,8 +250,10 @@ def cmd_verify(args, out) -> int:
     if args.level > args.extent or args.phase >= phases:
         raise SchemaError(f"need --level <= --extent ({args.extent}) and --phase "
                           f"< {phases}, the phase count at that level")
+    from . import oracle
     # the analytic taus, under the stability checks that ``decay`` applies
     if mf.kind == "jackson":
+        from . import jackson as jk
         traffic = jk.traffic_check(mf.payload)
         if not traffic.stable:
             raise Unstable(f"utilizations {traffic.rho} not both below one")
@@ -297,7 +310,11 @@ class _Parser(argparse.ArgumentParser):
         return ns
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a parse leaves the
+    tree unchanged (``append`` copies its default list), and ``QBDTAIL_TOL``
+    is read on every ``parse_args``."""
     p = _Parser(
         prog="qbdtail",
         description="Tail decay rates of two-dimensional QBD processes "

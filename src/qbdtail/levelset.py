@@ -443,15 +443,21 @@ def decay(curve: LevelCurve, directions) -> Decay:
 
     Each rate is sup{u >= 0 : u c in the convergence domain}: the minimum of
     the box bound min_i tau_i/c_i and the curve bound over the southwest
-    closure of the tilting region, taken for c scaled to sum one.
+    closure of the tilting region, taken for c scaled to sum one.  c is
+    first divided by 2^e, the least power of two above its largest
+    component; that is exact, so a sum past the float range still gives a
+    finite rate and every other rate is the same to the bit.
     """
     tau = curve.tau_report()
     rates = []
     for c in directions:
-        s = float(c.sum())
-        chat = c / s
+        e = math.frexp(float(c.max()))[1]
+        unit = np.ldexp(c, -e)
+        s = float(unit.sum())
+        chat = unit / s
         box = min(tau.tau[i] / chat[i] for i in range(2) if chat[i] > 0)
-        rates.append(float(min(box, curve.directional_sup(chat))) / s)
+        rates.append(math.ldexp(float(min(box, curve.directional_sup(chat))) / s,
+                                -e))
     return Decay(tau_report=tau,
                  directions=tuple((float(c[0]), float(c[1])) for c in directions),
                  rates=tuple(rates))

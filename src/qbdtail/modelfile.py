@@ -15,13 +15,17 @@ is strict: unknown keys, missing blocks and malformed matrices raise
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import yaml
 
-from . import jackson as jk
-from . import qbd1d, qbd2d
+from . import qbd2d
 from .errors import NotIrreducible, ParseError, SchemaError
+
+if TYPE_CHECKING:   # imported where a payload of their kind is built
+    from . import jackson as jk
+    from . import qbd1d
 
 SCHEMA_VERSION = "1"
 KINDS = ("qbd1d", "qbd2d_discrete", "qbd2d_continuous", "jackson")
@@ -68,6 +72,7 @@ def _expect_keys(node: dict, required, where: str):
 
 
 def _parse_qbd1d(model: dict) -> qbd1d.QbdBlocks:
+    from . import qbd1d
     _expect_keys(model, ("b0", "b1", "bm1", "am1", "a0", "a1"), "model")
     try:
         return qbd1d.QbdBlocks(**{k: _matrix(model[k], f"model.{k}")
@@ -119,6 +124,7 @@ def _parse_qbd2d(model: dict, time: str) -> qbd2d.Qbd2dSpec:
 
 
 def _parse_jackson(model: dict) -> jk.JacksonSpec:
+    from . import jackson as jk
     _expect_keys(model, ("arrivals", "services", "routing"), "model")
     arr_node, srv_node = model["arrivals"], model["services"]
     if not (isinstance(arr_node, list) and len(arr_node) == 2):

@@ -15,12 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import matcore, qbd1d
+from . import matcore
 from .errors import FaceNotInvertible, ThetaNotOnCurve, Unstable
-from .levelset import Decay, LevelCurve, checked_direction, decay
+
+if TYPE_CHECKING:   # imported by the analyses that run them
+    from . import qbd1d
+    from .levelset import Decay, LevelCurve
 
 H = (-1, 0, 1)
 HP = (0, 1)
@@ -327,6 +331,7 @@ def feasibility_margin(spec: Qbd2dSpec):
 
 def level_curve(spec: Qbd2dSpec, scan: int = 192) -> LevelCurve:
     """The boundary curve of the tilting region with feasibility margins."""
+    from .levelset import LevelCurve
     return LevelCurve(curve_gap(spec), feasibility_margin(spec), scan_size=scan)
 
 
@@ -382,6 +387,7 @@ def mean_drifts(spec: Qbd2dSpec) -> tuple:
 
 def _transverse_qbd(spec: Qbd2dSpec, i: int) -> qbd1d.QbdBlocks:
     """The QBD in coordinate 3-i obtained by summing out coordinate i."""
+    from . import qbd1d
     down, f0, f1, a_low, a_up, a_down = _sum_parts(spec.face_stacks[i], 0.0)
     return qbd1d.QbdBlocks(b0=f0, b1=f1, bm1=down, am1=a_down, a0=a_low,
                            a1=a_up)
@@ -392,6 +398,7 @@ def _induced_drift(spec: Qbd2dSpec, i: int) -> float:
     discrete spec, under the matrix-geometric stationary law of the
     transverse chain in coordinate 3-i, which must be positive recurrent
     (mu_{3-i} < 0)."""
+    from . import qbd1d
     nu0, nu1, r = qbd1d.stationary_boundary(_transverse_qbd(spec, i))
     face, inner = _FACES[i]
 
@@ -450,6 +457,7 @@ def stability_check(spec: Qbd2dSpec) -> Stability:
 def decay_rates(spec: Qbd2dSpec, directions, scan: int = 192) -> Decay:
     """Directional decay rates (see ``levelset.decay``) from one curve
     analysis; directions and stability are checked before any curve work."""
+    from .levelset import checked_direction, decay
     directions = [checked_direction(c) for c in directions]
     verdict = stability_check(spec).verdict
     if verdict != "stable":
@@ -467,6 +475,7 @@ def check_assumption2(spec: Qbd2dSpec, theta, i: int) -> qbd1d.CompatibilityResu
     Perron vector of the interior MGF; the pinned scalar is 1 in discrete
     time and 0 in continuous time.
     """
+    from . import qbd1d
     theta = np.asarray(theta, dtype=float)
     level = gamma_level(spec)
     gamma, h = gamma2_pair(spec, theta)

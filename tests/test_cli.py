@@ -678,7 +678,7 @@ def test_verify_level_and_phase_are_checked_before_the_solve(
     def no_solve(*args, **kwargs):
         raise AssertionError("the solver ran on a bad --level or --phase")
 
-    monkeypatch.setattr(cli.oracle, "truncate_and_solve", no_solve)
+    monkeypatch.setattr("qbdtail.oracle.truncate_and_solve", no_solve)
     argv = ["verify", str(MODELS / "modulated_rrw.yaml"), "--extent", "20",
             *flags]
     assert cli.main(argv) == 2
@@ -707,3 +707,54 @@ def test_boundary_unwritable_out_is_an_input_error(target, tmp_path, capsys):
     assert captured.err.startswith(f"model error: cannot write --out {out}")
     assert "Traceback" not in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+def _rates(text):
+    """(analytic, generic or None) rate of every direction line."""
+    return [(float(m[1]), m[2] and float(m[2])) for m in re.finditer(
+        r"^direction \S+: rate = (\S+)(?: generic = (\S+))?", text, re.M)]
+
+
+@pytest.mark.parametrize("k", [1e300, 1e308])
+@pytest.mark.parametrize("command", [["decay", "scalar_rrw"],
+                                     ["jackson", "tandem_jackson", "decay"]])
+def test_huge_direction_scales_the_rate(command, k):
+    # a direction whose components sum past the float range has the rate
+    # of its unit multiple over k, not a traceback
+    argv = [command[0], str(MODELS / f"{command[1]}.yaml"), *command[2:]]
+    code, unit = run_cli([*argv, "--direction", "1,1"])
+    assert code == 0
+    code, huge = run_cli([*argv, "--direction", f"{k!r},{k!r}"])
+    assert code == 0
+    (rate, generic), = _rates(huge)
+    (unit_rate, unit_generic), = _rates(unit)
+    assert rate == pytest.approx(unit_rate / k, rel=1e-12, abs=0)
+    if generic is not None:
+        assert generic == pytest.approx(unit_generic / k, rel=1e-12, abs=0)
+
+
+def test_one_parser_serves_successive_calls(monkeypatch, capsys):
+    # the memoized parser keeps no state between calls: the append default
+    # is fresh, QBDTAIL_TOL is read on every call and an argparse error
+    # leaves the next call working
+    assert cli.build_parser() is cli.build_parser()
+    walk = str(MODELS / "scalar_rrw.yaml")
+    monkeypatch.delenv("QBDTAIL_TOL", raising=False)
+    assert cli.main(["decay", walk, "--direction", "1,1"]) == 0
+    assert re.findall(r"^direction (\S+):", capsys.readouterr().out,
+                      re.M) == ["1,1"]
+    assert cli.main(["decay", walk]) == 0
+    assert re.findall(r"^direction (\S+):", capsys.readouterr().out,
+                      re.M) == ["1,0", "0,1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decay", walk, "--scan", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli.main(["decay", walk]) == 0
+    assert re.findall(r"^direction (\S+):", capsys.readouterr().out,
+                      re.M) == ["1,0", "0,1"]
+    monkeypatch.setenv("QBDTAIL_TOL", "abc")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decay", walk])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

@@ -1,9 +1,15 @@
 """Import guards: no module of ``src/qbdtail`` imports ``scipy.optimize``,
-and ``qbdtail decay`` on a 1-d QBD model runs without importing scipy.
+and each command loads only the layers it runs.
 
-scipy is loaded lazily by the oracle only; keeping it off the ``decay``
-path keeps that command's start-up time and peak memory small.  The first
-check reads the sources with the standard library's ``ast``.
+scipy is loaded lazily by the oracle only, and ``cli``, ``modelfile`` and
+``qbd2d`` import ``jackson``, ``levelset``, ``oracle`` and ``qbd1d`` inside
+the functions that use them.  So ``validate`` on a 2-d walk loads none of
+those four, ``decay`` on a walk loads neither ``oracle`` nor ``jackson``,
+``jackson ... decay`` loads no ``oracle``, and none of these nor ``decay``
+on a 1-d QBD loads scipy; each command's start-up time and peak memory
+stay those of its own layers.  The first check reads the sources with the
+standard library's ``ast``; the others run ``cli.main`` in a fresh
+interpreter and read ``sys.modules``.
 """
 
 import ast
@@ -12,8 +18,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qbdtail"
+MODELS = ROOT / "models"
 
 QBD1D_TWO_PHASE = """\
 schema_version: "1"
@@ -46,20 +55,46 @@ def test_no_scipy_optimize_import():
     assert found == []
 
 
-def test_qbd1d_decay_leaves_scipy_unloaded(tmp_path):
-    model = tmp_path / "qbd1d.yaml"
-    model.write_text(QBD1D_TWO_PHASE)
+def _loaded_after(argv):
+    """(exit code, stdout, loaded module names) of ``cli.main(argv)`` in a
+    fresh interpreter."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src")
                + (os.pathsep + path if path else ""))
     script = ("import sys\n"
               "from qbdtail.cli import main\n"
-              f"code = main(['decay', {str(model)!r}])\n"
-              "print('scipy_loaded =', any(m == 'scipy' or m.startswith('scipy.')"
-              " for m in sys.modules))\n"
+              f"code = main({argv!r})\n"
+              "print('loaded =', ' '.join(sorted(sys.modules)))\n"
               "sys.exit(code)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "classification = " in proc.stdout
-    assert "scipy_loaded = False" in proc.stdout
+    report, _, loaded = proc.stdout.rpartition("loaded = ")
+    return report, set(loaded.split())
+
+
+def _scipy_loaded(modules) -> bool:
+    return any(m == "scipy" or m.startswith("scipy.") for m in modules)
+
+
+def test_qbd1d_decay_leaves_scipy_unloaded(tmp_path):
+    model = tmp_path / "qbd1d.yaml"
+    model.write_text(QBD1D_TWO_PHASE)
+    report, loaded = _loaded_after(["decay", str(model)])
+    assert "classification = " in report
+    assert not _scipy_loaded(loaded)
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["validate", "scalar_rrw.yaml"],
+     ("oracle", "jackson", "levelset", "qbd1d")),
+    (["decay", "scalar_rrw.yaml"], ("oracle", "jackson")),
+    (["jackson", "tandem_jackson.yaml", "decay"], ("oracle",)),
+], ids=["validate-walk", "decay-walk", "jackson-decay"])
+def test_command_loads_only_its_layers(argv, absent):
+    argv = [argv[0], str(MODELS / argv[1]), *argv[2:]]
+    report, loaded = _loaded_after(argv)
+    assert report.startswith(("kind = ", "category = "))
+    assert sorted(f"qbdtail.{name}" for name in absent
+                  if f"qbdtail.{name}" in loaded) == []
+    assert not _scipy_loaded(loaded)
