@@ -84,6 +84,10 @@ class ZeroDirection(QbdTailError):
     """Direction vector must be finite, nonnegative and nonzero."""
 
 
+class RateOverflow(QbdTailError):
+    """A decay rate lies past the float range."""
+
+
 class ThetaNotOnCurve(QbdTailError):
     """theta does not lie on the eigenvalue level curve."""
 

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import matcore, qbd1d, qbd2d
+from . import matcore, qbd2d
 from .errors import (
     InvalidSpec,
     NoSignChange,
@@ -27,7 +28,9 @@ from .errors import (
     ThetaNotOnCurve,
     Unstable,
 )
-from .levelset import Decay, LevelCurve, checked_direction, decay
+
+if TYPE_CHECKING:   # imported by the functions that run a curve or a root
+    from .levelset import Decay, LevelCurve
 
 
 @dataclass(frozen=True)
@@ -346,6 +349,7 @@ def _lt_inverse(weights: np.ndarray, gen: np.ndarray, y: float) -> float:
     -theta0 is the dominant eigenvalue of the generator."""
     # PH and MAP subgenerators may be reducible (Erlang stages), so no
     # Perron certificate here
+    from . import qbd1d
     theta0 = matcore.least_eigenvalue(-gen)
     try:
         return qbd1d.bisect_root(lambda x: _lt_value(weights, gen, x) - y,
@@ -395,6 +399,7 @@ def renewal_arrival_cumulant(arr: MapSpec, theta: float) -> float:
 def analytic_curve(spec: JacksonSpec, scan: int = 192) -> LevelCurve:
     """Level curve of gamma_plus with face feasibility margins
     gamma^{(i)}(theta): face i is feasible where gamma^{(i)} <= slack."""
+    from .levelset import LevelCurve
     cs = cumulants(spec)
     return LevelCurve(cs.gamma_plus, lambda theta, i: cs.gamma_face(i, theta),
                       scan_size=scan)
@@ -416,6 +421,7 @@ def decay_report(spec: JacksonSpec, directions, scan: int = 192) -> JacksonDecay
     two-dimensional analysis.  A discrepancy beyond 1e-6 raises
     PathDisagreement, signalling a defect.
     """
+    from .levelset import checked_direction, decay
     directions = [checked_direction(c) for c in directions]
     traffic = traffic_check(spec)
     if not traffic.stable:

@@ -15,9 +15,9 @@ center; the radial roots of every scan angle (and the sections of a
 boundary table) are solved in lockstep, one stacked ``gap`` call per
 step.  Every other curve point is bracketed from the known curve points
 around its angle (convexity puts the root between a chord and two
-secants) and solved alone: an extreme at its Newton angle and the flag
-transitions (Brent on the margin in the angle, only in cells whose
-convexity bound on theta_i can beat the best feasible point).  Sections,
+secants) and solved alone: an extreme at its Newton angle and one flag
+transition per face (Brent on the margin in the angle, at the first flag
+change of the walk from the pole along the lower branch).  Sections,
 tau/category and the directional rates work point by point.  All of it
 is independent of how ``gap`` and the margins are computed.
 """
@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (EmptyGammaPlus, InconsistentCategory, NoConvergence,
-                     ZeroDirection)
+                     RateOverflow, ZeroDirection)
 from .qbd1d import LE_ONE_SLACK, _brent_bracket, _sublevel_interval
 
 CATEGORY_TOL = 1e-9
@@ -269,83 +269,60 @@ class LevelCurve:
 
     # -- feasibility extremes ----------------------------------------------
 
-    def _flag(self, point, i: int) -> bool:
-        """Flag i alone at a curve point (face i's margin only)."""
-        return bool(self.margin(point, i) <= LE_ONE_SLACK)
-
-    def _flag_cells(self, i: int) -> np.ndarray:
-        """Scan cells k (from sample k to sample k + 1, wrapped) where flag
-        i changes."""
-        f = self.scan_margins[:, i - 1] <= LE_ONE_SLACK
-        return np.flatnonzero(f != np.roll(f, -1))
-
-    def _transition(self, i: int, k: int) -> np.ndarray:
-        """The feasible-arc boundary in scan cell k: Brent on margin i minus
-        the slack in phi, to a bracket of 1e-10 whose feasible end is
-        returned."""
-        n = len(self.scan_phi)
-        a = self.scan_phi[k]
-        b = a + 2.0 * np.pi / n
-        points = {a: self.scan_points[k], b: self.scan_points[(k + 1) % n]}
+    def _transition(self, i: int, a, b) -> np.ndarray:
+        """The face-i flag change between curve points a and b, each (angle,
+        point, margin i minus the slack) with excesses of opposite signs:
+        Brent on the excess in the angle to a bracket of 1e-10; its feasible end."""
+        points = {a[0]: a[1], b[0]: b[1]}
 
         def excess(phi):
             p = points[phi] = self.point_at(phi)
             return float(self.margin(p, i)) - LE_ONE_SLACK
 
-        ends = (self.scan_margins[[k, (k + 1) % n], i - 1] - LE_ONE_SLACK).tolist()
-        x, fx, y, _ = _brent_bracket(excess, a, ends[0], b, ends[1], 1e-10)
+        x, fx, y, _ = _brent_bracket(excess, a[0], a[2], b[0], b[2], 1e-10)
         return points[x if fx <= 0 else y]
-
-    def _arc_bounds(self, i: int, cells) -> np.ndarray:
-        """Upper bounds of theta_i on the curve arcs of scan cells.
-
-        By convexity the arc from A (sample k) to B (sample k + 1) lies
-        outside the chord AB and inside the lines PA and BQ through the
-        samples P, Q next out.  When those lines meet at X beyond the chord,
-        the arc lies in the triangle ABX and theta_i is at most the largest
-        of its corners; otherwise the bound is +inf.
-        """
-        n = len(self.scan_points)
-        p, a, b, q = (self.scan_points[(cells + j) % n] for j in (-1, 0, 1, 2))
-        cross = lambda x, y: x[:, 0] * y[:, 1] - x[:, 1] * y[:, 0]
-        da, db = a - p, b - q
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = cross(b - a, db) / cross(da, db)   # X = A + s da = B + r db
-            r = cross(b - a, da) / cross(da, db)
-        x = a + s[:, np.newaxis] * da
-        meet = np.isfinite(s) & np.isfinite(r) & (s >= 0) & (r >= 0)
-        top = np.maximum(np.maximum(a, b), x)[:, i - 1]
-        return np.where(meet, top, np.inf)
 
     def feasible_extreme(self, i: int) -> np.ndarray:
         """arg sup{theta_i >= 0 : theta on curve, flag_i holds}.
 
-        The candidates are the feasible scan samples and the flag
-        transitions.  Transition cells are solved in decreasing order of
-        their arc bound (``_arc_bounds``) until the bound falls below the
-        best candidate so far: no arc past that point can reach it.
+        The pole when flag i holds there.  Otherwise one Brent on the first
+        flag change met on the walk from the pole along the lower branch
+        (clockwise from pole 1, counter-clockwise from pole 2): theta_i
+        falls along that branch, and face i's feasible points form one arc
+        of it from the origin up to the extreme (C^(i) is nondecreasing in
+        theta_{3-i}).  The bracket is the scan cell of the first feasible
+        sample walked, on the pole side; with no feasible sample, the walk
+        from the pole to the origin, where |gap(0)| <= 1e-12.  A feasible
+        scan sample above the answer, or a cell feasible at both ends (face
+        i holds around its pole), raises ``InconsistentCategory``.
         """
         pole = self.pole(i)
-        if self._flag(pole, i):
+        top = float(self.margin(pole, i)) - LE_ONE_SLACK
+        if top <= 0:
             return pole
-        cands = [p for p, m in zip(self.scan_points, self.scan_margins[:, i - 1])
-                 if m <= LE_ONE_SLACK and p[i - 1] >= -1e-12]
-        best = max((p[i - 1] for p in cands), default=-np.inf)
-        cells = self._flag_cells(i)
-        bounds = self._arc_bounds(i, cells)
-        solved = {}
-        for j in np.argsort(-bounds, kind="stable"):
-            if bounds[j] < best:
-                break
-            p = self._transition(i, cells[j])
-            if p[i - 1] >= -1e-12:
-                solved[j] = p
-                best = max(best, p[i - 1])
-        cands.extend(solved[j] for j in sorted(solved))
-        if not cands:
-            raise EmptyGammaPlus(
-                f"no feasible curve point with theta_{i} >= 0")
-        return cands[int(np.argmax([p[i - 1] for p in cands]))]
+        n, turn = len(self.scan_phi), (-1.0 if i == 1 else 1.0)
+        start = math.atan2(*(pole - self.center)[::-1])
+        along = lambda phi: turn * (phi - start) % (2.0 * np.pi)
+        excess = self.scan_margins[:, i - 1] - LE_ONE_SLACK
+        hits, ends = np.flatnonzero(excess <= 0), []
+        if hits.size:   # the scan cell of the first hit walked, on the pole side
+            c = hits[np.argmin(along(self.scan_phi[hits]))] - (i == 2)
+            ends = [(self.scan_phi[c], self.scan_points[c], float(excess[c])),
+                    (self.scan_phi[c] + 2.0 * np.pi / n,
+                     self.scan_points[(c + 1) % n], float(excess[(c + 1) % n]))]
+        elif abs(float(self.gap(np.zeros(2)))) <= 1e-12:
+            ends = [(start, pole, top),
+                    (start + turn * along(math.atan2(*-self.center[::-1])),
+                     np.zeros(2), float(self.margin(np.zeros(2), i)) - LE_ONE_SLACK)]
+        feasible = [e <= 0 for _, _, e in ends]
+        if not any(feasible):
+            raise EmptyGammaPlus(f"no feasible curve point on face {i}")
+        p = None if all(feasible) else self._transition(i, *ends)
+        if p is None or np.any(self.scan_points[excess <= 0, i - 1] > p[i - 1]):
+            raise InconsistentCategory(f"face {i}: not one feasible arc below the pole")
+        if p[i - 1] < -1e-12:
+            raise EmptyGammaPlus(f"no feasible curve point with theta_{i} >= 0")
+        return p
 
     def xi_bar(self, i: int, other_value: float) -> float:
         """sup of theta_i over feasible curve points at fixed other
@@ -354,7 +331,8 @@ class LevelCurve:
         if sec is None:
             raise EmptyGammaPlus("section misses the level region")
         for end in sec[::-1]:
-            if self._flag(self._point_on_section(i, end, other_value), i):
+            if self.margin(self._point_on_section(i, end, other_value),
+                           i) <= LE_ONE_SLACK:
                 return end
         raise EmptyGammaPlus("no feasible point on the section")
 
@@ -446,7 +424,7 @@ def decay(curve: LevelCurve, directions) -> Decay:
     closure of the tilting region, taken for c scaled to sum one.  c is
     first divided by 2^e, the least power of two above its largest
     component; that is exact, so a sum past the float range still gives a
-    finite rate and every other rate is the same to the bit.
+    finite rate, and a rate past it raises ``RateOverflow``.
     """
     tau = curve.tau_report()
     rates = []
@@ -456,8 +434,10 @@ def decay(curve: LevelCurve, directions) -> Decay:
         s = float(unit.sum())
         chat = unit / s
         box = min(tau.tau[i] / chat[i] for i in range(2) if chat[i] > 0)
-        rates.append(math.ldexp(float(min(box, curve.directional_sup(chat))) / s,
-                                -e))
+        rate = float(min(box, curve.directional_sup(chat))) / s
+        if rate and math.frexp(rate)[1] - e > 1024:
+            raise RateOverflow(f"rate in direction {c.tolist()} past the float range")
+        rates.append(math.ldexp(rate, -e))
     return Decay(tau_report=tau,
                  directions=tuple((float(c[0]), float(c[1])) for c in directions),
                  rates=tuple(rates))

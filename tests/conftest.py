@@ -55,6 +55,39 @@ def trichotomy_fuzz_specs():
     return out
 
 
+def adversarial_face_spec(seed):
+    """Two-phase walk whose face-1 kernel, drawn with numpy ``seed``, has a
+    modulation that breaks the proportionality structure of Assumption 2;
+    face 2 and the origin keep the interior moves."""
+    rng = np.random.default_rng(seed)
+    m = 2
+    base = rng.uniform(0.02, 0.08, size=(6, m, m))
+    interior = {(1, 0): base[0], (-1, 0): base[1] + 0.1 * np.eye(m),
+                (0, 1): base[2], (0, -1): base[3] + 0.1 * np.eye(m)}
+    ssum = sum(interior.values()) @ np.ones(m)
+    interior[(0, 0)] = np.diag(1.0 - ssum)
+    face1 = {(1, 0): base[4], (-1, 0): base[1] + 0.1 * np.eye(m),
+             (0, 1): base[5]}
+    fsum = sum(face1.values()) @ np.ones(m)
+    face1[(0, 0)] = np.diag(1.0 - fsum)
+    face2 = {(1, 0): interior[(1, 0)], (0, 1): interior[(0, 1)],
+             (0, -1): interior[(0, -1)]}
+    f2sum = sum(face2.values()) @ np.ones(m)
+    face2[(0, 0)] = np.diag(1.0 - f2sum)
+    origin = {(1, 0): interior[(1, 0)], (0, 1): interior[(0, 1)]}
+    osum = sum(origin.values()) @ np.ones(m)
+    origin[(0, 0)] = np.diag(1.0 - osum)
+    fams = {("+", "+"): interior, ("+", "0"): face1, ("0", "+"): face2,
+            ("0", "0"): origin,
+            ("1", "0"): {(-1, 0): interior[(-1, 0)]},
+            ("0", "1"): {(0, -1): interior[(0, -1)]},
+            ("1", "1"): {(-1, 0): interior[(-1, 0)],
+                         (0, -1): interior[(0, -1)]},
+            ("+", "1"): {(0, -1): interior[(0, -1)]},
+            ("1", "+"): {(-1, 0): interior[(-1, 0)]}}
+    return qbd2d.make_spec(fams, (m, m, m, m), "discrete")
+
+
 def product_form_jackson():
     """Exponential network: lam = (1, 0.5), mu = (2, 3), r12 = 0.3, r21 = 0.2."""
     return jackson.JacksonSpec(

@@ -417,6 +417,25 @@ class TestDecayCommand:
         golden = Path(__file__).resolve().parent / "data" / f"decay_{name}.txt"
         assert text == golden.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("name", ["scalar_rrw", "modulated_rrw",
+                                      "tandem_jackson", "mapph_jackson"])
+    def test_coarsest_scan(self, name):
+        """``decay --scan 1``: with no feasible scan sample on the walk
+        from a pole, the face extreme is bracketed from the pole to the
+        origin, and tau on both paths stays within 1e-9 of the golden
+        report."""
+        code, text = run_cli(["decay", str(MODELS / f"{name}.yaml"),
+                              "--scan", "1"])
+        assert code == 0
+        taus = lambda t: {k: float(v) for k, v in
+                          re.findall(r"^(tau\S*) = (\S+)$", t, re.M)}
+        golden = Path(__file__).resolve().parent / "data" / f"decay_{name}.txt"
+        want = taus(golden.read_text(encoding="utf-8"))
+        got = taus(text)
+        assert got.keys() == want.keys() and len(want) in (2, 4)
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-9, key
+
     def test_qbd1d_decay(self, tmp_path):
         f = tmp_path / "m.yaml"
         f.write_text(QBD1D_FILE)
@@ -731,6 +750,28 @@ def test_huge_direction_scales_the_rate(command, k):
     assert rate == pytest.approx(unit_rate / k, rel=1e-12, abs=0)
     if generic is not None:
         assert generic == pytest.approx(unit_generic / k, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("k", [1e-310, 1e-320])
+@pytest.mark.parametrize("command", [["decay", "scalar_rrw"],
+                                     ["jackson", "tandem_jackson", "decay"]])
+def test_tiny_direction_is_a_numerical_failure(command, k, capsys):
+    # a rate past the float range exits 3 with one line naming the
+    # direction and prints no rate, not a traceback
+    argv = [command[0], str(MODELS / f"{command[1]}.yaml"), *command[2:]]
+    assert cli.main([*argv, "--direction", f"{k!r},{k!r}"]) == 3
+    captured = capsys.readouterr()
+    assert "rate = " not in captured.out
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+    assert f"{k!r}, {k!r}" in err[0]
+
+
+def test_smallest_direction_keeps_a_finite_rate():
+    code, text = run_cli(["decay", str(MODELS / "scalar_rrw.yaml"),
+                          "--direction", "5e-309,0"])
+    assert code == 0
+    assert "direction 5e-309,0: rate = 1.02165124803e+308\n" in text
 
 
 def test_one_parser_serves_successive_calls(monkeypatch, capsys):

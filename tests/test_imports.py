@@ -1,13 +1,14 @@
 """Import guards: no module of ``src/qbdtail`` imports ``scipy.optimize``,
 and each command loads only the layers it runs.
 
-scipy is loaded lazily by the oracle only, and ``cli``, ``modelfile`` and
-``qbd2d`` import ``jackson``, ``levelset``, ``oracle`` and ``qbd1d`` inside
-the functions that use them.  So ``validate`` on a 2-d walk loads none of
-those four, ``decay`` on a walk loads neither ``oracle`` nor ``jackson``,
-``jackson ... decay`` loads no ``oracle``, and none of these nor ``decay``
-on a 1-d QBD loads scipy; each command's start-up time and peak memory
-stay those of its own layers.  The first check reads the sources with the
+scipy is loaded lazily by the oracle only, and ``cli``, ``modelfile``,
+``qbd2d`` and ``jackson`` import ``jackson``, ``levelset``, ``oracle`` and
+``qbd1d`` inside the functions that use them.  So ``validate`` on a 2-d
+walk loads none of those four, ``validate`` on a Jackson file loads no
+``oracle``, ``levelset`` or ``qbd1d``, ``decay`` on a walk loads neither
+``oracle`` nor ``jackson``, ``jackson ... decay`` loads no ``oracle``, and
+none of these nor ``decay`` on a 1-d QBD loads scipy; each command's
+start-up time and peak memory stay those of its own layers.  The first check reads the sources with the
 standard library's ``ast``; the others run ``cli.main`` in a fresh
 interpreter and read ``sys.modules``.
 """
@@ -88,9 +89,11 @@ def test_qbd1d_decay_leaves_scipy_unloaded(tmp_path):
 @pytest.mark.parametrize("argv, absent", [
     (["validate", "scalar_rrw.yaml"],
      ("oracle", "jackson", "levelset", "qbd1d")),
+    (["validate", "tandem_jackson.yaml"], ("oracle", "levelset", "qbd1d")),
     (["decay", "scalar_rrw.yaml"], ("oracle", "jackson")),
     (["jackson", "tandem_jackson.yaml", "decay"], ("oracle",)),
-], ids=["validate-walk", "decay-walk", "jackson-decay"])
+], ids=["validate-walk", "validate-jackson", "decay-walk",
+        "jackson-decay"])
 def test_command_loads_only_its_layers(argv, absent):
     argv = [argv[0], str(MODELS / argv[1]), *argv[2:]]
     report, loaded = _loaded_after(argv)

@@ -8,10 +8,11 @@ import pytest
 from scipy.optimize import brentq, minimize_scalar
 
 from qbdtail import jackson, levelset, modelfile, qbd1d, qbd2d
-from qbdtail.errors import EmptyGammaPlus, FaceNotInvertible, NoConvergence
+from qbdtail.errors import (EmptyGammaPlus, FaceNotInvertible,
+                            InconsistentCategory, NoConvergence)
 from qbdtail.levelset import LevelCurve
 
-from conftest import scalar_rrw, trichotomy_fuzz_specs
+from conftest import adversarial_face_spec, scalar_rrw, trichotomy_fuzz_specs
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 SHIPPED = ("scalar_rrw", "modulated_rrw", "tandem_jackson", "mapph_jackson")
@@ -120,8 +121,16 @@ def flags(curve, point):
 
 
 def transitions(curve, i):
-    """Every feasible-arc boundary on the curve, one per flag-change cell."""
-    return [curve._transition(i, k) for k in curve._flag_cells(i)]
+    """Every feasible-arc boundary on the curve, one per scan cell (sample
+    k to sample k + 1, wrapped) where flag i changes, each solved from its
+    cell's two samples."""
+    n = len(curve.scan_phi)
+    excess = curve.scan_margins[:, i - 1] - qbd1d.LE_ONE_SLACK
+    end = lambda k, phi: (phi, curve.scan_points[k % n], float(excess[k % n]))
+    flag = excess <= 0
+    return [curve._transition(i, end(k, curve.scan_phi[k]),
+                              end(k + 1, curve.scan_phi[k] + 2.0 * np.pi / n))
+            for k in np.flatnonzero(flag != np.roll(flag, -1))]
 
 
 def old_flags(spec, theta):
@@ -206,8 +215,8 @@ def decay_values(name, scan):
 @pytest.mark.parametrize("name", SHIPPED)
 def test_tau_and_rates_do_not_depend_on_the_scan(name):
     ref = decay_values(name, 192)
-    for scan in (4, 32, 64, 512):
-        assert np.max(np.abs(decay_values(name, scan) - ref)) <= 1e-9
+    for scan in (1, 2, 3, 4, 32, 64, 512):
+        assert np.max(np.abs(decay_values(name, scan) - ref)) <= 1e-9, scan
 
 
 # (level-function calls, point_at calls) of `decay` in the four directions
@@ -326,7 +335,7 @@ def exhaustive_extreme(curve, i):
     every flag transition with theta_i >= -1e-12; None when there is no
     such point."""
     pole = curve.pole(i)
-    if curve._flag(pole, i):
+    if flags(curve, pole)[i - 1]:
         return pole
     cands = [p for p, m in zip(curve.scan_points, curve.scan_margins[:, i - 1])
              if m <= qbd1d.LE_ONE_SLACK]
@@ -337,39 +346,87 @@ def exhaustive_extreme(curve, i):
     return cands[int(np.argmax([p[i - 1] for p in cands]))]
 
 
+def fuzz_curves(scan):
+    """(label, curve) for the shipped curves and the category-fuzz walks."""
+    return shipped_curves(scan) + [
+        (f"fuzz-{j}", qbd2d.level_curve(spec, scan=scan))
+        for j, spec in enumerate(trichotomy_fuzz_specs())]
+
+
 class TestPrunedTransitions:
+    """feasible_extreme walks from the pole along the lower branch and
+    solves only the first flag change it meets."""
+
+    def test_one_feasible_arc_through_the_origin(self):
+        # the walk's premise: on every curve that qbdtail builds, face i's
+        # feasible samples form one arc, the origin lies on the curve with
+        # a feasible margin, and where the pole is infeasible the best
+        # feasible sample is on the lower branch (walked from the pole
+        # before the opposite extreme)
+        curves = fuzz_curves(512) + [
+            (f"adversarial-{seed}",
+             qbd2d.level_curve(adversarial_face_spec(seed), scan=512))
+            for seed in range(8)]
+        for label, curve in curves:
+            assert abs(curve.gap(np.zeros(2))) <= 1e-12, label
+            for i in (1, 2):
+                flag = curve.scan_margins[:, i - 1] <= qbd1d.LE_ONE_SLACK
+                assert np.sum(flag != np.roll(flag, -1)) == 2, (label, i)
+                assert flags(curve, np.zeros(2))[i - 1], (label, i)
+                if flags(curve, curve.pole(i))[i - 1]:
+                    continue
+                turn = -1.0 if i == 1 else 1.0
+                angle = lambda p: np.arctan2(*(p - curve.center)[::-1])
+                along = lambda phi: turn * (phi - angle(curve.pole(i))) % (2 * np.pi)
+                feasible = np.flatnonzero(flag)
+                best = feasible[np.argmax(curve.scan_points[feasible, i - 1])]
+                far = curve.extreme(-np.eye(2)[i - 1])
+                assert along(curve.scan_phi[best]) <= along(angle(far)), (label, i)
+
     @pytest.mark.parametrize("scan", [4, 16, 64])
     def test_pruned_extreme_is_the_exhaustive_argmax(self, scan):
-        curves = shipped_curves(scan) + [
-            (f"fuzz-{j}", qbd2d.level_curve(spec, scan=scan))
-            for j, spec in enumerate(trichotomy_fuzz_specs())]
-        for label, curve in curves:
+        fine = dict(fuzz_curves(192))
+        for label, curve in fuzz_curves(scan):
             for i in (1, 2):
                 # the exhaustive list is solved first: a transition solved
                 # again reads the same curve points and lands on the same point
                 want = exhaustive_extreme(curve, i)
+                got = curve.feasible_extreme(i)
                 if want is None:
-                    with pytest.raises(EmptyGammaPlus):
-                        curve.feasible_extreme(i)
+                    ref = fine[label].feasible_extreme(i)
+                    assert np.max(np.abs(got - ref)) <= 1e-9, (label, i)
                 else:
-                    assert np.array_equal(curve.feasible_extreme(i), want), label
+                    assert np.array_equal(got, want), (label, i)
 
     def test_one_transition_per_face_at_the_default_scan(self, monkeypatch):
+        # and at every other scan, the coarsest included
         solved = []
         transition = LevelCurve._transition
 
-        def recorded(self, i, k):
+        def recorded(self, i, a, b):
             solved.append(i)
-            return transition(self, i, k)
+            return transition(self, i, a, b)
 
         monkeypatch.setattr(LevelCurve, "_transition", recorded)
-        for label, curve in shipped_curves(192):
-            for i in (1, 2):
-                solved.clear()
-                curve.feasible_extreme(i)
-                cells = len(curve._flag_cells(i))
-                assert cells == 2, label
-                assert len(solved) == (0 if curve._flag(curve.pole(i), i) else 1)
+        for scan in (1, 2, 3, 4, 64, 192, 512):
+            for label, curve in shipped_curves(scan):
+                for i in (1, 2):
+                    solved.clear()
+                    curve.feasible_extreme(i)
+                    assert len(solved) <= 1, (label, scan, i)
+                    if flags(curve, curve.pole(i))[i - 1]:
+                        assert solved == [], (label, scan, i)
+
+
+def test_a_face_feasible_around_its_pole_is_inconsistent():
+    # flag 1 fails only within 0.05 of pole 1, so the scan cell on the pole
+    # side of the first feasible sample is feasible at both ends
+    top = ellipse_extreme(np.array([1.0, 0.0]))
+    margin = lambda t, i: np.where(
+        (i == 1) & (np.hypot(*(np.asarray(t) - top).T) < 0.05), 1.0, -1.0)
+    curve = LevelCurve(ellipse_curve(8)[0].gap, margin, scan_size=8)
+    with pytest.raises(InconsistentCategory):
+        curve.feasible_extreme(1)
 
 
 def ellipse_curve(scan, m=(0.3, -0.2), axes=(1.5, 0.6), angle=0.4):
@@ -391,30 +448,6 @@ def ellipse_curve(scan, m=(0.3, -0.2), axes=(1.5, 0.6), angle=0.4):
         return curve.center + t[:, np.newaxis] * u
 
     return curve, points
-
-
-class TestArcBounds:
-    @pytest.mark.parametrize("scan", [4, 5, 8, 16, 64])
-    def test_bound_covers_the_arc(self, scan):
-        curve, points = ellipse_curve(scan)
-        cells = np.arange(scan)
-        for i in (1, 2):
-            bounds = curve._arc_bounds(i, cells)
-            for k, bound in zip(cells, bounds):
-                phi = curve.scan_phi[k] + np.linspace(0.0, 2.0 * np.pi / scan, 401)
-                assert np.max(points(phi)[:, i - 1]) <= bound + 1e-12
-            if scan >= 8:
-                assert np.all(np.isfinite(bounds))
-
-    def test_bound_is_infinite_where_the_secants_diverge(self):
-        # a quadrilateral's cells k and k + 2 share their two secant lines,
-        # which meet beyond one of the two chords at most
-        curve, _ = ellipse_curve(4)
-        for i in (1, 2):
-            bounds = curve._arc_bounds(i, np.arange(4))
-            for k in (0, 1):
-                assert np.isinf(bounds[k]) or np.isinf(bounds[k + 2])
-            assert np.sum(np.isinf(bounds)) >= 2
 
 
 class TestBoundaryRows:

@@ -15,8 +15,8 @@ from qbdtail.errors import (
 )
 from qbdtail.levelset import LevelCurve, boundary_rows
 
-from conftest import (product_form_jackson, scalar_rrw, tandem_jackson,
-                      trichotomy_fuzz_specs)
+from conftest import (adversarial_face_spec, product_form_jackson,
+                      scalar_rrw, tandem_jackson, trichotomy_fuzz_specs)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -582,35 +582,7 @@ class TestAssumption2:
             qbd2d.check_assumption2(spec, (5.0, 5.0), 1)
 
     def test_adversarial_boundary_reports_false(self):
-        # face-1 kernel with a two-state modulation that breaks the
-        # proportionality structure
-        rng = np.random.default_rng(3)
-        m = 2
-        base = rng.uniform(0.02, 0.08, size=(6, m, m))
-        interior = {(1, 0): base[0], (-1, 0): base[1] + 0.1 * np.eye(m),
-                    (0, 1): base[2], (0, -1): base[3] + 0.1 * np.eye(m)}
-        ssum = sum(interior.values()) @ np.ones(m)
-        interior[(0, 0)] = np.diag(1.0 - ssum)
-        face1 = {(1, 0): base[4], (-1, 0): base[1] + 0.1 * np.eye(m),
-                 (0, 1): base[5]}
-        fsum = sum(face1.values()) @ np.ones(m)
-        face1[(0, 0)] = np.diag(1.0 - fsum)
-        face2 = {(1, 0): interior[(1, 0)], (0, 1): interior[(0, 1)],
-                 (0, -1): interior[(0, -1)]}
-        f2sum = sum(face2.values()) @ np.ones(m)
-        face2[(0, 0)] = np.diag(1.0 - f2sum)
-        origin = {(1, 0): interior[(1, 0)], (0, 1): interior[(0, 1)]}
-        osum = sum(origin.values()) @ np.ones(m)
-        origin[(0, 0)] = np.diag(1.0 - osum)
-        fams = {("+", "+"): interior, ("+", "0"): face1, ("0", "+"): face2,
-                ("0", "0"): origin,
-                ("1", "0"): {(-1, 0): interior[(-1, 0)]},
-                ("0", "1"): {(0, -1): interior[(0, -1)]},
-                ("1", "1"): {(-1, 0): interior[(-1, 0)],
-                             (0, -1): interior[(0, -1)]},
-                ("+", "1"): {(0, -1): interior[(0, -1)]},
-                ("1", "+"): {(-1, 0): interior[(-1, 0)]}}
-        spec = qbd2d.make_spec(fams, (m, m, m, m), "discrete")
+        spec = adversarial_face_spec(3)
         assert qbd2d.validate_spec(spec) == []
         lc = qbd2d.level_curve(spec, scan=32)
         theta = lc.point_at(0.9)
