@@ -11,7 +11,8 @@ command line, and anything but a finite positive number exits 2.
 ``verify --extent`` and ``boundary --samples`` are at least 3, the fewest
 points of a tail fit and of a two-branch table.  ``verify --level`` may not
 exceed ``--extent``, and ``--phase`` must be below the phase count of the
-fitted cells: min(m1, m2) at level 0, m above.
+fitted cells: min(m1, m2) at level 0, m above.  ``--scan``, ``--points``
+and ``--samples`` set one array's length each and are at most ``MAX_COUNT``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import (ParseError, QbdTailError, SchemaError, Unstable,
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERIC = 3
+MAX_COUNT = 65536
 
 
 def _fmt(x) -> str:
@@ -48,16 +50,18 @@ def _emit(out, key, value):
     out.write(f"{key} = {_fmt(value)}\n")
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no less than ``low`` (else exit 2)."""
+def _int_in(low: int, high: float):
+    """argparse type: an integer from ``low`` to ``high`` (else exit 2)."""
+    bound = f">= {low}" + ("" if high == math.inf else f" and <= {high}")
+
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = low - 1
-        if value < low:
+        if not low <= value <= high:
             raise argparse.ArgumentTypeError(
-                f"expected an integer >= {low}, got {text!r}")
+                f"expected an integer {bound}, got {text!r}")
         return value
     return parse
 
@@ -332,13 +336,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decay", help="directional decay rates")
     sp.add_argument("file")
     sp.add_argument("--direction", action="append", default=[],
-                    metavar="C1,C2")
-    sp.add_argument("--scan", type=_int_at_least(1), default=192)
+                    metavar="C1,C2",
+                    help="repeatable (default 1,0 and 0,1); a qbd1d file "
+                         "checks it but does not use it")
+    sp.add_argument("--scan", type=_int_in(1, MAX_COUNT), default=192,
+                    help=f"1 to {MAX_COUNT} (default 192); unused on a "
+                         "qbd1d file")
     sp.set_defaults(func=cmd_decay)
 
     sp = sub.add_parser("boundary", help="boundary curve CSV")
     sp.add_argument("file")
-    sp.add_argument("--samples", type=_int_at_least(3), default=512)
+    sp.add_argument("--samples", type=_int_in(3, MAX_COUNT), default=512)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_boundary)
 
@@ -347,19 +355,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("subcommand", choices=("traffic", "decay", "certificate"))
     sp.add_argument("--direction", action="append", default=[],
                     metavar="C1,C2")
-    sp.add_argument("--scan", type=_int_at_least(1), default=192)
-    sp.add_argument("--points", type=_int_at_least(1), default=32)
+    sp.add_argument("--scan", type=_int_in(1, MAX_COUNT), default=192)
+    sp.add_argument("--points", type=_int_in(1, MAX_COUNT), default=32)
     sp.set_defaults(func=cmd_jackson)
 
     sp = sub.add_parser("verify", help="compare analytic rates with the "
                                        "truncated solver and simulator")
     sp.add_argument("file")
-    sp.add_argument("--extent", type=_int_at_least(3), default=100)
-    sp.add_argument("--seed", type=_int_at_least(0), default=20240801)
-    sp.add_argument("--steps", type=_int_at_least(0), default=0)
-    sp.add_argument("--level", type=_int_at_least(0), default=0)
-    sp.add_argument("--phase", type=_int_at_least(0), default=0)
-    sp.add_argument("--scan", type=_int_at_least(1), default=192)
+    sp.add_argument("--extent", type=_int_in(3, math.inf), default=100)
+    sp.add_argument("--seed", type=_int_in(0, math.inf), default=20240801)
+    sp.add_argument("--steps", type=_int_in(0, math.inf), default=0)
+    sp.add_argument("--level", type=_int_in(0, math.inf), default=0)
+    sp.add_argument("--phase", type=_int_in(0, math.inf), default=0)
+    sp.add_argument("--scan", type=_int_in(1, MAX_COUNT), default=192)
     sp.set_defaults(func=cmd_verify)
     return p
 

@@ -407,7 +407,6 @@ def analytic_curve(spec: JacksonSpec, scan: int = 192) -> LevelCurve:
 
 @dataclass(frozen=True)
 class JacksonDecay:
-    traffic: TrafficReport
     analytic: Decay          # path A, the cumulant level curve
     generic: Decay           # path B, the Kronecker blocks
     max_discrepancy: float   # over tau and every rate
@@ -434,7 +433,7 @@ def decay_report(spec: JacksonSpec, directions, scan: int = 192) -> JacksonDecay
     if worst > 1e-6:
         raise PathDisagreement(
             f"analytic and generic pipelines disagree by {worst:.3e}")
-    return JacksonDecay(traffic=traffic, analytic=analytic, generic=generic,
+    return JacksonDecay(analytic=analytic, generic=generic,
                         max_discrepancy=float(worst))
 
 

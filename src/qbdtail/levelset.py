@@ -13,8 +13,8 @@ The center and the extremes take Newton steps on the quadratic model of
 gap on a 3x3 stencil.  The curve is parametrized by the angle around the
 center; the radial roots of every scan angle (and the sections of a
 boundary table) are solved in lockstep, one stacked ``gap`` call per
-step.  Every other curve point is bracketed from the known curve points
-around its angle (convexity puts the root between a chord and two
+step.  Every other curve point is bracketed from the scan points around
+its angle only (convexity puts the root between a chord and two
 secants) and solved alone: an extreme at its Newton angle and one flag
 transition per face (Brent on the margin in the angle, at the first flag
 change of the walk from the pole along the lower branch).  Sections,
@@ -25,7 +25,6 @@ is independent of how ``gap`` and the margins are computed.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,7 +43,6 @@ _STENCIL = np.array([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)]
 class TauReport:
     tau: tuple
     theta_gamma: tuple    # the two arg-sup points with feasibility
-    theta_max: tuple      # the two unconstrained arg-sup points
     category: str         # "I", "II_1" or "II_2"
 
 
@@ -162,11 +160,6 @@ class LevelCurve:
         t = _radial_roots(gap, base, u, np.full(scan_size, gmin))
         self.scan_points = center + t[:, np.newaxis] * u
         self._pole_cache = {}
-        # every curve point known so far, sorted by angle in [0, 2 pi) and
-        # kept as its offset from the center: the scan, then each point
-        # that point_at solves
-        self._known_phi = self.scan_phi.tolist()
-        self._known = (self.scan_points - center).tolist()
 
     @cached_property
     def scan_margins(self) -> np.ndarray:
@@ -177,30 +170,33 @@ class LevelCurve:
     # -- parametrization ---------------------------------------------------
 
     def point_at(self, phi: float) -> np.ndarray:
-        """The curve point at angle phi: the root of gap along the ray,
-        bracketed by the known curve points around phi (the scan and every
-        point solved since) and shrunk by Brent to 1e-12 (1 + t_hi).
+        """The curve point at angle phi, from phi and the scan alone: a copy
+        of the scan point at a scan angle, else the root of gap along the
+        ray, bracketed by the scan points around phi and shrunk by Brent
+        to 1e-12 (1 + t_hi).
 
-        With A, B the known neighbours of phi and P, Q the next ones out,
-        the chord AB lies inside the region (convexity) and the lines PA
-        and BQ bound the arc from A to B from outside.  gap(lo) <= 0 <
+        With A, B the scan neighbours of phi and P, Q the next ones out,
+        the chord AB lies inside the region (convexity) and, from 3 scan
+        points on, the lines PA and BQ bound the arc from A to B from
+        outside; the upper end is at most 2 max(|A|, |B|).  gap(lo) <= 0 <
         gap(hi) certifies the bracket; where rounding breaks it, the broken
         end becomes the other end and the bracket doubles its width away
         from it (the center, at t = 0, is inside).
         """
         phi = float(phi) % (2.0 * np.pi)
-        known = self._known_phi
-        n = len(known)
-        k = bisect_left(known, phi)
-        if k < n and known[k] == phi:
-            return self.center + self._known[k]
+        n = len(self.scan_phi)
+        k = int(np.searchsorted(self.scan_phi, phi))
+        if k < n and self.scan_phi[k] == phi:
+            return self.scan_points[k].copy()
         u = (math.cos(phi), math.sin(phi))
-        p, a, b, q = (self._known[(k + j) % n] for j in (-2, -1, 0, 1))
+        p, a, b, q = (self.scan_points[(k + j) % n] - self.center
+                      for j in (-2, -1, 0, 1))
         g = lambda t: float(self.gap(self.center + np.multiply(t, u)))
         lo = _ray_hit(u, a, b)
         lo = lo if lo < math.inf else 0.0
-        hi = min(_ray_hit(u, p, a), _ray_hit(u, b, q),
-                 2.0 * max(math.hypot(*a), math.hypot(*b)))
+        hi = 2.0 * max(math.hypot(*a), math.hypot(*b))
+        if n >= 3:   # at scans 1 and 2, PA and BQ are the chord AB
+            hi = min(hi, _ray_hit(u, p, a), _ray_hit(u, b, q))
         width = max(hi - lo, 1e-12 * (1.0 + lo))
         hi = lo + width
         f_lo, f_hi = g(lo), g(hi)
@@ -217,9 +213,7 @@ class LevelCurve:
                 break
             width *= 2.0
         t = _brent_bracket(g, lo, f_lo, hi, f_hi, 1e-12 * (1.0 + hi))[0]
-        known.insert(k, phi)
-        self._known.insert(k, [t * u[0], t * u[1]])
-        return self.center + self._known[k]
+        return self.center + np.multiply(t, u)
 
     # -- poles and sections ------------------------------------------------
 
@@ -341,8 +335,6 @@ class LevelCurve:
     def tau_report(self) -> TauReport:
         p1 = self.feasible_extreme(1)
         p2 = self.feasible_extreme(2)
-        pm1 = self.pole(1)
-        pm2 = self.pole(2)
         below_1 = p1[1] < p2[1] - CATEGORY_TOL   # theta^{(1,G)}_2 < theta^{(2,G)}_2
         below_2 = p2[0] < p1[0] - CATEGORY_TOL   # theta^{(2,G)}_1 < theta^{(1,G)}_1
         if below_1 and below_2:
@@ -358,9 +350,7 @@ class LevelCurve:
             raise InconsistentCategory(
                 "inconsistent category geometry: both feasibility extremes "
                 "dominate; indicates a numerical defect")
-        return TauReport(tau=tau,
-                         theta_gamma=(p1.copy(), p2.copy()),
-                         theta_max=(pm1.copy(), pm2.copy()),
+        return TauReport(tau=tau, theta_gamma=(p1.copy(), p2.copy()),
                          category=category)
 
     # -- directional supremum over the southwest closure ---------------------

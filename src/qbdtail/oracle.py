@@ -337,9 +337,7 @@ class TailEstimate:
     kind: str              # "coordinate" or "direction"
     target: tuple
     slope: float
-    intercept: float
     r_squared: float
-    window: tuple
 
 
 def _fit_log_tail(ns, tails, window):
@@ -354,7 +352,7 @@ def _fit_log_tail(ns, tails, window):
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
+    return float(slope), r2
 
 
 def regression_window(extent: int) -> tuple:
@@ -376,22 +374,21 @@ def estimate_decay(source, coordinate: int, level: int = 0, phase: int = 0,
     n = tails.size
     ns = np.arange(n)
     if window is not None:
-        best = (*_fit_log_tail(ns, tails, window), window)
+        best = _fit_log_tail(ns, tails, window)
     else:
         best = None
         for cand in (regression_window(n), (n // 4, n // 2)):
             try:
-                slope, intercept, r2 = _fit_log_tail(ns, tails, cand)
+                fit = _fit_log_tail(ns, tails, cand)
             except EmptyWindow:
                 continue
-            if best is None or r2 > best[2]:
-                best = (slope, intercept, r2, cand)
+            if best is None or fit[1] > best[1]:
+                best = fit
         if best is None:
             raise EmptyWindow("no usable regression window")
-    slope, intercept, r2, cand = best
+    slope, r2 = best
     return TailEstimate(kind="coordinate", target=(coordinate, level, phase),
-                        slope=slope, intercept=intercept, r_squared=r2,
-                        window=tuple(cand))
+                        slope=slope, r_squared=r2)
 
 
 def estimate_decay_direction(source, c) -> TailEstimate:
@@ -404,11 +401,9 @@ def estimate_decay_direction(source, c) -> TailEstimate:
     l1g, l2g = np.meshgrid(np.arange(n1 + 1), np.arange(n2 + 1), indexing="ij")
     proj = c[0] * l1g + c[1] * l2g
     tails = np.array([mass[proj > x].sum() for x in grid])
-    window = (0.25 * xmax, 0.75 * xmax)
-    slope, intercept, r2 = _fit_log_tail(grid, tails, window)
+    slope, r2 = _fit_log_tail(grid, tails, (0.25 * xmax, 0.75 * xmax))
     return TailEstimate(kind="direction", target=tuple(c), slope=slope,
-                        intercept=intercept, r_squared=r2,
-                        window=tuple(window))
+                        r_squared=r2)
 
 
 def tail_csv(source, coordinate: int, path):

@@ -172,6 +172,13 @@ class TestValidateCommand:
     (["boundary", "scalar_rrw.yaml", "--out", "unused.csv"], "--samples", "2"),
     (["verify", "scalar_rrw.yaml"], "--extent", "1"),
     (["verify", "scalar_rrw.yaml"], "--extent", "2"),
+    # one array's length each: past MAX_COUNT, numpy never sees the size
+    (["boundary", "scalar_rrw.yaml", "--out", "unused.csv"], "--samples",
+     str(2 ** 62)),
+    (["decay", "scalar_rrw.yaml"], "--scan", str(2 ** 62)),
+    (["jackson", "tandem_jackson.yaml", "certificate"], "--points",
+     str(2 ** 62)),
+    (["verify", "scalar_rrw.yaml"], "--scan", str(cli.MAX_COUNT + 1)),
 ])
 def test_bad_size_is_an_input_error(command, flag, value, capsys):
     argv = [command[0], str(MODELS / command[1]), *command[2:], flag, value]
@@ -180,6 +187,8 @@ def test_bad_size_is_an_input_error(command, flag, value, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: expected an integer >=" in err
+    if flag in ("--scan", "--points", "--samples"):
+        assert f" and <= {cli.MAX_COUNT}, got " in err
     assert "Traceback" not in err
 
 

@@ -1,10 +1,11 @@
 """Dead-code guard for ``src/qbdtail``: no unused import, no private
 module-level name or private method that nothing in the package refers to
 (a helper that only tests call is dead too), no public function or method
-that nothing in the package or its tests reads, no defaulted parameter that
-no call in the package or its tests sets, no error type that nothing in
-the package raises, no dense eigenvalue solve outside ``matcore`` and no
-``np.kron`` beside ``matcore.kron_prod``.
+that nothing in the package or its tests reads, no class field that
+nothing reads as an attribute, no defaulted parameter that no call in the
+package or its tests sets, no error type that nothing in the package
+raises, no dense eigenvalue solve outside ``matcore`` and no ``np.kron``
+beside ``matcore.kron_prod``.
 
 Helpers left behind when their last caller is deleted fail here.  Only the
 standard library's ``ast`` is used; the package's own ``from . import
@@ -128,6 +129,24 @@ def test_every_public_function_is_read_somewhere():
             for fname, tree in _trees().items()
             for name, line, method in _public_definitions(tree)
             if name not in (attributes if method else read)]
+    assert dead == []
+
+
+def test_every_result_field_is_read():
+    """Every annotated field of a module-level class is read as an
+    attribute somewhere in the package or its tests: a result field that
+    nothing reads is dead code, like an unread public function."""
+    sources = list(_trees().values()) + _test_trees()
+    read = {node.attr for t in sources for node in ast.walk(t)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    dead = [f"{fname}:{field.lineno} {node.name}.{field.target.id}"
+            for fname, tree in _trees().items()
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for field in node.body
+            if isinstance(field, ast.AnnAssign)
+            and isinstance(field.target, ast.Name)
+            and field.target.id not in read]
     assert dead == []
 
 

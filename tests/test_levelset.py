@@ -224,10 +224,13 @@ def test_tau_and_rates_do_not_depend_on_the_scan(name):
 # ceilings allow 10%
 COUNTS = {"scalar_rrw": (114, 10), "modulated_rrw": (165, 15),
           "tandem_jackson": (290, 12), "mapph_jackson": (625, 87)}
+# the same at scan 64, the scan of perfbench's modulated_walk, mapph_jackson
+# and verify items
+COUNTS_64 = {"scalar_rrw": (115, 10), "modulated_rrw": (146, 15),
+             "tandem_jackson": (302, 12), "mapph_jackson": (671, 93)}
 
 
-@pytest.mark.parametrize("name", SHIPPED)
-def test_evaluation_counts_stay_under_their_ceilings(name, monkeypatch):
+def evaluation_counts(name, scan, monkeypatch):
     counts = {"gap": 0, "point_at": 0}
 
     def counted(fn, key):
@@ -241,10 +244,22 @@ def test_evaluation_counts_stay_under_their_ceilings(name, monkeypatch):
                         counted(jackson.CumulantSet.gamma_plus, "gap"))
     monkeypatch.setattr(levelset.LevelCurve, "point_at",
                         counted(levelset.LevelCurve.point_at, "point_at"))
-    decay_values(name, 192)
-    gap, point_at = COUNTS[name]
-    assert counts["gap"] <= 1.1 * gap
-    assert counts["point_at"] <= 1.1 * point_at
+    decay_values(name, scan)
+    return counts["gap"], counts["point_at"]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_evaluation_counts_stay_under_their_ceilings(name, monkeypatch):
+    gap, point_at = evaluation_counts(name, 192, monkeypatch)
+    assert gap <= 1.1 * COUNTS[name][0]
+    assert point_at <= 1.1 * COUNTS[name][1]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_evaluation_counts_at_scan_64(name, monkeypatch):
+    gap, point_at = evaluation_counts(name, 64, monkeypatch)
+    assert gap <= 1.1 * COUNTS_64[name][0]
+    assert point_at <= 1.1 * COUNTS_64[name][1]
 
 
 def shipped_curves(scan):
@@ -261,11 +276,34 @@ def shipped_curves(scan):
     return out
 
 
+def tau_bits(rep):
+    return (rep.category, rep.tau, tuple(p.tolist() for p in rep.theta_gamma))
+
+
+@pytest.mark.parametrize("scan", [4, 64, 192])
+def test_tau_report_does_not_depend_on_earlier_calls(scan):
+    """A curve keeps no memory of the points it solved: tau_report on a
+    fresh curve is bit-identical to tau_report after other queries."""
+    before = {
+        "point_at": lambda c: [c.point_at(phi) for phi in
+                               np.linspace(0.0, 2.0 * np.pi, 37, endpoint=False)],
+        "directional_sup": lambda c: c.directional_sup(np.array([0.5, 0.5])),
+        "boundary_rows": lambda c: levelset.boundary_rows(c, 64),
+        "feasible_extreme": lambda c: c.feasible_extreme(2),
+    }
+    fresh = [(label, tau_bits(curve.tau_report()))
+             for label, curve in shipped_curves(scan)]
+    for key, query in before.items():
+        for (label, want), (_, curve) in zip(fresh, shipped_curves(scan)):
+            query(curve)
+            assert tau_bits(curve.tau_report()) == want, (label, key)
+
+
 class TestStackedScan:
     @pytest.mark.parametrize("scan", [64, 512])
     def test_scan_points_are_the_radial_roots(self, scan):
         # every other scan angle of a 2n-curve is off the n-curve's scan, so
-        # point_at solves it there from a warm bracket
+        # point_at solves it there, bracketed by the n-curve's scan points
         for (label, curve), (_, fine) in zip(shipped_curves(scan),
                                              shipped_curves(2 * scan)):
             for phi, p in zip(fine.scan_phi[1::2], fine.scan_points[1::2]):
