@@ -13,6 +13,8 @@ points of a tail fit and of a two-branch table.  ``verify --level`` may not
 exceed ``--extent``, and ``--phase`` must be below the phase count of the
 fitted cells: min(m1, m2) at level 0, m above.  ``--scan``, ``--points``
 and ``--samples`` set one array's length each and are at most ``MAX_COUNT``.
+``verify`` refuses (exit 2) a box of (extent + 1)^2 max(dims) states above
+``MAX_STATES`` = 200,000; a box that memory cannot hold exits 3.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import sys
 import numpy as np
 
 from . import modelfile, qbd2d
-from .errors import (ParseError, QbdTailError, SchemaError, Unstable,
-                     ZeroDirection)
+from .errors import (NoConvergence, ParseError, QbdTailError, SchemaError,
+                     Unstable, ZeroDirection)
 
 # jackson, levelset, oracle and qbd1d are imported by the commands that run
 # them, so a command's cold start compiles and executes only its own layers
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERIC = 3
 MAX_COUNT = 65536
+MAX_STATES = 200_000   # above mapph_jackson at extent 150, 181,203 states
 
 
 def _fmt(x) -> str:
@@ -254,6 +257,10 @@ def cmd_verify(args, out) -> int:
     if args.level > args.extent or args.phase >= phases:
         raise SchemaError(f"need --level <= --extent ({args.extent}) and --phase "
                           f"< {phases}, the phase count at that level")
+    states = (args.extent + 1) ** 2 * max(spec2d.dims)
+    if states > MAX_STATES:
+        raise SchemaError(f"--extent {args.extent} bounds the box at {states} "
+                          f"states, above the cap of {MAX_STATES}")
     from . import oracle
     # the analytic taus, under the stability checks that ``decay`` applies
     if mf.kind == "jackson":
@@ -264,8 +271,10 @@ def cmd_verify(args, out) -> int:
         tau = jk.analytic_curve(mf.payload, scan=args.scan).tau_report().tau
     else:
         tau = qbd2d.decay_rates(spec2d, [], scan=args.scan).tau_report.tau
-    table = oracle.truncate_and_solve(spec2d, (args.extent, args.extent),
-                                      tol=args.tol)
+    try:
+        table = oracle.truncate_and_solve(spec2d, (args.extent,) * 2, tol=args.tol)
+    except MemoryError:
+        raise NoConvergence(f"out of memory for a box of up to {states} states") from None
     _emit(out, "extent", args.extent)
     _emit(out, "solver_residual", table.residual)
     worst = 0.0

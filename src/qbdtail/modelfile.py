@@ -117,6 +117,12 @@ def _parse_qbd2d(model: dict, time: str) -> qbd2d.Qbd2dSpec:
                     f"allowed from region {key}")
             fam[inc] = _matrix(mat, f"model.families.{key}.{inc_key}")
         fams[reg] = fam
+    # every dim is a block's size, which bounds the zero blocks make_spec adds
+    sizes = {n for fam in fams.values() for b in fam.values() for n in b.shape}
+    unbacked = [d for d in dims if d not in sizes]
+    if unbacked:
+        raise SchemaError(f"model.dims: {unbacked[0]} is neither the row nor the "
+                          "column count of any block in model.families")
     try:
         return qbd2d.make_spec(fams, tuple(dims), time)
     except ValueError as exc:

@@ -4,14 +4,15 @@ Canonical form, tilting intervals, superharmonic-vector existence (both the
 G-matrix and the common-vector characterizations), G/R matrices and
 recurrence classification.  One logarithmic reduction in twisted
 coordinates computes G with an entrywise bracket (``_log_reduction``):
-``g_minus`` and ``rate_matrix`` read its converged G, and the one existence
-test ``superharmonic_exists_via_G`` reads the bracket.  The common-vector
-set is a sublevel interval of a spectral radius (``gamma1d_0plus``).  The
-boundary compatibility condition is solved by ``boundary_compatibility``,
-which ``qbd2d.check_assumption2`` shares (its pinned level, 1 or 0, also
-sets its inverse (level I - F0)^{-1}).  The scalar tools (Brent roots and
-brackets, Brent minima, sublevel intervals, predicate bisection) also serve
-``levelset``.
+``g_minus`` and ``rate_matrix`` read its converged G, and the G test reads
+the bracket as one signed excess (``_g_excess``), whose sign is the
+existence answer ``superharmonic_exists_via_G`` and whose Brent root in
+the scale u is ``cp_k``.  The common-vector set is a sublevel interval of a
+spectral radius (``gamma1d_0plus``).  The boundary compatibility condition
+is solved by ``boundary_compatibility``, which ``qbd2d.check_assumption2``
+shares (its pinned level, 1 or 0, also sets its inverse (level I -
+F0)^{-1}).  The scalar tools (Brent roots and
+brackets, Brent minima, sublevel intervals) also serve ``levelset``.
 
 Block layout convention: the matrix acts on level-stacked row vectors
 (pi_0, pi_1, ...) with level 0 of dimension m0 and all higher levels of
@@ -29,24 +30,17 @@ construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matcore
-from .errors import (
-    BoundaryNotInvertible,
-    GammaPlusEmpty,
-    NoConvergence,
-    NoSignChange,
-    NoSuperharmonicVector,
-    NotIrreducible,
-    NotPositiveRecurrent,
-    NotStochastic,
-    SpectralRadiusNotBelowOne,
-    ThetaOutsideGammaPlus,
-)
+from .errors import (BoundaryNotInvertible, GammaPlusEmpty, NoConvergence,
+                     NoSignChange, NoSuperharmonicVector, NotIrreducible,
+                     NotPositiveRecurrent, NotStochastic,
+                     SpectralRadiusNotBelowOne, ThetaOutsideGammaPlus)
 
 # single documented slack for all "<= 1" style tests
 LE_ONE_SLACK = 1e-10
@@ -68,8 +62,7 @@ class QbdBlocks:
     def __post_init__(self):
         for name in ("b0", "b1", "bm1", "am1", "a0", "a1"):
             object.__setattr__(self, name, matcore.as_matrix(getattr(self, name)))
-        m0 = self.b0.shape[0]
-        m = self.a0.shape[0]
+        m0, m = self.b0.shape[0], self.a0.shape[0]
         expect = {"b0": (m0, m0), "b1": (m0, m), "bm1": (m, m0),
                   "am1": (m, m), "a0": (m, m), "a1": (m, m)}
         for name, shape in expect.items():
@@ -180,8 +173,7 @@ def a_mgf(k: QbdBlocks, theta: float) -> np.ndarray:
 
 def c_mgf(k: QbdBlocks, theta: float) -> np.ndarray:
     """C_*(theta) = C0 + e^{theta} A_1 (C1 equals A1)."""
-    can = canonical_form(k)
-    return can.c0 + np.exp(theta) * can.a1
+    return canonical_form(k).c0 + np.exp(theta) * k.a1
 
 
 def gamma_a(k: QbdBlocks, theta: float) -> float:
@@ -355,17 +347,6 @@ def _sublevel_interval(f, level: float, x0: float, step: float, tol: float,
     return tuple(ends)
 
 
-def _bisect_predicate(pred, a: float, b: float, at_a: bool, tol: float):
-    """Shrink [a, b] to width ``tol`` keeping pred(a) == at_a != pred(b)."""
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if pred(mid) == at_a:
-            a = mid
-        else:
-            b = mid
-    return a, b
-
-
 def gamma1d_plus(k: QbdBlocks) -> Interval:
     """Sublevel interval {theta : gamma(theta) <= 1} of the convex interior
     eigenvalue curve, ends located to 1e-12; empty or degenerate is valid.
@@ -401,12 +382,11 @@ def _log_reduction(k: QbdBlocks, theta1: float):
     row-sum deficit 1 - G_n 1 of the stochastic twisted chain, bounds what
     is missing: G_n <= G <= G_n + (T_n 1) 1^T entrywise.  The deficit falls
     quadratically, and the reduction stops once it is at most 1e-15 (64
-    steps at most, 2^64 levels).  At a
-    tangent interval the twisted chain is null recurrent, the deficit only
-    halves per step and rounding in the row sums of H_n + L_n grows
-    fourfold; a step that leaves them more than 1e-6 from 1, does not
-    shrink the deficit or is not finite is dropped, and the reduction stops
-    on the deficit it has.
+    steps at most, 2^64 levels).  At a tangent interval the twisted chain
+    is null recurrent, the deficit only halves per step and rounding in the
+    row sums of H_n + L_n grows fourfold; a step that leaves them more than
+    1e-6 from 1, does not shrink the deficit or is not finite is dropped,
+    and the reduction stops on the deficit it has.
 
     Returns ``(g, bound, converged, steps)`` in the original coordinates:
     g = G_n, ``bound`` the entrywise bound matrix of G - G_n, ``converged``
@@ -459,45 +439,59 @@ def g_minus(k: QbdBlocks) -> GMinusResult:
     return GMinusResult(g=g, theta1=interval.lo, iterations=steps)
 
 
-def _is_stochastic(k: QbdBlocks, tol: float = 1e-12) -> bool:
-    """Every row sum of the assembled matrix lies within tol of one."""
-    rows = np.concatenate([
+def _row_sums(k: QbdBlocks) -> np.ndarray:
+    """Row sums of the assembled matrix: level 0, level 1, the interior."""
+    return np.concatenate([
         k.b0 @ np.ones(k.m0) + k.b1 @ np.ones(k.m),
         k.bm1 @ np.ones(k.m0) + (k.a0 + k.a1) @ np.ones(k.m),
         (k.am1 + k.a0 + k.a1) @ np.ones(k.m)])
-    return bool(np.max(np.abs(rows - 1.0)) <= tol)
 
 
-def superharmonic_exists_via_G(k: QbdBlocks) -> bool:
-    """Existence of a positive y with K y <= y, via the G-matrix test:
-    the tilting interval is nonempty and sp(C0 + A1 G-) <= 1.
+def _is_stochastic(k: QbdBlocks, tol: float = 1e-12) -> bool:
+    """Every row sum of the assembled matrix lies within tol of one."""
+    return bool(np.max(np.abs(_row_sums(k) - 1.0)) <= tol)
 
-    One logarithmic reduction gives G_n <= G- <= G_n + bound entrywise
-    (``_log_reduction``), and both ends of the bracket are read:
-    sp(C0 + A1 G_n) > 1 + slack is a rigorous "no", and
-    sp(C0 + A1 (G_n + bound)) <= 1 + 2 slack a "yes" with the true radius
-    within one slack of the test.  A converged bracket is far narrower than
-    the slack and always decides; a stalled one (tangent interval) that
-    straddles the test raises ``NoConvergence``.
-    """
-    if _is_stochastic(k):
-        # the ones vector is superharmonic
-        return True
+
+def _g_radius(k: QbdBlocks):
+    """Bracket (lo, hi) of sp(C0 + A1 G-) by one ``_log_reduction`` at the
+    left end of the tilting interval: lo = sp(C0 + A1 G_n), hi = sp(C0 + A1
+    (G_n + bound)) or +inf once lo > 1 + slack; (+inf, +inf) where the
+    tilting interval is empty or sp(B0) >= 1."""
     iv = gamma1d_plus(k)
     if iv.empty:
-        return False
+        return math.inf, math.inf
     try:
         can = canonical_form(k)
     except BoundaryNotInvertible:
-        # sp(B0) >= 1 already contradicts existence
-        return False
+        return math.inf, math.inf
     g, bound, _, _ = _log_reduction(k, iv.lo)
-    if matcore.spectral_radius(can.c0 + can.a1 @ g) > 1.0 + LE_ONE_SLACK:
-        return False
-    if matcore.spectral_radius(can.c0 + can.a1 @ (g + bound)) <= 1.0 + 2.0 * LE_ONE_SLACK:
-        return True
-    raise NoConvergence(f"sp(C0 + A1 G) straddles 1 + {LE_ONE_SLACK} within the "
-                        f"G bracket of width {bound.max():.1e}")
+    lo = float(matcore.spectral_radius(can.c0 + can.a1 @ g))
+    if lo > 1.0 + LE_ONE_SLACK:
+        return lo, math.inf
+    return lo, float(matcore.spectral_radius(can.c0 + can.a1 @ (g + bound)))
+
+
+def _g_excess(k: QbdBlocks) -> float:
+    """Signed excess sp(C0 + A1 G-) - 1 - slack of the G test on the bracket
+    (lo, hi) of ``_g_radius``: lo - 1 - slack when positive, a rigorous
+    "no"; max(lo - 1 - slack, hi - 1 - 2 slack) <= 0 when hi <= 1 + 2 slack
+    ("yes"); ``NoConvergence`` when a stalled bracket (tangent interval)
+    straddles the test.  A stochastic K reads -slack (the ones vector)."""
+    if _is_stochastic(k):
+        return -LE_ONE_SLACK
+    lo, hi = _g_radius(k)
+    if lo > 1.0 + LE_ONE_SLACK:
+        return lo - 1.0 - LE_ONE_SLACK
+    if hi <= 1.0 + 2.0 * LE_ONE_SLACK:
+        return max(lo - 1.0 - LE_ONE_SLACK, hi - 1.0 - 2.0 * LE_ONE_SLACK)
+    raise NoConvergence(f"sp(C0 + A1 G) in [{lo:.12g}, {hi:.12g}] straddles "
+                        f"1 + {LE_ONE_SLACK}")
+
+
+def superharmonic_exists_via_G(k: QbdBlocks) -> bool:
+    """Existence of a positive y with K y <= y by the G-matrix test (the
+    tilting interval is nonempty and sp(C0 + A1 G-) <= 1): excess <= 0."""
+    return _g_excess(k) <= 0
 
 
 def _selection_radius(a_mat: np.ndarray, c_mat: np.ndarray) -> float:
@@ -540,8 +534,7 @@ def gamma1d_0plus(k: QbdBlocks) -> Interval:
 
 def _fit_proportional(v: np.ndarray, ref: np.ndarray):
     """Least-squares scalar c with v ~ c*ref; relative sup-norm residual."""
-    denom = float(ref @ ref)
-    c = float(v @ ref) / denom
+    c = float(v @ ref) / float(ref @ ref)
     resid = float(np.max(np.abs(v - c * ref))) / max(1.0, float(np.max(np.abs(v))))
     return c, resid
 
@@ -644,12 +637,8 @@ def stationary_boundary(k: QbdBlocks):
     # balance at levels 0 and 1 with pi_2 = pi_1 R, transposed:
     #   pi_0 (B0 - I) + pi_1 Bm1 = 0
     #   pi_0 B1 + pi_1 (A0 + R Am1 - I) = 0
-    block = np.zeros((m0 + m, m0 + m))
-    block[:m0, :m0] = k.b0 - np.eye(m0)
-    block[:m0, m0:] = k.b1
-    block[m0:, :m0] = k.bm1
-    block[m0:, m0:] = k.a0 + r @ k.am1 - np.eye(m)
-    a = block.T
+    a = np.block([[k.b0 - np.eye(m0), k.b1],
+                  [k.bm1, k.a0 + r @ k.am1 - np.eye(m)]]).T
     x = np.ones(m0 + m)
     try:
         x[1:] = np.linalg.solve(a[1:, 1:], -a[1:, 0])
@@ -658,8 +647,7 @@ def stationary_boundary(k: QbdBlocks):
     if not np.all(np.isfinite(x)) or np.any(x < 0):
         raise NoConvergence("boundary solve gave a negative or non-finite entry")
     pi0, pi1 = x[:m0], x[m0:]
-    tail = pi1 @ matcore.neumann_inverse(r) @ np.ones(m)
-    total = pi0.sum() + tail
+    total = pi0.sum() + pi1 @ matcore.neumann_inverse(r) @ np.ones(m)
     return pi0 / total, pi1 / total, r
 
 
@@ -668,32 +656,27 @@ def qbd_stationary(k: QbdBlocks, max_level: int) -> list[np.ndarray]:
     the matrix-geometric tail pi_{n+1} = pi_n R."""
     pi0, pi1, r = stationary_boundary(k)
     out = [pi0, pi1]
-    cur = pi1
     for _ in range(max_level - 1):
-        cur = cur @ r
-        out.append(cur)
+        out.append(out[-1] @ r)
     return out
 
 
-def _cp_bisect(k: QbdBlocks, exists: bool, t_plus: float) -> float:
-    """Bisection on the scale u for sup{u : uK has a superharmonic vector},
-    given the existence answer at u = 1 and c_p(K_+)."""
-    # c_p(K) < 1 without existence at u = 1, else it lies in [1, c_p(K_+)]
-    lo, hi = (1.0, t_plus) if exists else (0.0, 1.0)
-    if hi - lo < 1e-14:
-        return lo
-    # 40 halvings, but no narrower than a few ulps: a bracket of one ulp
-    # cannot shrink further
-    a, b = _bisect_predicate(lambda u: superharmonic_exists_via_G(scale(k, u)),
-                             lo, hi, True,
-                             max((hi - lo) * 2.0**-40, 4.0 * _EPS * hi))
-    return 0.5 * (a + b)
-
-
 def cp_k(k: QbdBlocks) -> float:
-    """Convergence parameter of the assembled matrix: sup{u : uK has a
-    superharmonic vector}, by bisection on the scale u."""
-    return _cp_bisect(k, superharmonic_exists_via_G(k), cp_kplus(k))
+    """Convergence parameter sup{u : uK has a superharmonic vector}: the
+    Brent root (``bisect_root``, 1e-12) in u of the excess of uK
+    (``_g_excess``), which increases with u, in [1, c_p(K_+)] when K has a
+    superharmonic vector, else in [1/r, min(1, c_p(K_+))], r the largest
+    row sum (the ones vector is superharmonic for K / r).  The upper end is
+    returned when the excess is still <= 0 at it times (1 - 1e-12): at
+    c_p(K_+) that is the tangent end, where G stalls."""
+    excess = functools.cache(lambda u: _g_excess(scale(k, u)))
+    t_plus = cp_kplus(k)
+    lo, hi = ((1.0, t_plus) if excess(1.0) <= 0
+              else (1.0 / _row_sums(k).max(), min(1.0, t_plus)))
+    near = hi * (1.0 - 1e-12)
+    if near <= lo or excess(near) <= 0:
+        return max(lo, hi)
+    return bisect_root(excess, lo, near)
 
 
 def classify_recurrence(k: QbdBlocks) -> str:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from qbdtail import cli, jackson, levelset, matcore, modelfile
+from qbdtail import cli, jackson, levelset, matcore, modelfile, qbd2d
 from qbdtail.errors import ParseError, SchemaError
 
 from conftest import product_form_jackson, scalar_rrw
@@ -808,3 +808,56 @@ def test_one_parser_serves_successive_calls(monkeypatch, capsys):
         cli.main(["decay", walk])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("extent", [20000, 2 ** 62])
+def test_verify_box_above_the_state_cap_is_an_input_error(extent, monkeypatch,
+                                                          capsys):
+    # (extent + 1)^2 max(dims) states, far above MAX_STATES: refused with
+    # the --level check, before any array of that size is asked for
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran on an oversized box")
+
+    monkeypatch.setattr("qbdtail.oracle.truncate_and_solve", no_solve)
+    argv = ["verify", str(MODELS / "scalar_rrw.yaml"), "--extent", str(extent)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"model error: --extent {extent} bounds the box at "
+                          f"{(extent + 1) ** 2} states, above the cap of "
+                          f"{cli.MAX_STATES}")
+    assert "Traceback" not in err
+
+
+def test_verify_out_of_memory_below_the_cap_is_a_numerical_failure(
+        monkeypatch, capsys):
+    # extent 446 is the largest one-phase box under the cap (447^2 states);
+    # a MemoryError while building or factoring it exits 3
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("qbdtail.oracle.truncate_and_solve", no_memory)
+    argv = ["verify", str(MODELS / "scalar_rrw.yaml"), "--extent", "446",
+            "--scan", "16"]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: out of memory for a box of up "
+                          "to 199809 states")
+    assert cli.main(argv[:3] + ["447"]) == 2
+
+
+def test_dims_that_no_block_backs_are_an_input_error(tmp_path, monkeypatch,
+                                                     capsys):
+    # a 100000-phase interior that no block has: refused before make_spec
+    # fills in zero blocks of the declared size
+    def no_spec(*args, **kwargs):
+        raise AssertionError("make_spec ran on dims that no block backs")
+
+    monkeypatch.setattr(qbd2d, "make_spec", no_spec)
+    f = tmp_path / "dims.yaml"
+    f.write_text('schema_version: "1"\nkind: qbd2d_discrete\nmodel:\n'
+                 '  dims: [1, 1, 1, 100000]\n'
+                 '  families: {"00": {"0,0": [[1.0]]}}\n')
+    assert cli.main(["validate", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("model error: model.dims: 100000 is neither the row "
+                          "nor the column count of any block")

@@ -350,14 +350,6 @@ class TestIntervalHelpers:
         assert qbd1d._sublevel_interval(lambda x: x * x + 1.0, 0.5,
                                        0.0, 1.0, 1e-12) is None
 
-    @pytest.mark.parametrize("at_a", [False, True])
-    def test_bisect_predicate_keeps_the_ends_apart(self, at_a):
-        pred = lambda x: (x < 0.3) == at_a
-        a, b = qbd1d._bisect_predicate(pred, 0.0, 1.0, at_a, 1e-10)
-        assert pred(a) == at_a and pred(b) != at_a
-        assert 0.0 < b - a <= 1e-10
-        assert a <= 0.3 <= b
-
 
 SQRT_EPS = float(np.finfo(float).eps) ** 0.5
 
@@ -714,25 +706,13 @@ class TestClassifyRecurrence:
                 qbd1d.classify_recurrence(ks)
         assert time.perf_counter() - t0 < 1.0
 
-    def test_scale_bisection_ends_on_a_bracket_of_a_few_ulps(self, monkeypatch):
-        # c_p(K_+) within 2.4e-4 of 1: 40 halvings of [1, c_p(K_+)] would
-        # ask for a bracket narrower than one ulp, which never comes
-        crit = 1.0 + 3e-7
-        calls = []
+    # (reductions, largest, summed) doubling steps of one near-critical
+    # cp_k: the Brent root's 3, 17 and 43 with 1.1 slack (a bisection of
+    # the existence answer took 27, 13 and 351)
+    CP_K_CEILING = (3, 18, 47)
 
-        def exists(kk):
-            calls.append(kk)
-            assert len(calls) <= 100, "scale bisection does not stop"
-            return kk.a0[0, 0] <= 0.5 * crit
-
-        monkeypatch.setattr(qbd1d, "superharmonic_exists_via_G", exists)
-        u = qbd1d._cp_bisect(mm1_blocks(0.2, 0.3), True, 1.0 + 1e-6)
-        assert u == pytest.approx(crit, rel=0.0, abs=1e-15)
-
-    def test_near_critical_cp_k_stays_under_a_step_ceiling(self, monkeypatch):
-        # mean drift -1e-3: the chain is nearly null recurrent at every
-        # scale the bisection probes
-        k = scalar_blocks(0.3005, 0.4, 0.2995, b0=0.7, b1=0.3, bm1=0.3005)
+    @staticmethod
+    def _reduction_steps(monkeypatch):
         steps = []
         reduction = qbd1d._log_reduction
 
@@ -742,8 +722,34 @@ class TestClassifyRecurrence:
             return out
 
         monkeypatch.setattr(qbd1d, "_log_reduction", counted)
+        return steps
+
+    def test_near_critical_cp_k_stays_under_a_step_ceiling(self, monkeypatch):
+        # mean drift -1e-3: the chain is nearly null recurrent at every
+        # scale the root search probes
+        k = scalar_blocks(0.3005, 0.4, 0.2995, b0=0.7, b1=0.3, bm1=0.3005)
+        steps = self._reduction_steps(monkeypatch)
         assert qbd1d.cp_k(k) == pytest.approx(1.0, rel=0.0, abs=1e-9)
-        assert len(steps) <= 45 and max(steps) <= 30 and sum(steps) <= 600
+        counts = (len(steps), max(steps), sum(steps))
+        assert all(c <= cap for c, cap in zip(counts, self.CP_K_CEILING)), counts
+
+    def test_cp_k_with_cp_kplus_near_one(self, monkeypatch):
+        # mean drift -1e-3 and c_p(K_+) = 1 + 2.0e-6: 40 halvings of the
+        # bracket [1, c_p(K_+)] would ask for less than one ulp
+        k = mm1_blocks(0.2495, 0.2505)
+        t_plus = qbd1d.cp_kplus(k)
+        assert 1.0 < t_plus < 1.0 + 3e-6
+        steps = self._reduction_steps(monkeypatch)
+        assert 1.0 <= qbd1d.cp_k(k) <= t_plus
+        counts = (len(steps), max(steps), sum(steps))
+        assert all(c <= cap for c, cap in zip(counts, self.CP_K_CEILING)), counts
+
+    def test_transient_cp_k_is_the_closed_form(self):
+        # up 0.3, down 0.2: c_p(K) = c_p(K_+) = 1 / min_theta gamma(theta)
+        # = 1 / (0.5 + 2 sqrt(0.06)), the tangent end of the bracket
+        k = mm1_blocks(0.3, 0.2)
+        assert qbd1d.cp_k(k) == pytest.approx(1.0 / (0.5 + 2.0 * 0.06 ** 0.5),
+                                              rel=1e-12, abs=0.0)
 
     def test_bisection_near_critical_scale(self):
         # transient stochastic chain: c_p(K) > 1; scaling past it kills

@@ -329,6 +329,17 @@ class TestGammaCurve:
         lc = qbd2d.level_curve(spec, scan=32)
         assert lc.gmin < -1e-6
 
+    def test_scalar_rrw_rates_within_1e_9_of_the_product_form(self):
+        # product form: tau = (ln 5/3, ln 11/6).  The flag transitions are
+        # solved where the face margin equals LE_ONE_SLACK, not 0, which
+        # puts tau1 and tau2 2.5e-10 and 2.3e-10 high (8e-14 and 1.4e-11
+        # at a slack of 0); 1e-9 is perfbench's closed-form tolerance
+        spec = modelfile.load_model(MODELS / "scalar_rrw.yaml").payload
+        dec = qbd2d.decay_rates(spec, [(1.0, 0.0), (0.0, 1.0)], scan=192)
+        exact = (np.log(5.0 / 3.0), np.log(11.0 / 6.0))
+        assert dec.tau_report.tau == pytest.approx(exact, rel=0.0, abs=1e-9)
+        assert dec.rates == pytest.approx(exact, rel=0.0, abs=1e-9)
+
     def test_curve_evaluation_counts(self, monkeypatch):
         """Machine-independent work guard: gap calls spent on the center
         and per curve point of a scan-192 curve."""
