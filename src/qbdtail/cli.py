@@ -15,11 +15,14 @@ fitted cells: min(m1, m2) at level 0, m above.  ``--scan``, ``--points``
 and ``--samples`` set one array's length each and are at most ``MAX_COUNT``.
 ``verify`` refuses (exit 2) a box of (extent + 1)^2 max(dims) states above
 ``MAX_STATES`` = 200,000; a box that memory cannot hold exits 3.
+``verify --steps N`` (N > 0) runs its simulation in a forked child while the
+parent computes the analytic curve and the truncated solve (``_in_child``).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -28,8 +31,8 @@ import sys
 import numpy as np
 
 from . import modelfile, qbd2d
-from .errors import (NoConvergence, ParseError, QbdTailError, SchemaError,
-                     Unstable, ZeroDirection)
+from .errors import (ChildFailed, NoConvergence, ParseError, QbdTailError,
+                     SchemaError, Unstable, ZeroDirection)
 
 # jackson, levelset, oracle and qbd1d are imported by the commands that run
 # them, so a command's cold start compiles and executes only its own layers
@@ -250,6 +253,75 @@ def cmd_jackson(args, out) -> int:
     return EXIT_OK
 
 
+def _fork_usable() -> bool:
+    """``os.fork`` exists and more than one CPU is usable."""
+    if not hasattr(os, "fork"):
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) > 1
+    except AttributeError:   # no affinity call on this platform
+        return (os.cpu_count() or 1) > 1
+
+
+@contextlib.contextmanager
+def _in_child(fn, fork: bool = True):
+    """Run ``fn()`` in a forked child while the ``with`` body runs; yields
+    ``result()``, which waits for the child and returns fn's value or
+    re-raises its exception there, in the parent.
+
+    The child pickles its outcome down a pipe and ends with ``os._exit``, so
+    it runs no exit handlers and flushes no buffer it inherited.  A child
+    that ends without an outcome is ``ChildFailed``.  A body that raises
+    kills and reaps the child before the exception propagates.  Without
+    ``fork``, or where ``_fork_usable`` is false, ``result`` is ``fn``
+    itself, run inline when it is called.
+    """
+    if not (fork and _fork_usable()):
+        yield fn
+        return
+    import pickle
+    import signal
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, fn())
+            except BaseException as exc:
+                outcome = (False, exc)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    pipe = os.fdopen(read_fd, "rb")
+    running = True
+
+    def result():
+        nonlocal running
+        data = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        running = False
+        if status != 0:
+            raise ChildFailed(f"the forked child ended with exit status {status} "
+                              "before sending its result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        pipe.close()
+        if running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def cmd_verify(args, out) -> int:
     mf = _load(args)
     spec2d = _spec_2d(mf)
@@ -262,48 +334,56 @@ def cmd_verify(args, out) -> int:
         raise SchemaError(f"--extent {args.extent} bounds the box at {states} "
                           f"states, above the cap of {MAX_STATES}")
     from . import oracle
-    # the analytic taus, under the stability checks that ``decay`` applies
     if mf.kind == "jackson":
         from . import jackson as jk
         traffic = jk.traffic_check(mf.payload)
         if not traffic.stable:
             raise Unstable(f"utilizations {traffic.rho} not both below one")
-        tau = jk.analytic_curve(mf.payload, scan=args.scan).tau_report().tau
-    else:
-        tau = qbd2d.decay_rates(spec2d, [], scan=args.scan).tau_report.tau
-    try:
-        table = oracle.truncate_and_solve(spec2d, (args.extent,) * 2, tol=args.tol)
-    except MemoryError:
-        raise NoConvergence(f"out of memory for a box of up to {states} states") from None
-    _emit(out, "extent", args.extent)
-    _emit(out, "solver_residual", table.residual)
-    worst = 0.0
-    for i in (1, 2):
-        est = oracle.estimate_decay(table, i, level=args.level,
-                                    phase=args.phase)
-        rel = abs(-est.slope - tau[i - 1]) / tau[i - 1]
-        worst = max(worst, rel)
-        out.write(f"coordinate {i}: analytic = {_fmt(tau[i - 1])} "
-                  f"slope = {_fmt(-est.slope)} rel_gap = {_fmt(rel)} "
-                  f"r2 = {_fmt(est.r_squared)}\n")
-    if args.steps > 0:
-        sim = oracle.simulate(spec2d, seed=args.seed, steps=args.steps,
-                              record_extent=(args.extent, args.extent))
+    # the simulation needs neither the analytic taus nor the solve: a child
+    # forked here runs it meanwhile, before the LU factors exist to be copied
+    simulation = functools.partial(oracle.simulate, spec2d, seed=args.seed,
+                                   steps=args.steps,
+                                   record_extent=(args.extent, args.extent))
+    with _in_child(simulation, fork=args.steps > 0) as simulated:
+        # the analytic taus, under the stability checks that ``decay`` applies
+        if mf.kind == "jackson":
+            tau = jk.analytic_curve(mf.payload, scan=args.scan).tau_report().tau
+        else:
+            tau = qbd2d.decay_rates(spec2d, [], scan=args.scan).tau_report.tau
+        try:
+            table = oracle.truncate_and_solve(spec2d, (args.extent,) * 2,
+                                              tol=args.tol)
+        except MemoryError:
+            raise NoConvergence(f"out of memory for a box of up to {states} "
+                                "states") from None
+        _emit(out, "extent", args.extent)
+        _emit(out, "solver_residual", table.residual)
+        worst = 0.0
         for i in (1, 2):
-            # the empirical tail has finite support; fit on its inner half
-            tails = sim.tail_sequence(i, args.level, args.phase)
-            support = np.nonzero(tails > 0)[0]
-            if support.size < 8:
-                out.write(f"coordinate {i} (simulated, seed {args.seed}): "
-                          f"insufficient data\n")
-                continue
-            top = int(support[-1]) + 1
-            est = oracle.estimate_decay(sim, i, level=args.level,
-                                        phase=args.phase,
-                                        window=(top // 4, (3 * top) // 4))
+            est = oracle.estimate_decay(table, i, level=args.level,
+                                        phase=args.phase)
             rel = abs(-est.slope - tau[i - 1]) / tau[i - 1]
-            out.write(f"coordinate {i} (simulated, seed {args.seed}): "
-                      f"slope = {_fmt(-est.slope)} rel_gap = {_fmt(rel)}\n")
+            worst = max(worst, rel)
+            out.write(f"coordinate {i}: analytic = {_fmt(tau[i - 1])} "
+                      f"slope = {_fmt(-est.slope)} rel_gap = {_fmt(rel)} "
+                      f"r2 = {_fmt(est.r_squared)}\n")
+        if args.steps > 0:
+            sim = simulated()
+            for i in (1, 2):
+                # the empirical tail has finite support; fit on its inner half
+                tails = sim.tail_sequence(i, args.level, args.phase)
+                support = np.nonzero(tails > 0)[0]
+                if support.size < 8:
+                    out.write(f"coordinate {i} (simulated, seed {args.seed}): "
+                              f"insufficient data\n")
+                    continue
+                top = int(support[-1]) + 1
+                est = oracle.estimate_decay(sim, i, level=args.level,
+                                            phase=args.phase,
+                                            window=(top // 4, (3 * top) // 4))
+                rel = abs(-est.slope - tau[i - 1]) / tau[i - 1]
+                out.write(f"coordinate {i} (simulated, seed {args.seed}): "
+                          f"slope = {_fmt(-est.slope)} rel_gap = {_fmt(rel)}\n")
     _emit(out, "max_rel_gap_solver", worst)
     return EXIT_OK
 

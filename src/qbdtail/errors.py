@@ -127,6 +127,10 @@ class InvalidStart(QbdTailError):
 
 
 # cli
+class ChildFailed(QbdTailError):
+    """A forked child process ended without sending back its result."""
+
+
 class ParseError(QbdTailError):
     """Model file cannot be parsed."""
 

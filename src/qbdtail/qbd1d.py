@@ -447,8 +447,12 @@ def _row_sums(k: QbdBlocks) -> np.ndarray:
         (k.am1 + k.a0 + k.a1) @ np.ones(k.m)])
 
 
-def _is_stochastic(k: QbdBlocks, tol: float = 1e-12) -> bool:
-    """Every row sum of the assembled matrix lies within tol of one."""
+def _is_stochastic(k: QbdBlocks, tol: float | None = None) -> bool:
+    """Every row sum of the assembled matrix lies within ``tol`` of one; by
+    default within rounding, 2 eps per term of a row (at most m0 + 3m), so
+    that (1 + 5e-13) K is not read as stochastic."""
+    if tol is None:
+        tol = 2.0 * _EPS * (k.m0 + 3 * k.m)
     return bool(np.max(np.abs(_row_sums(k) - 1.0)) <= tol)
 
 

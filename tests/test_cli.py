@@ -10,7 +10,8 @@ import pytest
 import yaml
 
 from qbdtail import cli, jackson, levelset, matcore, modelfile, qbd2d
-from qbdtail.errors import ParseError, SchemaError
+from qbdtail.errors import (ChildFailed, InvalidStart, NoConvergence,
+                            ParseError, SchemaError)
 
 from conftest import product_form_jackson, scalar_rrw
 
@@ -665,6 +666,132 @@ model:
             tau = [l for l in decay.splitlines()
                    if l.startswith(f"tau{i} = ")][0].split(" = ")[1]
             assert f"coordinate {i}: analytic = {tau} " in text
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+def assert_no_child_left():
+    # no child of this process is running or waiting to be reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestVerifyChild:
+    """``verify --steps N`` simulates in a forked child while the parent
+    solves; a forced ``_fork_usable`` picks the path, so these run on a
+    one-CPU host too."""
+
+    SCALAR = str(MODELS / "scalar_rrw.yaml")
+
+    @staticmethod
+    def force_path(monkeypatch, forked):
+        """Force the forked or the inline path; returns the fork count."""
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            if not forked:
+                raise AssertionError("the inline path forked")
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(cli, "_fork_usable", lambda: forked)
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    @needs_fork
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_forked_and_inline_reports_are_the_golden(self, name, monkeypatch):
+        argv = ["verify", str(MODELS / f"{name}.yaml"), "--extent", "40",
+                "--scan", "64", "--steps", "20000"]
+        golden = (GOLDEN / f"verify_{name}.txt").read_text(encoding="utf-8")
+        for forked in (True, False):
+            forks = self.force_path(monkeypatch, forked)
+            assert run_cli(argv) == (cli.EXIT_OK, golden)
+            assert len(forks) == int(forked)
+        assert_no_child_left()
+
+    @needs_fork
+    def test_a_failing_solve_kills_and_reaps_the_child(self, monkeypatch,
+                                                        capsys):
+        # the child is still simulating 10^7 steps when the solve fails
+        def stalled(*args, **kwargs):
+            raise NoConvergence("solver stalled")
+
+        monkeypatch.setattr("qbdtail.oracle.truncate_and_solve", stalled)
+        argv = ["verify", self.SCALAR, "--extent", "30", "--scan", "16",
+                "--steps", "10000000"]
+        reports = []
+        for forked in (True, False):
+            self.force_path(monkeypatch, forked)
+            assert cli.main(argv) == 3
+            reports.append(capsys.readouterr())
+            assert_no_child_left()
+        assert reports[0] == reports[1]
+        assert reports[0].err == "numerical failure: solver stalled\n"
+
+    @needs_fork
+    def test_a_child_error_is_raised_where_the_inline_call_raises(
+            self, monkeypatch, capsys):
+        # same stdout (the solver rows come first), stderr and exit code
+        def refused(*args, **kwargs):
+            raise InvalidStart("start (0, 0, 9) is not a state of the chain")
+
+        monkeypatch.setattr("qbdtail.oracle.simulate", refused)
+        argv = ["verify", self.SCALAR, "--extent", "20", "--scan", "16",
+                "--steps", "1000"]
+        reports = []
+        for forked in (True, False):
+            self.force_path(monkeypatch, forked)
+            assert cli.main(argv) == 3
+            reports.append(capsys.readouterr())
+        assert reports[0] == reports[1]
+        assert reports[0].out.startswith("extent = 20\n")
+        assert "coordinate 2: analytic" in reports[0].out
+        assert reports[0].err == ("numerical failure: start (0, 0, 9) is not a "
+                                  "state of the chain\n")
+        assert_no_child_left()
+
+    @needs_fork
+    def test_a_child_that_dies_is_a_numerical_failure(self, monkeypatch,
+                                                      capsys):
+        parent = os.getpid()
+
+        def dies(*args, **kwargs):
+            if os.getpid() == parent:
+                raise AssertionError("the simulation ran in the parent")
+            os._exit(1)
+
+        monkeypatch.setattr("qbdtail.oracle.simulate", dies)
+        self.force_path(monkeypatch, True)
+        argv = ["verify", self.SCALAR, "--extent", "20", "--scan", "16",
+                "--steps", "1000"]
+        with pytest.raises(ChildFailed, match="exit status 1 "):
+            run_cli(argv)
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == ("numerical failure: the forked child ended with exit "
+                       "status 1 before sending its result\n")
+        assert_no_child_left()
+
+    def test_no_steps_never_forks(self, monkeypatch):
+        self.force_path(monkeypatch, False)
+        monkeypatch.setattr(cli, "_fork_usable", lambda: True)
+        code, text = run_cli(["verify", self.SCALAR, "--extent", "20",
+                              "--scan", "16", "--steps", "0"])
+        assert code == cli.EXIT_OK and "simulated" not in text
+
+    def test_one_cpu_or_no_fork_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert not cli._fork_usable()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        if hasattr(os, "fork"):
+            assert cli._fork_usable()
+            monkeypatch.delattr(os, "fork")
+        assert not cli._fork_usable()
 
 
 def test_env_tolerance_override(tmp_path, monkeypatch):

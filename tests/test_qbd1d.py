@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 import warnings
 
@@ -246,6 +247,21 @@ class TestGamma1dPlus:
                                         1.0, 0.0, 1.0, 1e-12)
         assert (iv.lo, iv.hi) == ends
         assert iv.lo < 0.0
+
+    def test_super_stochastic_past_rounding_keeps_its_left_end(self):
+        # row sums 1 + 5e-13: within 1e-12 of one but past rounding, so
+        # gamma(0) > 1 and the left end is the root near 1.7e-9, not 0; G
+        # there is the smaller root of p G^2 - (1 - a0) G + q (an end
+        # snapped to 0 twisted at a super-stochastic point and stalled)
+        u = 1.0 + 5e-13
+        k = qbd1d.scale(mm1_blocks(0.24985, 0.25015), u)
+        assert not qbd1d._is_stochastic(k)
+        iv = qbd1d.gamma1d_plus(k)
+        assert 1.6e-9 < iv.lo < 1.7e-9
+        p, q, b = u * 0.24985, u * 0.25015, 1.0 - u * 0.5
+        g = 2.0 * q / (b + math.sqrt(b * b - 4.0 * p * q))
+        assert qbd1d.g_minus(k).g[0, 0] == pytest.approx(g, rel=0.0, abs=1e-11)
+        assert not qbd1d.superharmonic_exists_via_G(k)
 
 
 class TestCpKplus:
@@ -743,6 +759,13 @@ class TestClassifyRecurrence:
         assert 1.0 <= qbd1d.cp_k(k) <= t_plus
         counts = (len(steps), max(steps), sum(steps))
         assert all(c <= cap for c, cap in zip(counts, self.CP_K_CEILING)), counts
+
+    @pytest.mark.parametrize("q", [3e-4, 3e-5, 3e-6])
+    def test_recurrent_cp_k_near_null_is_one(self, q):
+        # mean drift -q: c_p(K) = 1, reached through uK for u a few ulps
+        # past 1, which G reads at its own tilting interval
+        assert qbd1d.cp_k(mm1_blocks(0.25 - q / 2, 0.25 + q / 2)) == pytest.approx(
+            1.0, rel=0.0, abs=1e-12)
 
     def test_transient_cp_k_is_the_closed_form(self):
         # up 0.3, down 0.2: c_p(K) = c_p(K_+) = 1 / min_theta gamma(theta)
