@@ -263,6 +263,23 @@ def _fork_usable() -> bool:
         return (os.cpu_count() or 1) > 1
 
 
+@functools.cache
+def _prctl():
+    """libc's ``prctl`` through ``ctypes``, looked up once per process, or
+    None where libc has none (not Linux)."""
+    import ctypes
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, AttributeError):
+        return None
+    prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
+    prctl.restype = ctypes.c_int
+    return prctl
+
+
+_PR_SET_PDEATHSIG = 1
+
+
 @contextlib.contextmanager
 def _in_child(fn, fork: bool = True):
     """Run ``fn()`` in a forked child while the ``with`` body runs; yields
@@ -272,7 +289,10 @@ def _in_child(fn, fork: bool = True):
     The child pickles its outcome down a pipe and ends with ``os._exit``, so
     it runs no exit handlers and flushes no buffer it inherited.  A child
     that ends without an outcome is ``ChildFailed``.  A body that raises
-    kills and reaps the child before the exception propagates.  Without
+    kills and reaps the child before the exception propagates.  Where libc
+    has ``prctl`` (Linux), the child asks for SIGKILL when its parent dies
+    (``PR_SET_PDEATHSIG``), and exits at once if the parent died before
+    that request, so a parent killed by a signal leaves no child.  Without
     ``fork``, or where ``_fork_usable`` is false, ``result`` is ``fn``
     itself, run inline when it is called.
     """
@@ -281,19 +301,23 @@ def _in_child(fn, fork: bool = True):
         return
     import pickle
     import signal
+    prctl, parent = _prctl(), os.getpid()
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
             os.close(read_fd)
-            try:
-                outcome = (True, fn())
-            except BaseException as exc:
-                outcome = (False, exc)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
-            status = 0
+            if prctl is not None:
+                prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+            if os.getppid() == parent:
+                try:
+                    outcome = (True, fn())
+                except BaseException as exc:
+                    outcome = (False, exc)
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+                status = 0
         finally:
             os._exit(status)
     os.close(write_fd)

@@ -25,6 +25,7 @@ from .errors import (
     NotRenewalStructure,
     OutsideTransformRange,
     PathDisagreement,
+    ShapeMismatch,
     ThetaNotOnCurve,
     Unstable,
 )
@@ -50,9 +51,9 @@ class MapSpec:
             raise InvalidSpec("T and U must be square of equal size")
         off = t.copy()
         np.fill_diagonal(off, 0.0)
-        if np.any(off < 0) or np.any(u < 0):
+        if (off < 0).any() or (u < 0).any():
             raise InvalidSpec("T off-diagonal and U must be nonnegative")
-        if np.max(np.abs((t + u) @ np.ones(n))) > 1e-10:
+        if np.abs((t + u) @ np.ones(n)).max() > 1e-10:
             raise InvalidSpec("(T + U) 1 must vanish")
         if not matcore.is_irreducible(t + u + np.eye(n)):
             raise InvalidSpec("T + U must be irreducible")
@@ -87,15 +88,15 @@ class PhSpec:
         k = s.shape[0]
         if s.shape != (k, k) or beta.shape != (k,):
             raise InvalidSpec("beta and S sizes disagree")
-        if np.any(beta < 0) or abs(beta.sum() - 1.0) > 1e-12:
+        if (beta < 0).any() or abs(beta.sum() - 1.0) > 1e-12:
             raise InvalidSpec("beta must be a probability vector")
         off = s.copy()
         np.fill_diagonal(off, 0.0)
-        if np.any(off < 0) or np.any(np.diag(s) > 0):
+        if (off < 0).any() or (np.diagonal(s) > 0).any():
             raise InvalidSpec("S must have nonnegative off-diagonal, "
                               "nonpositive diagonal")
         exit_rates = -s @ np.ones(k)
-        if np.any(exit_rates < -1e-12) or np.max(exit_rates) <= 0:
+        if (exit_rates < -1e-12).any() or exit_rates.max() <= 0:
             raise InvalidSpec("S 1 <= 0 with strict inequality somewhere")
         if abs(np.linalg.det(s)) < 1e-300:
             raise InvalidSpec("-S must be nonsingular")
@@ -291,7 +292,8 @@ class CumulantSet:
     """Time-average cumulant eigenvalues of the four primitive streams.
 
     Each takes theta of shape (2,) (theta_i a number) or a stack (n, 2)
-    (theta_i of shape (n,)) and gives a number or one value per point.
+    (theta_i of shape (n,)) and gives a number or one value per point;
+    another shape raises ``ShapeMismatch``.
     """
 
     spec: JacksonSpec
@@ -300,14 +302,13 @@ class CumulantSet:
         """Tilting factor of node-i departures: e^{-theta_i}(r_i0 +
         e^{theta_{3-i}} r_{i,3-i})."""
         ri0, rij = self.spec.routing(i)
-        theta = np.asarray(theta, dtype=float)
-        ti, tj = theta[..., i - 1], theta[..., 2 - i]
-        return np.exp(-ti) * (ri0 + np.exp(tj) * rij)
+        coords = _coordinates(theta)
+        return np.exp(-coords[i - 1]) * (ri0 + np.exp(coords[2 - i]) * rij)
 
     def gamma_a(self, i: int, theta_i):
         """Arrival cumulant: dominant eigenvalue of T_i + e^theta U_i."""
         a = self.spec.arrivals[i - 1]
-        lift = np.exp(np.asarray(theta_i, dtype=float))[..., np.newaxis, np.newaxis]
+        lift = np.exp(theta_i)[..., np.newaxis, np.newaxis]
         return matcore.dominant(a.t + lift * a.u).value
 
     def gamma_d(self, i: int, theta):
@@ -318,15 +319,26 @@ class CumulantSet:
         return matcore.dominant(s.s + lift * s.d_mat).value
 
     def gamma_plus(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return (self.gamma_a(1, theta[..., 0]) + self.gamma_a(2, theta[..., 1])
+        t1, t2 = _coordinates(theta)
+        return (self.gamma_a(1, t1) + self.gamma_a(2, t2)
                 + self.gamma_d(1, theta) + self.gamma_d(2, theta))
 
     def gamma_face(self, i: int, theta):
         """gamma^{(i)} = both arrival cumulants plus the node-i departure."""
-        theta = np.asarray(theta, dtype=float)
-        return (self.gamma_a(1, theta[..., 0]) + self.gamma_a(2, theta[..., 1])
+        t1, t2 = _coordinates(theta)
+        return (self.gamma_a(1, t1) + self.gamma_a(2, t2)
                 + self.gamma_d(i, theta))
+
+
+def _coordinates(theta) -> np.ndarray:
+    """(theta_1, theta_2) of a point (2,) or a stack (n, 2): the transpose,
+    whose rows are numpy scalars from one point, so their arithmetic skips
+    the array machinery."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim > 2 or theta.shape[-1:] != (2,):
+        raise ShapeMismatch(f"expected theta of shape (2,) or (n, 2), "
+                            f"got {theta.shape}")
+    return theta.T
 
 
 def cumulants(spec: JacksonSpec) -> CumulantSet:

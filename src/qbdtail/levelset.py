@@ -50,10 +50,11 @@ def _stencil_model(f, x, h):
     """f on the stencil x + h {-1, 0, 1}^2 in one stacked call: its values
     (3, 3) and the central-difference gradient and Hessian at x."""
     m = np.asarray(f(x + h * _STENCIL), dtype=float).reshape(3, 3)
-    grad = np.array([m[2, 1] - m[0, 1], m[1, 2] - m[1, 0]]) / (2.0 * h)
-    cross = 0.25 * (m[2, 2] - m[2, 0] - m[0, 2] + m[0, 0])
-    hess = np.array([[m[2, 1] - 2.0 * m[1, 1] + m[0, 1], cross],
-                     [cross, m[1, 2] - 2.0 * m[1, 1] + m[1, 0]]]) / (h * h)
+    (sw, w, nw), (s, c, n), (se, e, ne) = m.tolist()
+    grad = np.array([e - w, n - s]) / (2.0 * h)
+    cross = 0.25 * (ne - se - nw + sw)
+    hess = np.array([[e - 2.0 * c + w, cross],
+                     [cross, n - 2.0 * c + s]]) / (h * h)
     return m, grad, hess
 
 
@@ -105,34 +106,46 @@ def _radial_roots(gap, base, step, inside) -> np.ndarray:
         open_ = open_[grow]
         lo[open_], f_lo[open_] = hi[open_], f[grow]
         hi[open_] *= 2.0
-        if np.any(hi[open_] > 1e8):
+        if (hi[open_] > 1e8).any():
             raise EmptyGammaPlus("level region appears unbounded")
     tol = 1e-12 * (1.0 + hi)
-    # Illinois: the secant runs on scaled copies of the end values; an end
-    # kept twice in a row has its value halved
-    s_lo, s_hi = f_lo.copy(), f_hi.copy()
-    last = np.zeros(n)               # -1: lo moved last, +1: hi moved last
-    open_ = np.flatnonzero((hi - lo > tol) & (f_lo != 0))
+    # Illinois: the secant runs on scaled copies (sa, sb) of the end values;
+    # an end kept twice in a row has its value halved.  The open lanes
+    # live in compact arrays; a lane that closes is written back once.
+    k = np.flatnonzero((hi - lo > tol) & (f_lo != 0))
+    a, b, fa, fb, t_k = lo[k], hi[k], f_lo[k], f_hi[k], tol[k]
+    base, step = base[k], step[k]
+    sa, sb = fa.copy(), fb.copy()
+    last = np.zeros(k.size)          # -1: a moved last, +1: b moved last
     for _ in range(200):
-        if not open_.size:
+        if not k.size:
             break
-        a, b = lo[open_], hi[open_]
-        x = a - s_lo[open_] * (b - a) / (s_hi[open_] - s_lo[open_])
+        x = a - sa * (b - a) / (sb - sa)
         x = np.where(np.isfinite(x), x, 0.5 * (a + b))
-        half = 0.5 * tol[open_]
-        x = np.clip(x, a + half, b - half)
-        f = gap(base[open_] + x[:, np.newaxis] * step[open_])
-        moved_lo = f <= 0
-        side = np.where(moved_lo, -1.0, 1.0)
-        twice = last[open_] == side
-        k_lo, k_hi = open_[moved_lo], open_[~moved_lo]
-        lo[k_lo], f_lo[k_lo], s_lo[k_lo] = x[moved_lo], f[moved_lo], f[moved_lo]
-        hi[k_hi], f_hi[k_hi], s_hi[k_hi] = x[~moved_lo], f[~moved_lo], f[~moved_lo]
-        s_hi[open_[moved_lo & twice]] *= 0.5
-        s_lo[open_[~moved_lo & twice]] *= 0.5
-        last[open_] = side
-        open_ = open_[(hi[open_] - lo[open_] > tol[open_]) & (f_lo[open_] != 0)]
-    if open_.size:
+        half = 0.5 * t_k
+        x = np.minimum(np.maximum(x, a + half), b - half)
+        f = gap(base + x[:, np.newaxis] * step)
+        moved_a = f <= 0
+        moved_b = ~moved_a
+        side = np.where(moved_a, -1.0, 1.0)
+        twice = last == side
+        for end, value in ((a, x), (fa, f), (sa, f)):
+            np.copyto(end, value, where=moved_a)
+        for end, value in ((b, x), (fb, f), (sb, f)):
+            np.copyto(end, value, where=moved_b)
+        np.multiply(sb, 0.5, out=sb, where=moved_a & twice)
+        np.multiply(sa, 0.5, out=sa, where=moved_b & twice)
+        last = side
+        keep = (b - a > t_k) & (fa != 0)
+        if not keep.all():
+            gone = ~keep
+            done = k[gone]
+            lo[done], hi[done], f_lo[done], f_hi[done] = (
+                a[gone], b[gone], fa[gone], fb[gone])
+            k, a, b, fa, fb, sa, sb, t_k, base, step, last = (
+                v[keep] for v in (k, a, b, fa, fb, sa, sb, t_k, base, step,
+                                  last))
+    if k.size:
         raise NoConvergence("radial root brackets did not shrink to the tolerance")
     return np.where(np.abs(f_hi) < np.abs(f_lo), hi, lo)
 
@@ -189,9 +202,10 @@ class LevelCurve:
         if k < n and self.scan_phi[k] == phi:
             return self.scan_points[k].copy()
         u = (math.cos(phi), math.sin(phi))
+        ray = np.array(u)
         p, a, b, q = (self.scan_points[(k + j) % n] - self.center
                       for j in (-2, -1, 0, 1))
-        g = lambda t: float(self.gap(self.center + np.multiply(t, u)))
+        g = lambda t: float(self.gap(self.center + t * ray))
         lo = _ray_hit(u, a, b)
         lo = lo if lo < math.inf else 0.0
         hi = 2.0 * max(math.hypot(*a), math.hypot(*b))
@@ -213,7 +227,7 @@ class LevelCurve:
                 break
             width *= 2.0
         t = _brent_bracket(g, lo, f_lo, hi, f_hi, 1e-12 * (1.0 + hi))[0]
-        return self.center + np.multiply(t, u)
+        return self.center + t * ray
 
     # -- poles and sections ------------------------------------------------
 
@@ -312,7 +326,7 @@ class LevelCurve:
         if not any(feasible):
             raise EmptyGammaPlus(f"no feasible curve point on face {i}")
         p = None if all(feasible) else self._transition(i, *ends)
-        if p is None or np.any(self.scan_points[excess <= 0, i - 1] > p[i - 1]):
+        if p is None or (self.scan_points[excess <= 0, i - 1] > p[i - 1]).any():
             raise InconsistentCategory(f"face {i}: not one feasible arc below the pole")
         if p[i - 1] < -1e-12:
             raise EmptyGammaPlus(f"no feasible curve point with theta_{i} >= 0")
@@ -393,8 +407,8 @@ def checked_direction(direction) -> np.ndarray:
     """The direction as a float vector; ZeroDirection unless it is finite,
     nonnegative and nonzero."""
     c = np.asarray(direction, dtype=float)
-    if (c.shape != (2,) or not np.all(np.isfinite(c)) or np.any(c < 0)
-            or np.all(c == 0)):
+    if (c.shape != (2,) or not np.isfinite(c).all() or (c < 0).any()
+            or (c == 0).all()):
         raise ZeroDirection("direction must be finite, nonnegative and nonzero")
     return c
 
@@ -459,7 +473,7 @@ def boundary_rows(curve: LevelCurve, samples: int) -> list:
     chord = np.linspace(float(west[1]), float(east[1]), samples)
     inner = np.column_stack((grid, chord))[1:-1]
     g = curve.gap(inner)
-    if not np.all(g < 0):
+    if not (g < 0).all():
         raise NoConvergence("the west-east chord is not inside the level region")
     t = _radial_roots(curve.gap, np.vstack((inner, inner)),
                       np.repeat([[0.0, 1.0], [0.0, -1.0]], samples - 2,

@@ -11,6 +11,7 @@ numpy arrays at desk scale (dimension up to a few hundred).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -35,6 +36,13 @@ PF_TOL = 1e-13
 #: an M-matrix inverse needs its eigenvalues' least real part >= NEUMANN_MARGIN
 #: (for I - T: the Neumann series of T diverges at spectral radius 1)
 NEUMANN_MARGIN = 1e-10
+
+#: up to this many lanes, an order-2 stack is solved lane by lane in scalar
+#: arithmetic (``_pairs``), above as arrays: the same operations give the
+#: same bits either way.  The scalar path costs about 6 + 2n us, the array
+#: path a flat 32-35 us; they cross between 14 and 15 lanes (Python 3.11,
+#: numpy 2.4, one core of a 2-core Xeon host; README "Kernel cost")
+SCALAR_LANES = 14
 
 _ONE = np.ones(1)
 _ONE.flags.writeable = False
@@ -63,7 +71,7 @@ def as_matrix(x) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if a.ndim != 2:
         raise ShapeMismatch(f"expected a 2-d array, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteEntry("matrix entries must be finite")
     return a
 
@@ -100,16 +108,17 @@ def dominant(t) -> Dominant:
     wider than ``PF_TOL`` allows, for the first failing lane of a stack.
     """
     t = np.asarray(t, dtype=float)
-    if t.ndim == 3:
+    shape = t.shape
+    if len(shape) == 3:
         return _dominant_stack(t)
-    if t.shape == (1, 1):
+    if shape == (1, 1):
         value = t.item()
         if not math.isfinite(value):
             raise NonFiniteEntry("matrix entries must be finite")
         return Dominant(value, _ONE, value, value)
-    n = t.shape[0]
-    if t.shape != (n, n):
-        raise ShapeMismatch(f"expected a square matrix, got {t.shape}")
+    n = shape[0]
+    if shape != (n, n):
+        raise ShapeMismatch(f"expected a square matrix, got {shape}")
     if n > 2:
         d = _dominant_stack(t[np.newaxis])
         return Dominant(float(d.value[0]), d.right[0], float(d.lo[0]),
@@ -119,6 +128,17 @@ def dominant(t) -> Dominant:
         raise NonFiniteEntry("matrix entries must be finite")
     if b < 0 or c < 0:
         raise NegativeEntry("off-diagonal entries must be nonnegative")
+    x, y, lo, hi, value, narrow = _closed_form(a, b, c, d)
+    if not narrow:
+        raise _wide_bracket(lo, hi)
+    return Dominant(value, np.array((x / (x + y), y / (x + y))), lo, hi)
+
+
+def _closed_form(a: float, b: float, c: float, d: float) -> tuple:
+    """(x, y, lo, hi, value, narrow) for [[a, b], [c, d]] with b, c >= 0,
+    in scalar arithmetic: the Perron vector (x, y), not normalized, its
+    Collatz-Wielandt bounds and their midpoint, and whether the bracket is
+    within ``PF_TOL``; ``NotIrreducible`` when x or y is not positive."""
     # s = sqrt(h^2 + bc) >= |h|; pick the eigenvector form that adds
     # |h| to s, so neither entry cancels
     h = 0.5 * (a - d)
@@ -130,9 +150,23 @@ def dominant(t) -> Dominant:
     r1 = d + c * x / y
     lo, hi = (r0, r1) if r0 <= r1 else (r1, r0)
     value = 0.5 * (lo + hi)
-    if not hi - lo <= PF_TOL * (value + 1.0 + max(0.0, -a, -d)):
-        raise _wide_bracket(lo, hi)
-    return Dominant(value, np.array((x / (x + y), y / (x + y))), lo, hi)
+    return x, y, lo, hi, value, hi - lo <= PF_TOL * (value + 1.0 + max(0.0, -a, -d))
+
+
+def _pairs(rows: list) -> Dominant:
+    """``dominant`` of a few order-2 lanes given as rows (a, b, c, d), by
+    the scalar closed form lane by lane, raising in the order of the array
+    form: any negative entry, then any zero vector entry, then the first
+    wide bracket."""
+    if any(b < 0 or c < 0 for _, b, c, _ in rows):
+        raise NegativeEntry("off-diagonal entries must be nonnegative")
+    lanes = [_closed_form(*row) for row in rows]
+    for _, _, lo, hi, _, narrow in lanes:
+        if not narrow:
+            raise _wide_bracket(lo, hi)
+    _, _, lo, hi, value, _ = zip(*lanes)
+    right = np.array([(x / (x + y), y / (x + y)) for x, y, *_ in lanes])
+    return Dominant(np.array(value), right, np.array(lo), np.array(hi))
 
 
 def _dominant_stack(t: np.ndarray) -> Dominant:
@@ -142,36 +176,46 @@ def _dominant_stack(t: np.ndarray) -> Dominant:
     if m == 1:
         value = t[:, 0, 0]
         return Dominant(value, np.ones((n, 1)), value, value)
-    if np.any(t[:, ~np.eye(m, dtype=bool)] < 0):
-        raise NegativeEntry("off-diagonal entries must be nonnegative")
-    diag = t[:, np.arange(m), np.arange(m)]
+    if m == 2 and 0 < n <= SCALAR_LANES:
+        return _pairs(t.reshape(n, 4).tolist())
     if m == 2:
-        # the order-2 closed form of ``dominant``, lane by lane
-        a, b, c, d = t[:, 0, 0], t[:, 0, 1], t[:, 1, 0], t[:, 1, 1]
+        # the closed form of ``_closed_form`` on the (n, 4) rows (a, b, c,
+        # d), the same operations as arrays
+        v = t.reshape(n, 4)
+        if (v[:, 1:3] < 0).any():
+            raise NegativeEntry("off-diagonal entries must be nonnegative")
+        a, b, c, d = v.T
         h = 0.5 * (a - d)
         s = np.sqrt(h * h + b * c)
         up = h >= 0
         x = np.where(up, h + s, b)
         y = np.where(up, c, s - h)
-        if not np.all((x > 0) & (y > 0)):
+        if not ((x > 0) & (y > 0)).all():
             raise NotIrreducible("Perron vector has a zero entry")
         r0 = a + b * y / x
         r1 = d + c * x / y
         lo, hi = np.minimum(r0, r1), np.maximum(r0, r1)
-        right = np.stack((x / (x + y), y / (x + y)), axis=-1)
+        right = np.empty((n, 2))
+        total = x + y
+        np.divide(x, total, out=right[:, 0])
+        np.divide(y, total, out=right[:, 1])
+        least = np.minimum(a, d)
     else:
+        if (t[:, _off_diagonal(m)] < 0).any():
+            raise NegativeEntry("off-diagonal entries must be nonnegative")
         w, vecs = np.linalg.eig(t)
         k = np.argmax(w.real, axis=1)
         right = vecs[np.arange(n), :, k].real
         right = right / right.sum(axis=1, keepdims=True)
-        if not np.all(right > 0):
+        if not (right > 0).all():
             raise NotIrreducible("Perron vector has an entry <= 0")
         ratio = (t @ right[:, :, np.newaxis])[:, :, 0] / right
         lo, hi = ratio.min(axis=1), ratio.max(axis=1)
+        least = np.diagonal(t, axis1=1, axis2=2).min(axis=1)
     value = 0.5 * (lo + hi)
-    wide = ~(hi - lo <= PF_TOL * (value + 1.0 + np.maximum(0.0, -diag.min(axis=1))))
-    if wide.any():
-        k = int(np.argmax(wide))
+    narrow = hi - lo <= PF_TOL * (value + 1.0 + np.maximum(0.0, -least))
+    if not narrow.all():
+        k = int(np.argmin(narrow))
         raise _wide_bracket(float(lo[k]), float(hi[k]))
     return Dominant(value, right, lo, hi)
 
@@ -186,9 +230,27 @@ def _square(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.ndim < 2 or t.shape[-1] != t.shape[-2]:
         raise ShapeMismatch(f"expected square matrices, got {t.shape}")
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise NonFiniteEntry("matrix entries must be finite")
     return t
+
+
+@functools.cache
+def identity(m: int, scale: float = 1.0) -> np.ndarray:
+    """scale * I of order m, read-only and shared per order and scale."""
+    return _read_only(scale * np.eye(m))
+
+
+@functools.cache
+def _off_diagonal(m: int) -> np.ndarray:
+    """Boolean mask of the off-diagonal entries of an m x m matrix,
+    read-only and shared per order."""
+    return _read_only(~np.eye(m, dtype=bool))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def spectral_radius(t):
@@ -204,9 +266,15 @@ def least_eigenvalue(a):
     """Least real part of the eigenvalues of a square matrix, or per lane
     of a stack, by a dense eigenvalue solve (reducible patterns allowed)."""
     a = _square(a)
-    low = (a[..., 0, 0].copy() if a.shape[-1] == 1
-           else np.linalg.eigvals(a).real.min(axis=-1))
+    low = _least(a)
     return float(low) if a.ndim == 2 else low
+
+
+def _least(a: np.ndarray) -> np.ndarray:
+    """``least_eigenvalue`` of a validated array, as an array."""
+    if a.shape[-1] == 1:
+        return a[..., 0, 0].copy()
+    return np.linalg.eigvals(a).real.min(axis=-1)
 
 
 def kron_prod(a, b) -> np.ndarray:
@@ -245,20 +313,25 @@ def m_inverses(a) -> tuple:
     a = _square(a)
     m = a.shape[-1]
     stack = a.reshape((-1, m, m))
-    low = least_eigenvalue(stack)
+    low = _least(stack)
     ok = low >= NEUMANN_MARGIN
-    x = np.full(stack.shape, np.nan)
-    if ok.any():
-        b = stack[ok]
-        inv = np.linalg.solve(b, np.broadcast_to(np.eye(m), b.shape))
-        inv[(inv < 0) & (inv > -1e-12)] = 0.0
-        if np.any(inv < 0):
+    every = ok.all()
+    b = stack if every else stack[ok]
+    eye = identity(m)
+    inv = np.linalg.solve(b, eye[np.newaxis])   # one identity for every lane
+    negative = inv < 0
+    if negative.any():
+        inv[negative & (inv > -1e-12)] = 0.0
+        if (inv < 0).any():
             raise IllConditioned("M-matrix inverse came out negative beyond tolerance")
-        check = np.max(np.abs(b @ inv - np.eye(m)))
-        if check > 1e-10:
-            raise IllConditioned(f"M-matrix inverse verification failed: {check:.3e}")
+    check = np.abs(b @ inv - eye).max(initial=0.0)
+    if check > 1e-10:
+        raise IllConditioned(f"M-matrix inverse verification failed: {check:.3e}")
+    if not every:
+        x = np.full(stack.shape, np.nan)
         x[ok] = inv
-    return x.reshape(a.shape), low.reshape(a.shape[:-2])
+        inv = x
+    return inv.reshape(a.shape), low.reshape(a.shape[:-2])
 
 
 def neumann_inverse(t) -> np.ndarray:
@@ -266,9 +339,9 @@ def neumann_inverse(t) -> np.ndarray:
     strictly below 1: ``m_inverses`` of I - T, raising
     ``SpectralRadiusNotBelowOne`` (radius 1 - low) where it is refused."""
     t = as_matrix(t)
-    if np.any(t < 0):
+    if (t < 0).any():
         raise NegativeEntry("matrix must be entrywise nonnegative")
-    x, low = m_inverses(np.eye(t.shape[-1]) - t)
+    x, low = m_inverses(identity(t.shape[-1]) - t)
     if not low >= NEUMANN_MARGIN:
         raise SpectralRadiusNotBelowOne(
             f"spectral radius {1.0 - low:.15g} is not below 1 - {NEUMANN_MARGIN}")
@@ -284,7 +357,7 @@ def twist(t_blocks, h, theta: float, levels) -> list[np.ndarray]:
     the eigenvalue there.
     """
     h = np.asarray(h, dtype=float).ravel()
-    if np.any(h <= 0):
+    if (h <= 0).any():
         raise NonPositiveScale("twist vector must be strictly positive")
     blocks = [as_matrix(b) for b in t_blocks]
     levels = list(levels)

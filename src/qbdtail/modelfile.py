@@ -51,7 +51,7 @@ def _matrix(node, where: str) -> np.ndarray:
         a = a[np.newaxis, :]
     if a.ndim != 2 or a.size == 0:
         raise SchemaError(f"{where}: expected a rectangular matrix")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise SchemaError(f"{where}: entries must be finite numbers")
     return a
 

@@ -69,7 +69,7 @@ class QbdBlocks:
             got = getattr(self, name).shape
             if got != shape:
                 raise ValueError(f"{name} has shape {got}, expected {shape}")
-            if np.any(getattr(self, name) < 0):
+            if (getattr(self, name) < 0).any():
                 raise ValueError(f"{name} must be entrywise nonnegative")
         if not matcore.is_irreducible(self.am1 + self.a0 + self.a1):
             raise NotIrreducible("A_-1 + A_0 + A_1 must be irreducible")
@@ -314,14 +314,18 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     The returned point is an exact zero of f or an end of a sign-change
     bracket no wider than ``max(tol, 4 eps |root|)`` (``_brent_bracket``).
     """
-    fa, fb = f(lo), f(hi)
-    if fa == 0.0:
+    return _root(f, lo, f(lo), hi, f(hi), tol)
+
+
+def _root(f, lo: float, f_lo: float, hi: float, f_hi: float, tol: float) -> float:
+    """``bisect_root`` given the values f_lo = f(lo) and f_hi = f(hi)."""
+    if f_lo == 0.0:
         return lo
-    if fb == 0.0:
+    if f_hi == 0.0:
         return hi
-    if fa * fb > 0:
+    if f_lo * f_hi > 0:
         raise NoSignChange("root bracket does not straddle a root")
-    return _brent_bracket(f, lo, fa, hi, fb, tol)[0]
+    return _brent_bracket(f, lo, f_lo, hi, f_hi, tol)[0]
 
 
 def _sublevel_interval(f, level: float, x0: float, step: float, tol: float,
@@ -330,20 +334,25 @@ def _sublevel_interval(f, level: float, x0: float, step: float, tol: float,
     ``sides`` (-1 the lower end, +1 the upper), or None when the minimum
     lies above ``level``: an inner point below ``level`` (``x0`` itself when
     f(x0) < level, else the convex minimum), then per side a doubling
-    bracket and one Brent root."""
-    if f(x0) < level:   # strict: at f(x0) == level, x0 may be both ends
+    bracket and one Brent root from the values already taken at its ends."""
+    f_inner = f(x0)
+    if f_inner < level:   # strict: at f(x0) == level, x0 may be both ends
         inner = x0
     else:
-        inner, fmin = convex_min_scalar(f, x0, step=step, tol=tol)
-        if fmin > level:
+        inner, f_inner = convex_min_scalar(f, x0, step=step, tol=tol)
+        if f_inner > level:
             return None
     g = lambda x: f(x) - level
+    g_inner = f_inner - level
     ends = []
     for side in sides:
         out = inner + side
-        while g(out) <= 0:
+        g_out = g(out)
+        while g_out <= 0:
             out = inner + 2.0 * (out - inner)
-        ends.append(bisect_root(g, min(inner, out), max(inner, out), tol=tol))
+            g_out = g(out)
+        ends.append(_root(g, out, g_out, inner, g_inner, tol) if out < inner
+                    else _root(g, inner, g_inner, out, g_out, tol))
     return tuple(ends)
 
 
@@ -410,7 +419,7 @@ def _log_reduction(k: QbdBlocks, theta1: float):
         up_next, down_next = moves[:, :m], moves[:, m:]
         g_next, t_next = g + t @ down_next, t @ up_next
         deficit_next = t_next.sum(axis=1)
-        if not (np.all(np.isfinite(g_next)) and np.all(np.isfinite(t_next))
+        if not (np.isfinite(g_next).all() and np.isfinite(t_next).all()
                 and deficit_next.max() < deficit.max()
                 and np.abs(moves.sum(axis=1) - 1.0).max() <= 1e-6):
             break
@@ -453,7 +462,7 @@ def _is_stochastic(k: QbdBlocks, tol: float | None = None) -> bool:
     that (1 + 5e-13) K is not read as stochastic."""
     if tol is None:
         tol = 2.0 * _EPS * (k.m0 + 3 * k.m)
-    return bool(np.max(np.abs(_row_sums(k) - 1.0)) <= tol)
+    return bool(np.abs(_row_sums(k) - 1.0).max() <= tol)
 
 
 def _g_radius(k: QbdBlocks):
@@ -628,8 +637,8 @@ def rate_matrix(k: QbdBlocks) -> np.ndarray:
 
 
 def stationary_boundary(k: QbdBlocks):
-    """(pi_0, pi_1, R) of a positive recurrent stochastic QBD, normalized so
-    that pi_0 1 + pi_1 (I - R)^{-1} 1 = 1.
+    """(pi_0, pi_1, R, (I - R)^{-1}) of a positive recurrent stochastic QBD,
+    normalized so that pi_0 1 + pi_1 (I - R)^{-1} 1 = 1.
 
     The balance equations at levels 0 and 1 are solved once with the first
     entry pinned to 1 (as ``oracle.truncate_and_solve`` does); the pinned
@@ -648,17 +657,18 @@ def stationary_boundary(k: QbdBlocks):
         x[1:] = np.linalg.solve(a[1:, 1:], -a[1:, 0])
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"pinned boundary balance equations: {exc}") from None
-    if not np.all(np.isfinite(x)) or np.any(x < 0):
+    if not np.isfinite(x).all() or (x < 0).any():
         raise NoConvergence("boundary solve gave a negative or non-finite entry")
     pi0, pi1 = x[:m0], x[m0:]
-    total = pi0.sum() + pi1 @ matcore.neumann_inverse(r) @ np.ones(m)
-    return pi0 / total, pi1 / total, r
+    inv = matcore.neumann_inverse(r)
+    total = pi0.sum() + pi1 @ inv @ np.ones(m)
+    return pi0 / total, pi1 / total, r, inv
 
 
 def qbd_stationary(k: QbdBlocks, max_level: int) -> list[np.ndarray]:
     """Stationary vectors (pi_0, ..., pi_max_level) by a boundary solve plus
     the matrix-geometric tail pi_{n+1} = pi_n R."""
-    pi0, pi1, r = stationary_boundary(k)
+    pi0, pi1, r, _ = stationary_boundary(k)
     out = [pi0, pi1]
     for _ in range(max_level - 1):
         out.append(out[-1] @ r)

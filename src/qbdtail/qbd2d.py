@@ -185,13 +185,13 @@ def validate_spec(spec: Qbd2dSpec, tol: float = 1e-12) -> list:
             rowsum += b @ np.ones(b.shape[1])
             if inc == (0, 0) and spec.time == "continuous":
                 mask = ~np.eye(b.shape[0], dtype=bool)
-                if not np.all(b[mask] >= -tol):
+                if not (b[mask] >= -tol).all():
                     out.append(Violation("NegativeEntryViolation", reg, inc,
                                          "negative off-diagonal entry"))
-                if not np.all(np.diag(b) <= tol):
+                if not (np.diagonal(b) <= tol).all():
                     out.append(Violation("DiagSignViolation", reg, inc,
                                          "positive diagonal in a generator"))
-            elif not np.all(b >= -tol):
+            elif not (b >= -tol).all():
                 out.append(Violation("NegativeEntryViolation", reg, inc,
                                      "negative entry"))
             tgt = alias_target(*reg, *inc)
@@ -201,10 +201,11 @@ def validate_spec(spec: Qbd2dSpec, tol: float = 1e-12) -> list:
                     out.append(Violation("AliasViolation", reg, inc,
                                          f"must equal family {tgt[0]} block {tgt[1]}"))
         target = 1.0 if spec.time == "discrete" else 0.0
-        if np.max(np.abs(rowsum - target)) > max(tol, 1e-12):
+        deviation = np.abs(rowsum - target).max()
+        if deviation > max(tol, 1e-12):
             out.append(Violation("RowSumViolation", reg, None,
                                  f"row sums deviate from {target} by "
-                                 f"{np.max(np.abs(rowsum - target)):.3e}"))
+                                 f"{deviation:.3e}"))
     for i, (face, _) in _FACES.items():
         if _traps_axis(_sum_parts(spec.face_stacks[i][:3], 0.0)):
             out.append(Violation(
@@ -225,7 +226,7 @@ def _traps_axis(sums) -> bool:
     down, f0, f1 = (b != 0 for b in sums)
     reach = matcore.reach(f0)
     entered = down.any(axis=0) @ reach
-    return bool(np.any(entered & ~(reach @ f1).any(axis=1)))
+    return bool((entered & ~(reach @ f1).any(axis=1)).any())
 
 
 # -- moment generating functions --------------------------------------------
@@ -273,7 +274,8 @@ def c2_mgf(spec: Qbd2dSpec, i: int, theta) -> np.ndarray:
     """
     theta = np.asarray(theta, dtype=float)
     down, f0, f1, a_low, a_up = face_mgfs(spec, i, theta[..., i - 1])
-    inv, low = matcore.m_inverses(gamma_level(spec) * np.eye(f0.shape[-1]) - f0)
+    level_eye = matcore.identity(f0.shape[-1], gamma_level(spec))
+    inv, low = matcore.m_inverses(level_eye - f0)
     if theta.ndim == 1 and not low >= matcore.NEUMANN_MARGIN:
         raise FaceNotInvertible(
             f"face {i} is not invertible at theta_{i} = {theta[i - 1]!r}")
@@ -320,9 +322,9 @@ def feasibility_margin(spec: Qbd2dSpec):
         c = c2_mgf(spec, i, points)
         v = (c @ h[:, :, np.newaxis])[:, :, 0]
         if discrete:
-            out = np.max(v - h, axis=1)
+            out = (v - h).max(axis=1)
         else:
-            out = np.max(v, axis=1) / np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
+            out = v.max(axis=1) / np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
         out[np.isnan(out)] = np.inf
         return out.reshape(theta.shape[:-1])
 
@@ -399,7 +401,7 @@ def _induced_drift(spec: Qbd2dSpec, i: int) -> float:
     transverse chain in coordinate 3-i, which must be positive recurrent
     (mu_{3-i} < 0)."""
     from . import qbd1d
-    nu0, nu1, r = qbd1d.stationary_boundary(_transverse_qbd(spec, i))
+    nu0, nu1, r, inv = qbd1d.stationary_boundary(_transverse_qbd(spec, i))
     face, inner = _FACES[i]
 
     def drift(*parts):
@@ -413,7 +415,7 @@ def _induced_drift(spec: Qbd2dSpec, i: int) -> float:
     d_axis = drift((face, H))
     d_lvl1 = drift((inner, (-1,)), (("+", "+"), HP))
     d_int = drift((("+", "+"), H))
-    tail = nu1 @ r @ matcore.neumann_inverse(r)
+    tail = nu1 @ r @ inv
     return float(nu0 @ d_axis + nu1 @ d_lvl1 + tail @ d_int)
 
 

@@ -1,8 +1,10 @@
 import io
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -671,6 +673,16 @@ model:
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
 
+def running(pid: int) -> bool:
+    """Whether process pid exists and has not exited (a zombie that no
+    reaper has collected yet counts as exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
 def assert_no_child_left():
     # no child of this process is running or waiting to be reaped
     with pytest.raises(ChildProcessError):
@@ -774,6 +786,47 @@ class TestVerifyChild:
         assert err == ("numerical failure: the forked child ended with exit "
                        "status 1 before sending its result\n")
         assert_no_child_left()
+
+    @pytest.mark.skipif(not (sys.platform.startswith("linux")
+                             and cli._fork_usable()
+                             and Path(f"/proc/{os.getpid()}/task/{os.getpid()}"
+                                      "/children").exists()),
+                        reason="needs Linux /proc children lists and a usable fork")
+    def test_a_killed_parent_leaves_no_child(self):
+        # SIGKILL runs no cleanup in the parent; the child, told to die
+        # with it (PR_SET_PDEATHSIG), stops within seconds instead of
+        # walking its 5e7 steps
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qbdtail", "verify", self.SCALAR,
+             "--extent", "30", "--steps", "50000000"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        child = None
+        try:
+            deadline = time.monotonic() + 60.0
+            while child is None and proc.poll() is None \
+                    and time.monotonic() < deadline:
+                pids = children.read_text().split()
+                if pids:
+                    child = int(pids[0])
+                else:
+                    time.sleep(0.02)
+            assert child is not None, "verify forked no child"
+            proc.kill()
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 5.0
+            while running(child) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not running(child)
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+            if child is not None and running(child):
+                os.kill(child, signal.SIGKILL)
 
     def test_no_steps_never_forks(self, monkeypatch):
         self.force_path(monkeypatch, False)

@@ -3,11 +3,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbdtail import jackson, matcore, modelfile, qbd2d
+from qbdtail import cli, jackson, matcore, modelfile, qbd2d
 from qbdtail.errors import (
     InvalidSpec,
     NotRenewalStructure,
     OutsideTransformRange,
+    PathDisagreement,
+    ShapeMismatch,
     ThetaNotOnCurve,
     Unstable,
     ZeroDirection,
@@ -184,6 +186,27 @@ class TestCumulants:
                  + cs.gamma_d(1, theta) + cs.gamma_d(2, theta))
         assert cs.gamma_plus(theta) == pytest.approx(total, abs=1e-14)
 
+    def test_stack_of_points_matches_each_point(self, mapph_spec):
+        cs = jackson.cumulants(mapph_spec)
+        lanes = np.random.default_rng(9).uniform(-0.5, 0.5, size=(5, 2))
+        cases = [cs.gamma_plus, lambda th: cs.gamma_face(1, th),
+                 lambda th: cs.gamma_face(2, th), lambda th: cs.t_factor(1, th)]
+        for f in cases:
+            stacked = f(lanes)
+            assert stacked.shape == (5,)
+            assert list(stacked) == [f(p) for p in lanes]
+
+    @pytest.mark.parametrize("shape", [(), (3,), (4, 3), (3, 4, 2)])
+    def test_theta_of_another_shape_is_refused(self, mapph_spec, shape):
+        # a grid (n1, n2, 2) is not a stack of points: refused, not
+        # answered with its axes swapped
+        cs = jackson.cumulants(mapph_spec)
+        theta = np.zeros(shape)
+        for f in (cs.gamma_plus, lambda th: cs.gamma_face(1, th),
+                  lambda th: cs.gamma_d(2, th), lambda th: cs.t_factor(1, th)):
+            with pytest.raises(ShapeMismatch):
+                f(theta)
+
 
 class TestRenewalCumulant:
     def test_poisson_algebra(self):
@@ -253,6 +276,37 @@ class TestDecayReport:
     def test_bad_direction_raises(self, direction):
         with pytest.raises(ZeroDirection):
             jackson.decay_report(tandem_jackson(), [(1.0, 0.0), direction])
+
+
+class TestPathDisagreement:
+    """The 1e-6 dual-path gate of ``decay_report``: the generic path is
+    handed the level curve of the tandem line with node 1 at rate 2.1, not
+    2, so its tau_1 reads log 2.1 against the analytic log 2."""
+
+    @staticmethod
+    def perturb(monkeypatch):
+        other = jackson.JacksonSpec(
+            arrivals=(jackson.poisson_map(1.0), jackson.poisson_map(0.0)),
+            services=(jackson.exponential_ph(2.1), jackson.exponential_ph(3.0)),
+            r12=1.0, r21=0.0)
+        real = qbd2d.level_curve
+        monkeypatch.setattr(jackson.qbd2d, "level_curve",
+                            lambda blocks, scan=192: real(other.blocks, scan=scan))
+
+    def test_the_library_raises(self, monkeypatch):
+        self.perturb(monkeypatch)
+        with pytest.raises(PathDisagreement, match="disagree by 4.87"):
+            jackson.decay_report(tandem_jackson(), [(1.0, 0.0)], scan=64)
+
+    def test_the_cli_exits_3_without_a_rate(self, monkeypatch, capsys):
+        self.perturb(monkeypatch)
+        code = cli.main(["jackson", str(MODELS / "tandem_jackson.yaml"), "decay"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_NUMERIC
+        assert out == ""
+        assert err.startswith("numerical failure: analytic and generic "
+                              "pipelines disagree by ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestRoutingEquivalence:

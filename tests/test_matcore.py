@@ -328,6 +328,48 @@ class TestStacks:
             matcore.dominant(stack)
         assert type(stacked.value) is type(single.value)
 
+    @pytest.mark.parametrize("n", [0, 1, matcore.SCALAR_LANES,
+                                   matcore.SCALAR_LANES + 1, 64])
+    def test_order_2_lanes_equal_single_calls_on_both_paths(self, n):
+        # up to SCALAR_LANES lanes the closed form runs in scalar
+        # arithmetic, above as arrays: the same bits either way; an empty
+        # stack gives empty fields
+        rng = np.random.default_rng(7100 + n)
+        stack = np.array([random_metzler(rng, 2, generator=k % 3 == 0)
+                          if k % 2 else rng.uniform(0.0, 1.0, size=(2, 2))
+                          for k in range(n)]).reshape(n, 2, 2)
+        res = matcore.dominant(stack)
+        assert (res.value.shape, res.lo.shape, res.hi.shape,
+                res.right.shape) == ((n,), (n,), (n,), (n, 2))
+        for k, t in enumerate(stack):
+            one = matcore.dominant(t)
+            assert (res.value[k], res.lo[k], res.hi[k]) == (one.value, one.lo, one.hi)
+            assert np.array_equal(res.right[k], one.right)
+        assert res.right.flags.c_contiguous
+
+    @pytest.mark.parametrize("lanes", [
+        ("reducible", "negative"), ("negative", "reducible"),
+        ("reducible", "wide"), ("wide", "reducible"),
+    ])
+    def test_order_2_errors_come_in_one_order_on_both_paths(self, lanes):
+        # every path raises a negative entry before a zero vector entry
+        # before a wide bracket, whichever lane holds each
+        bad = {"reducible": [[0.2, 0.0], [0.3, 0.5]],
+               "negative": [[0.2, -0.1], [0.3, 0.1]],
+               # a subnormal entry leaves the bracket wider than PF_TOL
+               "wide": [[0.0, 1e300], [5e-324, 0.0]]}
+        want = {"negative": NegativeEntry, "reducible": NotIrreducible,
+                "wide": NoConvergence}
+        expected = min((want[name] for name in lanes),
+                       key=[NegativeEntry, NotIrreducible, NoConvergence].index)
+        rng = np.random.default_rng(11)
+        for n in (len(lanes), matcore.SCALAR_LANES + 1):
+            stack = np.array([bad[name] for name in lanes]
+                             + [rng.uniform(0.1, 1.0, size=(2, 2))
+                                for _ in range(n - len(lanes))])
+            with pytest.raises(expected):
+                matcore.dominant(stack)
+
     def test_wide_bracket_is_no_convergence(self):
         with pytest.raises(NoConvergence):
             matcore.dominant(np.array([[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0],
@@ -360,6 +402,33 @@ class TestStacks:
         # a generator is singular: its abscissa 0 is refused
         assert abs(low[1]) < 1e-12
         assert np.all(np.isnan(x[1]))
+
+
+    def test_a_stack_with_no_invertible_lane_is_all_nan(self):
+        # every lane refused: NaN inverses and the least eigenvalues, no error
+        for m in (1, 2, 3):
+            stack = np.array([np.eye(m) - np.full((m, m), v / m)
+                              for v in (1.0, 1.5, 3.0)])
+            x, low = matcore.m_inverses(stack)
+            assert x.shape == stack.shape and np.isnan(x).all()
+            assert np.array_equal(low, matcore.least_eigenvalue(stack))
+            assert (low < matcore.NEUMANN_MARGIN).all()
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_mixed_lanes_equal_single_calls_bit_for_bit(self, m):
+        # invertible lanes take the solve, refused ones are NaN, and each
+        # lane is the single-matrix call's bits
+        rng = np.random.default_rng(8000 + m)
+        t = np.array([rng.uniform(0.0, 2.0 / m, size=(m, m)) for _ in range(9)])
+        stack = np.eye(m) - t
+        x, low = matcore.m_inverses(stack)
+        ok = low >= matcore.NEUMANN_MARGIN
+        assert ok.any() and not ok.all()
+        for k, a in enumerate(stack):
+            one_x, one_low = matcore.m_inverses(a)
+            assert low[k] == one_low
+            assert np.array_equal(x[k], one_x, equal_nan=True)
+            assert np.isnan(one_x).all() != ok[k]
 
 
 class TestTwist:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import time
@@ -365,6 +366,25 @@ class TestIntervalHelpers:
         assert hi == pytest.approx(3.0, abs=1e-12)
         assert qbd1d._sublevel_interval(lambda x: x * x + 1.0, 0.5,
                                        0.0, 1.0, 1e-12) is None
+
+    @pytest.mark.parametrize("lift,x0", [(0.0, 0.2), (1.0, -5.0)],
+                             ids=["inner_start", "convex_minimum"])
+    def test_sublevel_interval_reads_each_bracket_end_once(self, lift, x0):
+        # the Brent roots start from the values that the inner point and
+        # the doubling walk already took; only the start x0 is read twice
+        # (by the level test, then by the walk to the convex minimum)
+        calls = collections.Counter()
+
+        def f(x):
+            calls[x] += 1
+            return (x - 0.7) ** 2 + lift
+
+        lo, hi = qbd1d._sublevel_interval(f, 4.0, x0, 1.0, 1e-12)
+        half = (4.0 - lift) ** 0.5
+        assert lo == pytest.approx(0.7 - half, abs=1e-12)
+        assert hi == pytest.approx(0.7 + half, abs=1e-12)
+        repeated = {x: n for x, n in calls.items() if n > 1}
+        assert repeated == ({} if lift == 0.0 else {x0: 2})
 
 
 SQRT_EPS = float(np.finfo(float).eps) ** 0.5
