@@ -10,7 +10,6 @@ plain least-squares fit on log tail probabilities.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,46 +182,65 @@ def _jump_table(spec: qbd2d.Qbd2dSpec):
 
 
 _BLOCK = 4096  # steps per uniform draw; larger blocks only add memory
-# Equal-width u-bins per jump-table row.  A power of two, so u * L is exact
-# and bin int(u * L) holds exactly the uniforms in [b/L, (b+1)/L).
-_GUIDE_BINS = 2048
 
 
-def _guide_row(cum, moves, phase, row_len, m):
-    """Guide table of one jump-table row (Chen & Asau 1974; Devroye 1986,
-    section III.2.4).  Entry b is the state-code increment of the move that
-    every uniform of bin b takes, or None when a cumulative breakpoint lies
-    in the bin; entry ``_GUIDE_BINS`` holds the row's cumulative list and
-    code increments for ``bisect_left`` in those bins."""
-    incs = [d1 * row_len + d2 * m + c - phase for d1, d2, c in moves]
-    # first[b] = breakpoints below b/L, the count bisect_left returns
-    first = np.searchsorted(cum, np.arange(_GUIDE_BINS + 1) / _GUIDE_BINS)
-    lo, hi = first[:-1], first[1:]
-    pick = np.where(lo == hi, lo, len(incs))
-    guide = np.array(incs + [None], dtype=object)[pick].tolist()
-    guide.append((cum, incs))
-    return guide
+def _key_tables(table, row_len, m):
+    """The key alphabet of a jump table: the cuts, the sorted union of every
+    row's cumulative breakpoints up to the pinned 1.0; a uniform u in [0, 1)
+    has the key #{cuts < u}.  A row's breakpoints are cuts, so a key fixes
+    the column ``bisect_left(cum, u)``.  Returns the cuts and, by region
+    ``3 * s1 + s2``, phase k and key, the code increment
+    ``d1 * row_len + d2 * m + k' - k`` of the row's move."""
+    flat = np.concatenate([cum for rows in table for cum, _ in rows])
+    cuts = np.unique(flat[flat <= 1.0])
+    # each breakpoint's cut; one past the pinned 1.0 is never reached
+    at = iter(np.minimum(np.searchsorted(cuts, flat), cuts.size - 1).tolist())
+    by_key = [[] for _ in table]
+    for region, rows in zip(by_key, table):
+        for k, (_, moves) in enumerate(rows):
+            row, last = [], -1
+            for d1, d2, c in moves:
+                cut = next(at)
+                row += [d1 * row_len + d2 * m + c - k] * (cut - last)
+                last = cut
+            region.append(row)
+    return cuts, by_key
 
 
-def _code_guides(table, record_extent, m):
-    """The guide of every state code ``l1 * row_len + l2 * m + phase`` on
-    the record box padded by one sentinel row and column, where
-    ``row_len = (N2 + 2) * m``, plus one last code for a walk outside the
-    box.  Every cell of a region shares its (region, phase) guides; sentinel
-    cells, unused phases and the outside code get an all-None guide, which
-    sends the step to the coordinate stepper."""
+def _key_reader(cuts):
+    """The bin count L and the keys of a block of uniforms, as bytes up to
+    256 cuts and else as shared int objects, so no step allocates its key.
+    L is a power of two (u L is exact), about 16 per cut; the uniforms of a
+    bin [b/L, (b+1)/L) share one key unless a cut lies in it, and those
+    take ``np.searchsorted``."""
+    bins = 1 << max(16 * cuts.size - 1, 1).bit_length()
+    first = np.searchsorted(cuts, np.arange(bins + 1) / bins)
+    split = first[:-1] != first[1:]
+    first = first[:-1].astype(np.uint8 if cuts.size <= 256 else np.intp)
+    alphabet = np.fromiter(range(cuts.size), object, cuts.size)
+
+    def keys_of(uniforms):
+        b = (uniforms * bins).astype(np.intp)
+        keys, hit = first[b], split[b]
+        keys[hit] = np.searchsorted(cuts, uniforms[hit])
+        return keys.tobytes() if cuts.size <= 256 else alphabet[keys].tolist()
+    return bins, keys_of
+
+
+def _code_tables(by_key, record_extent, row_len, m, keys):
+    """The key table of every state code ``l1 * row_len + l2 * m + phase``
+    on the record box padded by one sentinel row and column, shared by the
+    cells of a region, and one last code for a walk outside the box.
+    Sentinel cells, unused phases and that code get an all-None table."""
     rec1, rec2 = record_extent
-    row_len = (rec2 + 2) * m
-    stop = [None] * (_GUIDE_BINS + 1)
-    cell = [[_guide_row(cum, moves, k, row_len, m)
-             for k, (cum, moves) in enumerate(rows)]
-            + [stop] * (m - len(rows)) for rows in table]
+    stop = [None] * keys
+    cell = [rows + [stop] * (m - len(rows)) for rows in by_key]
     codes = []
     for s1, n1 in zip(range(3), (1, min(rec1, 1), max(rec1 - 1, 0))):
         line = []
         for s2, n2 in zip(range(3), (1, min(rec2, 1), max(rec2 - 1, 0))):
             line += cell[3 * s1 + s2] * n2
-        codes += (line + [stop] * m) * n1
+        codes += (line + [stop] * (row_len - len(line))) * n1
     return codes + [stop] * (row_len + 1)
 
 
@@ -240,11 +258,8 @@ class SimulationCounts:
         return self.counts.sum(axis=2) / self.steps
 
     def tail_sequence(self, coordinate: int, level: int, phase: int):
-        c = self.counts / self.steps
-        if coordinate == 1:
-            probs = c[:, level, phase]
-        else:
-            probs = c[level, :, phase]
+        probs = (self.counts[:, level, phase] if coordinate == 1
+                 else self.counts[level, :, phase]) / self.steps
         return np.cumsum(probs[::-1])[::-1][1:]
 
 
@@ -259,12 +274,11 @@ def simulate(spec: qbd2d.Qbd2dSpec, seed: int, steps: int,
     uniforms are drawn in blocks of ``_BLOCK``; the PCG64 stream does not
     depend on the block size, so neither does the sample path.
 
-    Inside the recording box the state is one integer code (see
-    ``_code_guides``) and a step adds the code increment that the guide of
-    its row gives for the uniform's bin.  A bin holding a breakpoint, and
-    every step from a sentinel cell or beyond, takes ``bisect_left`` on the
-    jump table instead, so the column rule and the sample path are the same
-    on either path.
+    The uniforms become keys of one exact alphabet in numpy
+    (``_key_tables``, ``_key_reader``).  In the recording box the state is
+    a code (``_code_tables``) that a step moves by its key's increment,
+    counting the visit in place; from a sentinel cell or beyond, a step
+    decodes the same increment into its move (d1, d2, phase').
 
     ``start`` = (l1, l2, phase) may lie outside the recording box, but its
     levels must be nonnegative and its phase below the phase count of its
@@ -275,55 +289,38 @@ def simulate(spec: qbd2d.Qbd2dSpec, seed: int, steps: int,
         raise InvalidStart(f"start {tuple(start)} is not a state of the chain")
     if spec.time == "continuous":
         spec = qbd2d.uniformize(spec)
-    table = _jump_table(spec)
     rec1, rec2 = record_extent
     m = max(spec.dims)
-    row_len = (rec2 + 2) * m
-    guides = _code_guides(table, record_extent, m)
-    outside = len(guides) - 1
-    spilled = (rec2 + 1) * m  # sentinel cell (0, N2 + 1) tallies the spill
-    tally = np.zeros(outside, dtype=np.int64)
+    row_len = (max(rec2, 1) + 2) * m  # >= 3m, so move_of is one to one
+    move_of = {d1 * row_len + d2 * m + c: (d1, d2, c)
+               for d1 in (-1, 0, 1) for d2 in (-1, 0, 1) for c in range(m)}
+    cuts, by_key = _key_tables(_jump_table(spec), row_len, m)
+    _, keys_of = _key_reader(cuts)
+    codes = _code_tables(by_key, record_extent, row_len, m, cuts.size)
+    outside = len(codes) - 1
+    tally = [0] * outside
     rng = np.random.Generator(np.random.PCG64(seed))
     s = l1 * row_len + l2 * m + k if l1 <= rec1 and l2 <= rec2 else outside
-    bins = _GUIDE_BINS
-    remaining = steps
-    while remaining > 0:
-        block = min(_BLOCK, remaining)
-        uniforms = rng.random(block)
-        # every step visits exactly one code, so len(visits) is its index
-        visits = []
-        visit = visits.append
-        for b in (uniforms * bins).astype(np.intp).tolist():
-            d = guides[s][b]
+    for done in range(0, steps, _BLOCK):
+        for key in keys_of(rng.random(min(_BLOCK, steps - done))):
+            d = codes[s][key]
             if d is None:
-                u = float(uniforms[len(visits)])
-                tail = guides[s][bins]
-                if tail is not None:  # the bin holds a breakpoint
-                    cum, incs = tail
-                    d = incs[bisect_left(cum, u)]
+                if s != outside:  # a sentinel cell
+                    l1, k = divmod(s, row_len)
+                    l2, k = divmod(k, m)
+                row = by_key[(l1 if l1 < 2 else 2) * 3 + (l2 if l2 < 2 else 2)]
+                d1, d2, k = move_of[row[k][key] + k]
+                l1, l2 = l1 + d1, l2 + d2
+                if l1 <= rec1 and l2 <= rec2:
+                    s = l1 * row_len + l2 * m + k
+                    tally[s] += 1
                 else:
-                    if s != outside:  # a sentinel cell
-                        l1, k = divmod(s, row_len)
-                        l2, k = divmod(k, m)
-                    row, move = table[(l1 if l1 < 2 else 2) * 3
-                                      + (l2 if l2 < 2 else 2)][k]
-                    d1, d2, k = move[bisect_left(row, u)]
-                    l1 += d1
-                    l2 += d2
-                    if l1 <= rec1 and l2 <= rec2:
-                        s = l1 * row_len + l2 * m + k
-                        visit(s)
-                    else:
-                        s = outside
-                        visit(spilled)
-                    continue
+                    s = outside
+                continue
             s += d
-            visit(s)
-        counted = np.bincount(np.fromiter(visits, np.intp, len(visits)))
-        tally[:counted.size] += counted
-        remaining -= block
-    counts = tally.reshape(rec1 + 2, rec2 + 2, m)[:rec1 + 1, :rec2 + 1]
-    counts = np.ascontiguousarray(counts)
+            tally[s] += 1
+    counts = np.fromiter(tally, np.int64, outside).reshape(rec1 + 2, -1, m)
+    counts = np.ascontiguousarray(counts[:rec1 + 1, :rec2 + 1])
     return SimulationCounts(spec=spec, counts=counts,
                             spill=steps - int(counts.sum()), steps=steps,
                             seed=seed)

@@ -236,11 +236,13 @@ def _brent_min(f, lo: float, hi: float, tol: float = 1e-12):
                 v, fv = u, fu
 
 
-def convex_min_scalar(f, x0: float = 0.0, step: float = 1.0, tol: float = 1e-12):
+def convex_min_scalar(f, x0: float = 0.0, step: float = 1.0, tol: float = 1e-12,
+                      f0: float | None = None):
     """Minimum of a convex scalar function: downhill bracket walk with
-    doubling steps, then Brent's localmin on the bracket."""
+    doubling steps from x0 (f0, when given, is f(x0)), then Brent's
+    localmin on the bracket."""
     a, mid, b = x0 - step, x0, x0 + step
-    fa, fm, fb = f(a), f(mid), f(b)
+    fa, fm, fb = f(a), f(mid) if f0 is None else f0, f(b)
     for _ in range(200):
         if fm <= fa and fm <= fb:
             break
@@ -339,7 +341,8 @@ def _sublevel_interval(f, level: float, x0: float, step: float, tol: float,
     if f_inner < level:   # strict: at f(x0) == level, x0 may be both ends
         inner = x0
     else:
-        inner, f_inner = convex_min_scalar(f, x0, step=step, tol=tol)
+        inner, f_inner = convex_min_scalar(f, x0, step=step, tol=tol,
+                                           f0=f_inner)
         if f_inner > level:
             return None
     g = lambda x: f(x) - level
@@ -434,18 +437,24 @@ def g_minus(k: QbdBlocks) -> GMinusResult:
     """Minimal nonnegative solution of G = A_-1 + A_0 G + A_1 G^2.
 
     Logarithmic reduction in twisted coordinates at theta1, the left end of
-    {gamma = 1} (``_log_reduction``), then untwisted.  Raises
-    ``NoConvergence`` unless the row-sum deficit reaches 1e-15, which fails
-    at a tangent interval (null-recurrent twisted chain).
+    {gamma = 1} (``_log_reduction``), then untwisted.  A stochastic K with
+    mean drift <= 0 has theta1 = 0 (``gamma1d_plus``), taken without
+    locating the interval.  Raises ``NoConvergence`` unless the row-sum
+    deficit reaches 1e-15, which fails at a tangent interval
+    (null-recurrent twisted chain).
     """
-    interval = gamma1d_plus(k)
-    if interval.empty:
-        raise GammaPlusEmpty("gamma(theta) > 1 everywhere; G is undefined")
-    g, bound, converged, steps = _log_reduction(k, interval.lo)
+    if _is_stochastic(k) and mean_drift(k) <= 0:
+        theta1 = 0.0
+    else:
+        interval = gamma1d_plus(k)
+        if interval.empty:
+            raise GammaPlusEmpty("gamma(theta) > 1 everywhere; G is undefined")
+        theta1 = interval.lo
+    g, bound, converged, steps = _log_reduction(k, theta1)
     if not converged:
         raise NoConvergence(f"G bracket stalled at width {bound.max():.1e} "
                             "(tangent tilting interval, null-recurrent chain)")
-    return GMinusResult(g=g, theta1=interval.lo, iterations=steps)
+    return GMinusResult(g=g, theta1=theta1, iterations=steps)
 
 
 def _row_sums(k: QbdBlocks) -> np.ndarray:

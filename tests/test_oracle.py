@@ -357,6 +357,17 @@ class TestSimulateSamePath:
         self._assert_same_path(spec, seed=order, steps=self.STEPS,
                                record_extent=(24, 24))
 
+    def test_both_key_widths_run(self):
+        """The specs above read their keys both as bytes (alphabets of at
+        most 256 cuts) and as int lists (random orders 4-8), so neither
+        branch of the key reader drops out of them."""
+        specs = [_shipped_spec(name) for name in SHIPPED]
+        specs += [random_stochastic_spec(np.random.default_rng(100 + order),
+                                         order) for order in range(1, 9)]
+        widths = [type(oracle._key_reader(_key_alphabet(spec))[1](np.zeros(1)))
+                  for spec in specs]
+        assert bytes in widths and list in widths
+
     def test_small_box_spills(self):
         sim = self._assert_same_path(_shipped_spec("modulated_rrw"), seed=3,
                                      steps=self.STEPS, record_extent=(3, 2))
@@ -463,13 +474,15 @@ class TestRowsJustUnderOne:
 
 def _edge_uniforms(spec):
     """Generator stand-in cycling through, in a fixed shuffled order, every
-    cumulative breakpoint of the spec's jump table and every guide-bin edge
-    b/L, each also one ulp either side, keeping those in [0, 1)."""
+    cumulative breakpoint of the spec's jump table and every key-bin edge
+    b/L of its key alphabet, each also one ulp either side, keeping those
+    in [0, 1)."""
     if spec.time == "continuous":
         spec = qbd2d.uniformize(spec)
     cuts = {c for rows in oracle._jump_table(spec) for cum, _ in rows
             for c in cum}
-    cuts.update(np.arange(oracle._GUIDE_BINS) / oracle._GUIDE_BINS)
+    bins = oracle._key_reader(_key_alphabet(spec))[0]
+    cuts.update(np.arange(bins) / bins)
     cuts = np.array(sorted(cuts))
     near = np.concatenate((cuts, np.nextafter(cuts, 0.0),
                            np.nextafter(cuts, 1.0)))
@@ -490,14 +503,15 @@ def _edge_uniforms(spec):
 
 def _dyadic_walk():
     """A stable walk with probabilities 1/8 and 1/4, so that every
-    cumulative breakpoint is a guide-bin edge."""
+    cumulative breakpoint is a key-bin edge."""
     return scalar_rrw(0.125, 0.25, 0.125, 0.25)
 
 
 class TestGuideTableEdges:
-    """Uniforms exactly at a breakpoint or a bin edge, or one ulp from
-    either, take the reference stepper's column on the guide path, on its
-    bisection fallback and on the coordinate path outside the box."""
+    """Uniforms exactly at a breakpoint or a key-bin edge, or one ulp from
+    either, take the reference stepper's column whether their key comes
+    from a bin or from ``np.searchsorted``, on the code path and on the
+    coordinate path outside the box."""
 
     STEPS = 3 * oracle._BLOCK + 517
 
@@ -532,19 +546,91 @@ class TestGuideTableEdges:
                                start=(2, 3, 1))
 
 
+class _CountedRegions(list):
+    """The simulator's key tables by region, counting each read by region:
+    only the coordinate path reads them so, the code path reads a row's
+    table through its state code."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = 0
+
+    def __getitem__(self, region):
+        self.reads += 1
+        return super().__getitem__(region)
+
+
+@pytest.mark.parametrize("extent", [(40, 40), (6, 6)], ids=["box40", "box6"])
 @pytest.mark.parametrize("name", SHIPPED)
-def test_guide_tables_spare_the_bisection(name, monkeypatch):
-    """At most 1% of the steps bisect: the rest read a guide table."""
-    calls = []
+def test_only_steps_from_outside_the_box_take_the_coordinate_path(
+        name, extent, monkeypatch):
+    """Each step from a sentinel cell or beyond the box follows a spilled
+    visit, so the coordinate path runs once per spilled visit but perhaps
+    the last one; every step from inside the box reads its code's table."""
+    seen = []
 
-    def counting_bisect(cum, u):
-        calls.append(u)
-        return bisect.bisect_left(cum, u)
+    def counted(*args):
+        cuts, by_key = key_tables(*args)
+        seen.append(_CountedRegions(by_key))
+        return cuts, seen[-1]
 
-    monkeypatch.setattr(oracle, "bisect_left", counting_bisect)
-    oracle.simulate(_shipped_spec(name), seed=7, steps=100_000,
-                    record_extent=(40, 40))
-    assert len(calls) <= 1_000
+    key_tables = oracle._key_tables
+    monkeypatch.setattr(oracle, "_key_tables", counted)
+    sim = oracle.simulate(_shipped_spec(name), seed=7, steps=100_000,
+                          record_extent=extent)
+    assert sim.spill - 1 <= seen[0].reads <= sim.spill
+    if extent == (40, 40):
+        assert sim.spill == 0
+    else:
+        assert sim.spill > 100
+
+
+def _key_alphabet(spec):
+    if spec.time == "continuous":
+        spec = qbd2d.uniformize(spec)
+    m = max(spec.dims)
+    return oracle._key_tables(oracle._jump_table(spec), 3 * m, m)[0]
+
+
+class TestKeyAlphabet:
+    """Every row's breakpoints are cuts, so the key of u fixes the row's
+    column: at both ends of each key's u-interval, the row's table gives
+    the increment of the move ``bisect_left(cum, u)`` picks, and the key
+    reader gives that key."""
+
+    @staticmethod
+    def _assert_exact(spec):
+        if spec.time == "continuous":
+            spec = qbd2d.uniformize(spec)
+        m = max(spec.dims)
+        row_len = 5 * m
+        table = oracle._jump_table(spec)
+        cuts, by_key = oracle._key_tables(table, row_len, m)
+        assert cuts[-1] == 1.0 and np.all(np.diff(cuts) > 0)
+        lows = np.concatenate(([0.0], np.nextafter(cuts[:-1], 1.0)))
+        highs = np.append(cuts[:-1], np.nextafter(1.0, 0.0))
+        keys = np.arange(cuts.size)
+        keep = lows <= highs  # an interval may hold no double below 1
+        keys_of = oracle._key_reader(cuts)[1]
+        for ends in (lows, highs):
+            assert list(keys_of(ends[keep])) == keys[keep].tolist()
+        for region, rows in enumerate(table):
+            for k, (cum, moves) in enumerate(rows):
+                row = by_key[region][k]
+                assert len(row) == cuts.size
+                for key in keys[keep].tolist():
+                    for u in (lows[key], highs[key]):
+                        d1, d2, c = moves[bisect.bisect_left(cum, u)]
+                        assert row[key] == d1 * row_len + d2 * m + c - k
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_shipped_models(self, name):
+        self._assert_exact(_shipped_spec(name))
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_random_stochastic_specs(self, order):
+        self._assert_exact(
+            random_stochastic_spec(np.random.default_rng(100 + order), order))
 
 
 @pytest.mark.parametrize("name,start", [

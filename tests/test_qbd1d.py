@@ -342,6 +342,31 @@ class TestGMinus:
         with pytest.raises(GammaPlusEmpty):
             qbd1d.g_minus(k)
 
+    @pytest.mark.parametrize("make,skips", [
+        (lambda: mm1_blocks(0.2, 0.3), True),
+        (modulated_stochastic, True),
+        (appendix_counterexample, True),
+        (lambda: mm1_blocks(0.3, 0.2), False),
+        (lambda: scalar_blocks(0.5, 0.2, 0.1), False),
+    ], ids=["mm1", "modulated", "counterexample", "up_drift", "substochastic"])
+    def test_stochastic_nonpositive_drift_takes_theta1_zero(self, make, skips,
+                                                            monkeypatch):
+        # gamma1d_plus's left end is 0.0 by construction for a stochastic K
+        # with mean drift <= 0, so g_minus twists there without evaluating
+        # gamma; G has the bits of the reduction at gamma1d_plus's end
+        k = make()
+        assert skips == (qbd1d._is_stochastic(k) and qbd1d.mean_drift(k) <= 0)
+        theta1 = qbd1d.gamma1d_plus(k).lo
+        expected = qbd1d._log_reduction(k, theta1)[0]
+        calls = []
+        gamma_a = qbd1d.gamma_a
+        monkeypatch.setattr(qbd1d, "gamma_a",
+                            lambda *args: calls.append(args) or gamma_a(*args))
+        res = qbd1d.g_minus(k)
+        assert (calls == []) == skips
+        assert res.theta1 == theta1
+        assert np.array_equal(res.g, expected)
+
 
 class TestSuperharmonicExists:
     def test_stochastic_always_true(self):
@@ -371,8 +396,8 @@ class TestIntervalHelpers:
                              ids=["inner_start", "convex_minimum"])
     def test_sublevel_interval_reads_each_bracket_end_once(self, lift, x0):
         # the Brent roots start from the values that the inner point and
-        # the doubling walk already took; only the start x0 is read twice
-        # (by the level test, then by the walk to the convex minimum)
+        # the doubling walk already took, and the walk to the convex
+        # minimum starts from the level test's value at x0
         calls = collections.Counter()
 
         def f(x):
@@ -383,8 +408,7 @@ class TestIntervalHelpers:
         half = (4.0 - lift) ** 0.5
         assert lo == pytest.approx(0.7 - half, abs=1e-12)
         assert hi == pytest.approx(0.7 + half, abs=1e-12)
-        repeated = {x: n for x, n in calls.items() if n > 1}
-        assert repeated == ({} if lift == 0.0 else {x0: 2})
+        assert {x: n for x, n in calls.items() if n > 1} == {}
 
 
 SQRT_EPS = float(np.finfo(float).eps) ** 0.5
