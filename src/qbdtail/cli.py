@@ -45,10 +45,10 @@ MAX_STATES = 200_000   # above mapph_jackson at extent 150, 181,203 states
 
 
 def _fmt(x) -> str:
+    if isinstance(x, (float, np.floating)):   # first: the CSV rows are floats
+        return f"{float(x):.12g}"
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.12g}"
     return str(x)
 
 
@@ -201,18 +201,19 @@ def cmd_decay(args, out) -> int:
 def cmd_boundary(args, out) -> int:
     from .levelset import boundary_rows
     mf = _load(args)
+    scan = min(qbd2d.DEFAULT_SCAN, args.samples)
     if mf.kind == "jackson":
         from . import jackson as jk
-        curve = jk.analytic_curve(mf.payload, scan=min(192, args.samples))
+        curve = jk.analytic_curve(mf.payload, scan=scan)
     else:
-        curve = qbd2d.level_curve(_spec_2d(mf), scan=min(192, args.samples))
+        curve = qbd2d.level_curve(_spec_2d(mf), scan=scan)
     rows = boundary_rows(curve, args.samples)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("theta1,theta2_lower,theta2_upper,feasible_C1,feasible_C2\n")
             for r in rows:
-                fh.write(f"{r.theta1:.12g},{r.theta2_lower:.12g},"
-                         f"{r.theta2_upper:.12g},{int(r.feasible_c1)},"
+                fh.write(f"{_fmt(r.theta1)},{_fmt(r.theta2_lower)},"
+                         f"{_fmt(r.theta2_upper)},{int(r.feasible_c1)},"
                          f"{int(r.feasible_c2)}\n")
     except OSError as exc:
         raise SchemaError(f"cannot write --out {args.out}: {exc.strerror}") from None
@@ -349,7 +350,8 @@ def _in_child(fn, fork: bool = True):
 def cmd_verify(args, out) -> int:
     mf = _load(args)
     spec2d = _spec_2d(mf)
-    phases = min(spec2d.dims[1:3]) if args.level == 0 else spec2d.dims[3]
+    phases = min(qbd2d._cell_phases(spec2d.dims, 1, args.level),
+                 qbd2d._cell_phases(spec2d.dims, args.level, 1))
     if args.level > args.extent or args.phase >= phases:
         raise SchemaError(f"need --level <= --extent ({args.extent}) and --phase "
                           f"< {phases}, the phase count at that level")
@@ -437,6 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tail decay rates of two-dimensional QBD processes "
                     "and generalized Jackson networks.")
     sub = p.add_subparsers(dest="command", required=True)
+    scan = {"type": _int_in(1, MAX_COUNT), "default": qbd2d.DEFAULT_SCAN}
 
     sp = sub.add_parser("validate", help="check a model file")
     sp.add_argument("file")
@@ -452,9 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="C1,C2",
                     help="repeatable (default 1,0 and 0,1); a qbd1d file "
                          "checks it but does not use it")
-    sp.add_argument("--scan", type=_int_in(1, MAX_COUNT), default=192,
-                    help=f"1 to {MAX_COUNT} (default 192); unused on a "
-                         "qbd1d file")
+    sp.add_argument("--scan", **scan,
+                    help=f"1 to {MAX_COUNT} (default {qbd2d.DEFAULT_SCAN}); "
+                         "unused on a qbd1d file")
     sp.set_defaults(func=cmd_decay)
 
     sp = sub.add_parser("boundary", help="boundary curve CSV")
@@ -468,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("subcommand", choices=("traffic", "decay", "certificate"))
     sp.add_argument("--direction", action="append", default=[],
                     metavar="C1,C2")
-    sp.add_argument("--scan", type=_int_in(1, MAX_COUNT), default=192)
+    sp.add_argument("--scan", **scan)
     sp.add_argument("--points", type=_int_in(1, MAX_COUNT), default=32)
     sp.set_defaults(func=cmd_jackson)
 
@@ -480,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=_int_in(0, math.inf), default=0)
     sp.add_argument("--level", type=_int_in(0, math.inf), default=0)
     sp.add_argument("--phase", type=_int_in(0, math.inf), default=0)
-    sp.add_argument("--scan", type=_int_in(1, MAX_COUNT), default=192)
+    sp.add_argument("--scan", **scan)
     sp.set_defaults(func=cmd_verify)
     return p
 
@@ -495,7 +498,3 @@ def main(argv=None) -> int:
     except QbdTailError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERIC
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -408,7 +408,7 @@ def renewal_arrival_cumulant(arr: MapSpec, theta: float) -> float:
 # -- decay rates, two ways -------------------------------------------------------
 
 
-def analytic_curve(spec: JacksonSpec, scan: int = 192) -> LevelCurve:
+def analytic_curve(spec: JacksonSpec, scan: int = qbd2d.DEFAULT_SCAN) -> LevelCurve:
     """Level curve of gamma_plus with face feasibility margins
     gamma^{(i)}(theta): face i is feasible where gamma^{(i)} <= slack."""
     from .levelset import LevelCurve
@@ -424,7 +424,8 @@ class JacksonDecay:
     max_discrepancy: float   # over tau and every rate
 
 
-def decay_report(spec: JacksonSpec, directions, scan: int = 192) -> JacksonDecay:
+def decay_report(spec: JacksonSpec, directions,
+                 scan: int = qbd2d.DEFAULT_SCAN) -> JacksonDecay:
     """Directional decay rates via both pipelines.
 
     Path A traces {gamma_plus = 0} with feasibility from the gamma^{(i)}

@@ -32,10 +32,12 @@ import numpy as np
 
 from .errors import (EmptyGammaPlus, InconsistentCategory, NoConvergence,
                      RateOverflow, ZeroDirection)
-from .qbd1d import LE_ONE_SLACK, _brent_bracket, _sublevel_interval
+from .qbd1d import LE_ONE_SLACK, ROOT_TOL, _brent_bracket, _sublevel_interval
 
 CATEGORY_TOL = 1e-9
 CENTER_STEPS, EXTREME_STEPS = 40, 30
+# a ray from the center still inside the region this far out is unbounded
+_RAY_CAP = 1e8
 _STENCIL = np.array([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
 
 
@@ -89,11 +91,11 @@ def _radial_roots(gap, base, step, inside) -> np.ndarray:
     given ``inside`` = gap(base) < 0 per lane.
 
     Each lane doubles its bracket end from t = 1 until gap > 0 there
-    (``EmptyGammaPlus`` past 1e8), then Illinois regula falsi (a bisection
-    step where the secant is not finite) shrinks it to 1e-12 (1 + t_hi),
-    t_hi the doubled end.  A lane returns an exact zero of gap or the end of
-    its final bracket with the smaller |gap|.  Every step is one ``gap``
-    call on the stack of the lanes still open.
+    (``EmptyGammaPlus`` past ``_RAY_CAP``), then Illinois regula falsi (a
+    bisection step where the secant is not finite) shrinks it to
+    ``ROOT_TOL`` (1 + t_hi), t_hi the doubled end.  A lane returns an exact
+    zero of gap or the end of its final bracket with the smaller |gap|.
+    Every step is one ``gap`` call on the stack of the lanes still open.
     """
     n = len(base)
     lo, f_lo = np.zeros(n), np.array(inside, dtype=float)
@@ -106,9 +108,9 @@ def _radial_roots(gap, base, step, inside) -> np.ndarray:
         open_ = open_[grow]
         lo[open_], f_lo[open_] = hi[open_], f[grow]
         hi[open_] *= 2.0
-        if (hi[open_] > 1e8).any():
+        if (hi[open_] > _RAY_CAP).any():
             raise EmptyGammaPlus("level region appears unbounded")
-    tol = 1e-12 * (1.0 + hi)
+    tol = ROOT_TOL * (1.0 + hi)
     # Illinois: the secant runs on scaled copies (sa, sb) of the end values;
     # an end kept twice in a row has its value halved.  The open lanes
     # live in compact arrays; a lane that closes is written back once.
@@ -156,10 +158,10 @@ class LevelCurve:
     ``gap`` must be convex with a negative minimum; ``margin(points, i)``
     gives face i's boundary-feasibility margins at curve points, and flag i
     holds where margin i is at most ``LE_ONE_SLACK`` (``+inf`` never
-    holds).  Both take one point (2,) or a stack (n, 2).
+    holds; ``_excess``).  Both take one point (2,) or a stack (n, 2).
     """
 
-    def __init__(self, gap, margin, scan_size: int = 192):
+    def __init__(self, gap, margin, scan_size: int):
         self.gap = gap
         self.margin = margin
         center, gmin = minimize_convex_2d(gap)
@@ -180,13 +182,20 @@ class LevelCurve:
         when feasibility is first read."""
         return np.column_stack([self.margin(self.scan_points, i) for i in (1, 2)])
 
+    def _excess(self, i: int, points=None):
+        """The one flag reading: face i's margin minus ``LE_ONE_SLACK`` at
+        ``points`` (default the scan), <= 0 where flag i holds."""
+        margins = (self.scan_margins[:, i - 1] if points is None
+                   else self.margin(points, i))
+        return margins - LE_ONE_SLACK
+
     # -- parametrization ---------------------------------------------------
 
     def point_at(self, phi: float) -> np.ndarray:
         """The curve point at angle phi, from phi and the scan alone: a copy
         of the scan point at a scan angle, else the root of gap along the
         ray, bracketed by the scan points around phi and shrunk by Brent
-        to 1e-12 (1 + t_hi).
+        to ``ROOT_TOL`` (1 + t_hi).
 
         With A, B the scan neighbours of phi and P, Q the next ones out,
         the chord AB lies inside the region (convexity) and, from 3 scan
@@ -211,7 +220,7 @@ class LevelCurve:
         hi = 2.0 * max(math.hypot(*a), math.hypot(*b))
         if n >= 3:   # at scans 1 and 2, PA and BQ are the chord AB
             hi = min(hi, _ray_hit(u, p, a), _ray_hit(u, b, q))
-        width = max(hi - lo, 1e-12 * (1.0 + lo))
+        width = max(hi - lo, ROOT_TOL * (1.0 + lo))
         hi = lo + width
         f_lo, f_hi = g(lo), g(hi)
         while True:
@@ -220,13 +229,13 @@ class LevelCurve:
                 f_lo = g(lo)
             elif f_hi <= 0:
                 lo, f_lo, hi = hi, f_hi, hi + width
-                if hi > 1e8:
+                if hi > _RAY_CAP:
                     raise EmptyGammaPlus("level region appears unbounded")
                 f_hi = g(hi)
             else:
                 break
             width *= 2.0
-        t = _brent_bracket(g, lo, f_lo, hi, f_hi, 1e-12 * (1.0 + hi))[0]
+        t = _brent_bracket(g, lo, f_lo, hi, f_hi, ROOT_TOL * (1.0 + hi))[0]
         return self.center + t * ray
 
     # -- poles and sections ------------------------------------------------
@@ -267,7 +276,7 @@ class LevelCurve:
         """Roots of gap along {theta_{3-i} = value}: (lo, hi) in theta_i,
         or None when the line misses the region."""
         line = lambda v: self.gap(self._point_on_section(i, v, value))
-        return _sublevel_interval(line, 0.0, self.center[i - 1], 0.5, 1e-12)
+        return _sublevel_interval(line, 0.0, self.center[i - 1], 0.5)
 
     def _point_on_section(self, i: int, ti: float, other: float) -> np.ndarray:
         y = np.empty(2)
@@ -279,13 +288,13 @@ class LevelCurve:
 
     def _transition(self, i: int, a, b) -> np.ndarray:
         """The face-i flag change between curve points a and b, each (angle,
-        point, margin i minus the slack) with excesses of opposite signs:
-        Brent on the excess in the angle to a bracket of 1e-10; its feasible end."""
+        point, ``_excess``) with excesses of opposite signs: Brent on the
+        excess in the angle to a bracket of 1e-10; its feasible end."""
         points = {a[0]: a[1], b[0]: b[1]}
 
         def excess(phi):
             p = points[phi] = self.point_at(phi)
-            return float(self.margin(p, i)) - LE_ONE_SLACK
+            return float(self._excess(i, p))
 
         x, fx, y, _ = _brent_bracket(excess, a[0], a[2], b[0], b[2], 1e-10)
         return points[x if fx <= 0 else y]
@@ -305,13 +314,13 @@ class LevelCurve:
         i holds around its pole), raises ``InconsistentCategory``.
         """
         pole = self.pole(i)
-        top = float(self.margin(pole, i)) - LE_ONE_SLACK
+        top = float(self._excess(i, pole))
         if top <= 0:
             return pole
         n, turn = len(self.scan_phi), (-1.0 if i == 1 else 1.0)
         start = math.atan2(*(pole - self.center)[::-1])
         along = lambda phi: turn * (phi - start) % (2.0 * np.pi)
-        excess = self.scan_margins[:, i - 1] - LE_ONE_SLACK
+        excess = self._excess(i)
         hits, ends = np.flatnonzero(excess <= 0), []
         if hits.size:   # the scan cell of the first hit walked, on the pole side
             c = hits[np.argmin(along(self.scan_phi[hits]))] - (i == 2)
@@ -321,7 +330,7 @@ class LevelCurve:
         elif abs(float(self.gap(np.zeros(2)))) <= 1e-12:
             ends = [(start, pole, top),
                     (start + turn * along(math.atan2(*-self.center[::-1])),
-                     np.zeros(2), float(self.margin(np.zeros(2), i)) - LE_ONE_SLACK)]
+                     np.zeros(2), float(self._excess(i, np.zeros(2))))]
         feasible = [e <= 0 for _, _, e in ends]
         if not any(feasible):
             raise EmptyGammaPlus(f"no feasible curve point on face {i}")
@@ -339,8 +348,7 @@ class LevelCurve:
         if sec is None:
             raise EmptyGammaPlus("section misses the level region")
         for end in sec[::-1]:
-            if self.margin(self._point_on_section(i, end, other_value),
-                           i) <= LE_ONE_SLACK:
+            if self._excess(i, self._point_on_section(i, end, other_value)) <= 0:
                 return end
         raise EmptyGammaPlus("no feasible point on the section")
 
@@ -374,8 +382,8 @@ class LevelCurve:
 
         The largest of: pole i valued theta_i/c_i, where c_i > 0 and its
         other coordinate has pole_j c_i >= pole_i c_j, and the far root of
-        gap(u c) = 0 along the ray (to 1e-12).  For a coordinate direction
-        that ray is the section theta_j = 0.
+        gap(u c) = 0 along the ray (to ``ROOT_TOL``).  For a coordinate
+        direction that ray is the section theta_j = 0.
         """
         c = np.asarray(c, dtype=float)
         cands = []
@@ -389,7 +397,7 @@ class LevelCurve:
         # only the far root is solved
         u0 = float(self.center @ c) / float(c @ c)
         ray = _sublevel_interval(lambda u: self.gap(u * c), 0.0, u0, 0.5,
-                                 1e-12, sides=(1.0,))
+                                 sides=(1.0,))
         if ray is not None:
             cands.append(ray[0])
         return max(max(cands, default=0.0), 0.0)
@@ -484,9 +492,8 @@ def boundary_rows(curve: LevelCurve, samples: int) -> list:
     lower[1:-1] -= t[samples - 2:]
     points = np.vstack((np.column_stack((grid, lower)),
                         np.column_stack((grid, upper))))
-    feasible = [(m[:samples] <= LE_ONE_SLACK)
-                | (m[samples:] <= LE_ONE_SLACK)
-                for m in (curve.margin(points, i) for i in (1, 2))]
+    feasible = [(e[:samples] <= 0) | (e[samples:] <= 0)
+                for e in (curve._excess(i, points) for i in (1, 2))]
     return [BoundaryRow(theta1=float(t1), theta2_lower=float(lo),
                         theta2_upper=float(hi), feasible_c1=bool(f1),
                         feasible_c2=bool(f2))

@@ -22,11 +22,7 @@ from .errors import (EmptyWindow, InvalidStart, NoConvergence, NotStochastic,
 def _state_layout(spec: qbd2d.Qbd2dSpec, extent):
     """Offsets into the flat state vector for each lattice cell."""
     n1, n2 = extent
-    m0, m1, m2, m = spec.dims
-    sizes = np.full((n1 + 1, n2 + 1), m, dtype=np.int64)
-    sizes[0, :] = m2
-    sizes[:, 0] = m1
-    sizes[0, 0] = m0
+    sizes = qbd2d._cell_phases(spec.dims, *np.indices((n1 + 1, n2 + 1)))
     offsets = np.zeros_like(sizes)
     np.cumsum(sizes.ravel()[:-1], out=offsets.ravel()[1:])
     return offsets, sizes, int(sizes.sum())
@@ -248,11 +244,9 @@ def _code_tables(by_key, record_extent, row_len, m, keys):
 class SimulationCounts:
     """Visit counts per (l1, l2, phase) inside the recording box."""
 
-    spec: qbd2d.Qbd2dSpec
     counts: np.ndarray
     spill: int
     steps: int
-    seed: int
 
     def cell_mass(self) -> np.ndarray:
         return self.counts.sum(axis=2) / self.steps
@@ -285,7 +279,7 @@ def simulate(spec: qbd2d.Qbd2dSpec, seed: int, steps: int,
     region (m0, m1, m2 or m), else ``InvalidStart``.
     """
     l1, l2, k = map(int, start)
-    if min(l1, l2, k) < 0 or k >= spec.dims[(l1 > 0) + 2 * (l2 > 0)]:
+    if min(l1, l2, k) < 0 or k >= qbd2d._cell_phases(spec.dims, l1, l2):
         raise InvalidStart(f"start {tuple(start)} is not a state of the chain")
     if spec.time == "continuous":
         spec = qbd2d.uniformize(spec)
@@ -321,9 +315,8 @@ def simulate(spec: qbd2d.Qbd2dSpec, seed: int, steps: int,
             tally[s] += 1
     counts = np.fromiter(tally, np.int64, outside).reshape(rec1 + 2, -1, m)
     counts = np.ascontiguousarray(counts[:rec1 + 1, :rec2 + 1])
-    return SimulationCounts(spec=spec, counts=counts,
-                            spill=steps - int(counts.sum()), steps=steps,
-                            seed=seed)
+    return SimulationCounts(counts=counts, spill=steps - int(counts.sum()),
+                            steps=steps)
 
 
 # -- tail slope estimation -------------------------------------------------------
@@ -331,8 +324,6 @@ def simulate(spec: qbd2d.Qbd2dSpec, seed: int, steps: int,
 
 @dataclass(frozen=True)
 class TailEstimate:
-    kind: str              # "coordinate" or "direction"
-    target: tuple
     slope: float
     r_squared: float
 
@@ -383,9 +374,7 @@ def estimate_decay(source, coordinate: int, level: int = 0, phase: int = 0,
                 best = fit
         if best is None:
             raise EmptyWindow("no usable regression window")
-    slope, r2 = best
-    return TailEstimate(kind="coordinate", target=(coordinate, level, phase),
-                        slope=slope, r_squared=r2)
+    return TailEstimate(*best)
 
 
 def estimate_decay_direction(source, c) -> TailEstimate:
@@ -398,9 +387,7 @@ def estimate_decay_direction(source, c) -> TailEstimate:
     l1g, l2g = np.meshgrid(np.arange(n1 + 1), np.arange(n2 + 1), indexing="ij")
     proj = c[0] * l1g + c[1] * l2g
     tails = np.array([mass[proj > x].sum() for x in grid])
-    slope, r2 = _fit_log_tail(grid, tails, (0.25 * xmax, 0.75 * xmax))
-    return TailEstimate(kind="direction", target=tuple(c), slope=slope,
-                        r_squared=r2)
+    return TailEstimate(*_fit_log_tail(grid, tails, (0.25 * xmax, 0.75 * xmax)))
 
 
 def tail_csv(source, coordinate: int, path):

@@ -11,8 +11,9 @@ the scale u is ``cp_k``.  The common-vector set is a sublevel interval of a
 spectral radius (``gamma1d_0plus``).  The boundary compatibility condition
 is solved by ``boundary_compatibility``, which ``qbd2d.check_assumption2``
 shares (its pinned level, 1 or 0, also sets its inverse (level I -
-F0)^{-1}).  The scalar tools (Brent roots and
-brackets, Brent minima, sublevel intervals) also serve ``levelset``.
+F0)^{-1}).  The scalar tools also serve ``levelset``: Brent minima and
+roots to ``ROOT_TOL``, every root through ``bisect_root``; only
+``_brent_bracket`` takes a width (levelset's relative and angle brackets).
 
 Block layout convention: the matrix acts on level-stacked row vectors
 (pi_0, pi_1, ...) with level 0 of dimension m0 and all higher levels of
@@ -44,6 +45,8 @@ from .errors import (BoundaryNotInvertible, GammaPlusEmpty, NoConvergence,
 
 # single documented slack for all "<= 1" style tests
 LE_ONE_SLACK = 1e-10
+# width of every Brent root and minimum bracket (levelset: times 1 + t)
+ROOT_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 _SQRT_EPS = _EPS ** 0.5
 
@@ -181,12 +184,12 @@ def gamma_a(k: QbdBlocks, theta: float) -> float:
     return matcore.dominant(a_mgf(k, theta)).value
 
 
-def _brent_min(f, lo: float, hi: float, tol: float = 1e-12):
+def _brent_min(f, lo: float, hi: float):
     """Minimum (x, f(x)) of a unimodal f on [lo, hi] by Brent's localmin:
     a parabola through the three best points when it steps inside the
     bracket and shrinks, else a golden-section step (Brent 1973, *Algorithms
     for Minimization without Derivatives*, ch. 5).  Stops once the bracket
-    around x is no wider than ``tol + 4 sqrt(eps) |x|``.
+    around x is no wider than ``ROOT_TOL + 4 sqrt(eps) |x|``.
     """
     golden = 0.5 * (3.0 - 5.0 ** 0.5)
     a, b = lo, hi
@@ -195,7 +198,7 @@ def _brent_min(f, lo: float, hi: float, tol: float = 1e-12):
     d = e = 0.0
     while True:
         m = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + 0.25 * tol
+        tol1 = _SQRT_EPS * abs(x) + 0.25 * ROOT_TOL
         tol2 = 2.0 * tol1
         if abs(x - m) <= tol2 - 0.5 * (b - a):
             return x, fx
@@ -236,7 +239,7 @@ def _brent_min(f, lo: float, hi: float, tol: float = 1e-12):
                 v, fv = u, fu
 
 
-def convex_min_scalar(f, x0: float = 0.0, step: float = 1.0, tol: float = 1e-12,
+def convex_min_scalar(f, x0: float = 0.0, step: float = 1.0,
                       f0: float | None = None):
     """Minimum of a convex scalar function: downhill bracket walk with
     doubling steps from x0 (f0, when given, is f(x0)), then Brent's
@@ -258,7 +261,7 @@ def convex_min_scalar(f, x0: float = 0.0, step: float = 1.0, tol: float = 1e-12,
             fb = f(b)
     else:
         raise NoConvergence("could not bracket the convex minimum")
-    return _brent_min(f, a, b, tol=tol)
+    return _brent_min(f, a, b)
 
 
 def _brent_bracket(f, a: float, fa: float, b: float, fb: float, tol: float):
@@ -310,39 +313,37 @@ def _brent_bracket(f, a: float, fa: float, b: float, fb: float, tol: float):
     raise NoConvergence("root bracket did not shrink to the tolerance")
 
 
-def bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Brent-Dekker root of f; f(lo) and f(hi) must straddle zero.
+def bisect_root(f, lo: float, hi: float, f_lo: float | None = None,
+                f_hi: float | None = None) -> float:
+    """Brent-Dekker root of f; f(lo) and f(hi) must straddle zero, and
+    f_lo = f(lo) and f_hi = f(hi), when given, are not taken again.
 
     The returned point is an exact zero of f or an end of a sign-change
-    bracket no wider than ``max(tol, 4 eps |root|)`` (``_brent_bracket``).
+    bracket no wider than ``max(ROOT_TOL, 4 eps |root|)`` (``_brent_bracket``).
     """
-    return _root(f, lo, f(lo), hi, f(hi), tol)
-
-
-def _root(f, lo: float, f_lo: float, hi: float, f_hi: float, tol: float) -> float:
-    """``bisect_root`` given the values f_lo = f(lo) and f_hi = f(hi)."""
+    f_lo = f(lo) if f_lo is None else f_lo
+    f_hi = f(hi) if f_hi is None else f_hi
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
         return hi
     if f_lo * f_hi > 0:
         raise NoSignChange("root bracket does not straddle a root")
-    return _brent_bracket(f, lo, f_lo, hi, f_hi, tol)[0]
+    return _brent_bracket(f, lo, f_lo, hi, f_hi, ROOT_TOL)[0]
 
 
-def _sublevel_interval(f, level: float, x0: float, step: float, tol: float,
+def _sublevel_interval(f, level: float, x0: float, step: float,
                        sides=(-1.0, 1.0)):
     """Ends of {x : f(x) <= level} for a convex scalar f, one per side in
     ``sides`` (-1 the lower end, +1 the upper), or None when the minimum
     lies above ``level``: an inner point below ``level`` (``x0`` itself when
     f(x0) < level, else the convex minimum), then per side a doubling
-    bracket and one Brent root from the values already taken at its ends."""
+    bracket and one ``bisect_root`` from the values taken at its ends."""
     f_inner = f(x0)
     if f_inner < level:   # strict: at f(x0) == level, x0 may be both ends
         inner = x0
     else:
-        inner, f_inner = convex_min_scalar(f, x0, step=step, tol=tol,
-                                           f0=f_inner)
+        inner, f_inner = convex_min_scalar(f, x0, step=step, f0=f_inner)
         if f_inner > level:
             return None
     g = lambda x: f(x) - level
@@ -354,20 +355,20 @@ def _sublevel_interval(f, level: float, x0: float, step: float, tol: float,
         while g_out <= 0:
             out = inner + 2.0 * (out - inner)
             g_out = g(out)
-        ends.append(_root(g, out, g_out, inner, g_inner, tol) if out < inner
-                    else _root(g, inner, g_inner, out, g_out, tol))
+        ends.append(bisect_root(g, out, inner, g_out, g_inner) if out < inner
+                    else bisect_root(g, inner, out, g_inner, g_out))
     return tuple(ends)
 
 
 def gamma1d_plus(k: QbdBlocks) -> Interval:
     """Sublevel interval {theta : gamma(theta) <= 1} of the convex interior
-    eigenvalue curve, ends located to 1e-12; empty or degenerate is valid.
+    eigenvalue curve, ends to ``ROOT_TOL``; empty or degenerate is valid.
 
     A stochastic K has gamma(0) = 1 exactly, so 0 is the end on the side
     the mean drift points away from (both ends at zero drift, where the
     numerical tangent minimum may sit just above 1).
     """
-    ends = _sublevel_interval(lambda th: gamma_a(k, th), 1.0, 0.0, 1.0, 1e-12)
+    ends = _sublevel_interval(lambda th: gamma_a(k, th), 1.0, 0.0, 1.0)
     if not _is_stochastic(k):
         return EMPTY_INTERVAL if ends is None else Interval(*ends)
     lo, hi = (0.0, 0.0) if ends is None else ends
@@ -377,7 +378,7 @@ def gamma1d_plus(k: QbdBlocks) -> Interval:
 
 def cp_kplus(k: QbdBlocks) -> float:
     """Convergence parameter of the boundary-free part: the reciprocal of
-    the convex minimum (to 1e-12) of the interior eigenvalue curve."""
+    the convex minimum (to ``ROOT_TOL``) of the interior eigenvalue curve."""
     _, fmin = convex_min_scalar(lambda th: gamma_a(k, th), 0.0)
     return 1.0 / fmin
 
@@ -527,7 +528,7 @@ def _selection_radius(a_mat: np.ndarray, c_mat: np.ndarray) -> float:
 
 def gamma1d_0plus(k: QbdBlocks) -> Interval:
     """Closed interval {theta : some h > 0 has A_*(theta) h <= h and
-    C_*(theta) h <= h}, its ends located to 1e-12.
+    C_*(theta) h <= h}, its ends located to ``ROOT_TOL``.
 
     The row choices of A_* and C_* are independent, so a common
     subinvariant vector exists iff phi(theta), the largest spectral radius
@@ -536,8 +537,7 @@ def gamma1d_0plus(k: QbdBlocks) -> Interval:
     Every entry is log-convex in theta, so phi is too (Kingman 1961) and
     the set is the sublevel interval {phi <= 1}.  A stochastic K has
     phi(0) = 1 exactly (h = 1), so 0 belongs to the set; the set lies in
-    ``gamma1d_plus``, which has 0 as an end, and an end within the 1e-12
-    root tolerance of 0 is 0.
+    ``gamma1d_plus`` (0 one of its ends): an end within 1e-12 of 0 is 0.
     """
     try:
         can = canonical_form(k)
@@ -545,7 +545,7 @@ def gamma1d_0plus(k: QbdBlocks) -> Interval:
         return EMPTY_INTERVAL
     ends = _sublevel_interval(
         lambda th: _selection_radius(a_mgf(k, th), can.c0 + np.exp(th) * can.a1),
-        1.0, 0.0, 1.0, 1e-12)
+        1.0, 0.0, 1.0)
     if not _is_stochastic(k):
         return EMPTY_INTERVAL if ends is None else Interval(*ends)
     plus = gamma1d_plus(k)
@@ -686,7 +686,7 @@ def qbd_stationary(k: QbdBlocks, max_level: int) -> list[np.ndarray]:
 
 def cp_k(k: QbdBlocks) -> float:
     """Convergence parameter sup{u : uK has a superharmonic vector}: the
-    Brent root (``bisect_root``, 1e-12) in u of the excess of uK
+    Brent root (``bisect_root``) in u of the excess of uK
     (``_g_excess``), which increases with u, in [1, c_p(K_+)] when K has a
     superharmonic vector, else in [1/r, min(1, c_p(K_+))], r the largest
     row sum (the ones vector is superharmonic for K / r).  The upper end is

@@ -29,6 +29,9 @@ if TYPE_CHECKING:   # imported by the analyses that run them
 H = (-1, 0, 1)
 HP = (0, 1)
 
+#: angular scan size of a level curve unless a caller sets one (``--scan``)
+DEFAULT_SCAN = 192
+
 #: the nine lattice regions, keyed by coordinate class ("0", "1" or "+")
 REGIONS = (("0", "0"), ("1", "0"), ("+", "0"), ("0", "1"), ("0", "+"),
            ("1", "1"), ("+", "1"), ("1", "+"), ("+", "+"))
@@ -62,19 +65,17 @@ def alias_target(s1: str, s2: str, i: int, j: int):
     return None
 
 
-def _vspace_index(l1: int, l2: int) -> int:
-    if l1 == 0 and l2 == 0:
-        return 0
-    if l2 == 0:
-        return 1
-    if l1 == 0:
-        return 2
-    return 3
+def _cell_phases(dims: tuple, l1, l2):
+    """Phase count dims[(l1 > 0) + 2 (l2 > 0)] of lattice cell (l1, l2),
+    levels >= 0: m0 at the origin, m1 and m2 on the axes, m inside.
+    Elementwise on arrays; an entry of ``dims`` itself for two ints."""
+    index = (l1 > 0) + 2 * (l2 > 0)
+    return dims[index] if isinstance(index, int) else np.asarray(dims)[index]
 
 
 def block_shape(dims: tuple, s1: str, s2: str, i: int, j: int) -> tuple:
     r1, r2 = _REP[s1], _REP[s2]
-    return (dims[_vspace_index(r1, r2)], dims[_vspace_index(r1 + i, r2 + j)])
+    return (_cell_phases(dims, r1, r2), _cell_phases(dims, r1 + i, r2 + j))
 
 
 @dataclass(frozen=True)
@@ -331,7 +332,7 @@ def feasibility_margin(spec: Qbd2dSpec):
     return margin
 
 
-def level_curve(spec: Qbd2dSpec, scan: int = 192) -> LevelCurve:
+def level_curve(spec: Qbd2dSpec, scan: int = DEFAULT_SCAN) -> LevelCurve:
     """The boundary curve of the tilting region with feasibility margins."""
     from .levelset import LevelCurve
     return LevelCurve(curve_gap(spec), feasibility_margin(spec), scan_size=scan)
@@ -456,7 +457,7 @@ def stability_check(spec: Qbd2dSpec) -> Stability:
 # -- decay rates ---------------------------------------------------------------
 
 
-def decay_rates(spec: Qbd2dSpec, directions, scan: int = 192) -> Decay:
+def decay_rates(spec: Qbd2dSpec, directions, scan: int = DEFAULT_SCAN) -> Decay:
     """Directional decay rates (see ``levelset.decay``) from one curve
     analysis; directions and stability are checked before any curve work."""
     from .levelset import checked_direction, decay

@@ -15,7 +15,7 @@ from qbdtail import cli, jackson, levelset, matcore, modelfile, qbd2d
 from qbdtail.errors import (ChildFailed, InvalidStart, NoConvergence,
                             ParseError, SchemaError)
 
-from conftest import product_form_jackson, scalar_rrw
+from conftest import mapph_jackson, product_form_jackson, scalar_rrw
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
@@ -153,12 +153,17 @@ class TestValidateCommand:
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ,
                    PYTHONPATH=src + (os.pathsep + path if path else ""))
-        proc = subprocess.run(
-            [sys.executable, "-m", "qbdtail", "validate",
-             str(MODELS / "scalar_rrw.yaml")],
+        run = lambda model: subprocess.run(
+            [sys.executable, "-m", "qbdtail", "validate", str(model)],
             capture_output=True, text=True, env=env, timeout=120)
+        proc = run(MODELS / "scalar_rrw.yaml")
         assert proc.returncode == 0, proc.stderr
-        assert "valid = true" in proc.stdout
+        assert proc.stdout == ("kind = qbd2d_discrete\nviolations = 0\n"
+                               "valid = true\n")
+        proc = run(MODELS / "missing.yaml")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("model error: cannot read ")
+        assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command,flag,value", [
@@ -262,6 +267,117 @@ def test_a_face_chain_closed_on_its_axis_is_an_input_error(command, tmp_path,
     captured = capsys.readouterr()
     assert "AxisTrapViolation at family +0" in captured.out + captured.err
     assert "Traceback" not in captured.err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def _continuous_generator_with_bad_signs() -> str:
+    """The MAP/PH network's continuous-time blocks with a negative
+    off-diagonal and a positive diagonal entry in the origin generator."""
+    spec = jackson.build_blocks(mapph_jackson())
+    fams = {reg: {inc: b.copy() for inc, b in fam.items()}
+            for reg, fam in spec.families.items()}
+    origin = fams[("0", "0")][(0, 0)]
+    origin[0, 1], origin[1, 1] = -0.1, 0.1
+    return modelfile.dump_model(modelfile.ModelFile(
+        "1", "qbd2d_continuous", qbd2d.make_spec(fams, spec.dims, "continuous")))
+
+
+_QBD2D_HEAD = 'schema_version: "1"\nkind: qbd2d_discrete\nmodel:\n  dims: [1, 1, 1, 1]\n'
+_SECOND_ARRIVAL = "    - t: [[0.0]]      # no exogenous arrivals at node 2\n      u: [[0.0]]\n"
+_FIRST_SERVICE = "    - beta: [1.0]\n      s: [[-2.0]]"
+
+# (id, model: a shipped name, "qbd1d", "continuous" or a literal text,
+#  text edit (old, new) or None, command, exit code, expected fragment)
+_CONTRACT_CASES = [
+    ("not_a_mapping", 'schema_version: "1"\nkind: qbd1d\nmodel: 5\n', None,
+     ["validate"], 2, "model: expected a mapping"),
+    ("missing_block", "qbd1d", ("  a1: [[0.2]]\n", ""),
+     ["validate"], 2, "model: missing keys ['a1']"),
+    ("bad_increment_key", "scalar_rrw", ('"1,0":  [[0.15]]', '"a,b":  [[0.15]]'),
+     ["validate"], 2, "bad increment key 'a,b'"),
+    ("increment_out_of_range", "scalar_rrw",
+     ('"1,0":  [[0.15]]', '"2,0":  [[0.15]]'),
+     ["validate"], 2, "increment '2,0' out of range"),
+    ("families_not_a_mapping", _QBD2D_HEAD + "  families: [1]\n", None,
+     ["decay"], 2, "model.families: expected a mapping"),
+    ("unknown_region", "scalar_rrw", ('"10":', '"22":'),
+     ["validate"], 2, "model.families: unknown region '22'"),
+    ("region_not_a_mapping", _QBD2D_HEAD + '  families: {"++": 5}\n', None,
+     ["stability"], 2, "model.families.++: expected a mapping"),
+    ("increment_not_allowed", "scalar_rrw",
+     ('"0,0":  [[0.73]]', '"-1,0": [[0.73]]'),
+     ["validate"], 2, "increment '-1,0' not allowed from region 00"),
+    ("one_arrival_stream", "tandem_jackson", (_SECOND_ARRIVAL, ""),
+     ["validate"], 2, "model.arrivals: expected a list of two MAPs"),
+    ("one_service_law", "tandem_jackson",
+     ("    - beta: [1.0]\n      s: [[-3.0]]\n", ""),
+     ["jackson", "traffic"], 2, "model.services: expected a list of two PH laws"),
+    ("schema_version", "scalar_rrw", ('schema_version: "1"', 'schema_version: "2"'),
+     ["validate"], 2, "unsupported schema_version '2'"),
+    ("map_sizes", "tandem_jackson", ("u: [[1.0]]", "u: [[1.0, 0.0]]"),
+     ["validate"], 2, "T and U must be square of equal size"),
+    ("map_negative_rate", "tandem_jackson",
+     ("- t: [[-1.0]]\n      u: [[1.0]]", "- t: [[1.0]]\n      u: [[-1.0]]"),
+     ["validate"], 2, "T off-diagonal and U must be nonnegative"),
+    ("map_reducible", "tandem_jackson",
+     ("- t: [[-1.0]]\n      u: [[1.0]]",
+      "- t: [[-1.0, 0.0], [0.0, -1.0]]\n      u: [[1.0, 0.0], [0.0, 1.0]]"),
+     ["validate"], 2, "T + U must be irreducible"),
+    ("ph_sizes", "tandem_jackson",
+     (_FIRST_SERVICE, "    - beta: [0.5, 0.5]\n      s: [[-2.0]]"),
+     ["validate"], 2, "beta and S sizes disagree"),
+    ("ph_positive_diagonal", "tandem_jackson",
+     (_FIRST_SERVICE, "    - beta: [1.0]\n      s: [[2.0]]"),
+     ["validate"], 2, "S must have nonnegative off-diagonal, nonpositive diagonal"),
+    ("ph_negative_exit", "tandem_jackson",
+     (_FIRST_SERVICE, "    - beta: [1.0, 0.0]\n      s: [[-1.0, 2.0], [0.0, -1.0]]"),
+     ["validate"], 2, "S 1 <= 0 with strict inequality somewhere"),
+    ("ph_singular", "tandem_jackson",
+     (_FIRST_SERVICE, "    - beta: [0.5, 0.5]\n      s: [[-1.0, 0.0], [0.0, 0.0]]"),
+     ["validate"], 2, "-S must be nonsingular"),
+    ("continuous_signs", "continuous", None, ["validate"], 2,
+     "violation = NegativeEntryViolation at family 00 (0, 0): negative "
+     "off-diagonal entry\nviolation = DiagSignViolation at family 00 (0, 0): "
+     "positive diagonal in a generator\n"),
+    ("qbd1d_validate", "qbd1d", None, ["validate"], 0,
+     "kind = qbd1d\nviolations = 0\nvalid = true\n"),
+    ("qbd1d_boundary", "qbd1d", None, ["boundary", "--out", "x.csv"], 2,
+     "command not supported for kind 'qbd1d'"),
+    ("qbd1d_verify", "qbd1d", None, ["verify"], 2,
+     "command not supported for kind 'qbd1d'"),
+]
+
+
+@pytest.mark.parametrize("model, edit, command, code, want",
+                         [case[1:] for case in _CONTRACT_CASES],
+                         ids=[case[0] for case in _CONTRACT_CASES])
+def test_malformed_and_unsupported_inputs_keep_the_exit_code_contract(
+        model, edit, command, code, want, tmp_path, capsys, monkeypatch):
+    """A malformed file exits 2 with one ``model error:`` line, ``validate``
+    lists a spec's violations and exits 2, and a command that a 1-d QBD
+    does not support exits 2; no traceback, no file written."""
+    if model == "qbd1d":
+        text = QBD1D_FILE
+    elif model == "continuous":
+        text = _continuous_generator_with_bad_signs()
+    elif model in SHIPPED:
+        text = (MODELS / f"{model}.yaml").read_text()
+    else:
+        text = model
+    if edit is not None:
+        assert edit[0] in text
+        text = text.replace(*edit, 1)
+    path = tmp_path / "model.yaml"
+    path.write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([command[0], str(path), *command[1:]]) == code
+    captured = capsys.readouterr()
+    if model == "continuous" or code == 0:
+        assert want in captured.out and captured.err == ""
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("model error: ")
+        assert captured.err.count("\n") == 1 and want in captured.err
     assert not (tmp_path / "x.csv").exists()
 
 

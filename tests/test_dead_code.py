@@ -135,7 +135,10 @@ def test_every_public_function_is_read_somewhere():
 def test_every_result_field_is_read():
     """Every annotated field of a module-level class is read as an
     attribute somewhere in the package or its tests: a result field that
-    nothing reads is dead code, like an unread public function."""
+    nothing reads is dead code, like an unread public function.  Fields are
+    matched by attribute name alone, so a field that shares its name with
+    any other attribute read anywhere (``mf.kind``, ``args.seed``) escapes
+    the check."""
     sources = list(_trees().values()) + _test_trees()
     read = {node.attr for t in sources for node in ast.walk(t)
             if isinstance(node, ast.Attribute)

@@ -311,6 +311,28 @@ class TestStackedScan:
             for phi, p in zip(curve.scan_phi, curve.scan_points):
                 assert np.array_equal(curve.point_at(phi), p), label
 
+    @pytest.mark.parametrize("factor, broken", [(1.05, 0), (0.95, 1)],
+                             ids=["chord_outside", "secants_inside"])
+    def test_point_at_repairs_a_broken_bracket(self, factor, broken):
+        # scan points pushed out put the chord end outside the region (the
+        # first gap value, at lo, is positive); pulled in, the secant end
+        # is inside (the second, at hi, is not positive).  The repaired
+        # bracket still gives the point to 1e-12 (1 + t).
+        mf = modelfile.load_model(MODELS / "modulated_rrw.yaml")
+        curve = qbd2d.level_curve(mf.payload, scan=64)
+        mids = curve.scan_phi + np.pi / 64
+        want = [curve.point_at(phi) for phi in mids]
+        gap = curve.gap
+        curve.scan_points = curve.center + factor * (curve.scan_points
+                                                     - curve.center)
+        for phi, p in zip(mids, want):
+            values = []
+            curve.gap = lambda t: values.append(float(gap(t))) or values[-1]
+            got = curve.point_at(phi)
+            assert (values[broken] <= 0) == bool(broken)
+            t = np.hypot(*(p - curve.center))
+            assert np.max(np.abs(got - p)) <= 1e-12 * (1.0 + t)
+
     def test_scan_margins_are_the_pointwise_margins(self):
         for label, curve in shipped_curves(64):
             for p, m in zip(curve.scan_points, curve.scan_margins):

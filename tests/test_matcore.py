@@ -370,6 +370,15 @@ class TestStacks:
             with pytest.raises(expected):
                 matcore.dominant(stack)
 
+    @pytest.mark.parametrize("lanes", [0, 2, matcore.SCALAR_LANES + 1],
+                             ids=["single", "scalar_lanes", "array_lanes"])
+    def test_order_2_wide_bracket_is_no_convergence(self, lanes, monkeypatch):
+        # below zero, PF_TOL makes every bracket too wide, on each order-2 path
+        monkeypatch.setattr(matcore, "PF_TOL", -1.0)
+        t = np.array([[0.5, 0.2], [0.3, 0.4]])
+        with pytest.raises(NoConvergence, match="Collatz-Wielandt bracket"):
+            matcore.dominant(t if lanes == 0 else np.array([t] * lanes))
+
     def test_wide_bracket_is_no_convergence(self):
         with pytest.raises(NoConvergence):
             matcore.dominant(np.array([[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0],

@@ -156,12 +156,12 @@ class TestRootFinding:
             calls.append(x)
             return f(x)
 
-        x = qbd1d.bisect_root(counted, lo, hi, tol=1e-12)
+        x = qbd1d.bisect_root(counted, lo, hi)
         assert abs(x - root) <= 1e-12
         assert len(calls) <= 20
         # decreasing functions too: the bracket may start on either sign
         calls.clear()
-        x = qbd1d.bisect_root(lambda v: -counted(v), lo, hi, tol=1e-12)
+        x = qbd1d.bisect_root(lambda v: -counted(v), lo, hi)
         assert abs(x - root) <= 1e-12
         assert len(calls) <= 20
 
@@ -245,7 +245,7 @@ class TestGamma1dPlus:
         k = qbd1d.scale(mm1_blocks(0.2, 0.3), 1.0 - 1e-11)
         iv = qbd1d.gamma1d_plus(k)
         ends = qbd1d._sublevel_interval(lambda th: qbd1d.gamma_a(k, th),
-                                        1.0, 0.0, 1.0, 1e-12)
+                                        1.0, 0.0, 1.0)
         assert (iv.lo, iv.hi) == ends
         assert iv.lo < 0.0
 
@@ -376,6 +376,15 @@ class TestSuperharmonicExists:
         k = mm1_blocks(0.2, 0.3)
         assert not qbd1d.superharmonic_exists_via_G(qbd1d.scale(k, 1.6))
 
+    def test_boundary_without_inverse_has_none(self):
+        # gamma(0) = 0.8 < 1, but sp(B0) = 1 leaves C0 undefined: a
+        # non-stochastic K reads an infinite G radius, so no vector
+        k = qbd1d.QbdBlocks(b0=[[1.0]], b1=[[0.2]], bm1=[[0.3]],
+                            am1=[[0.3]], a0=[[0.3]], a1=[[0.2]])
+        assert not qbd1d.gamma1d_plus(k).empty
+        assert qbd1d._g_radius(k) == (np.inf, np.inf)
+        assert not qbd1d.superharmonic_exists_via_G(k)
+
     def test_counterexample_with_benign_boundary(self):
         k = appendix_counterexample()
         exists = qbd1d.superharmonic_exists_via_G(k)
@@ -386,11 +395,11 @@ class TestSuperharmonicExists:
 class TestIntervalHelpers:
     def test_sublevel_interval_of_a_parabola(self):
         lo, hi = qbd1d._sublevel_interval(lambda x: (x - 1.0) ** 2, 4.0,
-                                         0.0, 1.0, 1e-12)
+                                         0.0, 1.0)
         assert lo == pytest.approx(-1.0, abs=1e-12)
         assert hi == pytest.approx(3.0, abs=1e-12)
         assert qbd1d._sublevel_interval(lambda x: x * x + 1.0, 0.5,
-                                       0.0, 1.0, 1e-12) is None
+                                       0.0, 1.0) is None
 
     @pytest.mark.parametrize("lift,x0", [(0.0, 0.2), (1.0, -5.0)],
                              ids=["inner_start", "convex_minimum"])
@@ -404,7 +413,7 @@ class TestIntervalHelpers:
             calls[x] += 1
             return (x - 0.7) ** 2 + lift
 
-        lo, hi = qbd1d._sublevel_interval(f, 4.0, x0, 1.0, 1e-12)
+        lo, hi = qbd1d._sublevel_interval(f, 4.0, x0, 1.0)
         half = (4.0 - lift) ** 0.5
         assert lo == pytest.approx(0.7 - half, abs=1e-12)
         assert hi == pytest.approx(0.7 + half, abs=1e-12)
@@ -435,7 +444,7 @@ class TestBrentMin:
             calls.append(x)
             return f(x)
 
-        x, fx = qbd1d._brent_min(counted, lo, hi, tol=1e-12)
+        x, fx = qbd1d._brent_min(counted, lo, hi)
         assert fx == f(x)
         assert abs(x - xmin) <= 1e-12 + 4.0 * SQRT_EPS * abs(x)
         assert all(lo <= c <= hi for c in calls)
@@ -486,7 +495,7 @@ class TestBrentBracket:
     def test_bisect_root_returns_the_best_point_of_the_bracket(self):
         f = lambda x: np.exp(x) - 2.0
         b, fb, _, _ = qbd1d._brent_bracket(f, 0.0, f(0.0), 4.0, f(4.0), 1e-12)
-        assert qbd1d.bisect_root(f, 0.0, 4.0, tol=1e-12) == b
+        assert qbd1d.bisect_root(f, 0.0, 4.0) == b
 
 
 class TestGamma1d0Plus:
