@@ -44,9 +44,13 @@ MAX_COUNT = 65536
 MAX_STATES = 200_000   # above mapph_jackson at extent 150, 181,203 states
 
 
+# the digits of every printed float: reports and boundary CSV rows
+_DIGITS = ".12g"
+
+
 def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):   # first: the CSV rows are floats
-        return f"{float(x):.12g}"
+    if isinstance(x, (float, np.floating)):
+        return f"{float(x):{_DIGITS}}"
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     return str(x)
@@ -210,11 +214,10 @@ def cmd_boundary(args, out) -> int:
     rows = boundary_rows(curve, args.samples)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("theta1,theta2_lower,theta2_upper,feasible_C1,feasible_C2\n")
-            for r in rows:
-                fh.write(f"{_fmt(r.theta1)},{_fmt(r.theta2_lower)},"
-                         f"{_fmt(r.theta2_upper)},{int(r.feasible_c1)},"
-                         f"{int(r.feasible_c2)}\n")
+            fh.write("theta1,theta2_lower,theta2_upper,feasible_C1,feasible_C2\n"
+                     + "".join(f"{t1:{_DIGITS}},{lo:{_DIGITS}},{hi:{_DIGITS}},"
+                               f"{f1:d},{f2:d}\n"
+                               for t1, lo, hi, f1, f2 in rows))
     except OSError as exc:
         raise SchemaError(f"cannot write --out {args.out}: {exc.strerror}") from None
     _emit(out, "rows", len(rows))

@@ -63,8 +63,9 @@ class MapSpec:
         return self.t.shape[0]
 
     def rate(self) -> float:
-        """Stationary arrival rate <nu, U 1>."""
-        nu = matcore.dominant((self.t + self.u).T).right
+        """Stationary arrival rate <nu, U 1> (nu = 1 for one phase)."""
+        nu = (matcore.dominant((self.t + self.u).T).right if self.order > 1
+              else np.ones(1))
         return float(nu @ (self.u @ np.ones(self.order)))
 
 
@@ -309,14 +310,14 @@ class CumulantSet:
         """Arrival cumulant: dominant eigenvalue of T_i + e^theta U_i."""
         a = self.spec.arrivals[i - 1]
         lift = np.exp(theta_i)[..., np.newaxis, np.newaxis]
-        return matcore.dominant(a.t + lift * a.u).value
+        return matcore.perron_value(a.t + lift * a.u)
 
     def gamma_d(self, i: int, theta):
         """Busy-server departure cumulant: dominant eigenvalue of
         S_i + t_i(theta) D_i."""
         s = self.spec.services[i - 1]
         lift = self.t_factor(i, theta)[..., np.newaxis, np.newaxis]
-        return matcore.dominant(s.s + lift * s.d_mat).value
+        return matcore.perron_value(s.s + lift * s.d_mat)
 
     def gamma_plus(self, theta):
         t1, t2 = _coordinates(theta)
@@ -490,9 +491,11 @@ def assumption3_certificate(spec: JacksonSpec, theta) -> CertificateResult:
     if off.any():
         where = f" at lane {int(np.argmax(off))}" if theta.ndim == 2 else ""
         raise ThetaNotOnCurve(f"gamma_plus(theta) != 0{where}")
-    # the eigenvector factors as (n, k, 1) columns, one per lane
+    # the eigenvector factors as (n, k, 1) columns, one per lane (ones for
+    # a one-phase stream)
     h1a, h2a = (matcore.dominant(a.t + np.exp(lanes[:, k, np.newaxis, np.newaxis])
-                                 * a.u).right[..., np.newaxis]
+                                 * a.u).right[..., np.newaxis] if a.order > 1
+                else np.ones((len(lanes), 1, 1))
                 for k, a in enumerate(spec.arrivals))
     h1d, h2d = (np.linalg.solve(cs.gamma_d(i, lanes)[:, np.newaxis, np.newaxis]
                                 * np.eye(ph.order) - ph.s, ph.exit[:, np.newaxis])

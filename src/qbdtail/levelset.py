@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -455,8 +456,9 @@ def decay(curve: LevelCurve, directions) -> Decay:
                  rates=tuple(rates))
 
 
-@dataclass(frozen=True)
-class BoundaryRow:
+class BoundaryRow(NamedTuple):
+    """One row of ``boundary_rows``, in Python floats and bools."""
+
     theta1: float
     theta2_lower: float
     theta2_upper: float
@@ -494,7 +496,5 @@ def boundary_rows(curve: LevelCurve, samples: int) -> list:
                         np.column_stack((grid, upper))))
     feasible = [(e[:samples] <= 0) | (e[samples:] <= 0)
                 for e in (curve._excess(i, points) for i in (1, 2))]
-    return [BoundaryRow(theta1=float(t1), theta2_lower=float(lo),
-                        theta2_upper=float(hi), feasible_c1=bool(f1),
-                        feasible_c2=bool(f2))
-            for t1, lo, hi, f1, f2 in zip(grid, lower, upper, *feasible)]
+    columns = (grid, lower, upper, *feasible)
+    return list(map(BoundaryRow._make, zip(*(c.tolist() for c in columns))))

@@ -1,7 +1,8 @@
 """Dense nonnegative-matrix kernel.
 
 Certified dominant eigenpairs (closed form at order <= 2, dense ``eig``
-above, each checked by a Collatz-Wielandt bracket), the package's only other
+above, each checked by a Collatz-Wielandt bracket) and the value-only read
+that skips the pair at order 1 (``perron_value``), the package's only other
 eigenvalue solves, the one M-matrix inverse for both time conventions (all
 of these also take stacks, lane by lane), the one Kronecker kernel (also
 over stacks) and diagonal similarity twists.  Everything here is a pure
@@ -99,23 +100,22 @@ def dominant(t) -> Dominant:
     """Perron root (largest real part) and positive right vector of a
     nonnegative or Metzler matrix, certified by a Collatz-Wielandt bracket.
 
-    Order 1 is the entry, order 2 a closed form in scalar arithmetic, higher
-    orders a dense ``eig`` (``_dominant_stack``).  A stack ``(n, m, m)`` is
-    solved lane by lane by the same rule and gives a ``Dominant`` of arrays
-    (``value``, ``lo``, ``hi`` of shape ``(n,)``, ``right`` of ``(n, m)``).
-    Left vectors are ``dominant(t.T).right``.  Raises ``NotIrreducible``
-    when a vector has an entry <= 0 and ``NoConvergence`` when a bracket is
-    wider than ``PF_TOL`` allows, for the first failing lane of a stack.
+    Order 1 is the entry (``perron_value``), order 2 a closed form in
+    scalar arithmetic, higher orders a dense ``eig`` (``_dominant_stack``).
+    A stack ``(n, m, m)`` is solved lane by lane by the same rule and gives
+    a ``Dominant`` of arrays (``value``, ``lo``, ``hi`` of shape ``(n,)``,
+    ``right`` of ``(n, m)``).  Left vectors are ``dominant(t.T).right``.
+    Raises ``NotIrreducible`` when a vector has an entry <= 0 and
+    ``NoConvergence`` when a bracket is wider than ``PF_TOL`` allows, for
+    the first failing lane of a stack.
     """
     t = np.asarray(t, dtype=float)
     shape = t.shape
+    if shape == (1, 1):
+        value = perron_value(t)
+        return Dominant(value, _ONE, value, value)
     if len(shape) == 3:
         return _dominant_stack(t)
-    if shape == (1, 1):
-        value = t.item()
-        if not math.isfinite(value):
-            raise NonFiniteEntry("matrix entries must be finite")
-        return Dominant(value, _ONE, value, value)
     n = shape[0]
     if shape != (n, n):
         raise ShapeMismatch(f"expected a square matrix, got {shape}")
@@ -132,6 +132,26 @@ def dominant(t) -> Dominant:
     if not narrow:
         raise _wide_bracket(lo, hi)
     return Dominant(value, np.array((x / (x + y), y / (x + y))), lo, hi)
+
+
+def perron_value(t):
+    """``dominant(t).value`` without the vector or the bracket: at order 1
+    the entry itself (a float for one matrix, the ``(n,)`` view of a stack
+    ``(n, 1, 1)``), checked finite as ``dominant`` checks it; any other
+    shape or order goes through ``dominant``."""
+    t = np.asarray(t, dtype=float)
+    shape = t.shape
+    if shape == (1, 1):
+        value = t.item()
+        if not math.isfinite(value):
+            raise NonFiniteEntry("matrix entries must be finite")
+        return value
+    if len(shape) == 3 and shape[1:] == (1, 1):
+        value = t[:, 0, 0]
+        if not np.isfinite(value).all():
+            raise NonFiniteEntry("matrix entries must be finite")
+        return value
+    return dominant(t).value
 
 
 def _closed_form(a: float, b: float, c: float, d: float) -> tuple:
@@ -171,11 +191,11 @@ def _pairs(rows: list) -> Dominant:
 
 def _dominant_stack(t: np.ndarray) -> Dominant:
     """``dominant`` of each lane of a finite ``(n, m, m)`` stack."""
-    t = _square(t)
     n, m = t.shape[0], t.shape[-1]
-    if m == 1:
-        value = t[:, 0, 0]
+    if t.shape[1:] == (1, 1):
+        value = perron_value(t)
         return Dominant(value, np.ones((n, 1)), value, value)
+    t = _square(t)
     if m == 2 and 0 < n <= SCALAR_LANES:
         return _pairs(t.reshape(n, 4).tolist())
     if m == 2:

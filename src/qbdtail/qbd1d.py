@@ -181,7 +181,7 @@ def c_mgf(k: QbdBlocks, theta: float) -> np.ndarray:
 
 def gamma_a(k: QbdBlocks, theta: float) -> float:
     """Perron eigenvalue of the interior matrix MGF at theta."""
-    return matcore.dominant(a_mgf(k, theta)).value
+    return matcore.perron_value(a_mgf(k, theta))
 
 
 def _brent_min(f, lo: float, hi: float):

@@ -286,12 +286,16 @@ def c2_mgf(spec: Qbd2dSpec, i: int, theta) -> np.ndarray:
 
 def gamma2(spec: Qbd2dSpec, theta):
     """Dominant eigenvalue of the interior MGF at theta."""
-    return matcore.dominant(a2_mgf(spec, theta)).value
+    return matcore.perron_value(a2_mgf(spec, theta))
 
 
 def gamma2_pair(spec: Qbd2dSpec, theta):
-    """Dominant eigenvalue and positive right eigenvector."""
-    dom = matcore.dominant(a2_mgf(spec, theta))
+    """Dominant eigenvalue and positive right eigenvector (ones at m = 1,
+    as ``matcore.dominant`` gives there)."""
+    t = a2_mgf(spec, theta)
+    if spec.dims[3] == 1:
+        return matcore.perron_value(t), np.ones(t.shape[:-1])
+    dom = matcore.dominant(t)
     return dom.value, dom.right
 
 

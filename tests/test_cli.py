@@ -622,6 +622,25 @@ class TestBoundaryCommand:
         assert len(first) == 5
         assert first[3] in ("0", "1") and first[4] in ("0", "1")
 
+    @pytest.mark.parametrize("name", SHIPPED)
+    @pytest.mark.parametrize("samples", [64, 512])
+    def test_rows_print_as_the_report_digits(self, name, samples, tmp_path):
+        # the joined CSV carries each float as _fmt prints it and each
+        # flag as 0 or 1
+        out = tmp_path / "curve.csv"
+        f = MODELS / f"{name}.yaml"
+        code, _ = run_cli(["boundary", str(f), "--samples", str(samples),
+                           "--out", str(out)])
+        assert code == 0
+        mf = modelfile.load_model(f)
+        scan = min(qbd2d.DEFAULT_SCAN, samples)
+        curve = (jackson.analytic_curve(mf.payload, scan=scan)
+                 if mf.kind == "jackson" else qbd2d.level_curve(mf.payload, scan=scan))
+        rows = levelset.boundary_rows(curve, samples)
+        lines = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert lines == [",".join([*map(cli._fmt, r[:3]), str(int(r[3])),
+                                   str(int(r[4]))]) for r in rows]
+
     def test_jackson_boundary(self, tmp_path):
         out = tmp_path / "curve.csv"
         code, _ = run_cli(["boundary", str(MODELS / "tandem_jackson.yaml"),
@@ -659,6 +678,51 @@ class TestBoundaryCommand:
         out = str(tmp_path / "curve.csv")
         assert cli.main(["boundary", str(MODELS / "mapph_jackson.yaml"),
                          "--samples", "3", "--out", out]) == 3
+
+
+class TestOrderOneReads:
+    """An order-1 Perron root is read by ``matcore.perron_value`` and the
+    vector of a one-phase stream is 1: no 1x1 matrix reaches the kernel
+    ``matcore.dominant``, whose orders above 1 still do."""
+
+    @staticmethod
+    def inputs(monkeypatch, argv, tmp_path):
+        """Every matrix (lane of a stack) that ``argv`` gives the kernel."""
+        seen = []
+        kernel = matcore.dominant
+
+        def recorded(t):
+            t = np.asarray(t, dtype=float)
+            seen.extend(t.reshape((-1,) + t.shape[-2:]))
+            return kernel(t)
+
+        monkeypatch.setattr(matcore, "dominant", recorded)
+        argv = [str(tmp_path / "curve.csv") if a == "OUT" else a for a in argv]
+        assert run_cli(argv)[0] == 0
+        return seen
+
+    @pytest.mark.parametrize("argv", [
+        ["jackson", "tandem_jackson", "decay"],
+        ["boundary", "tandem_jackson", "--samples", "64", "--out", "OUT"],
+        ["jackson", "tandem_jackson", "certificate"],
+        ["boundary", "scalar_rrw", "--out", "OUT"],
+    ], ids=["jackson-decay", "boundary-jackson", "certificate", "boundary-walk"])
+    def test_no_order_one_matrix_reaches_the_kernel(self, argv, monkeypatch,
+                                                    tmp_path):
+        argv = [argv[0], str(MODELS / f"{argv[1]}.yaml"), *argv[2:]]
+        seen = self.inputs(monkeypatch, argv, tmp_path)
+        assert [t for t in seen if t.shape == (1, 1)] == []
+
+    def test_order_two_streams_still_reach_the_kernel(self, monkeypatch,
+                                                      tmp_path):
+        seen = self.inputs(monkeypatch, ["jackson", str(MODELS / "mapph_jackson.yaml"),
+                                         "decay"], tmp_path)
+        assert [t for t in seen if t.shape == (1, 1)] == []
+        pairs = [t for t in seen if t.shape == (2, 2)]
+        # T + e^theta U of the MMPP-2 keeps T's switching rates off the
+        # diagonal; S + t D of the node-1 Erlang-2 keeps S's diagonal
+        assert any(t[0, 1] == 0.4 and t[1, 0] == 0.6 for t in pairs)
+        assert any(t[0, 0] == t[1, 1] == -3.5 for t in pairs)
 
 
 class TestJacksonCommand:

@@ -6,6 +6,7 @@ import pytest
 from qbdtail import cli, jackson, matcore, modelfile, qbd2d
 from qbdtail.errors import (
     InvalidSpec,
+    NonFiniteEntry,
     NotRenewalStructure,
     OutsideTransformRange,
     PathDisagreement,
@@ -195,6 +196,14 @@ class TestCumulants:
             stacked = f(lanes)
             assert stacked.shape == (5,)
             assert list(stacked) == [f(p) for p in lanes]
+
+    def test_an_overflowing_lift_is_a_non_finite_entry(self):
+        # e^800 overflows: the order-1 read raises the kernel's error
+        cs = jackson.cumulants(tandem_jackson())
+        for theta in (800.0, np.array([0.0, 800.0])):
+            with (np.errstate(over="ignore"),
+                  pytest.raises(NonFiniteEntry, match="matrix entries must be finite")):
+                cs.gamma_a(1, theta)
 
     @pytest.mark.parametrize("shape", [(), (3,), (4, 3), (3, 4, 2)])
     def test_theta_of_another_shape_is_refused(self, mapph_spec, shape):

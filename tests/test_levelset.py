@@ -1,6 +1,7 @@
 """Level-curve refinements: the exact diagonal supremum, feasibility
 margins, agreement across scan sizes, and evaluation-count ceilings."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -526,6 +527,33 @@ class TestBoundaryRows:
             fl = flags(curve, np.array([r.theta1, r.theta2_lower]))
             fu = flags(curve, np.array([r.theta1, r.theta2_upper]))
             assert (r.feasible_c1, r.feasible_c2) == (fl[0] or fu[0], fl[1] or fu[1])
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_rows_are_tuples_of_python_floats_and_bools(self, name):
+        # a row equals the frozen dataclass that float() and bool() of the
+        # numpy column entries built before, field by field
+        @dataclasses.dataclass(frozen=True)
+        class Scalars:
+            theta1: float
+            theta2_lower: float
+            theta2_upper: float
+            feasible_c1: bool
+            feasible_c2: bool
+
+        mf = modelfile.load_model(MODELS / f"{name}.yaml")
+        curve = (jackson.analytic_curve(mf.payload, scan=64)
+                 if mf.kind == "jackson" else qbd2d.level_curve(mf.payload, scan=64))
+        rows = levelset.boundary_rows(curve, 64)
+        columns = [np.array(c) for c in zip(*rows)]
+        assert [c.dtype for c in columns] == [np.float64] * 3 + [np.bool_] * 2
+        built = [Scalars(float(t1), float(lo), float(hi), bool(f1), bool(f2))
+                 for t1, lo, hi, f1, f2 in zip(*columns)]
+        assert levelset.BoundaryRow._fields == tuple(
+            f.name for f in dataclasses.fields(Scalars))
+        for r, b in zip(rows, built, strict=True):
+            assert isinstance(r, tuple)
+            assert [type(v) for v in r] == [float] * 3 + [bool] * 2
+            assert r == dataclasses.astuple(b)
 
 
 class TestFarRayRoot:

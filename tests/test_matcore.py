@@ -195,6 +195,42 @@ class TestTypedErrors:
             assert issubclass(cls, QbdTailError)
 
 
+class TestPerronValue:
+    """``perron_value`` is ``dominant(t).value``; at order 1 it reads the
+    entry without the kernel."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_equals_the_dominant_value_bit_for_bit(self, m):
+        rng = np.random.default_rng(7100 + m)
+        stack = np.array([rng.uniform(0.0, 1.0, size=(m, m)) for _ in range(4)]
+                         + [random_metzler(rng, m) for _ in range(4)]
+                         + [random_metzler(rng, m, generator=True)
+                            for _ in range(2)])
+        for t in stack:
+            value = matcore.perron_value(t)
+            assert type(value) is type(matcore.dominant(t).value) is float
+            assert value.hex() == matcore.dominant(t).value.hex()
+        for lanes in (stack, stack[:0]):   # stack[:0] is empty, (0, m, m)
+            value = matcore.perron_value(lanes)
+            assert value.shape == (len(lanes),)
+            assert value.tobytes() == matcore.dominant(lanes).value.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_raises_the_dominant_error(self, bad):
+        for t in (np.array([[bad]]), np.array([[[0.5]], [[bad]], [[0.2]]])):
+            with pytest.raises(NonFiniteEntry) as kernel:
+                matcore.dominant(t)
+            with pytest.raises(NonFiniteEntry) as value:
+                matcore.perron_value(t)
+            assert str(value.value) == str(kernel.value)
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (2, 3), (3, 1, 2),
+                                       (2, 2, 1), (1,), (1, 1, 1, 1)])
+    def test_non_square_input_raises_shape_mismatch(self, shape):
+        with pytest.raises(ShapeMismatch):
+            matcore.perron_value(np.ones(shape))
+
+
 class TestKron:
     def test_scalar_sum(self):
         out = matcore.kron_sum(np.array([[1.0]]), np.array([[2.0]]))
