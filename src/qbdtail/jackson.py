@@ -299,15 +299,30 @@ class CumulantSet:
 
     spec: JacksonSpec
 
+    @cached_property
+    def _one_phase(self) -> tuple:
+        """Per stream (arrivals 1 and 2, then services 1 and 2), the
+        entries (T, U) or (S, D) of a one-phase law as floats, else None:
+        its cumulant is T + e^theta U or S + t_i(theta) D, in float
+        arithmetic at one point and on (n,) arrays for a stack."""
+        laws = ([(a.t, a.u) for a in self.spec.arrivals]
+                + [(s.s, s.d_mat) for s in self.spec.services])
+        return tuple((t.item(), u.item()) if t.shape == (1, 1) else None
+                     for t, u in laws)
+
     def t_factor(self, i: int, theta):
         """Tilting factor of node-i departures: e^{-theta_i}(r_i0 +
         e^{theta_{3-i}} r_{i,3-i})."""
         ri0, rij = self.spec.routing(i)
         coords = _coordinates(theta)
-        return np.exp(-coords[i - 1]) * (ri0 + np.exp(coords[2 - i]) * rij)
+        return _exp(-coords[i - 1]) * (ri0 + _exp(coords[2 - i]) * rij)
 
     def gamma_a(self, i: int, theta_i):
         """Arrival cumulant: dominant eigenvalue of T_i + e^theta U_i."""
+        one = self._one_phase[i - 1]
+        if one:
+            t, u = one
+            return matcore._entry_root(t + _exp(theta_i) * u)
         a = self.spec.arrivals[i - 1]
         lift = np.exp(theta_i)[..., np.newaxis, np.newaxis]
         return matcore.perron_value(a.t + lift * a.u)
@@ -315,8 +330,12 @@ class CumulantSet:
     def gamma_d(self, i: int, theta):
         """Busy-server departure cumulant: dominant eigenvalue of
         S_i + t_i(theta) D_i."""
+        one = self._one_phase[i + 1]
+        if one:
+            t, d = one
+            return matcore._entry_root(t + self.t_factor(i, theta) * d)
         s = self.spec.services[i - 1]
-        lift = self.t_factor(i, theta)[..., np.newaxis, np.newaxis]
+        lift = np.asarray(self.t_factor(i, theta))[..., np.newaxis, np.newaxis]
         return matcore.perron_value(s.s + lift * s.d_mat)
 
     def gamma_plus(self, theta):
@@ -331,15 +350,22 @@ class CumulantSet:
                 + self.gamma_d(i, theta))
 
 
-def _coordinates(theta) -> np.ndarray:
-    """(theta_1, theta_2) of a point (2,) or a stack (n, 2): the transpose,
-    whose rows are numpy scalars from one point, so their arithmetic skips
-    the array machinery."""
+def _coordinates(theta):
+    """(theta_1, theta_2) of a point (2,) as floats, or of a stack (n, 2)
+    as the rows of its transpose."""
     theta = np.asarray(theta, dtype=float)
-    if theta.ndim > 2 or theta.shape[-1:] != (2,):
+    if theta.shape == (2,):
+        return theta.tolist()
+    if theta.ndim != 2 or theta.shape[1] != 2:
         raise ShapeMismatch(f"expected theta of shape (2,) or (n, 2), "
                             f"got {theta.shape}")
     return theta.T
+
+
+def _exp(x):
+    """``np.exp(x)``, a float for a float x: the same bits as from an
+    array, which ``math.exp`` does not give."""
+    return float(np.exp(x)) if type(x) is float else np.exp(x)
 
 
 def cumulants(spec: JacksonSpec) -> CumulantSet:

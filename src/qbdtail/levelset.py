@@ -25,6 +25,7 @@ is independent of how ``gap`` and the margins are computed.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -76,7 +77,9 @@ def minimize_convex_2d(f):
     x, h = np.zeros(2), 0.5
     for _ in range(CENTER_STEPS):
         m, g, hess = _stencil_model(f, x, h)
-        (a, b), (_, c) = hess - 1e-12 * np.abs(m).max() / (h * h) * np.eye(2)
+        tau = 1e-12 * float(np.abs(m).max()) / (h * h)
+        (a, b), (_, c) = hess.tolist()
+        a, c = a - tau, c - tau       # H - tau I, in floats
         convex = a > 0 and a * c > b * b
         step = -np.linalg.solve(hess, g) if convex else h * _STENCIL[np.argmin(m)]
         step, size = _clipped(step, h)
@@ -171,6 +174,7 @@ class LevelCurve:
         self.center = center
         self.gmin = gmin
         self.scan_phi = np.linspace(0.0, 2.0 * np.pi, scan_size, endpoint=False)
+        self._angles = self.scan_phi.tolist()   # point_at's bisect reads a list
         u = np.column_stack((np.cos(self.scan_phi), np.sin(self.scan_phi)))
         base = np.broadcast_to(center, u.shape)
         t = _radial_roots(gap, base, u, np.full(scan_size, gmin))
@@ -207,15 +211,18 @@ class LevelCurve:
         from it (the center, at t = 0, is inside).
         """
         phi = float(phi) % (2.0 * np.pi)
-        n = len(self.scan_phi)
-        k = int(np.searchsorted(self.scan_phi, phi))
-        if k < n and self.scan_phi[k] == phi:
+        angles = self._angles
+        n = len(angles)
+        k = bisect_left(angles, phi)
+        if k < n and angles[k] == phi:
             return self.scan_points[k].copy()
-        u = (math.cos(phi), math.sin(phi))
-        ray = np.array(u)
-        p, a, b, q = (self.scan_points[(k + j) % n] - self.center
-                      for j in (-2, -1, 0, 1))
-        g = lambda t: float(self.gap(self.center + t * ray))
+        # in floats: the same IEEE operations as the arrays center + t u
+        cx, cy = self.center.tolist()
+        u = ux, uy = math.cos(phi), math.sin(phi)
+        p, a, b, q = ((x - cx, y - cy) for x, y in self.scan_points.take(
+            [(k + j) % n for j in (-2, -1, 0, 1)], axis=0).tolist())
+        gap = self.gap
+        g = lambda t: float(gap(np.array((cx + t * ux, cy + t * uy))))
         lo = _ray_hit(u, a, b)
         lo = lo if lo < math.inf else 0.0
         hi = 2.0 * max(math.hypot(*a), math.hypot(*b))
@@ -237,7 +244,7 @@ class LevelCurve:
                 break
             width *= 2.0
         t = _brent_bracket(g, lo, f_lo, hi, f_hi, ROOT_TOL * (1.0 + hi))[0]
-        return self.center + t * ray
+        return np.array((cx + t * ux, cy + t * uy))
 
     # -- poles and sections ------------------------------------------------
 
@@ -397,8 +404,9 @@ class LevelCurve:
         # outside, _sublevel_interval looks for the minimum along the ray;
         # only the far root is solved
         u0 = float(self.center @ c) / float(c @ c)
-        ray = _sublevel_interval(lambda u: self.gap(u * c), 0.0, u0, 0.5,
-                                 sides=(1.0,))
+        cx, cy = c.tolist()   # u c in floats: the same IEEE products
+        ray = _sublevel_interval(lambda u: self.gap(np.array((u * cx, u * cy))),
+                                 0.0, u0, 0.5, sides=(1.0,))
         if ray is not None:
             cands.append(ray[0])
         return max(max(cands, default=0.0), 0.0)
@@ -446,7 +454,8 @@ def decay(curve: LevelCurve, directions) -> Decay:
         unit = np.ldexp(c, -e)
         s = float(unit.sum())
         chat = unit / s
-        box = min(tau.tau[i] / chat[i] for i in range(2) if chat[i] > 0)
+        # in floats, where a tiny component gives inf without a warning
+        box = min(t / ch for t, ch in zip(tau.tau, chat.tolist()) if ch > 0)
         rate = float(min(box, curve.directional_sup(chat))) / s
         if rate and math.frexp(rate)[1] - e > 1024:
             raise RateOverflow(f"rate in direction {c.tolist()} past the float range")

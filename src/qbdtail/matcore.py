@@ -142,16 +142,19 @@ def perron_value(t):
     t = np.asarray(t, dtype=float)
     shape = t.shape
     if shape == (1, 1):
-        value = t.item()
-        if not math.isfinite(value):
-            raise NonFiniteEntry("matrix entries must be finite")
-        return value
+        return _entry_root(t.item())
     if len(shape) == 3 and shape[1:] == (1, 1):
-        value = t[:, 0, 0]
-        if not np.isfinite(value).all():
-            raise NonFiniteEntry("matrix entries must be finite")
-        return value
+        return _entry_root(t[:, 0, 0])
     return dominant(t).value
+
+
+def _entry_root(x):
+    """The Perron root of [[x]] from its entry x, a float (or of a stack
+    from the (n,) array of its entries): x, checked finite as ``dominant``
+    checks it."""
+    if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
+        raise NonFiniteEntry("matrix entries must be finite")
+    return x
 
 
 def _closed_form(a: float, b: float, c: float, d: float) -> tuple:

@@ -434,17 +434,18 @@ def _log_reduction(k: QbdBlocks, theta1: float):
             bool(deficit.max() <= 1e-15), steps)
 
 
-def g_minus(k: QbdBlocks) -> GMinusResult:
+def g_minus(k: QbdBlocks, drift: float | None = None) -> GMinusResult:
     """Minimal nonnegative solution of G = A_-1 + A_0 G + A_1 G^2.
 
     Logarithmic reduction in twisted coordinates at theta1, the left end of
     {gamma = 1} (``_log_reduction``), then untwisted.  A stochastic K with
     mean drift <= 0 has theta1 = 0 (``gamma1d_plus``), taken without
-    locating the interval.  Raises ``NoConvergence`` unless the row-sum
-    deficit reaches 1e-15, which fails at a tangent interval
-    (null-recurrent twisted chain).
+    locating the interval; ``drift``, when given, is ``mean_drift(k)``,
+    not taken again.  Raises ``NoConvergence`` unless the row-sum deficit
+    reaches 1e-15, which fails at a tangent interval (null-recurrent
+    twisted chain).
     """
-    if _is_stochastic(k) and mean_drift(k) <= 0:
+    if _is_stochastic(k) and (mean_drift(k) if drift is None else drift) <= 0:
         theta1 = 0.0
     else:
         interval = gamma1d_plus(k)
@@ -635,9 +636,10 @@ def rate_matrix(k: QbdBlocks) -> np.ndarray:
     R equation exceeds 1e-12."""
     if not _is_stochastic(k, tol=1e-9):
         raise NotStochastic("assembled matrix is not row stochastic")
-    if mean_drift(k) >= 0:
+    drift = mean_drift(k)
+    if drift >= 0:
         raise NotPositiveRecurrent("interior mean drift is >= 0")
-    g = g_minus(k).g
+    g = g_minus(k, drift).g
     r = np.linalg.solve((np.eye(k.m) - k.a0 - k.a1 @ g).T, k.a1.T).T
     residual = float(np.abs(r @ r @ k.am1 + r @ k.a0 + k.a1 - r).max())
     if not residual <= 1e-12:

@@ -225,6 +225,26 @@ def test_bad_direction_is_an_input_error(command, direction, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("direction, line", [
+    ("1e-320,1", "direction 9.99988867183e-321,1: rate = 0.606135803796"),
+    ("1,1e-320", "direction 1,9.99988867183e-321: rate = 0.510825624014"),
+])
+def test_a_subnormal_direction_component_writes_no_warning(direction, line):
+    # the box bound tau_i / c_i overflows to inf for a subnormal c_i: the
+    # rate is the other bound's, and nothing reaches stderr
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qbdtail", "decay",
+         str(MODELS / "scalar_rrw.yaml"), "--direction", direction],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("category = I\ntau1 = 0.510825624014\n"
+                           f"tau2 = 0.606135803796\n{line}\n")
+
+
 NEGATIVE_INTERIOR = ('"0,0":  [[0.26]]', '"0,0":  [[-0.26]]')
 
 

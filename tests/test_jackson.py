@@ -217,6 +217,96 @@ class TestCumulants:
                 f(theta)
 
 
+def reference_cumulants(spec, theta):
+    """The cumulants' former matrix formula, kept as the same-bits
+    reference: ``perron_value`` of T + e^theta U and S + t_i(theta) D at
+    every order, on the rows of theta.T.  Returns (gamma_plus,
+    gamma_face(1), gamma_face(2))."""
+    coords = np.asarray(theta, dtype=float).T
+
+    def arrival(i):
+        a = spec.arrivals[i - 1]
+        lift = np.exp(coords[i - 1])[..., np.newaxis, np.newaxis]
+        return matcore.perron_value(a.t + lift * a.u)
+
+    def departure(i):
+        s = spec.services[i - 1]
+        ri0, rij = spec.routing(i)
+        lift = np.exp(-coords[i - 1]) * (ri0 + np.exp(coords[2 - i]) * rij)
+        return matcore.perron_value(s.s + lift[..., np.newaxis, np.newaxis]
+                                    * s.d_mat)
+
+    a = arrival(1) + arrival(2)
+    return a + departure(1) + departure(2), a + departure(1), a + departure(2)
+
+
+def _network(rng, arrival_phases, service_phases):
+    """A random network: Poisson or MMPP-2 arrivals, exponential or
+    Erlang-2 services, routing in (0, 0.5)."""
+    def arrival():
+        if arrival_phases == 1:
+            return jackson.poisson_map(rng.uniform(0.2, 1.0))
+        return mmpp2_map(*rng.uniform(0.2, 2.0, size=4))
+
+    def service():
+        rate = rng.uniform(2.0, 5.0)
+        return (jackson.exponential_ph(rate) if service_phases == 1
+                else jackson.erlang_ph(2, 2.0 * rate))
+
+    return jackson.JacksonSpec(arrivals=(arrival(), arrival()),
+                               services=(service(), service()),
+                               r12=rng.uniform(0.0, 0.5),
+                               r21=rng.uniform(0.0, 0.5))
+
+
+def _cumulant_networks():
+    """(label, spec): the shipped networks, the seed-7 benchmark networks
+    and random one- and two-phase ones (mixed orders included)."""
+    out = [(name, modelfile.load_model(MODELS / f"{name}.yaml").payload)
+           for name in ("tandem_jackson", "mapph_jackson")]
+    bench = Path(__file__).resolve().parent / "data" / "bench_seed7"
+    out += [(path.name, modelfile.load_model(path).payload)
+            for path in sorted(bench.glob("*/*jackson.yaml"))]
+    rng = np.random.default_rng(29)
+    for phases in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        out += [(f"random{phases}-{k}", _network(rng, *phases)) for k in range(3)]
+    return out
+
+
+class TestSinglePointCumulants:
+    """One point is computed in floats for one-phase laws and as a 1x1
+    matrix before: the same IEEE operations, so the same bits."""
+
+    @pytest.mark.parametrize("label, spec", _cumulant_networks(),
+                             ids=[label for label, _ in _cumulant_networks()])
+    def test_points_are_the_matrix_formula_and_the_stack_lanes(self, label,
+                                                               spec):
+        cs = jackson.cumulants(spec)
+        rng = np.random.default_rng(7)
+        lanes = np.vstack((rng.uniform(-1.5, 1.5, size=(40, 2)),
+                           [[0.0, 0.0], [1e-300, -2.0], [30.0, -30.0]]))
+        stacked = (cs.gamma_plus(lanes), cs.gamma_face(1, lanes),
+                   cs.gamma_face(2, lanes))
+        for got, want in zip(stacked, reference_cumulants(spec, lanes)):
+            assert np.array_equal(got, want), label
+        for k, point in enumerate(lanes):
+            single = (cs.gamma_plus(point), cs.gamma_face(1, point),
+                      cs.gamma_face(2, point))
+            assert all(type(v) is float for v in single), label
+            want = tuple(float(r) for r in reference_cumulants(spec, point))
+            assert single == want, (label, k)
+            assert single == tuple(float(s[k]) for s in stacked), (label, k)
+
+    def test_a_lane_past_the_float_range_is_a_non_finite_entry(self):
+        # at one point and in a stack, a one-phase service lift e^800
+        # overflows and the order-1 read raises the kernel's error
+        cs = jackson.cumulants(tandem_jackson())
+        for theta in ((-800.0, 0.0), [[0.0, 0.0], [-800.0, 0.0]]):
+            with (np.errstate(over="ignore"),
+                  pytest.raises(NonFiniteEntry, match="matrix entries must be finite")):
+                cs.gamma_plus(theta)
+
+
 class TestRenewalCumulant:
     def test_poisson_algebra(self):
         arr = jackson.poisson_map(1.3)

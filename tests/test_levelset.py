@@ -2,6 +2,7 @@
 margins, agreement across scan sizes, and evaluation-count ceilings."""
 
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +278,43 @@ def shipped_curves(scan):
     return out
 
 
+def reference_point_at(curve, phi):
+    """``LevelCurve.point_at`` as it was in numpy arrays, kept as the
+    same-bits reference: ``np.searchsorted`` on the scan angles, neighbour
+    offsets and gap arguments as arrays (center + t ray)."""
+    phi = float(phi) % (2.0 * np.pi)
+    n = len(curve.scan_phi)
+    k = int(np.searchsorted(curve.scan_phi, phi))
+    if k < n and curve.scan_phi[k] == phi:
+        return curve.scan_points[k].copy()
+    u = (math.cos(phi), math.sin(phi))
+    ray = np.array(u)
+    p, a, b, q = (curve.scan_points[(k + j) % n] - curve.center
+                  for j in (-2, -1, 0, 1))
+    g = lambda t: float(curve.gap(curve.center + t * ray))
+    lo = levelset._ray_hit(u, a, b)
+    lo = lo if lo < math.inf else 0.0
+    hi = 2.0 * max(math.hypot(*a), math.hypot(*b))
+    if n >= 3:
+        hi = min(hi, levelset._ray_hit(u, p, a), levelset._ray_hit(u, b, q))
+    width = max(hi - lo, qbd1d.ROOT_TOL * (1.0 + lo))
+    hi = lo + width
+    f_lo, f_hi = g(lo), g(hi)
+    while True:
+        if not f_lo <= 0:
+            hi, f_hi, lo = lo, f_lo, max(lo - width, 0.0)
+            f_lo = g(lo)
+        elif f_hi <= 0:
+            lo, f_lo, hi = hi, f_hi, hi + width
+            f_hi = g(hi)
+        else:
+            break
+        width *= 2.0
+    t = qbd1d._brent_bracket(g, lo, f_lo, hi, f_hi,
+                             qbd1d.ROOT_TOL * (1.0 + hi))[0]
+    return curve.center + t * ray
+
+
 def tau_bits(rep):
     return (rep.category, rep.tau, tuple(p.tolist() for p in rep.theta_gamma))
 
@@ -333,6 +371,22 @@ class TestStackedScan:
             assert (values[broken] <= 0) == bool(broken)
             t = np.hypot(*(p - curve.center))
             assert np.max(np.abs(got - p)) <= 1e-12 * (1.0 + t)
+
+    @pytest.mark.parametrize("factor", [1.0, 1.05, 0.95],
+                             ids=["scan", "chord_outside", "secants_inside"])
+    def test_point_at_is_the_array_formula(self, factor):
+        # point_at runs in floats; its former array arithmetic gives the
+        # same bits at mid-cell angles and at random ones, also where the
+        # bracket is repaired (scan points pushed out or pulled in)
+        angles = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, 16)
+        for label, curve in shipped_curves(64):
+            curve.scan_points = curve.center + factor * (curve.scan_points
+                                                         - curve.center)
+            for phi in np.concatenate((curve.scan_phi + np.pi / 64, angles,
+                                       curve.scan_phi[:4])):
+                got = curve.point_at(phi)
+                assert np.array_equal(got, reference_point_at(curve, phi)), label
+                assert got.shape == (2,) and got.dtype == float
 
     def test_scan_margins_are_the_pointwise_margins(self):
         for label, curve in shipped_curves(64):

@@ -697,6 +697,38 @@ class TestRateMatrixAndStationary:
         with pytest.raises(NotPositiveRecurrent):
             qbd1d.rate_matrix(k)
 
+    @pytest.mark.parametrize("make", [lambda: mm1_blocks(0.2, 0.3),
+                                      modulated_stochastic],
+                             ids=["mm1", "modulated"])
+    def test_stationary_boundary_reads_the_drift_once(self, make, monkeypatch):
+        # rate_matrix hands its mean drift to g_minus: one Perron solve of
+        # the interior kernel (A_-1 + A_0 + A_1)^T per stationary_boundary
+        k = make()
+        want = qbd1d.stationary_boundary(k)
+        calls = []
+        mean_drift = qbd1d.mean_drift
+        monkeypatch.setattr(qbd1d, "mean_drift", lambda k: calls.append(k)
+                            or mean_drift(k))
+        got = qbd1d.stationary_boundary(k)
+        assert calls == [k]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_the_drift_passed_on_keeps_g_minus_branch(self, monkeypatch):
+        # K scaled by 1 + 5e-13 is stochastic at rate_matrix's 1e-9 but not
+        # at g_minus's rounding tolerance: g_minus still locates the
+        # tilting interval, and R has the bits of the G it had before
+        k = qbd1d.scale(modulated_stochastic(), 1.0 + 5e-13)
+        assert qbd1d._is_stochastic(k, tol=1e-9) and not qbd1d._is_stochastic(k)
+        g = qbd1d.g_minus(k)
+        assert g.theta1 == qbd1d.gamma1d_plus(k).lo
+        want = np.linalg.solve((np.eye(k.m) - k.a0 - k.a1 @ g.g).T, k.a1.T).T
+        calls = []
+        g_minus = qbd1d.g_minus
+        monkeypatch.setattr(qbd1d, "g_minus", lambda *args: calls.append(
+            args) or g_minus(*args))
+        assert np.array_equal(qbd1d.rate_matrix(k), want)
+        assert len(calls) == 1 and calls[0][1] == qbd1d.mean_drift(k)
+
 
 class TestClassifyRecurrence:
     def test_positive_recurrent_stochastic(self):
