@@ -14,7 +14,8 @@ exceed ``--extent``, and ``--phase`` must be below the phase count of the
 fitted cells: min(m1, m2) at level 0, m above.  ``--scan``, ``--points``
 and ``--samples`` set one array's length each and are at most ``MAX_COUNT``.
 ``verify`` refuses (exit 2) a box of (extent + 1)^2 max(dims) states above
-``MAX_STATES`` = 200,000; a box that memory cannot hold exits 3.
+``MAX_STATES`` = 200,000 (``mapph_jackson`` at extent 150, 181,203 states,
+peaks at about 650 MB); a box that memory cannot hold exits 3.
 ``verify --steps N`` (N > 0) runs its simulation in a forked child while the
 parent computes the analytic curve and the truncated solve (``_in_child``).
 """
@@ -41,7 +42,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERIC = 3
 MAX_COUNT = 65536
-MAX_STATES = 200_000   # above mapph_jackson at extent 150, 181,203 states
+MAX_STATES = 200_000   # above mapph_jackson at extent 150: 181,203 states, 650 MB
 
 
 # the digits of every printed float: reports and boundary CSV rows
@@ -369,7 +370,8 @@ def cmd_verify(args, out) -> int:
         if not traffic.stable:
             raise Unstable(f"utilizations {traffic.rho} not both below one")
     # the simulation needs neither the analytic taus nor the solve: a child
-    # forked here runs it meanwhile, before the LU factors exist to be copied
+    # forked here runs it meanwhile, before the solve's fronts exist to be
+    # copied
     simulation = functools.partial(oracle.simulate, spec2d, seed=args.seed,
                                    steps=args.steps,
                                    record_extent=(args.extent, args.extent))

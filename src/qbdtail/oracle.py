@@ -10,6 +10,7 @@ plain least-squares fit on log tail probabilities.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,18 +29,36 @@ def _state_layout(spec: qbd2d.Qbd2dSpec, extent):
     return offsets, sizes, int(sizes.sum())
 
 
-def build_truncated(spec: qbd2d.Qbd2dSpec, extent):
-    """Sparse row-stochastic operator of the chain truncated to the box
-    [0, N1] x [0, N2]; probability of leaving the box is redirected to the
-    source state itself (reflect_excess_to_self)."""
-    import scipy.sparse as sp  # lazy: scipy dominates CLI start-up
+@dataclass(frozen=True)
+class TruncatedOperator:
+    """A row-stochastic operator in coordinates: its off-diagonal entries
+    ``P[rows, cols] = vals``, each position once, and its diagonal apart."""
 
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    diag: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return (self.diag.size, self.diag.size)
+
+    @property
+    def nnz(self) -> int:
+        return self.vals.size + int(np.count_nonzero(self.diag))
+
+
+def build_truncated(spec: qbd2d.Qbd2dSpec, extent):
+    """Row-stochastic operator of the chain truncated to the box
+    [0, N1] x [0, N2], a ``TruncatedOperator``; probability of leaving the
+    box is redirected to the source state itself (reflect_excess_to_self).
+    Returned with the layout's offsets and sizes and the discrete spec."""
     if spec.time == "continuous":
         spec = qbd2d.uniformize(spec)
     n1, n2 = extent
     offsets, sizes, nstates = _state_layout(spec, extent)
-    rows, cols, vals = [], [], []
-    diag_extra = np.zeros(nstates)
+    rows, cols = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    vals, diag = [np.zeros(0)], np.zeros(nstates)
     # coordinate class of every cell (0, 1 or 2 for "+"), cells row-major
     grid = np.indices((n1 + 1, n2 + 1)).reshape(2, -1).T
     klass = np.minimum(grid, 2)
@@ -51,6 +70,10 @@ def build_truncated(spec: qbd2d.Qbd2dSpec, extent):
         base_r = offsets[cells[:, 0], cells[:, 1]]
         for inc, block in spec.families[reg].items():
             nz_r, nz_c = np.nonzero(block)
+            if inc == (0, 0):  # the diagonal apart, so no position repeats
+                on = nz_r == nz_c
+                diag[base_r[:, None] + nz_r[on]] += block[nz_r[on], nz_r[on]]
+                nz_r, nz_c = nz_r[~on], nz_c[~on]
             if nz_r.size == 0:
                 continue
             v = block[nz_r, nz_c]
@@ -67,15 +90,245 @@ def build_truncated(spec: qbd2d.Qbd2dSpec, extent):
                 row_loss = block @ np.ones(block.shape[1])
                 # the cells are distinct, so no state repeats in one update
                 lost = base_r[~inside][:, None] + np.arange(block.shape[0])
-                diag_extra[lost.ravel()] += np.tile(row_loss, len(lost))
-    rows.append(np.nonzero(diag_extra)[0])
-    cols.append(np.nonzero(diag_extra)[0])
-    vals.append(diag_extra[np.nonzero(diag_extra)[0]])
-    p = sp.csr_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(nstates, nstates))
-    p.sum_duplicates()
-    return p, offsets, sizes, spec
+                diag[lost.ravel()] += np.tile(row_loss, len(lost))
+    op = TruncatedOperator(rows=np.concatenate(rows), cols=np.concatenate(cols),
+                           vals=np.concatenate(vals), diag=diag)
+    return op, offsets, sizes, spec
+
+
+_LEAF_STATES = 32  # a rectangle of fewer states is one front (measured)
+_BATCH_BYTES = 1 << 25  # the most front bytes solved in one batch
+
+
+def _dissect(sizes):
+    """Nested dissection of the box's cells (George 1973), cells numbered
+    row-major: the nodes in postorder as (own cells, ring cells, children).
+
+    A rectangle of more than one cell and at least ``_LEAF_STATES`` states
+    owns the middle row or column of its longer side, and its halves are its
+    children; no increment moves a coordinate by more than 1, so that one
+    cell separates them.  A smaller rectangle is a leaf and owns all its
+    cells.  The ring is the rectangle's one-cell border in the box: once the
+    nodes below are eliminated, a node's states couple to its own states and
+    its ring's only.
+    """
+    ids = np.arange(sizes.size).reshape(sizes.shape)
+    total = np.zeros((sizes.shape[0] + 1, sizes.shape[1] + 1), np.int64)
+    total[1:, 1:] = sizes.cumsum(0).cumsum(1)
+    nodes = []
+
+    def visit(a1, b1, a2, b2):
+        w1, w2 = max(a1 - 1, 0), max(a2 - 1, 0)
+        window = ids[w1:b1 + 1, w2:b2 + 1]
+        border = np.ones(window.shape, bool)
+        border[a1 - w1:b1 - w1, a2 - w2:b2 - w2] = False
+        states = total[b1, b2] - total[a1, b2] - total[b1, a2] + total[a1, a2]
+        if (b1 - a1) * (b2 - a2) == 1 or states < _LEAF_STATES:
+            own, halves = ids[a1:b1, a2:b2].ravel(), ()
+        elif b1 - a1 >= b2 - a2:
+            mid = (a1 + b1) // 2
+            own = ids[mid, a2:b2]
+            halves = ((a1, mid, a2, b2), (mid + 1, b1, a2, b2))
+        else:
+            mid = (a2 + b2) // 2
+            own = ids[a1:b1, mid]
+            halves = ((a1, b1, a2, mid), (a1, b1, mid + 1, b2))
+        kids = tuple(visit(*h) for h in halves if h[0] < h[1] and h[2] < h[3])
+        nodes.append((own, window[border], kids))
+        return len(nodes) - 1
+
+    visit(0, sizes.shape[0], 0, sizes.shape[1])
+    return nodes
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The elimination of one box layout: the fronts of one height and
+    shape form a group, solved in one batch, and the groups run from the
+    leaves up.
+
+    ``groups`` holds per group the own states (K, F), the ring states
+    (K, R) and the pulls: per source group, its children of this group's
+    fronts and where their update matrices go, as flat rows (front and
+    row) and columns of this group's fronts, the last column the
+    right-hand side.  ``uses`` counts the pulls of each group.  The
+    matrix entry at states (r, c) lands in the front of the first
+    eliminated of their two cells, in group ``pair_group`` at flat position
+    ``pair_base + phase[r] * pair_width + phase[c]``, the cell pair read as
+    ``code[r] * 9 + step[code[c] - code[r]]``.
+    """
+
+    groups: tuple
+    uses: tuple
+    code: np.ndarray
+    phase: np.ndarray
+    step: np.ndarray
+    pair_group: np.ndarray
+    pair_base: np.ndarray
+    pair_width: np.ndarray
+    origin: tuple            # group, front and row of state 0
+
+
+def _spread(first, counts):
+    """Each cell's first index and the next count - 1, cell after cell."""
+    return (np.repeat(first - np.cumsum(counts) + counts, counts)
+            + np.arange(counts.sum()))
+
+
+@functools.lru_cache(maxsize=2)
+def _plan(dims: tuple, extent: tuple) -> _Plan:
+    """The ``_Plan`` of the box [0, N1] x [0, N2] with phase counts dims."""
+    n1, n2 = extent
+    grid = np.indices((n1 + 1, n2 + 1)).reshape(2, -1)
+    sizes = qbd2d._cell_phases(dims, *grid)
+    offsets = np.cumsum(sizes) - sizes
+    n = int(sizes.sum())
+    nodes = _dissect(sizes.reshape(n1 + 1, n2 + 1))
+    fronts, shape = [], []
+    for own, ring, kids in nodes:
+        fronts.append(np.concatenate([_spread(offsets[own], sizes[own]),
+                                      _spread(offsets[ring], sizes[ring])]))
+        height = max((shape[k][0] + 1 for k in kids), default=0)
+        shape.append((height, int(sizes[own].sum()), int(sizes[ring].sum())))
+    # groups of equal height and shape, lowest first, each of at most
+    # _BATCH_BYTES of fronts; a node's rank is its place in that order, so
+    # children rank below their parents
+    order = sorted(range(len(nodes)), key=shape.__getitem__)
+    rank, group, index = (np.empty(len(nodes), np.intp) for _ in range(3))
+    runs = []
+    for place, k in enumerate(order):
+        _, f, r = shape[k]
+        if (not runs or shape[runs[-1][0]] != shape[k] or (len(runs[-1]) + 1)
+                * (f + r) * (f + r + 1) * 8 > _BATCH_BYTES):
+            runs.append([])
+        rank[k], group[k], index[k] = place, len(runs) - 1, len(runs[-1])
+        runs[-1].append(k)
+    width = np.array([f + r + 1 for _, f, r in shape])
+    # the front position of state s in node k, from one sorted key k n + s
+    key = np.concatenate([k * n + f for k, f in enumerate(fronts)])
+    start = np.cumsum([0] + [f.size for f in fronts])
+    by_key = np.argsort(key)
+    key = key[by_key]
+
+    def position(k, s):
+        return by_key[np.searchsorted(key, k * n + s)] - start[k]
+
+    # every ordered pair of neighbour cells, by cell codes on rows padded to
+    # n2 + 3 >= 3 cells, so the nine steps have distinct code differences
+    row = n2 + 3
+    code = grid[0] * row + grid[1]
+    node_of = np.empty(sizes.size, np.intp)
+    for k, (own, _, _) in enumerate(nodes):
+        node_of[own] = k
+    d1, d2 = np.divmod(np.arange(9), 3)
+    b1, b2 = grid[0][:, None] + d1 - 1, grid[1][:, None] + d2 - 1
+    inside = (b1 >= 0) & (b1 <= n1) & (b2 >= 0) & (b2 <= n2)
+    a, d = np.nonzero(inside)
+    b = b1[a, d] * (n2 + 1) + b2[a, d]
+    owner = np.where(rank[node_of[a]] < rank[node_of[b]], node_of[a],
+                     node_of[b])
+    pairs = code[a] * 9 + d
+    size = (n1 + 1) * row * 9
+    pair_group = np.zeros(size, np.min_scalar_type(len(runs)))
+    pair_base, pair_width = np.zeros(size, np.intp), np.zeros(size, np.intp)
+    pair_group[pairs] = group[owner]
+    pair_width[pairs] = width[owner]
+    pair_base[pairs] = ((index[owner] * (width[owner] - 1)
+                         + position(owner, offsets[a])) * width[owner]
+                        + position(owner, offsets[b]))
+    step = np.zeros(2 * row + 3, np.intp)
+    step[(d1 - 1) * row + d2 - 1] = np.arange(9)   # below 0 from the end
+    # each child's update matrix, pulled by its parent's group
+    pulls = [{} for _ in runs]
+    for p, (_, _, kids) in enumerate(nodes):
+        for c in kids:
+            at = np.append(position(p, fronts[c][shape[c][1]:]), width[p] - 1)
+            pulls[group[p]].setdefault(group[c], []).append(
+                (index[c], index[p] * (width[p] - 1) + at[:-1], at))
+    uses = [0] * len(runs)
+    groups = []
+    for g, run in enumerate(runs):
+        f = shape[run[0]][1]
+        own = np.array([fronts[k][:f] for k in run])
+        ring = np.array([fronts[k][f:] for k in run]).reshape(len(run), -1)
+        batch = []
+        for src, entries in pulls[g].items():
+            uses[src] += 1
+            kids, rows, cols = map(np.array, zip(*entries))
+            if np.array_equal(kids, np.arange(len(runs[src]))):
+                kids = slice(None)   # every front of the source, in order
+            # a batch's flat positions stay below 2^31 (_BATCH_BYTES)
+            batch.append((src, kids, rows[..., None].astype(np.int32),
+                          cols[:, None, :].astype(np.int32)))
+        groups.append((own, ring, tuple(batch)))
+    k0 = node_of[0]
+    return _Plan(groups=tuple(groups), uses=tuple(uses),
+                 code=np.repeat(code, sizes),
+                 phase=np.arange(n) - np.repeat(offsets, sizes), step=step,
+                 pair_group=pair_group, pair_base=pair_base,
+                 pair_width=pair_width,
+                 origin=(group[k0], index[k0], int(position(k0, 0))))
+
+
+def _entries(op: TruncatedOperator, plan: _Plan):
+    """The off-diagonal entries of the pinned ``I - P^T`` by group of the
+    plan: their flat positions in the group's fronts, their values, and the
+    cuts between groups."""
+    keep = op.cols != 0   # the origin's row is pinned
+    r, c, v = op.cols[keep], op.rows[keep], -op.vals[keep]  # A[r, c] = v
+    pair = plan.code[r] * 9 + plan.step[plan.code[c] - plan.code[r]]
+    group = plan.pair_group[pair]
+    flat = (plan.pair_base[pair] + plan.phase[r] * plan.pair_width[pair]
+            + plan.phase[c])
+    order = np.argsort(group, kind="stable")   # a radix sort: small keys
+    cuts = np.zeros(len(plan.groups) + 1, np.intp)
+    np.cumsum(np.bincount(group, minlength=len(plan.groups)), out=cuts[1:])
+    return flat[order], v[order], cuts
+
+
+def _solve_pinned(op: TruncatedOperator, plan: _Plan) -> np.ndarray:
+    """Solution of the balance equations ``(I - P^T) x = 0`` with the
+    origin's equation replaced by ``x[0] = 1``, by multifrontal nested
+    dissection (Duff & Reid 1983) over the plan's groups.
+
+    Each front is a dense matrix over a node's states and its ring, plus
+    the right-hand side: the entries of the pinned matrix whose first
+    eliminated cell is the node's, and the update matrices of its children
+    added in.  One ``np.linalg.solve`` of the node's block against the ring
+    columns and the right-hand side, and one product, leave the update
+    matrix on the ring for the parent.  Back-substitution runs from the root
+    down.  A singular node block raises ``NoConvergence``.
+    """
+    flat, v, cuts = _entries(op, plan)
+    a_diag = 1.0 - op.diag
+    a_diag[0] = 1.0
+    updates, left, factors = [None] * len(plan.groups), list(plan.uses), []
+    for g, (own, ring, pulls) in enumerate(plan.groups):
+        (k, f), w = own.shape, own.shape[1] + ring.shape[1] + 1
+        front = np.zeros((k, w - 1, w))
+        front.reshape(-1)[flat[cuts[g]:cuts[g + 1]]] = v[cuts[g]:cuts[g + 1]]
+        front[:, np.arange(f), np.arange(f)] = a_diag[own]
+        if g == plan.origin[0]:
+            front[plan.origin[1], plan.origin[2], -1] = 1.0
+        for src, kids, rows, cols in pulls:   # siblings' rings overlap
+            np.add.at(front.reshape(-1), (rows * w + cols).ravel(),
+                      updates[src][kids].ravel())
+            left[src] -= 1
+            if not left[src]:
+                updates[src] = None
+        try:
+            solved = np.linalg.solve(front[:, :f, :f], front[:, :f, f:])
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(
+                f"pinned balance equations: singular front ({exc})") from None
+        updates[g] = np.matmul(front[:, f:, :f], solved)
+        np.subtract(front[:, f:, f:], updates[g], out=updates[g])
+        factors.append(solved)
+        del front   # before the next group's is allocated
+    x = np.empty(op.diag.size)
+    for (own, ring, _), solved in zip(reversed(plan.groups), reversed(factors)):
+        x[own] = solved[..., -1] - (solved[..., :-1] @ x[ring][..., None])[..., 0]
+    return x
 
 
 @dataclass(frozen=True)
@@ -111,35 +364,25 @@ def truncate_and_solve(spec: qbd2d.Qbd2dSpec, extent,
                        tol: float = 1e-12) -> StationaryTable:
     """Stationary distribution of the truncated chain.
 
-    One sparse LU solve of the balance equations ``(I - P^T) x = 0`` with
-    the origin state pinned to ``x[0] = 1``, then normalization (Stewart
-    1994, *Introduction to the Numerical Solution of Markov Chains*, ch. 2).
-    When every state reaches the origin, the pinned matrix is a nonsingular
-    M-matrix: its LU factors keep M-matrix signs and both triangular solves
-    are subtraction-free, so a negative entry is a numerical failure while
-    exact zeros on transient states are legal.  An l1 balance residual
-    above ``tol``, a negative or non-finite entry, or a singular factor
-    raises ``NoConvergence``.  Memory grows with the LU fill.
+    The balance equations ``(I - P^T) x = 0`` with the origin state pinned
+    to ``x[0] = 1`` (Stewart 1994, *Introduction to the Numerical Solution
+    of Markov Chains*, ch. 2), solved by nested dissection over the box's
+    cells (``_solve_pinned``), then normalized.  When every state reaches
+    the origin, the pinned matrix is a nonsingular M-matrix whose columns
+    are diagonally dominant, and so is every front: partial pivoting keeps
+    the diagonal and the substitutions are subtraction-free, so a negative
+    entry is a numerical failure while exact zeros on transient states are
+    legal.  An l1 balance residual above ``tol``, a negative or non-finite
+    entry, or a singular front raises ``NoConvergence``.
     """
-    import scipy.sparse as sp  # lazy: scipy dominates CLI start-up
-    import scipy.sparse.linalg as spla
-
-    p, offsets, sizes, disc = build_truncated(spec, extent)
-    n = p.shape[0]
-    m = p.T.tocsc()
-    a = sp.eye(n, format="csc") - m
-    x = np.empty(n)
-    x[0] = 1.0
-    try:
-        lu = spla.splu(a[1:, 1:], permc_spec="MMD_AT_PLUS_A",
-                       options={"SymmetricMode": True})
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise NoConvergence(f"pinned balance equations: {exc}") from None
-    x[1:] = lu.solve(-a[1:, 0].toarray().ravel())
+    op, offsets, sizes, disc = build_truncated(spec, extent)
+    x = _solve_pinned(op, _plan(tuple(disc.dims), tuple(extent)))
     if not np.all(np.isfinite(x)) or np.any(x < 0):
         raise NoConvergence("sparse solve gave a negative or non-finite entry")
     x /= x.sum()
-    residual = float(np.abs(x - m @ x).sum())
+    flow = (np.bincount(op.cols, op.vals * x[op.rows], minlength=x.size)
+            + op.diag * x)
+    residual = float(np.abs(x - flow).sum())
     if residual > tol:
         raise NoConvergence(f"solver residual {residual:.3e} above {tol:.3e}")
     return StationaryTable(spec=disc, extent=tuple(extent), offsets=offsets,

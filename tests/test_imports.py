@@ -1,16 +1,16 @@
-"""Import guards: no module of ``src/qbdtail`` imports ``scipy.optimize``,
-and each command loads only the layers it runs.
+"""Import guards: no module of ``src/qbdtail`` imports scipy, and each
+command loads only the layers it runs.
 
-scipy is loaded lazily by the oracle only, and ``cli``, ``modelfile``,
-``qbd2d`` and ``jackson`` import ``jackson``, ``levelset``, ``oracle`` and
-``qbd1d`` inside the functions that use them.  So ``validate`` on a 2-d
-walk loads none of those four, ``validate`` on a Jackson file loads no
-``oracle``, ``levelset`` or ``qbd1d``, ``decay`` on a walk loads neither
-``oracle`` nor ``jackson``, ``jackson ... decay`` loads no ``oracle``, and
-none of these nor ``decay`` on a 1-d QBD loads scipy; each command's
-start-up time and peak memory stay those of its own layers.  The first check reads the sources with the
-standard library's ``ast``; the others run ``cli.main`` in a fresh
-interpreter and read ``sys.modules``.
+``cli``, ``modelfile``, ``qbd2d`` and ``jackson`` import ``jackson``,
+``levelset``, ``oracle`` and ``qbd1d`` inside the functions that use them.
+So ``validate`` on a 2-d walk loads none of those four, ``validate`` on a
+Jackson file loads no ``oracle``, ``levelset`` or ``qbd1d``, ``decay`` on a
+walk loads neither ``oracle`` nor ``jackson``, ``jackson ... decay`` loads
+no ``oracle``, and none of these, ``decay`` on a 1-d QBD nor ``verify``
+loads scipy; each command's start-up time and peak memory stay those of
+its own layers.  The first check reads the sources with the standard
+library's ``ast``; the others run ``cli.main`` in a fresh interpreter and
+read ``sys.modules``.
 """
 
 import ast
@@ -48,11 +48,11 @@ def _imported_modules(tree):
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
-def test_no_scipy_optimize_import():
+def test_no_scipy_import():
     found = [(p.name, name)
              for p in sorted(PACKAGE.glob("*.py"))
              for name in _imported_modules(ast.parse(p.read_text(encoding="utf-8")))
-             if name == "scipy.optimize" or name.startswith("scipy.optimize.")]
+             if name == "scipy" or name.startswith("scipy.")]
     assert found == []
 
 
@@ -100,4 +100,11 @@ def test_command_loads_only_its_layers(argv, absent):
     assert report.startswith(("kind = ", "category = "))
     assert sorted(f"qbdtail.{name}" for name in absent
                   if f"qbdtail.{name}" in loaded) == []
+    assert not _scipy_loaded(loaded)
+
+
+def test_verify_leaves_scipy_unloaded():
+    report, loaded = _loaded_after(["verify", str(MODELS / "scalar_rrw.yaml"),
+                                    "--extent", "20", "--steps", "0"])
+    assert "solver_residual = " in report
     assert not _scipy_loaded(loaded)

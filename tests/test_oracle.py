@@ -38,13 +38,37 @@ def right_march():
     return qbd2d.make_spec(fams, (1, 1, 1, 1), "discrete")
 
 
+def densify(op):
+    """The dense matrix of a ``TruncatedOperator``."""
+    p = np.diag(op.diag)
+    p[op.rows, op.cols] = op.vals
+    return p
+
+
 def dense_pinned_solve(spec, extent):
     """Reference: the pinned balance equations solved densely."""
-    p = oracle.build_truncated(spec, extent)[0].toarray()
+    p = densify(oracle.build_truncated(spec, extent)[0])
     a = np.eye(p.shape[0]) - p.T
     x = np.empty(p.shape[0])
     x[0] = 1.0
     x[1:] = np.linalg.solve(a[1:, 1:], -a[1:, 0])
+    return x / x.sum()
+
+
+def superlu_pinned_solve(spec, extent):
+    """Reference: the pinned balance equations by SuperLU, imported here
+    only; the package itself does not use scipy."""
+    sp = pytest.importorskip("scipy.sparse")
+    from scipy.sparse.linalg import splu
+    op = oracle.build_truncated(spec, extent)[0]
+    n = op.shape[0]
+    p = sp.csr_matrix((np.r_[op.vals, op.diag],
+                       (np.r_[op.rows, np.arange(n)],
+                        np.r_[op.cols, np.arange(n)])), shape=(n, n))
+    a = (sp.eye(n) - p.T).tocsc()
+    x = np.empty(n)
+    x[0] = 1.0
+    x[1:] = splu(a[1:, 1:]).solve(-a[1:, 0].toarray().ravel())
     return x / x.sum()
 
 
@@ -123,6 +147,20 @@ class TestTruncateAndSolve:
         assert np.allclose(table.pi[big], ref[big], rtol=1e-12, atol=0.0)
         assert table.residual <= 1e-15
 
+    @pytest.mark.parametrize("extent", [(12, 12), (9, 6), (1, 4), (3, 1),
+                                        (80, 4), (4, 80), (40, 40)])
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_nested_dissection_equals_superlu_and_dense(self, name, extent):
+        spec = _shipped_spec(name)
+        pi = oracle.truncate_and_solve(spec, extent).pi
+        assert np.all(pi >= 0)
+        refs = [superlu_pinned_solve(spec, extent)]
+        if pi.size <= 1500:
+            refs.append(dense_pinned_solve(spec, extent))
+        for ref in refs:
+            big = ref > 1e-100
+            assert np.allclose(pi[big], ref[big], rtol=1e-12, atol=0.0)
+
     def test_singular_pinned_system_is_no_convergence(self):
         # the origin is transient, so the pinned equations are singular
         with pytest.raises(NoConvergence, match="singular"):
@@ -161,6 +199,10 @@ class TestTruncateAndSolve:
         table = oracle.truncate_and_solve(spec, (80, 4))
         assert np.all(table.pi >= 0)
         mass = table.cell_mass()
+        # the transient cells keep exact zeros, as SuperLU's solve does
+        assert np.count_nonzero(mass[:, 1:]) == 0
+        ref = superlu_pinned_solve(spec, (80, 4))
+        assert np.array_equal(table.pi == 0, ref == 0)
         assert mass[:, 1:].sum() == pytest.approx(0.0, abs=1e-12)
         ratios = mass[1:40, 0] / mass[:39, 0]
         assert np.allclose(ratios, 0.15 / 0.25, atol=1e-10)
@@ -190,7 +232,7 @@ class TestTruncateAndSolve:
         # direct dense solve of the truncated generator
         p, offsets, sizes, disc = oracle.build_truncated(cont, extent)
         nu = qbd2d.uniformization_rate(cont)
-        q = (p.toarray() - np.eye(p.shape[0])) * nu
+        q = (densify(p) - np.eye(p.shape[0])) * nu
         a = np.vstack([q.T[:-1], np.ones(p.shape[0])])
         b = np.zeros(p.shape[0])
         b[-1] = 1.0
@@ -206,9 +248,10 @@ class TestBuildTruncated:
                                                          extent)
         ref = loop_truncated(disc, extent)
         # redirected mass is summed in another order: allow 2 ulp of 1
-        assert np.max(np.abs(p.toarray() - ref)) <= 4.5e-16
-        assert np.array_equal(p.toarray() != 0, ref != 0)
+        assert np.max(np.abs(densify(p) - ref)) <= 4.5e-16
+        assert np.array_equal(densify(p) != 0, ref != 0)
         assert int(sizes.sum()) == p.shape[0] == ref.shape[0]
+        assert p.nnz == np.count_nonzero(ref)
 
 
 class TestTableWalkers:
