@@ -925,13 +925,13 @@ class TestVerifyChild:
         assert_no_child_left()
 
     @needs_fork
-    def test_a_failing_solve_kills_and_reaps_the_child(self, monkeypatch,
-                                                        capsys):
-        # the child is still simulating 10^7 steps when the solve fails
+    def test_a_failing_fit_kills_and_reaps_the_child(self, monkeypatch,
+                                                      capsys):
+        # the child is still simulating 10^7 steps when the tail fit fails
         def stalled(*args, **kwargs):
-            raise NoConvergence("solver stalled")
+            raise NoConvergence("fit stalled")
 
-        monkeypatch.setattr("qbdtail.oracle.truncate_and_solve", stalled)
+        monkeypatch.setattr("qbdtail.oracle.estimate_decay", stalled)
         argv = ["verify", self.SCALAR, "--extent", "30", "--scan", "16",
                 "--steps", "10000000"]
         reports = []
@@ -941,7 +941,7 @@ class TestVerifyChild:
             reports.append(capsys.readouterr())
             assert_no_child_left()
         assert reports[0] == reports[1]
-        assert reports[0].err == "numerical failure: solver stalled\n"
+        assert reports[0].err == "numerical failure: fit stalled\n"
 
     @needs_fork
     def test_a_child_error_is_raised_where_the_inline_call_raises(
