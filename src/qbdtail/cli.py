@@ -16,9 +16,8 @@ and ``--samples`` set one array's length each and are at most ``MAX_COUNT``.
 ``verify`` refuses (exit 2) a box of (extent + 1)^2 max(dims) states above
 ``MAX_STATES`` = 200,000 (``mapph_jackson`` at extent 150, 181,203 states,
 peaks at about 650 MB); a box that memory cannot hold exits 3.
-``verify --steps N`` (N > 0) runs its simulation in a forked child, after the
-truncated solve, while the parent computes the analytic curve and the fits
-(``_in_child``).
+``verify --steps N`` (N > 0) runs its simulation in a forked child while the
+parent computes the analytic curve and the truncated solve (``_in_child``).
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import importlib
 import math
 import os
 import sys
@@ -370,16 +370,12 @@ def cmd_verify(args, out) -> int:
         traffic = jk.traffic_check(mf.payload)
         if not traffic.stable:
             raise Unstable(f"utilizations {traffic.rho} not both below one")
-    # the solve runs before the fork: beside it, the forked simulation slows
-    # down more than the solve takes alone
-    try:
-        table = oracle.truncate_and_solve(spec2d, (args.extent,) * 2,
-                                          tol=args.tol)
-    except MemoryError:
-        raise NoConvergence(f"out of memory for a box of up to {states} "
-                            "states") from None
-    # the simulation needs neither the analytic taus nor the table: a child
-    # forked here runs it meanwhile
+    # the simulation needs neither the analytic taus nor the solve: a child
+    # forked here runs it meanwhile, before the solve's fronts exist to be
+    # copied.  numpy loads its generator's module on first use; loaded here,
+    # once per process, so that no child loads it again
+    if args.steps > 0:
+        importlib.import_module("numpy.random")
     simulation = functools.partial(oracle.simulate, spec2d, seed=args.seed,
                                    steps=args.steps,
                                    record_extent=(args.extent, args.extent))
@@ -389,6 +385,12 @@ def cmd_verify(args, out) -> int:
             tau = jk.analytic_curve(mf.payload, scan=args.scan).tau_report().tau
         else:
             tau = qbd2d.decay_rates(spec2d, [], scan=args.scan).tau_report.tau
+        try:
+            table = oracle.truncate_and_solve(spec2d, (args.extent,) * 2,
+                                              tol=args.tol)
+        except MemoryError:
+            raise NoConvergence(f"out of memory for a box of up to {states} "
+                                "states") from None
         _emit(out, "extent", args.extent)
         _emit(out, "solver_residual", table.residual)
         worst = 0.0

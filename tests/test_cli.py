@@ -858,6 +858,23 @@ model:
         assert "unstable" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_strongly_unstable_walk_is_refused_before_the_solve(
+            self, tmp_path, capsys, monkeypatch):
+        # up 8 times down: the pinned solution would grow as 8^(N1 + N2)
+        f = tmp_path / "unstable.yaml"
+        f.write_text(modelfile.dump_model(modelfile.ModelFile(
+            "1", "qbd2d_discrete", scalar_rrw(0.4, 0.05, 0.4, 0.05))))
+
+        def solve(*args, **kwargs):
+            raise AssertionError("the truncated solve ran")
+
+        monkeypatch.setattr("qbdtail.oracle.truncate_and_solve", solve)
+        assert cli.main(["verify", str(f), "--extent", "80"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure:")
+        assert "unstable" in captured.err
+
     def test_jackson_reads_the_analytic_tau(self):
         path = str(MODELS / "tandem_jackson.yaml")
         _, decay = run_cli(["decay", path, "--scan", "32"])
@@ -925,13 +942,13 @@ class TestVerifyChild:
         assert_no_child_left()
 
     @needs_fork
-    def test_a_failing_fit_kills_and_reaps_the_child(self, monkeypatch,
-                                                      capsys):
-        # the child is still simulating 10^7 steps when the tail fit fails
+    def test_a_failing_solve_kills_and_reaps_the_child(self, monkeypatch,
+                                                        capsys):
+        # the child is still simulating 10^7 steps when the solve fails
         def stalled(*args, **kwargs):
-            raise NoConvergence("fit stalled")
+            raise NoConvergence("solver stalled")
 
-        monkeypatch.setattr("qbdtail.oracle.estimate_decay", stalled)
+        monkeypatch.setattr("qbdtail.oracle.truncate_and_solve", stalled)
         argv = ["verify", self.SCALAR, "--extent", "30", "--scan", "16",
                 "--steps", "10000000"]
         reports = []
@@ -941,7 +958,7 @@ class TestVerifyChild:
             reports.append(capsys.readouterr())
             assert_no_child_left()
         assert reports[0] == reports[1]
-        assert reports[0].err == "numerical failure: fit stalled\n"
+        assert reports[0].err == "numerical failure: solver stalled\n"
 
     @needs_fork
     def test_a_child_error_is_raised_where_the_inline_call_raises(
