@@ -244,6 +244,10 @@ def _plan(dims: tuple, extent: tuple) -> _Plan:
             group[fronts], index[fronts] = len(shape), np.arange(fronts.size)
             shape.append((f, ring[fronts[-1]] * p + 1))
     width = np.array([f + r + 1 for f, r in shape])
+    # within a group, fronts run by their parent's group and side, so that
+    # each pull takes a slice of its source's update matrices
+    by = np.lexsort((side, group[parent] * (parent >= 0), group))
+    index[by] = _ranks(group[by])
     # each group's fronts: the states of their own and ring slots
     states = np.arange(p)
     member = (np.concatenate([owner[by_node], ring_node]),
@@ -288,7 +292,7 @@ def _plan(dims: tuple, extent: tuple) -> _Plan:
     # repeats in one pull
     child = np.flatnonzero(parent >= 0)
     pull = group[parent[child]] * 2 + side[child], group[child]
-    by = np.lexsort(pull[::-1])
+    by = np.lexsort((index[child], *pull[::-1]))
     child = child[by]
     run_of = np.empty(nodes, np.intp)
     run_of[child] = np.cumsum(np.r_[False, (np.diff(pull[0][by]) != 0)
@@ -323,13 +327,9 @@ def _plan(dims: tuple, extent: tuple) -> _Plan:
         to_row[k, from_slot] = at[ring_at][:, None] * p + states
         to_col[k, from_slot + 1] = to_row[k, from_slot] + shift[ring_at][:, None]
         uses[src] += 1
-        # the pull's flat positions, up to the group's front entries
-        flat = (np.int32 if len(groups[g][0]) * (f + r) * (f + r + 1) < 2**31
-                else np.intp)
-        groups[g][2].append((
-            src, index[kids],
-            (index[parent[kids]] * (f + r))[:, None, None].astype(flat),
-            to_row[:, :, None].astype(flat), to_col[:, None, :].astype(flat)))
+        groups[g][2].append((src, slice(index[kids[0]], index[kids[-1]] + 1),
+                             (index[parent[kids]] * (f + r))[:, None, None],
+                             to_row[:, :, None], to_col[:, None, :]))
     u1, u2 = np.indices((rows, cols)).reshape(2, -1)
     sizes = qbd2d._cell_phases(dims, u1, u2)
     real = np.arange(sizes.sum()) + np.repeat(
