@@ -15,7 +15,7 @@ fitted cells: min(m1, m2) at level 0, m above.  ``--scan``, ``--points``
 and ``--samples`` set one array's length each and are at most ``MAX_COUNT``.
 ``verify`` refuses (exit 2) a box of (extent + 1)^2 max(dims) states above
 ``MAX_STATES`` = 200,000 (``mapph_jackson`` at extent 150, 181,203 states,
-peaks at about 650 MB); a box that memory cannot hold exits 3.
+peaks at about 690 MB); a box that memory cannot hold exits 3.
 ``verify --steps N`` (N > 0) runs its simulation in a forked child while the
 parent computes the analytic curve and the truncated solve (``_in_child``).
 """
@@ -43,7 +43,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERIC = 3
 MAX_COUNT = 65536
-MAX_STATES = 200_000   # above mapph_jackson at extent 150: 181,203 states, 650 MB
+MAX_STATES = 200_000   # above mapph_jackson at extent 150: 181,203 states, 690 MB
 
 
 # the digits of every printed float: reports and boundary CSV rows
