@@ -12,6 +12,7 @@ Subpackages:
   phase-type services (Kronecker block assembly plus the fast cumulant path).
 - ``oracle``: independent ground truth (truncated solver, simulator, tail
   slope regression, stationary-identity residual).
+- ``dissection``: the truncated solver's nested-dissection elimination.
 - ``cli``: model files and command-line analysis entry points.
 """
 
