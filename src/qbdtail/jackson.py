@@ -13,7 +13,7 @@ curve point or a stack of them in one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -151,17 +151,10 @@ class JacksonSpec:
         if self.r12 * self.r21 >= 1.0:
             raise InvalidSpec("r12 * r21 must be below one")
 
-    @property
-    def r10(self) -> float:
-        return 1.0 - self.r12
-
-    @property
-    def r20(self) -> float:
-        return 1.0 - self.r21
-
     def routing(self, i: int) -> tuple:
         """(r_{i0}, r_{i,3-i}) for node i."""
-        return (self.r10, self.r12) if i == 1 else (self.r20, self.r21)
+        rij = self.r12 if i == 1 else self.r21
+        return 1.0 - rij, rij
 
     # computed once: the generic path and every certificate point read it
     @cached_property
@@ -198,90 +191,61 @@ def traffic_check(spec: JacksonSpec) -> TrafficReport:
 # -- Kronecker block assembly --------------------------------------------------
 
 
+#: per region, the increments whose block is its own storage (no
+#: ``qbd2d.alias_target``) and made by the network: the local block and the
+#: moves of one event (none moves both queues up or both down)
+_OWN_BLOCKS = {reg: [inc for inc in qbd2d.allowed_increments(*reg)
+                     if qbd2d.alias_target(*reg, *inc) is None
+                     and inc not in ((1, 1), (-1, -1))]
+               for reg in qbd2d.REGIONS}
+
+
 def build_blocks(spec: JacksonSpec) -> qbd2d.Qbd2dSpec:
-    """Continuous-time 2d-QBD blocks of the network.
+    """Continuous-time 2d-QBD blocks of the network, from its events.
 
     Background order: arrival phase 1, arrival phase 2, service phase 1,
-    service phase 2, with the service factors dropped at empty nodes.
+    service phase 2, with the service factor of an empty node dropped.  In
+    region (s1, s2) node i is busy unless s_i is "0".  The local block is
+    (T1 (+) T2) (+) S, S the Kronecker sum of the busy nodes' S_i.  An
+    arrival at node i, or a completion at node i routed out or to the other
+    node with probability r, is the Kronecker product of its arrival part
+    (U1 x I, I x U2 or I x I) and one factor per node busy before or after
+    the move: I for a node that keeps its customer, beta_j for a customer
+    who starts at an empty node, and for the completing node r (-S_i 1)
+    when it empties, else r D_i.  Aliased blocks are left to ``make_spec``.
     """
-    (a1, a2), (s1, s2) = spec.arrivals, spec.services
-    t1, u1, t2, u2 = a1.t, a1.u, a2.t, a2.u
-    i1, i2 = np.eye(a1.order), np.eye(a2.order)
-    i3, i4 = np.eye(s1.order), np.eye(s2.order)
-    b1 = s1.beta[np.newaxis, :]
-    b2 = s2.beta[np.newaxis, :]
-    e1 = s1.exit[:, np.newaxis]
-    e2 = s2.exit[:, np.newaxis]
-    d1, d2 = s1.d_mat, s2.d_mat
-    r10, r12, r20, r21 = spec.r10, spec.r12, spec.r20, spec.r21
-    kron = matcore.kron_prod
-
-    def kron4(*ms):
-        out = ms[0]
-        for m in ms[1:]:
-            out = kron(out, m)
-        return out
-
-    ksum = matcore.kron_sum
-    interior = {
-        (0, 0): ksum(ksum(t1, t2), ksum(s1.s, s2.s)),
-        (1, 0): kron4(u1, i2, i3, i4),
-        (0, 1): kron4(i1, u2, i3, i4),
-        (-1, 0): kron4(i1, i2, r10 * d1, i4),
-        (-1, 1): kron4(i1, i2, r12 * d1, i4),
-        (0, -1): kron4(i1, i2, i3, r20 * d2),
-        (1, -1): kron4(i1, i2, i3, r21 * d2),
-    }
-    face1 = {
-        (0, 0): ksum(ksum(t1, t2), s1.s),
-        (1, 0): kron4(u1, i2, i3),
-        (-1, 0): kron4(i1, i2, r10 * d1),
-        (0, 1): kron4(i1, u2, i3, b2),
-        (-1, 1): kron4(i1, i2, r12 * d1, b2),
-    }
-    face2 = {
-        (0, 0): ksum(ksum(t1, t2), s2.s),
-        (0, 1): kron4(i1, u2, i4),
-        (0, -1): kron4(i1, i2, r20 * d2),
-        (1, 0): kron4(u1, i2, b1, i4),
-        (1, -1): kron4(i1, i2, b1, r21 * d2),
-    }
-    origin = {
-        (0, 0): ksum(t1, t2),
-        (1, 0): kron4(u1, i2, b1),
-        (0, 1): kron4(i1, u2, b2),
-    }
-    corner10 = {
-        (-1, 0): kron4(i1, i2, r10 * e1),
-        (-1, 1): kron4(i1, i2, r12 * (e1 @ b2)),
-    }
-    corner01 = {
-        (0, -1): kron4(i1, i2, r20 * e2),
-        (1, -1): kron4(i1, i2, b1, r21 * e2),
-    }
-    face1_down = {
-        (0, -1): kron4(i1, i2, i3, r20 * e2),
-        (1, -1): kron4(i1, i2, i3, r21 * e2),
-    }
-    face2_down = {
-        (-1, 0): kron4(i1, i2, r10 * e1, i4),
-        (-1, 1): kron4(i1, i2, r12 * e1, i4),
-    }
-    corner11 = {
-        (-1, 0): face2_down[(-1, 0)],
-        (-1, 1): face2_down[(-1, 1)],
-        (0, -1): face1_down[(0, -1)],
-        (1, -1): face1_down[(1, -1)],
-    }
-    dims = (a1.order * a2.order,
-            a1.order * a2.order * s1.order,
-            a1.order * a2.order * s2.order,
-            a1.order * a2.order * s1.order * s2.order)
-    fams = {
-        ("+", "+"): interior, ("+", "0"): face1, ("0", "+"): face2,
-        ("0", "0"): origin, ("1", "0"): corner10, ("0", "1"): corner01,
-        ("1", "1"): corner11, ("+", "1"): face1_down, ("1", "+"): face2_down,
-    }
+    (a1, a2), services = spec.arrivals, spec.services
+    kron, ksum = matcore.kron_prod, matcore.kron_sum
+    eye1, eye2 = np.eye(a1.order), np.eye(a2.order)
+    arrival = {(1, 0): kron(a1.u, eye2), (0, 1): kron(eye1, a2.u)}
+    no_arrival = kron(eye1, eye2)
+    t12 = ksum(a1.t, a2.t)
+    # per node: the factor of a kept customer, of one who starts, and of a
+    # completion routed out or on, by the node's class "1" (it empties) or
+    # "+" (it stays busy)
+    factors = [{"keep": np.eye(ph.order), "start": ph.beta[np.newaxis, :],
+                "1": [r * ph.exit[:, np.newaxis] for r in spec.routing(n)],
+                "+": [r * ph.d_mat for r in spec.routing(n)]}
+               for n, ph in enumerate(services, 1)]
+    fams = {}
+    for reg, incs in _OWN_BLOCKS.items():
+        fam = fams[reg] = {}
+        busy = [ph.s for ph, s in zip(services, reg) if s != "0"]
+        for inc in incs:
+            if inc == (0, 0):
+                fam[inc] = ksum(t12, reduce(ksum, busy)) if busy else t12
+                continue
+            block = arrival.get(inc, no_arrival)
+            for s, move, other, f in zip(reg, inc, inc[::-1], factors):
+                if move == -1:
+                    block = kron(block, f[s][other])
+                elif s != "0":
+                    block = kron(block, f["keep"])
+                elif move == 1:
+                    block = kron(block, f["start"])
+            fam[inc] = block
+    m, (k1, k2) = a1.order * a2.order, (ph.order for ph in services)
+    dims = (m, m * k1, m * k2, m * k1 * k2)
     return qbd2d.make_spec(fams, dims, "continuous")
 
 
@@ -396,11 +360,6 @@ def _lt_inverse(weights: np.ndarray, gen: np.ndarray, y: float) -> float:
     except NoSignChange:
         raise OutsideTransformRange(
             f"target {y} outside the invertible range") from None
-
-
-def service_mgf(ph: PhSpec, x: float) -> float:
-    """Moment generating function of the service time at x."""
-    return _lt_value(ph.beta, ph.s, x)
 
 
 def gamma_d_via_mgf(spec: JacksonSpec, i: int, theta) -> float:

@@ -401,16 +401,6 @@ def estimate_decay_direction(source, c) -> TailEstimate:
     return TailEstimate(*_fit_log_tail(grid, tails, (0.25 * xmax, 0.75 * xmax)))
 
 
-def tail_csv(source, coordinate: int, path):
-    """Write (n, log_tail) pairs at level 0 and phase 0, for plotting."""
-    tails = source.tail_sequence(coordinate, 0, 0)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n,log_tail\n")
-        for n, t in enumerate(tails, start=1):
-            if t > 0:
-                fh.write(f"{n},{np.log(t):.12g}\n")
-
-
 # -- stationary identity residual -------------------------------------------------
 
 

@@ -174,11 +174,6 @@ def a_mgf(k: QbdBlocks, theta: float) -> np.ndarray:
     return np.exp(-theta) * k.am1 + k.a0 + np.exp(theta) * k.a1
 
 
-def c_mgf(k: QbdBlocks, theta: float) -> np.ndarray:
-    """C_*(theta) = C0 + e^{theta} A_1 (C1 equals A1)."""
-    return canonical_form(k).c0 + np.exp(theta) * k.a1
-
-
 def gamma_a(k: QbdBlocks, theta: float) -> float:
     """Perron eigenvalue of the interior matrix MGF at theta."""
     return matcore.perron_value(a_mgf(k, theta))
@@ -674,16 +669,6 @@ def stationary_boundary(k: QbdBlocks):
     inv = matcore.neumann_inverse(r)
     total = pi0.sum() + pi1 @ inv @ np.ones(m)
     return pi0 / total, pi1 / total, r, inv
-
-
-def qbd_stationary(k: QbdBlocks, max_level: int) -> list[np.ndarray]:
-    """Stationary vectors (pi_0, ..., pi_max_level) by a boundary solve plus
-    the matrix-geometric tail pi_{n+1} = pi_n R."""
-    pi0, pi1, r, _ = stationary_boundary(k)
-    out = [pi0, pi1]
-    for _ in range(max_level - 1):
-        out.append(out[-1] @ r)
-    return out
 
 
 def cp_k(k: QbdBlocks) -> float:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,8 @@ from conftest import (mapph_jackson, mmpp2_map, product_form_jackson,
                       tandem_jackson)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+DATA = Path(__file__).resolve().parent / "data"
+DIGESTS = DATA / "jackson_block_digests.json"
 
 
 def h2_service_jackson():
@@ -101,6 +105,55 @@ class TestTrafficCheck:
         assert busy2 == pytest.approx(tr.rho[1], rel=0.01)
 
 
+def _model_networks():
+    """(name, spec) of the shipped Jackson models and the seed-7 benchmark
+    Jackson files."""
+    out = [(name, modelfile.load_model(MODELS / f"{name}.yaml").payload)
+           for name in ("tandem_jackson", "mapph_jackson")]
+    bench = DATA / "bench_seed7"
+    out += [(f"{path.parent.name}/{path.name}", modelfile.load_model(path).payload)
+            for path in sorted(bench.glob("*/*jackson.yaml"))]
+    return out
+
+
+def _general_network(rng):
+    """A random network of arrival and service orders 1-3: dense MAPs, PH
+    laws with every beta entry positive, routing in (0, 1)."""
+    def arrival(n):
+        t, u = rng.uniform(0.1, 1.0, size=(2, n, n))
+        np.fill_diagonal(t, 0.0)
+        np.fill_diagonal(t, -(t + u).sum(axis=1))
+        return jackson.MapSpec(t=t, u=u)
+
+    def service(k):
+        s = rng.uniform(0.1, 1.0, size=(k, k))
+        np.fill_diagonal(s, 0.0)
+        np.fill_diagonal(s, -s.sum(axis=1) - rng.uniform(0.5, 3.0, size=k))
+        return jackson.PhSpec(beta=rng.dirichlet(np.ones(k)), s=s)
+
+    n1, n2, k1, k2 = rng.integers(1, 4, size=4)
+    return jackson.JacksonSpec(arrivals=(arrival(n1), arrival(n2)),
+                               services=(service(k1), service(k2)),
+                               r12=rng.uniform(0.01, 0.99),
+                               r21=rng.uniform(0.01, 0.99))
+
+
+#: the shipped mapph network and 20 random ones of orders 1-3 (seed 31)
+_GENERATOR_CASES = ([mapph_jackson()]
+                    + [_general_network(np.random.default_rng([31, k]))
+                       for k in range(20)])
+_GENERATOR_IDS = ["mapph"] + [f"random{k}" for k in range(20)]
+
+
+def _block_digests(spec):
+    """One line per block: region, increment, dtype, shape and the sha256
+    of its bytes."""
+    return [f"{''.join(reg)} {i},{j} {b.dtype} {b.shape[0]}x{b.shape[1]} "
+            f"{hashlib.sha256(b.tobytes()).hexdigest()}"
+            for reg, fam in jackson.build_blocks(spec).families.items()
+            for (i, j), b in fam.items()]
+
+
 class TestBuildBlocks:
     def test_exponential_interior_matches_hand_ctmc(self):
         lam1, lam2, mu1, mu2, r12, r21 = 1.0, 0.5, 2.0, 3.0, 0.3, 0.2
@@ -123,9 +176,25 @@ class TestBuildBlocks:
         assert blocks.dims == (n1 * n2, n1 * n2 * k1, n1 * n2 * k2,
                                n1 * n2 * k1 * k2)
 
-    def test_generator_rows_vanish(self, mapph_spec):
-        blocks = jackson.build_blocks(mapph_spec)
+    @pytest.mark.parametrize("spec", _GENERATOR_CASES, ids=_GENERATOR_IDS)
+    def test_generator_rows_vanish(self, spec):
+        blocks = jackson.build_blocks(spec)
         assert qbd2d.validate_spec(blocks) == []
+
+    @pytest.mark.parametrize("name, spec", _model_networks(),
+                             ids=[name for name, _ in _model_networks()])
+    def test_blocks_are_the_digest_golden(self, name, spec):
+        """Every block of the nine model networks has the bytes recorded in
+        ``data/jackson_block_digests.json``, and every aliased block of a
+        nonzero canonical block is that block's array."""
+        golden = json.loads(DIGESTS.read_text(encoding="utf-8"))
+        assert _block_digests(spec) == golden[name]
+        fams = jackson.build_blocks(spec).families
+        for reg, fam in fams.items():
+            for inc, b in fam.items():
+                tgt = qbd2d.alias_target(*reg, *inc)
+                if tgt is not None and fams[tgt[0]][tgt[1]].any():
+                    assert b is fams[tgt[0]][tgt[1]], (reg, inc)
 
     @pytest.mark.parametrize("name", ["tandem_jackson", "mapph_jackson"])
     def test_blocks_are_the_np_kron_blocks(self, name, monkeypatch):
@@ -141,9 +210,10 @@ class TestBuildBlocks:
             for inc, b in fam.items():
                 assert blocks.families[reg][inc].tobytes() == b.tobytes(), (reg, inc)
 
-    def test_kronecker_eigen_consistency(self, mapph_spec):
-        blocks = jackson.build_blocks(mapph_spec)
-        cs = jackson.cumulants(mapph_spec)
+    @pytest.mark.parametrize("spec", _GENERATOR_CASES, ids=_GENERATOR_IDS)
+    def test_kronecker_eigen_consistency(self, spec):
+        blocks = jackson.build_blocks(spec)
+        cs = jackson.cumulants(spec)
         rng = np.random.default_rng(2)
         for _ in range(10):
             theta = rng.uniform(-0.8, 0.8, size=2)
@@ -262,11 +332,7 @@ def _network(rng, arrival_phases, service_phases):
 def _cumulant_networks():
     """(label, spec): the shipped networks, the seed-7 benchmark networks
     and random one- and two-phase ones (mixed orders included)."""
-    out = [(name, modelfile.load_model(MODELS / f"{name}.yaml").payload)
-           for name in ("tandem_jackson", "mapph_jackson")]
-    bench = Path(__file__).resolve().parent / "data" / "bench_seed7"
-    out += [(path.name, modelfile.load_model(path).payload)
-            for path in sorted(bench.glob("*/*jackson.yaml"))]
+    out = _model_networks()
     rng = np.random.default_rng(29)
     for phases in ((1, 1), (2, 1), (1, 2), (2, 2)):
         out += [(f"random{phases}-{k}", _network(rng, *phases)) for k in range(3)]
@@ -429,9 +495,9 @@ class TestServiceTransform:
         ph = jackson.erlang_ph(2, 3.0)
         theta0 = -float(np.max(np.linalg.eigvals(ph.s).real))
         xs = np.linspace(-5.0, theta0 - 1e-3, 40)
-        vals = [jackson.service_mgf(ph, x) for x in xs]
+        vals = [jackson._lt_value(ph.beta, ph.s, x) for x in xs]
         assert all(b > a for a, b in zip(vals, vals[1:]))
-        assert jackson.service_mgf(ph, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert jackson._lt_value(ph.beta, ph.s, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCertificate:
@@ -505,3 +571,10 @@ class TestCertificate:
         points[5] *= 1.5
         with pytest.raises(ThetaNotOnCurve, match="lane 5"):
             jackson.assumption3_certificate(mapph_spec, points)
+
+
+if __name__ == "__main__":
+    # rewrite the block digest golden from the code on the path
+    DIGESTS.write_text(json.dumps({name: _block_digests(spec)
+                                   for name, spec in _model_networks()},
+                                  indent=1) + "\n", encoding="utf-8")

@@ -753,15 +753,6 @@ class TestEstimateDecay:
         rho1, _ = jackson.traffic_check(light_jackson()).rho
         assert est.slope == pytest.approx(np.log(rho1), rel=0.05)
 
-    def test_tail_csv(self, tmp_path):
-        src = self._GeometricSource(0.5, 20)
-        path = tmp_path / "tail.csv"
-        oracle.tail_csv(src, 1, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "n,log_tail"
-        n, logt = lines[3].split(",")
-        assert float(logt) == pytest.approx(int(n) * np.log(0.5), abs=1e-9)
-
 
 class TestStationaryIdentity:
     def test_scalar_walk_residual_tiny(self):

@@ -127,11 +127,6 @@ class TestMgfs:
             chord = lam * qbd1d.a_mgf(k, t1) + (1 - lam) * qbd1d.a_mgf(k, t2)
             assert np.all(mid <= chord + 1e-12)
 
-    def test_c_mgf_scalar(self):
-        k = qbd1d.QbdBlocks(b0=[[0.5]], b1=[[0.3]], bm1=[[0.2]],
-                            am1=[[0.2]], a0=[[0.1]], a1=[[0.3]])
-        assert qbd1d.c_mgf(k, 0.0)[0, 0] == pytest.approx(0.22 + 0.3)
-
 
 class TestRootFinding:
     def test_bracket_without_sign_change_is_a_typed_error(self):
@@ -634,12 +629,13 @@ class TestRateMatrixAndStationary:
         k = mm1_blocks(p, q)
         r = qbd1d.rate_matrix(k)
         assert r[0, 0] == pytest.approx(p / q, abs=1e-12)
-        pis = qbd1d.qbd_stationary(k, 10)
-        ratio = pis[3][0] / pis[2][0]
-        assert ratio == pytest.approx(p / q, abs=1e-10)
+        pi0, pi1, _, _ = qbd1d.stationary_boundary(k)
+        pi2 = pi1 @ r   # pi_n = pi_1 R^{n-1}
+        pi3 = pi2 @ r
+        assert pi3[0] / pi2[0] == pytest.approx(p / q, abs=1e-10)
         # sums to 1 with the geometric tail
-        tail = pis[1][0] / (1 - p / q)
-        assert pis[0][0] + tail == pytest.approx(1.0, abs=1e-10)
+        tail = pi1[0] / (1 - p / q)
+        assert pi0[0] + tail == pytest.approx(1.0, abs=1e-10)
 
     def test_log_cp_R_equals_interval_endpoint(self):
         # decay rate of the matrix-geometric tail equals the right endpoint
@@ -669,8 +665,11 @@ class TestRateMatrixAndStationary:
         idx = np.argmin(np.abs(evals - 1.0))
         pi = np.real(evecs[:, idx])
         pi = pi / pi.sum()
-        pis = qbd1d.qbd_stationary(k, levels - 1)
-        flat = np.concatenate([v for v in pis])
+        pi0, pi1, r, _ = qbd1d.stationary_boundary(k)
+        pis = [pi0, pi1]
+        for _ in range(levels - 2):   # pi_n = pi_1 R^{n-1}
+            pis.append(pis[-1] @ r)
+        flat = np.concatenate(pis)
         tv = 0.5 * np.abs(flat - pi).sum()
         assert tv < 1e-8
 
